@@ -39,6 +39,33 @@ envTrials(int def)
     return s ? std::atoi(s) : def;
 }
 
+/**
+ * Analysis worker count from `--jobs N` (@p def without the flag).
+ * A value that is not a plain decimal number prints a usage line and
+ * exits 2 rather than silently running serially.
+ */
+inline unsigned
+parseJobs(int argc, char **argv, unsigned def = 0)
+{
+    unsigned jobs = def;
+    for (int i = 1; i < argc; ++i) {
+        if (std::strcmp(argv[i], "--jobs") != 0)
+            continue;
+        const char *v = i + 1 < argc ? argv[i + 1] : "";
+        char *end = nullptr;
+        const unsigned long n = std::strtoul(v, &end, 10);
+        if (*v < '0' || *v > '9' || *end != '\0' || n > 0xffffffffu) {
+            std::fprintf(stderr,
+                         "usage: %s [--jobs N] [--json PATH]: bad --jobs "
+                         "value '%s'\n",
+                         argv[0], v);
+            std::exit(2);
+        }
+        jobs = static_cast<unsigned>(n);
+    }
+    return jobs;
+}
+
 /** Standard banner naming the regenerated figure/table. */
 inline void
 banner(const char *figure, const char *caption)
@@ -75,28 +102,37 @@ paperPeriods()
 class JsonReporter
 {
   public:
-    /** Scan argv for `--json <path>`; no file is written without it. */
+    /**
+     * Scan argv for `--json <path>`; no file is written without it. The
+     * file is opened here, so an unwritable path exits 2 before any
+     * work is done.
+     */
     JsonReporter(int argc, char **argv)
     {
         for (int i = 1; i + 1 < argc; ++i) {
             if (std::strcmp(argv[i], "--json") == 0)
                 path_ = argv[i + 1];
         }
+        if (path_.empty())
+            return;
+        file_ = std::fopen(path_.c_str(), "w");
+        if (!file_) {
+            std::fprintf(stderr, "cannot write %s\n", path_.c_str());
+            std::exit(2);
+        }
     }
 
     ~JsonReporter()
     {
-        if (path_.empty())
+        if (!file_)
             return;
-        std::FILE *f = std::fopen(path_.c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot write %s\n", path_.c_str());
-            return;
-        }
         for (const std::string &line : lines_)
-            std::fprintf(f, "%s\n", line.c_str());
-        std::fclose(f);
+            std::fprintf(file_, "%s\n", line.c_str());
+        std::fclose(file_);
     }
+
+    JsonReporter(const JsonReporter &) = delete;
+    JsonReporter &operator=(const JsonReporter &) = delete;
 
     bool enabled() const { return !path_.empty(); }
 
@@ -146,6 +182,7 @@ class JsonReporter
     }
 
     std::string path_;
+    std::FILE *file_ = nullptr;
     std::vector<std::string> lines_;
 };
 

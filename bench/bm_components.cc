@@ -11,7 +11,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include "core/parallel_offline.hh"
+#include "core/offline.hh"
 #include "core/session.hh"
 #include "detect/fasttrack.hh"
 #include "detect/fasttrack_ref.hh"
@@ -400,8 +400,8 @@ BENCHMARK(BM_ReorderBufferCommit)->Unit(benchmark::kMillisecond);
 void
 BM_ParallelOffline(benchmark::State &state)
 {
-    // Whole offline pipeline through the parallel analyzer (arg = jobs;
-    // 0 exercises the serial delegation path for comparison).
+    // Whole offline pipeline (arg = jobs; 0 runs the serial stages for
+    // comparison).
     auto &run = benchRun();
     auto &w = benchApp();
     const unsigned jobs = static_cast<unsigned>(state.range(0));
@@ -410,7 +410,7 @@ BM_ParallelOffline(benchmark::State &state)
         core::OfflineOptions opt;
         opt.pt_filter = w.pt_filter;
         opt.num_threads = jobs;
-        core::ParallelOfflineAnalyzer analyzer(*w.program, opt);
+        core::OfflineAnalyzer analyzer(*w.program, opt);
         core::OfflineResult result = analyzer.analyze(run.trace);
         events += result.extended_trace_events;
         benchmark::DoNotOptimize(result);

@@ -18,12 +18,10 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "bench_util.hh"
-#include "core/parallel_offline.hh"
+#include "core/offline.hh"
 #include "core/pipeline.hh"
 #include "driver/cost_model.hh"
 #include "support/timer.hh"
@@ -123,7 +121,7 @@ runScaling(unsigned jobs, prorace::bench::JsonReporter &json)
 
         core::OfflineOptions par_opt = cfg.offline;
         par_opt.num_threads = jobs;
-        core::ParallelOfflineAnalyzer parallel(*bug.program, par_opt);
+        core::OfflineAnalyzer parallel(*bug.program, par_opt);
         core::OfflineResult parallel_result =
             parallel.analyze(run.trace);
         const double parallel_s = timer.lap();
@@ -163,12 +161,7 @@ runScaling(unsigned jobs, prorace::bench::JsonReporter &json)
 int
 main(int argc, char **argv)
 {
+    const unsigned jobs = prorace::bench::parseJobs(argc, argv);
     prorace::bench::JsonReporter json(argc, argv);
-    unsigned jobs = 0;
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--jobs") == 0)
-            jobs = static_cast<unsigned>(std::strtoul(argv[i + 1],
-                                                      nullptr, 10));
-    }
     return jobs > 0 ? runScaling(jobs, json) : runBreakdown(json);
 }

@@ -34,7 +34,7 @@
 #include <vector>
 
 #include "bench_util.hh"
-#include "core/parallel_offline.hh"
+#include "core/offline.hh"
 #include "core/pipeline.hh"
 #include "fault_injection.hh"
 #include "support/rng.hh"
@@ -104,7 +104,7 @@ runTrial(const workload::Workload &bug, const core::OfflineOptions &opt,
             return out;
         }
         out.loss = loaded.value().loss;
-        core::ParallelOfflineAnalyzer analyzer(*bug.program, opt);
+        core::OfflineAnalyzer analyzer(*bug.program, opt);
         core::OfflineResult result =
             analyzer.analyze(loaded.value().trace);
         out.recall = recallOf(baseline, racePairs(result.report));
@@ -143,13 +143,8 @@ corrupt(const std::vector<uint8_t> &clean, const std::string &mode,
 int
 main(int argc, char **argv)
 {
+    const unsigned jobs = bench::parseJobs(argc, argv, 2);
     bench::JsonReporter json(argc, argv);
-    unsigned jobs = 2;
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--jobs") == 0)
-            jobs = static_cast<unsigned>(std::strtoul(argv[i + 1],
-                                                      nullptr, 10));
-    }
     const int trials = bench::envTrials(3);
     const char *kModes[] = {"segflip", "segdrop", "truncate"};
 
@@ -174,7 +169,7 @@ main(int argc, char **argv)
 
         core::OfflineOptions opt = cfg.offline;
         opt.num_threads = jobs;
-        core::ParallelOfflineAnalyzer analyzer(*bug.program, opt);
+        core::OfflineAnalyzer analyzer(*bug.program, opt);
         const RacePairs baseline =
             racePairs(analyzer.analyze(run.trace).report);
 

@@ -24,15 +24,12 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <string>
 #include <vector>
 
 #include "bench_util.hh"
 #include "core/offline.hh"
-#include "core/parallel_offline.hh"
 #include "core/pipeline.hh"
 #include "fault_injection.hh"
 #include "oracle/generator.hh"
@@ -71,7 +68,7 @@ runTrial(const oracle::GeneratedWorkload &gw,
             out.rejected = true;
             return out;
         }
-        core::ParallelOfflineAnalyzer analyzer(*gw.workload.program, opt);
+        core::OfflineAnalyzer analyzer(*gw.workload.program, opt);
         core::OfflineResult result = analyzer.analyze(loaded.value().trace);
         out.score = oracle::scoreReport(gw.truth, result.report);
     } catch (const std::exception &e) {
@@ -89,13 +86,8 @@ runTrial(const oracle::GeneratedWorkload &gw,
 int
 main(int argc, char **argv)
 {
+    const unsigned jobs = bench::parseJobs(argc, argv, 2);
     bench::JsonReporter json(argc, argv);
-    unsigned jobs = 2;
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--jobs") == 0)
-            jobs = static_cast<unsigned>(
-                std::strtoul(argv[i + 1], nullptr, 10));
-    }
     const int trials = bench::envTrials(3);
     const size_t battery_size = std::max<size_t>(
         5, static_cast<size_t>(5.0 * bench::envScale()));
@@ -155,7 +147,7 @@ main(int argc, char **argv)
                 if (trial == 0 && period == 100) {
                     try {
                         core::OfflineOptions serial = pc.offline;
-                        serial.num_threads = 1;
+                        serial.num_threads = 0;
                         core::OfflineAnalyzer analyzer(
                             *gw.workload.program, serial);
                         const oracle::OracleScore serial_score =
@@ -177,7 +169,7 @@ main(int argc, char **argv)
                             {{"workload", gw.workload.name},
                              {"period", std::to_string(period)},
                              {"corrupt", "0"},
-                             {"jobs", "1"},
+                             {"jobs", "0"},
                              {"trial", std::to_string(trial)}},
                             {{"recall", serial_score.recall()},
                              {"precision", serial_score.precision()},

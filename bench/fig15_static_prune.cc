@@ -22,13 +22,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench_util.hh"
-#include "core/parallel_offline.hh"
+#include "core/offline.hh"
 #include "core/pipeline.hh"
 #include "oracle/generator.hh"
 #include "oracle/scorer.hh"
@@ -55,13 +53,8 @@ median(std::vector<double> v)
 int
 main(int argc, char **argv)
 {
+    const unsigned jobs = bench::parseJobs(argc, argv, 2);
     bench::JsonReporter json(argc, argv);
-    unsigned jobs = 2;
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--jobs") == 0)
-            jobs = static_cast<unsigned>(
-                std::strtoul(argv[i + 1], nullptr, 10));
-    }
     const int trials = bench::envTrials(3);
     const double scale = 0.05 * bench::envScale();
 
@@ -102,9 +95,9 @@ main(int argc, char **argv)
         uint64_t events = 0, pruned = 0;
         oracle::RacePairSet pairs_on, pairs_off;
         for (int trial = 0; trial < trials; ++trial) {
-            core::ParallelOfflineAnalyzer a_on(*w->program, on);
+            core::OfflineAnalyzer a_on(*w->program, on);
             core::OfflineResult r_on = a_on.analyze(run.trace);
-            core::ParallelOfflineAnalyzer a_off(*w->program, off);
+            core::OfflineAnalyzer a_off(*w->program, off);
             core::OfflineResult r_off = a_off.analyze(run.trace);
 
             detect_on.push_back(r_on.detect_seconds);
@@ -175,9 +168,9 @@ main(int argc, char **argv)
         core::OfflineOptions off = on;
         off.static_prefilter = false;
 
-        core::ParallelOfflineAnalyzer a_on(*gw.workload.program, on);
+        core::OfflineAnalyzer a_on(*gw.workload.program, on);
         core::OfflineResult r_on = a_on.analyze(run.trace);
-        core::ParallelOfflineAnalyzer a_off(*gw.workload.program, off);
+        core::OfflineAnalyzer a_off(*gw.workload.program, off);
         core::OfflineResult r_off = a_off.analyze(run.trace);
 
         const oracle::OracleScore s_on =

@@ -26,13 +26,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench_util.hh"
-#include "core/parallel_offline.hh"
+#include "core/offline.hh"
 #include "core/pipeline.hh"
 #include "oracle/generator.hh"
 #include "support/timer.hh"
@@ -67,7 +65,7 @@ detectSeconds(const workload::Workload &w, core::OfflineOptions opt,
     opt.run_summary = run_summary;
     double best = 1e9;
     for (int t = 0; t < trials; ++t) {
-        core::ParallelOfflineAnalyzer analyzer(*w.program, opt);
+        core::OfflineAnalyzer analyzer(*w.program, opt);
         core::OfflineResult result = analyzer.analyze(run);
         best = std::min(best, result.detect_seconds);
         if (report_out)
@@ -81,13 +79,8 @@ detectSeconds(const workload::Workload &w, core::OfflineOptions opt,
 int
 main(int argc, char **argv)
 {
+    const unsigned jobs = bench::parseJobs(argc, argv);
     bench::JsonReporter json(argc, argv);
-    unsigned jobs = 0;
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--jobs") == 0)
-            jobs = static_cast<unsigned>(std::strtoul(argv[i + 1],
-                                                      nullptr, 10));
-    }
     const int trials = bench::envTrials(3);
 
     bench::banner("Figure 17",

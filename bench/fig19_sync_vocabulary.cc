@@ -29,7 +29,6 @@
 
 #include "bench_util.hh"
 #include "core/offline.hh"
-#include "core/parallel_offline.hh"
 #include "core/pipeline.hh"
 #include "oracle/generator.hh"
 #include "oracle/scorer.hh"
@@ -243,8 +242,7 @@ reportIdentity()
             core::OfflineOptions opt = pc.offline;
             opt.num_threads = jobs;
             opt.run_summary = folded;
-            core::ParallelOfflineAnalyzer analyzer(*gw.workload.program,
-                                                   opt);
+            core::OfflineAnalyzer analyzer(*gw.workload.program, opt);
             const std::string report =
                 analyzer.analyze(run.trace).report.format(prog);
             if (baseline.empty())

@@ -32,7 +32,7 @@
 
 #include "analysis/analysis.hh"
 #include "bench_util.hh"
-#include "core/parallel_offline.hh"
+#include "core/offline.hh"
 #include "core/pipeline.hh"
 #include "oracle/generator.hh"
 #include "oracle/scorer.hh"
@@ -65,9 +65,9 @@ analyzeBoth(const asmkit::Program &program, const core::RunArtifacts &run,
     off.pointsto = false;
 
     OnOff r;
-    core::ParallelOfflineAnalyzer a_on(program, on);
+    core::OfflineAnalyzer a_on(program, on);
     r.on = a_on.analyze(run.trace);
-    core::ParallelOfflineAnalyzer a_off(program, off);
+    core::OfflineAnalyzer a_off(program, off);
     r.off = a_off.analyze(run.trace);
     return r;
 }
@@ -91,13 +91,8 @@ assertIdentical(const char *name, const OnOff &r)
 int
 main(int argc, char **argv)
 {
+    const unsigned jobs = bench::parseJobs(argc, argv, 2);
     bench::JsonReporter json(argc, argv);
-    unsigned jobs = 2;
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--jobs") == 0)
-            jobs = static_cast<unsigned>(
-                std::strtoul(argv[i + 1], nullptr, 10));
-    }
     const int trials = bench::envTrials(3);
     const double scale = 0.05 * bench::envScale();
 

@@ -62,7 +62,7 @@
 
 #include "analysis/analysis.hh"
 #include "baseline/racez.hh"
-#include "core/parallel_offline.hh"
+#include "core/offline.hh"
 #include "core/pipeline.hh"
 #include "detect/fasttrack.hh"
 #include "oracle/generator.hh"
@@ -315,8 +315,14 @@ parseFlags(int argc, char **argv, int first, Args &args)
             const char *v = next();
             if (!v)
                 return false;
-            args.jobs = static_cast<unsigned>(std::strtoul(v, nullptr,
-                                                           10));
+            char *end = nullptr;
+            const unsigned long jobs = std::strtoul(v, &end, 10);
+            if (*v < '0' || *v > '9' || *end != '\0' ||
+                jobs > 0xffffffffu) {
+                std::fprintf(stderr, "bad --jobs value: %s\n", v);
+                return false;
+            }
+            args.jobs = static_cast<unsigned>(jobs);
         } else if (flag == "--count") {
             const char *v = next();
             if (!v)
@@ -469,7 +475,7 @@ cmdAnalyze(const Args &args)
     opt.run_summary = !args.no_run_summary;
     if (args.racez)
         opt.replay.mode = replay::ReplayMode::kBasicBlock;
-    core::ParallelOfflineAnalyzer analyzer(*w->program, opt);
+    core::OfflineAnalyzer analyzer(*w->program, opt);
     auto analyzed = analyzer.analyzeFile(args.trace_file);
     if (!analyzed.ok()) {
         std::fprintf(stderr, "cannot analyze trace: %s\n",

@@ -1,8 +1,11 @@
 #include "core/offline.hh"
 
 #include <algorithm>
+#include <exception>
+#include <optional>
 #include <unordered_map>
 
+#include "exec/reorder_buffer.hh"
 #include "support/log.hh"
 #include "support/timer.hh"
 #include "trace/trace_file.hh"
@@ -10,6 +13,7 @@
 namespace prorace::core {
 
 using detect::AccessOrigin;
+using replay::Replayer;
 using vm::SyncKind;
 
 namespace {
@@ -592,6 +596,40 @@ regenerationBlacklist(
 
 } // namespace detail
 
+namespace {
+
+/** One fanned-out replay window (sequence = index into the task list). */
+struct WindowTask {
+    bool last_of_thread = false; ///< thread finalizes after this commit
+    Replayer::Window window;
+    const pmu::ThreadPath *path = nullptr;
+    const replay::ThreadAlignment *alignment = nullptr;
+};
+
+/** What a window task hands to the ordered-commit stage. */
+struct WindowResult {
+    Replayer::EmitMap emit;
+    replay::ReplayStats stats;
+    std::unordered_set<uint64_t> consumed;
+    std::exception_ptr error;
+};
+
+/** Replay one window on a private Replayer (throws what replay throws). */
+WindowResult
+replayWindowTask(const asmkit::Program &program,
+                 const replay::ReplayConfig &config, const WindowTask &t,
+                 const trace::RunTrace &run)
+{
+    WindowResult res;
+    Replayer replayer(program, config);
+    replayer.replayWindow(t.window, *t.path, *t.alignment, run, res.emit);
+    res.stats = replayer.stats();
+    res.consumed = replayer.consumedAddresses();
+    return res;
+}
+
+} // namespace
+
 OfflineAnalyzer::OfflineAnalyzer(const asmkit::Program &program,
                                  const OfflineOptions &options)
     : program_(program), options_(options),
@@ -603,25 +641,170 @@ OfflineAnalyzer::OfflineAnalyzer(const asmkit::Program &program,
     options_.replay.analysis = analysis_.get();
 }
 
-void
-OfflineAnalyzer::analyzeOnce(
-    const trace::RunTrace &run,
-    const std::map<uint32_t, pmu::ThreadPath> &paths,
-    const std::map<uint32_t, replay::ThreadAlignment> &alignments,
-    const replay::ReplayConfig &replay_config, OfflineResult &result,
-    std::unordered_set<uint64_t> &consumed, bool first_round)
+OfflineAnalyzer::Paths
+OfflineAnalyzer::decodeSharded(const trace::RunTrace &run,
+                               exec::Executor &ex,
+                               pmu::PtDecodeStats *stats)
 {
-    // --- reconstruction ---
-    Stopwatch timer;
-    replay::Replayer replayer(program_, replay_config);
-    std::vector<replay::ReconstructedAccess> accesses =
-        replayer.replayAll(paths, alignments, run);
-    result.replay_stats = replayer.stats();
-    result.extended_trace_events = accesses.size();
-    consumed = replayer.consumedAddresses();
-    result.reconstruct_seconds += timer.lap();
+    std::vector<exec::Future<Paths>> shard_futures;
+    std::vector<pmu::PtDecodeStats> shard_stats(run.pt.size());
+    shard_futures.reserve(run.pt.size());
+    for (size_t core = 0; core < run.pt.size(); ++core) {
+        shard_futures.push_back(ex.submit([this, &run, &shard_stats,
+                                           core] {
+            return pmu::decodePtStream(program_, options_.pt_filter, run,
+                                       core, &shard_stats[core]);
+        }));
+    }
 
-    // --- detection (prefilter cost counts as detection cost) ---
+    Paths paths;
+    bool migrated = false;
+    for (auto &f : shard_futures) {
+        for (auto &[tid, path] : f.get()) {
+            if (!paths.emplace(tid, std::move(path)).second)
+                migrated = true;
+        }
+    }
+    if (migrated) {
+        // A tid with packets in two streams means the serial decoder
+        // would have threaded one walker across both; redo serially so
+        // the result stays bit-identical.
+        if (stats)
+            *stats = pmu::PtDecodeStats();
+        return pmu::decodePt(program_, options_.pt_filter, run, stats);
+    }
+    if (stats) {
+        for (const pmu::PtDecodeStats &s : shard_stats)
+            stats->merge(s);
+    }
+    return paths;
+}
+
+std::vector<replay::ReconstructedAccess>
+OfflineAnalyzer::reconstruct(const trace::RunTrace &run, const Paths &paths,
+                             const Alignments &alignments,
+                             const replay::ReplayConfig &replay_config,
+                             exec::Executor *ex, OfflineResult &result,
+                             std::unordered_set<uint64_t> &consumed)
+{
+    if (!ex) {
+        Replayer replayer(program_, replay_config);
+        std::vector<replay::ReconstructedAccess> accesses =
+            replayer.replayAll(paths, alignments, run);
+        result.replay_stats = replayer.stats();
+        result.extended_trace_events = accesses.size();
+        consumed = replayer.consumedAddresses();
+        return accesses;
+    }
+
+    // --- plan: per-thread window lists, in ascending-tid order ---
+    // sync_at maps live here so Window::sync_at pointers stay valid for
+    // the whole fan-out.
+    std::map<uint32_t, std::map<uint64_t, const trace::SyncRecord *>>
+        sync_maps;
+    std::vector<WindowTask> tasks;
+    for (const auto &[tid, path] : paths) {
+        auto it = alignments.find(tid);
+        if (it == alignments.end())
+            continue;
+        const replay::ThreadAlignment &alignment = it->second;
+        auto &sync_at = sync_maps[tid];
+        sync_at = Replayer::syncAtMap(alignment, run);
+        std::vector<Replayer::Window> windows =
+            Replayer::buildWindows(path, alignment, run, sync_at);
+        for (size_t i = 0; i < windows.size(); ++i) {
+            WindowTask t;
+            t.last_of_thread = i + 1 == windows.size();
+            t.window = windows[i];
+            t.path = &path;
+            t.alignment = &alignment;
+            tasks.push_back(t);
+        }
+    }
+
+    // --- fan out: bounded in-flight window tasks, ordered commit ---
+    // Submission is throttled to the reorder-buffer capacity, so a
+    // commit can never block with every worker stuck on a
+    // later-sequence window (see reorder_buffer.hh).
+    const uint64_t capacity =
+        std::max<uint64_t>(2 * ex->numThreads(), 16);
+    exec::ReorderBuffer<WindowResult> rob(capacity);
+    uint64_t next_submit = 0;
+    auto submit_one = [&] {
+        const uint64_t seq = next_submit++;
+        const WindowTask *t = &tasks[seq];
+        ex->submit([this, &run, &rob, &replay_config, t, seq] {
+            WindowResult res;
+            try {
+                res = replayWindowTask(program_, replay_config, *t, run);
+            } catch (...) {
+                res.error = std::current_exception();
+            }
+            rob.commit(seq, std::move(res));
+        });
+    };
+    while (next_submit < tasks.size() && next_submit < capacity)
+        submit_one();
+
+    // The commit thread re-assembles exactly the serial pre-sort access
+    // sequence: threads in ascending tid order, windows in path order,
+    // then each thread's unlocatable samples in record order.
+    std::vector<replay::ReconstructedAccess> accesses;
+    replay::ReplayStats replay_stats;
+    Replayer finalizer(program_, replay_config);
+    Replayer::EmitMap thread_emit;
+    for (uint64_t seq = 0; seq < tasks.size(); ++seq) {
+        WindowResult res = rob.pop();
+        if (next_submit < tasks.size())
+            submit_one();
+        if (res.error) {
+            // Quarantine policy: retry the window once on the commit
+            // thread (transient failures — allocation pressure on a
+            // loaded worker — get a second chance), then give it up
+            // and record the loss. Its samples fall back to the
+            // unmatched-sample path in finalizeThread, so one
+            // poisoned window costs its reconstructed accesses, not
+            // the run. Windows cannot hang: replay work is bounded by
+            // the window's path slice, so a timeout policy beyond
+            // this retry is unnecessary by construction.
+            ++result.quarantine.window_retries;
+            try {
+                res = replayWindowTask(program_, replay_config, tasks[seq],
+                                       run);
+            } catch (...) {
+                ++result.quarantine.windows_quarantined;
+                res = WindowResult();
+            }
+        }
+        replay_stats.merge(res.stats);
+        consumed.insert(res.consumed.begin(), res.consumed.end());
+        // Window [start, end) ranges are disjoint, so inserting the
+        // window maps in commit order equals the serial shared-map
+        // accumulation.
+        thread_emit.entries.insert(res.emit.entries.begin(),
+                                   res.emit.entries.end());
+        const WindowTask &t = tasks[seq];
+        if (t.last_of_thread) {
+            finalizer.finalizeThread(*t.path, *t.alignment, run,
+                                     thread_emit, accesses);
+            thread_emit.entries.clear();
+        }
+    }
+    finalizer.appendPathlessSamples(paths, run, accesses);
+    Replayer::sortByTsc(accesses);
+
+    replay_stats.merge(finalizer.stats()); // unlocatable-sample counts
+    result.replay_stats = replay_stats;
+    result.extended_trace_events = accesses.size();
+    return accesses;
+}
+
+void
+OfflineAnalyzer::detectAccesses(
+    const trace::RunTrace &run, const Alignments &alignments,
+    std::vector<replay::ReconstructedAccess> &accesses,
+    OfflineResult &result, bool first_round)
+{
     detail::applyStaticPrefilter(accesses, analysis_.get(),
                                  options_.static_prefilter,
                                  result.prefilter, &run);
@@ -642,20 +825,30 @@ OfflineAnalyzer::analyzeOnce(
         detail::detectRaces(run, alignments, accesses, result.report,
                             result.detect_stats, options_.run_summary);
     }
-    result.detect_seconds += timer.lap();
 }
 
 OfflineResult
 OfflineAnalyzer::analyze(const trace::RunTrace &run)
 {
+    exec_stats_ = exec::ExecutorStats();
     OfflineResult result;
 
-    std::map<uint32_t, pmu::ThreadPath> paths;
-    std::map<uint32_t, replay::ThreadAlignment> alignments;
-    if (options_.replay.mode != replay::ReplayMode::kBasicBlock) {
+    // Basic-block mode (RaceZ) has no PT streams or inter-sample
+    // windows to shard, so it always runs serially.
+    const bool windowed =
+        options_.replay.mode != replay::ReplayMode::kBasicBlock;
+    std::optional<exec::Executor> executor;
+    if (windowed && options_.num_threads > 0)
+        executor.emplace(options_.num_threads);
+    exec::Executor *ex = executor ? &*executor : nullptr;
+
+    Paths paths;
+    Alignments alignments;
+    if (windowed) {
         Stopwatch timer;
-        paths = pmu::decodePt(program_, options_.pt_filter, run,
-                              &result.decode_stats);
+        paths = ex ? decodeSharded(run, *ex, &result.decode_stats)
+                   : pmu::decodePt(program_, options_.pt_filter, run,
+                                   &result.decode_stats);
         result.decode_seconds = timer.lap();
 
         alignments = replay::alignTrace(program_, paths, run,
@@ -670,8 +863,15 @@ OfflineAnalyzer::analyze(const trace::RunTrace &run)
         std::unordered_set<uint64_t> consumed;
         OfflineResult pass = result; // keep timing accumulators
         pass.report = detect::RaceReport();
-        analyzeOnce(run, paths, alignments, replay_config, pass, consumed,
-                    round == 0);
+
+        Stopwatch timer;
+        std::vector<replay::ReconstructedAccess> accesses =
+            reconstruct(run, paths, alignments, replay_config, ex, pass,
+                        consumed);
+        pass.reconstruct_seconds += timer.lap();
+        // The prefilter cost counts as detection cost.
+        detectAccesses(run, alignments, accesses, pass, round == 0);
+        pass.detect_seconds += timer.lap();
         result = pass;
 
         if (round >= options_.max_regeneration_rounds)
@@ -686,6 +886,9 @@ OfflineAnalyzer::analyze(const trace::RunTrace &run)
             replay_config.mem_blacklist.end(), new_blacklist.begin(),
             new_blacklist.end());
     }
+
+    if (executor)
+        exec_stats_ = executor->stats();
     return result;
 }
 

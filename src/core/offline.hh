@@ -17,6 +17,7 @@
 #include "detect/fasttrack.hh"
 #include "detect/incremental.hh"
 #include "detect/report.hh"
+#include "exec/executor.hh"
 #include "pmu/pt.hh"
 #include "pmu/pt_decode.hh"
 #include "replay/align.hh"
@@ -34,9 +35,10 @@ namespace prorace::core {
  * the detector plus the feed cursor, and a later analysis of the same
  * byte stream warm-starts from that image instead of re-running the
  * detector from event zero. Hooks fire only on the incremental path
- * (OfflineOptions::incremental.enabled); checkpointing and restore
- * apply to regeneration round 0 only — later rounds re-run against a
- * different blacklist, so a round-0 image would be stale for them.
+ * (OfflineOptions::incremental.enabled), for any num_threads;
+ * checkpointing and restore apply to regeneration round 0 only — later
+ * rounds re-run against a different blacklist, so a round-0 image
+ * would be stale for them.
  */
 struct CheckpointHooks {
     /**
@@ -81,10 +83,9 @@ struct OfflineOptions {
     /** Regeneration rounds when races land on emulated locations. */
     int max_regeneration_rounds = 2;
     /**
-     * Analysis worker threads for the ParallelOfflineAnalyzer:
-     * 0 = serial (the classic single-threaded pipeline), N > 0 = shard
-     * PT decode and window replay across N executor workers. The
-     * result is bit-identical either way.
+     * Analysis worker threads: 0 = serial (the classic single-threaded
+     * pipeline), N > 0 = shard PT decode and window replay across N
+     * executor workers. The result is bit-identical either way.
      */
     unsigned num_threads = 0;
     /**
@@ -185,7 +186,7 @@ struct PrefilterStats {
 };
 
 /**
- * Loss accounting of the parallel analyzer's window quarantine: a
+ * Loss accounting of the parallel replay path's window quarantine: a
  * replay window whose task threw is retried once on the commit thread
  * and then, if it fails again, dropped with its reconstructed accesses
  * (its samples still reach detection through the unmatched-sample
@@ -237,6 +238,14 @@ struct OfflineResult {
 /**
  * The offline analyzer: feed it the program binary and a run trace; it
  * returns the race report and pipeline statistics.
+ *
+ * OfflineOptions::num_threads picks how PT decode and replay run: 0
+ * (and always basic-block mode, which has no PT streams or windows)
+ * runs them serially; N > 0 runs them on a per-call N-worker executor
+ * (per-core decode shards, inter-sample windows fanned out and
+ * committed in serial order through a reorder buffer), bit-identically.
+ * Prefiltering, detection and the CheckpointHooks are the same serial
+ * step on both paths (DESIGN.md §8).
  */
 class OfflineAnalyzer
 {
@@ -257,29 +266,50 @@ class OfflineAnalyzer
     Result<OfflineResult, trace::TraceError>
     analyzeFile(const std::string &path);
 
+    /** Executor counters of the last analyze() call (zero if serial). */
+    const exec::ExecutorStats &executorStats() const
+    {
+        return exec_stats_;
+    }
+
   private:
-    /** One reconstruction + detection pass with the given blacklist. */
-    void analyzeOnce(const trace::RunTrace &run,
-                     const std::map<uint32_t, pmu::ThreadPath> &paths,
-                     const std::map<uint32_t,
-                                    replay::ThreadAlignment> &alignments,
-                     const replay::ReplayConfig &replay_config,
-                     OfflineResult &result,
-                     std::unordered_set<uint64_t> &consumed,
-                     bool first_round);
+    using Paths = std::map<uint32_t, pmu::ThreadPath>;
+    using Alignments = std::map<uint32_t, replay::ThreadAlignment>;
+
+    /** Decode on @p ex, one task per PT stream (serial on migration). */
+    Paths decodeSharded(const trace::RunTrace &run, exec::Executor &ex,
+                        pmu::PtDecodeStats *stats);
+
+    /**
+     * One replay pass with the given blacklist, serial when @p ex is
+     * null; returns the TSC-sorted extended trace.
+     */
+    std::vector<replay::ReconstructedAccess>
+    reconstruct(const trace::RunTrace &run, const Paths &paths,
+                const Alignments &alignments,
+                const replay::ReplayConfig &replay_config,
+                exec::Executor *ex, OfflineResult &result,
+                std::unordered_set<uint64_t> &consumed);
+
+    /** Prefilter plus one-shot or streaming detection. */
+    void detectAccesses(const trace::RunTrace &run,
+                        const Alignments &alignments,
+                        std::vector<replay::ReconstructedAccess> &accesses,
+                        OfflineResult &result, bool first_round);
 
     const asmkit::Program &program_;
     OfflineOptions options_;
     /** Static facts shared by the aligner, replayer and prefilter. */
     std::unique_ptr<analysis::ProgramAnalysis> analysis_;
+    exec::ExecutorStats exec_stats_;
 };
 
 namespace detail {
 
 /**
- * The detection stage shared by the serial and parallel analyzers:
- * merge the reconstructed accesses and the sync trace into one
- * TSC-ordered feed (with the release < access < acquire tie-break at
+ * The detection stage shared by the serial and parallel paths: merge
+ * the reconstructed accesses and the sync trace into one TSC-ordered
+ * feed (with the release < access < acquire tie-break at
  * equal timestamps) and run FastTrack over it. With @p run_summary set,
  * consecutive identical accesses are folded through
  * FastTrack::foldRepeats (per-iteration fallback when the detector
@@ -321,7 +351,7 @@ regenerationBlacklist(
 
 /**
  * The static access prefilter shared by the serial and parallel
- * analyzers: removes extended-trace events at definitely-thread-local
+ * paths: removes extended-trace events at definitely-thread-local
  * sites and accounts for what was dropped. A no-op (beyond counting
  * events_seen) when @p enabled is false or @p analysis is null.
  *

@@ -1,94 +1,11 @@
-/**
- * @file
- * The parallel offline-analysis engine.
- *
- * Scales the offline pipeline (paper §7.6's bottleneck: minutes of
- * decode + reconstruction per second of traced execution) across cores
- * while producing results bit-identical to the serial OfflineAnalyzer:
- *
- *  1. **Sharded PT decode** — one executor task per per-core packet
- *     stream. Threads are pinned to cores, so the shards are
- *     independent; the per-tid path maps merge losslessly. A trace in
- *     which one tid spans two streams (thread migration) falls back to
- *     the serial decoder.
- *  2. **Windowed parallel replay** — the inter-sample windows the
- *     Replayer already processes independently fan out as tasks. The
- *     only state adjacent windows share is their boundary PEBS sample
- *     (window i's backward-propagation source is window i+1's forward
- *     seed); that handoff travels inside each Window descriptor, so
- *     tasks touch no mutable shared replay state.
- *  3. **Ordered commit** — window results pass through a bounded
- *     reorder buffer and are committed in the serial path's exact
- *     order (ascending tid, then window index), rebuilding the
- *     identical pre-sort access sequence; the shared stable sort and
- *     the shared detection feed then make the FastTrack event stream
- *     — and hence the RaceReport — byte-for-byte the same.
- *
- * Detection itself stays serial: vector-clock state is inherently
- * sequential, and the paper measures it at ~1.6% of offline cost.
- */
-
+// Old name of core::OfflineAnalyzer, still used by prorace_bench/.
 #ifndef PRORACE_CORE_PARALLEL_OFFLINE_HH
 #define PRORACE_CORE_PARALLEL_OFFLINE_HH
 
 #include "core/offline.hh"
-#include "exec/executor.hh"
 
 namespace prorace::core {
-
-/**
- * Drop-in replacement for OfflineAnalyzer that runs the decode and
- * replay stages on a work-stealing executor when
- * OfflineOptions::num_threads > 0, and delegates to the serial
- * analyzer when it is 0 (or in basic-block mode, which has no
- * inter-sample windows to fan out).
- */
-class ParallelOfflineAnalyzer
-{
-  public:
-    ParallelOfflineAnalyzer(const asmkit::Program &program,
-                            const OfflineOptions &options);
-
-    /** Run the full offline pipeline over @p run. */
-    OfflineResult analyze(const trace::RunTrace &run);
-
-    /**
-     * Ingest @p path fault-tolerantly and analyze what survives; see
-     * OfflineAnalyzer::analyzeFile().
-     */
-    Result<OfflineResult, trace::TraceError>
-    analyzeFile(const std::string &path);
-
-    /** Executor counters of the last analyze() call (parallel path). */
-    const exec::ExecutorStats &executorStats() const
-    {
-        return exec_stats_;
-    }
-
-  private:
-    struct WindowTask;
-    struct WindowResult;
-
-    /** Stage 1: sharded decode (serial fallback on thread migration). */
-    std::map<uint32_t, pmu::ThreadPath>
-    decodeSharded(const trace::RunTrace &run, exec::Executor &ex,
-                  pmu::PtDecodeStats *stats);
-
-    /** Stages 2+3: one replay pass, fanned out and ordered-committed. */
-    void analyzeOnceParallel(
-        const trace::RunTrace &run,
-        const std::map<uint32_t, pmu::ThreadPath> &paths,
-        const std::map<uint32_t, replay::ThreadAlignment> &alignments,
-        const replay::ReplayConfig &replay_config, exec::Executor &ex,
-        OfflineResult &result, std::unordered_set<uint64_t> &consumed);
-
-    const asmkit::Program &program_;
-    OfflineOptions options_;
-    /** Static facts shared by the aligner, replayer and prefilter. */
-    std::unique_ptr<analysis::ProgramAnalysis> analysis_;
-    exec::ExecutorStats exec_stats_;
-};
-
+using ParallelOfflineAnalyzer = OfflineAnalyzer;
 } // namespace prorace::core
 
 #endif // PRORACE_CORE_PARALLEL_OFFLINE_HH

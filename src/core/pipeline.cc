@@ -1,7 +1,5 @@
 #include "core/pipeline.hh"
 
-#include "core/parallel_offline.hh"
-
 namespace prorace::core {
 
 PipelineConfig
@@ -25,9 +23,7 @@ runPipeline(const asmkit::Program &program, const Session::Setup &setup,
 {
     PipelineResult result;
     result.online = Session::run(program, setup, config.session);
-    // ParallelOfflineAnalyzer delegates to the serial path when
-    // num_threads == 0, so this is the single dispatch point.
-    ParallelOfflineAnalyzer analyzer(program, config.offline);
+    OfflineAnalyzer analyzer(program, config.offline);
     result.offline = analyzer.analyze(result.online.trace);
     return result;
 }

@@ -9,10 +9,10 @@
  * producer may run: commit(seq) blocks while seq >= frontier +
  * capacity, which caps memory held for out-of-order completions.
  *
- * The parallel analyzer additionally throttles *submission* to the
- * capacity, so under the work-stealing executor (whose owners pop
- * LIFO) a late-sequence task can never occupy every worker while an
- * early-sequence task is still queued — the blocking commit path is a
+ * The offline analyzer's parallel path additionally throttles
+ * *submission* to the capacity, so under the work-stealing executor
+ * (whose owners pop LIFO) a late-sequence task can never occupy every
+ * worker while an early-sequence task is still queued — the blocking commit path is a
  * genuine bound, not a liveness hazard.
  */
 

@@ -94,8 +94,8 @@ decodePt(const asmkit::Program &program, const PtFilter &filter,
  * The machine pins each thread to one core, so every thread's packets
  * live in exactly one stream and the per-core decodes are independent:
  * decoding all streams and merging the per-tid maps yields the same
- * paths as the serial decodePt(). The parallel analyzer runs one such
- * task per stream. Callers must verify on merge that no tid appears in
+ * paths as the serial decodePt(). The parallel offline path runs one
+ * such task per stream. Callers must verify on merge that no tid appears in
  * two shards (a migrating-thread trace) and fall back to the serial
  * decoder when one does.
  *

@@ -1327,27 +1327,33 @@ Replayer::replayAll(const std::map<uint32_t, pmu::ThreadPath> &paths,
                 continue;
             replayThread(path, it->second, run, out);
         }
-        // Samples of threads without decoded paths still contribute
-        // their own access.
-        for (const trace::PebsRecord &rec : run.pebs) {
-            if (paths.count(rec.tid))
-                continue;
-            ReconstructedAccess acc;
-            acc.tid = rec.tid;
-            acc.insn_index = rec.insn_index;
-            acc.addr = rec.addr;
-            acc.width = rec.width;
-            acc.is_write = rec.is_write;
-            acc.is_atomic = rec.is_atomic;
-            acc.tsc = rec.tsc;
-            acc.origin = AccessOrigin::kSampled;
-            ++stats_.sampled;
-            out.push_back(acc);
-        }
+        appendPathlessSamples(paths, run, out);
     }
 
     sortByTsc(out);
     return out;
+}
+
+void
+Replayer::appendPathlessSamples(
+    const std::map<uint32_t, pmu::ThreadPath> &paths,
+    const trace::RunTrace &run, std::vector<ReconstructedAccess> &out)
+{
+    for (const trace::PebsRecord &rec : run.pebs) {
+        if (paths.count(rec.tid))
+            continue;
+        ReconstructedAccess acc;
+        acc.tid = rec.tid;
+        acc.insn_index = rec.insn_index;
+        acc.addr = rec.addr;
+        acc.width = rec.width;
+        acc.is_write = rec.is_write;
+        acc.is_atomic = rec.is_atomic;
+        acc.tsc = rec.tsc;
+        acc.origin = AccessOrigin::kSampled;
+        ++stats_.sampled;
+        out.push_back(acc);
+    }
 }
 
 void

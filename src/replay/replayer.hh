@@ -247,6 +247,11 @@ class Replayer
                         const trace::RunTrace &run, EmitMap &emit,
                         std::vector<ReconstructedAccess> &out);
 
+    /** Append the accesses of samples whose thread has no path. */
+    void appendPathlessSamples(
+        const std::map<uint32_t, pmu::ThreadPath> &paths,
+        const trace::RunTrace &run, std::vector<ReconstructedAccess> &out);
+
     /**
      * The final deterministic ordering of the extended trace. Both
      * analyzer paths build the pre-sort sequence identically, so this

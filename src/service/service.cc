@@ -356,6 +356,9 @@ AnalysisService::analyzeSession(std::shared_ptr<SessionState> session)
     outcome.loss = loaded.loss;
     outcome.compression = loaded.trace.meta.compression;
     core::OfflineOptions opts = options_.offline;
+    // Sessions run serially: the service already parallelises across
+    // sessions on its own pool, and executors must not nest there.
+    opts.num_threads = 0;
     // GC soundness gate: a lossy sync stream may hide fork edges,
     // so this session runs batched but unswept (still identical).
     if (loaded.loss.sync_dropped > 0)

@@ -107,9 +107,10 @@ struct ServiceOptions {
     IngestPolicy ingest;
     /**
      * Offline-pipeline configuration applied to every session.
-     * incremental.enabled is forced on; incremental.enable_gc is
-     * additionally cleared per session when that session's sync stream
-     * arrived damaged (the GC soundness gate).
+     * incremental.enabled is forced on, and num_threads to 0 (sessions
+     * already run in parallel on the service pool). enable_gc is
+     * cleared per session when that session's sync stream arrived
+     * damaged (the GC soundness gate).
      */
     core::OfflineOptions offline;
     /**

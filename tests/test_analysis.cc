@@ -14,7 +14,7 @@
 
 #include "analysis/analysis.hh"
 #include "asmkit/layout.hh"
-#include "core/parallel_offline.hh"
+#include "core/offline.hh"
 #include "core/pipeline.hh"
 #include "oracle/generator.hh"
 #include "oracle/scorer.hh"
@@ -521,10 +521,9 @@ TEST(Prefilter, ReportsIdenticalOnOracleBattery)
             core::OfflineOptions off = on;
             off.static_prefilter = false;
 
-            core::ParallelOfflineAnalyzer a_on(*gw.workload.program, on);
+            core::OfflineAnalyzer a_on(*gw.workload.program, on);
             core::OfflineResult r_on = a_on.analyze(run.trace);
-            core::ParallelOfflineAnalyzer a_off(*gw.workload.program,
-                                                off);
+            core::OfflineAnalyzer a_off(*gw.workload.program, off);
             core::OfflineResult r_off = a_off.analyze(run.trace);
 
             EXPECT_EQ(oracle::reportPairs(r_on.report),
@@ -993,10 +992,9 @@ TEST(PointsTo, ReportsIdenticalOnOracleBattery)
             core::OfflineOptions off = on;
             off.pointsto = false;
 
-            core::ParallelOfflineAnalyzer a_on(*gw.workload.program, on);
+            core::OfflineAnalyzer a_on(*gw.workload.program, on);
             core::OfflineResult r_on = a_on.analyze(run.trace);
-            core::ParallelOfflineAnalyzer a_off(*gw.workload.program,
-                                                off);
+            core::OfflineAnalyzer a_off(*gw.workload.program, off);
             core::OfflineResult r_off = a_off.analyze(run.trace);
 
             EXPECT_EQ(oracle::reportPairs(r_on.report),

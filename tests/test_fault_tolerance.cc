@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "core/parallel_offline.hh"
+#include "core/offline.hh"
 #include "core/pipeline.hh"
 #include "fault_injection.hh"
 #include "pmu/pt_decode.hh"
@@ -104,7 +104,7 @@ TEST(FaultTolerance, SeededBitFlipsNeverCrash)
             // The surviving records must flow through the full
             // analysis without throwing.
             core::OfflineAnalyzer analyzer(*tb.workload.program,
-                                           tb.cfg.offline);
+                                   tb.cfg.offline);
             analyzer.analyze(loaded.value().trace);
         }
     }
@@ -296,8 +296,8 @@ TEST(FaultTolerance, AnalyzeFileSurfacesErrorsAndLoss)
     std::fwrite(damaged.data(), 1, damaged.size(), f);
     std::fclose(f);
 
-    core::ParallelOfflineAnalyzer analyzer(*tb.workload.program,
-                                           tb.cfg.offline);
+    core::OfflineAnalyzer analyzer(*tb.workload.program,
+                                   tb.cfg.offline);
     auto result = analyzer.analyzeFile(path);
     ASSERT_TRUE(result.ok());
     EXPECT_TRUE(result.value().ingest_loss.hasLoss());

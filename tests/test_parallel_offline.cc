@@ -1,17 +1,17 @@
 /**
  * @file
  * Serial/parallel equivalence of the offline-analysis engine: for every
- * workload, seed, and thread count, ParallelOfflineAnalyzer must
- * produce a byte-identical race report and identical pipeline
- * statistics to the serial OfflineAnalyzer on the same trace
- * (everything except the wall-clock timers).
+ * workload, seed, and thread count, OfflineAnalyzer with num_threads > 0
+ * must produce a byte-identical race report, identical pipeline
+ * statistics (everything except the wall-clock timers) and identical
+ * checkpoint-hook traffic to the serial stages on the same trace.
  */
 
 #include <gtest/gtest.h>
 
 #include "asmkit/builder.hh"
-#include "core/parallel_offline.hh"
 #include "core/pipeline.hh"
+#include "support/journal.hh"
 #include "workload/racybugs.hh"
 
 namespace prorace {
@@ -45,7 +45,7 @@ expectEquivalent(const Program &program, const trace::RunTrace &run,
 
     core::OfflineOptions parallel_opt = base;
     parallel_opt.num_threads = num_threads;
-    core::ParallelOfflineAnalyzer parallel(program, parallel_opt);
+    core::OfflineAnalyzer parallel(program, parallel_opt);
     core::OfflineResult p = parallel.analyze(run);
 
     // The report, byte for byte.
@@ -191,15 +191,92 @@ TEST(ParallelOffline, ZeroThreadsDelegatesToSerialEngine)
     auto cfg = core::proRaceConfig(100, 2, w.pt_filter);
     auto run = core::Session::run(*w.program, w.setup, cfg.session);
 
-    core::ParallelOfflineAnalyzer analyzer(*w.program, cfg.offline);
     ASSERT_EQ(cfg.offline.num_threads, 0u);
-    core::OfflineResult r = analyzer.analyze(run.trace);
-    // The serial delegation ran no executor tasks.
-    EXPECT_EQ(analyzer.executorStats().executed, 0u);
     core::OfflineAnalyzer serial(*w.program, cfg.offline);
     core::OfflineResult s = serial.analyze(run.trace);
-    EXPECT_EQ(r.report.format(w.program.get()),
+    // The serial stages ran no executor tasks...
+    EXPECT_EQ(serial.executorStats().executed, 0u);
+
+    // ...and the parallel ones did, reporting the same races.
+    core::OfflineOptions par_opt = cfg.offline;
+    par_opt.num_threads = 2;
+    core::OfflineAnalyzer parallel(*w.program, par_opt);
+    core::OfflineResult p = parallel.analyze(run.trace);
+    EXPECT_GT(parallel.executorStats().executed, 0u);
+    EXPECT_EQ(p.report.format(w.program.get()),
               s.report.format(w.program.get()));
+}
+
+/** What the checkpoint hooks saw during one analyze() call. */
+struct HookTrace {
+    std::string report;
+    uint64_t ticks = 0;
+    /** (feed cursor, feed total) of every on_boundary call, in order. */
+    std::vector<std::pair<uint64_t, uint64_t>> boundaries;
+    /** The detector image serialized at each boundary. */
+    std::vector<std::vector<uint8_t>> images;
+};
+
+HookTrace
+analyzeWithHooks(const Program &program, const trace::RunTrace &run,
+                 core::OfflineOptions opt)
+{
+    HookTrace seen;
+    opt.checkpoint.tick = [&seen] { ++seen.ticks; };
+    opt.checkpoint.on_boundary =
+        [&seen](uint64_t cursor, uint64_t total,
+                 detect::IncrementalFastTrack &detector) {
+            support::ByteWriter writer;
+            detector.serializeState(writer);
+            seen.boundaries.emplace_back(cursor, total);
+            seen.images.push_back(writer.take());
+        };
+    core::OfflineAnalyzer analyzer(program, opt);
+    seen.report = analyzer.analyze(run).report.format(&program);
+    return seen;
+}
+
+TEST(ParallelOffline, CheckpointHooksFireAsInSerialRun)
+{
+    // The deadline tick, the boundary cursor sequence and warm-start
+    // restore must behave identically however the stages before
+    // detection ran.
+    workload::Workload w = workload::makeRacyBug("pbzip2-0.9.5", 0.4);
+    auto cfg = core::proRaceConfig(8, 1, w.pt_filter);
+    auto run = core::Session::run(*w.program, w.setup, cfg.session);
+    core::OfflineOptions streaming = cfg.offline;
+    streaming.incremental.enabled = true;
+    streaming.incremental.batch_events = 256;
+
+    streaming.num_threads = 0;
+    const HookTrace serial =
+        analyzeWithHooks(*w.program, run.trace, streaming);
+    ASSERT_GT(serial.boundaries.size(), 2u);
+    ASSERT_GT(serial.ticks, 0u);
+    const size_t mid = serial.boundaries.size() / 2;
+
+    for (unsigned n : kThreadCounts) {
+        SCOPED_TRACE("num_threads=" + std::to_string(n));
+        streaming.num_threads = n;
+        const HookTrace par =
+            analyzeWithHooks(*w.program, run.trace, streaming);
+        EXPECT_EQ(par.report, serial.report);
+        EXPECT_EQ(par.ticks, serial.ticks);
+        EXPECT_EQ(par.boundaries, serial.boundaries);
+
+        // Warm-start from the serial run's mid-feed image.
+        core::OfflineOptions resume = streaming;
+        bool resumed = false;
+        resume.checkpoint.restore = &serial.images[mid];
+        resume.checkpoint.resume_events = serial.boundaries[mid].first;
+        resume.checkpoint.resume_feed_total =
+            serial.boundaries[mid].second;
+        resume.checkpoint.resumed = &resumed;
+        core::OfflineAnalyzer analyzer(*w.program, resume);
+        const core::OfflineResult restored = analyzer.analyze(run.trace);
+        EXPECT_TRUE(resumed);
+        EXPECT_EQ(restored.report.format(w.program.get()), serial.report);
+    }
 }
 
 } // namespace
