@@ -2,7 +2,8 @@
  * @file
  * google-benchmark microbenchmarks of the pipeline's components: VM
  * interpretation rate, PT encode/decode throughput, sample alignment,
- * replay throughput, and FastTrack event throughput.
+ * replay throughput (with and without the static analysis attached),
+ * and FastTrack event throughput.
  */
 
 #include <atomic>
@@ -11,6 +12,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "analysis/analysis.hh"
 #include "core/offline.hh"
 #include "core/session.hh"
 #include "detect/fasttrack.hh"
@@ -136,21 +138,35 @@ BENCHMARK(BM_AlignSamples)->Unit(benchmark::kMillisecond);
 void
 BM_Replay(benchmark::State &state)
 {
+    // Arg 1 attaches the static analysis (the analyzer's configuration:
+    // kill masks from the fact table, constant recovery); 0 is the
+    // analysis-free legacy path. Both replay the same windows.
     auto &run = benchRun();
     auto &w = benchApp();
     auto paths = pmu::decodePt(*w.program, w.pt_filter, run.trace);
     auto aligns = replay::alignTrace(*w.program, paths, run.trace);
+    const analysis::ProgramAnalysis pa(*w.program);
+    replay::ReplayConfig cfg;
+    if (state.range(0))
+        cfg.analysis = &pa;
     uint64_t accesses = 0;
+    uint64_t windows = 0;
     for (auto _ : state) {
-        replay::Replayer rep(*w.program, {});
+        replay::Replayer rep(*w.program, cfg);
         auto out = rep.replayAll(paths, aligns, run.trace);
         accesses += out.size();
+        windows += rep.stats().windows;
         benchmark::DoNotOptimize(out);
     }
     state.counters["accesses/s"] = benchmark::Counter(
         static_cast<double>(accesses), benchmark::Counter::kIsRate);
+    state.counters["windows/s"] = benchmark::Counter(
+        static_cast<double>(windows), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_Replay)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Replay)
+    ->Arg(0)->Arg(1)
+    ->ArgNames({"analysis"})
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_FastTrack(benchmark::State &state)

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <exception>
 #include <optional>
+#include <span>
 #include <unordered_map>
 
 #include "exec/reorder_buffer.hh"
@@ -598,31 +599,39 @@ regenerationBlacklist(
 
 namespace {
 
-/** One fanned-out replay window (sequence = index into the task list). */
+/**
+ * Consecutive windows of one thread, replayed in path order on one
+ * Replayer so its scratch state is reused across them (sequence = index
+ * into the task list).
+ */
 struct WindowTask {
     bool last_of_thread = false; ///< thread finalizes after this commit
-    Replayer::Window window;
+    std::vector<Replayer::Window> windows;
     const pmu::ThreadPath *path = nullptr;
     const replay::ThreadAlignment *alignment = nullptr;
 };
 
-/** What a window task hands to the ordered-commit stage. */
+/** Path positions a task collects before it is closed. */
+constexpr uint64_t kTaskPositions = uint64_t{1} << 14;
+
+/** What a task hands to the ordered-commit stage. */
 struct WindowResult {
-    Replayer::EmitMap emit;
+    std::vector<replay::ReconstructedAccess> accesses;
     replay::ReplayStats stats;
     std::unordered_set<uint64_t> consumed;
     std::exception_ptr error;
 };
 
-/** Replay one window on a private Replayer (throws what replay throws). */
+/** Replay @p windows on a private Replayer (throws what replay throws). */
 WindowResult
-replayWindowTask(const asmkit::Program &program,
-                 const replay::ReplayConfig &config, const WindowTask &t,
-                 const trace::RunTrace &run)
+replayWindows(const asmkit::Program &program,
+              const replay::ReplayConfig &config, const WindowTask &t,
+              std::span<const Replayer::Window> windows)
 {
     WindowResult res;
     Replayer replayer(program, config);
-    replayer.replayWindow(t.window, *t.path, *t.alignment, run, res.emit);
+    for (const Replayer::Window &w : windows)
+        replayer.replayWindow(w, *t.path, *t.alignment, res.accesses);
     res.stats = replayer.stats();
     res.consumed = replayer.consumedAddresses();
     return res;
@@ -697,7 +706,7 @@ OfflineAnalyzer::reconstruct(const trace::RunTrace &run, const Paths &paths,
         return accesses;
     }
 
-    // --- plan: per-thread window lists, in ascending-tid order ---
+    // --- plan: per-thread window runs, in ascending-tid order ---
     // sync_at maps live here so Window::sync_at pointers stay valid for
     // the whole fan-out.
     std::map<uint32_t, std::map<uint64_t, const trace::SyncRecord *>>
@@ -710,22 +719,29 @@ OfflineAnalyzer::reconstruct(const trace::RunTrace &run, const Paths &paths,
         const replay::ThreadAlignment &alignment = it->second;
         auto &sync_at = sync_maps[tid];
         sync_at = Replayer::syncAtMap(alignment, run);
-        std::vector<Replayer::Window> windows =
+        const std::vector<Replayer::Window> windows =
             Replayer::buildWindows(path, alignment, run, sync_at);
+        WindowTask t;
+        uint64_t positions = 0;
         for (size_t i = 0; i < windows.size(); ++i) {
-            WindowTask t;
-            t.last_of_thread = i + 1 == windows.size();
-            t.window = windows[i];
-            t.path = &path;
-            t.alignment = &alignment;
-            tasks.push_back(t);
+            t.windows.push_back(windows[i]);
+            positions += windows[i].end - windows[i].start;
+            const bool last = i + 1 == windows.size();
+            if (positions >= kTaskPositions || last) {
+                t.last_of_thread = last;
+                t.path = &path;
+                t.alignment = &alignment;
+                tasks.push_back(std::move(t));
+                t = WindowTask();
+                positions = 0;
+            }
         }
     }
 
-    // --- fan out: bounded in-flight window tasks, ordered commit ---
+    // --- fan out: bounded in-flight tasks, ordered commit ---
     // Submission is throttled to the reorder-buffer capacity, so a
     // commit can never block with every worker stuck on a
-    // later-sequence window (see reorder_buffer.hh).
+    // later-sequence task (see reorder_buffer.hh).
     const uint64_t capacity =
         std::max<uint64_t>(2 * ex->numThreads(), 16);
     exec::ReorderBuffer<WindowResult> rob(capacity);
@@ -733,10 +749,10 @@ OfflineAnalyzer::reconstruct(const trace::RunTrace &run, const Paths &paths,
     auto submit_one = [&] {
         const uint64_t seq = next_submit++;
         const WindowTask *t = &tasks[seq];
-        ex->submit([this, &run, &rob, &replay_config, t, seq] {
+        ex->submit([this, &rob, &replay_config, t, seq] {
             WindowResult res;
             try {
-                res = replayWindowTask(program_, replay_config, *t, run);
+                res = replayWindows(program_, replay_config, *t, t->windows);
             } catch (...) {
                 res.error = std::current_exception();
             }
@@ -747,47 +763,50 @@ OfflineAnalyzer::reconstruct(const trace::RunTrace &run, const Paths &paths,
         submit_one();
 
     // The commit thread re-assembles exactly the serial pre-sort access
-    // sequence: threads in ascending tid order, windows in path order,
-    // then each thread's unlocatable samples in record order.
+    // sequence: threads in ascending tid order, windows in path order
+    // (each already in position order), then each thread's unlocatable
+    // samples in record order.
     std::vector<replay::ReconstructedAccess> accesses;
     replay::ReplayStats replay_stats;
-    Replayer finalizer(program_, replay_config);
-    Replayer::EmitMap thread_emit;
-    for (uint64_t seq = 0; seq < tasks.size(); ++seq) {
-        WindowResult res = rob.pop();
-        if (next_submit < tasks.size())
-            submit_one();
-        if (res.error) {
-            // Quarantine policy: retry the window once on the commit
-            // thread (transient failures — allocation pressure on a
-            // loaded worker — get a second chance), then give it up
-            // and record the loss. Its samples fall back to the
-            // unmatched-sample path in finalizeThread, so one
-            // poisoned window costs its reconstructed accesses, not
-            // the run. Windows cannot hang: replay work is bounded by
-            // the window's path slice, so a timeout policy beyond
-            // this retry is unnecessary by construction.
-            ++result.quarantine.window_retries;
-            try {
-                res = replayWindowTask(program_, replay_config, tasks[seq],
-                                       run);
-            } catch (...) {
-                ++result.quarantine.windows_quarantined;
-                res = WindowResult();
-            }
-        }
+    auto absorb = [&](const WindowResult &res) {
         replay_stats.merge(res.stats);
         consumed.insert(res.consumed.begin(), res.consumed.end());
-        // Window [start, end) ranges are disjoint, so inserting the
-        // window maps in commit order equals the serial shared-map
-        // accumulation.
-        thread_emit.entries.insert(res.emit.entries.begin(),
-                                   res.emit.entries.end());
+        accesses.insert(accesses.end(), res.accesses.begin(),
+                        res.accesses.end());
+    };
+    Replayer finalizer(program_, replay_config);
+    const std::map<uint32_t, std::vector<size_t>> unmatched =
+        Replayer::unmatchedSamples(alignments, run);
+    for (uint64_t seq = 0; seq < tasks.size(); ++seq) {
+        const WindowResult res = rob.pop();
+        if (next_submit < tasks.size())
+            submit_one();
         const WindowTask &t = tasks[seq];
+        if (!res.error) {
+            absorb(res);
+        } else {
+            // Quarantine policy: re-run the task's windows one at a
+            // time on the commit thread (transient failures —
+            // allocation pressure on a loaded worker — get a second
+            // chance), and give up a window that fails again, recording
+            // the loss. One poisoned window costs its reconstructed
+            // accesses (its opening sample included), not the run.
+            // Windows cannot hang: replay work is bounded by the
+            // window's path slice, so a timeout policy beyond this
+            // retry is unnecessary by construction.
+            for (const Replayer::Window &w : t.windows) {
+                ++result.quarantine.window_retries;
+                try {
+                    absorb(replayWindows(program_, replay_config, t,
+                                         {&w, 1}));
+                } catch (...) {
+                    ++result.quarantine.windows_quarantined;
+                }
+            }
+        }
         if (t.last_of_thread) {
-            finalizer.finalizeThread(*t.path, *t.alignment, run,
-                                     thread_emit, accesses);
-            thread_emit.entries.clear();
+            if (auto u = unmatched.find(t.path->tid); u != unmatched.end())
+                finalizer.appendSamples(u->second, run, accesses);
         }
     }
     finalizer.appendPathlessSamples(paths, run, accesses);

@@ -193,7 +193,7 @@ struct PrefilterStats {
  * fallback).
  */
 struct QuarantineStats {
-    uint64_t window_retries = 0;      ///< failed tasks retried inline
+    uint64_t window_retries = 0;      ///< windows of failed tasks re-run inline
     uint64_t windows_quarantined = 0; ///< windows dropped after retry
 
     void

@@ -59,6 +59,10 @@ Executor::enqueue(std::function<void()> task)
         if (depth > w.max_queue_depth)
             w.max_queue_depth = depth;
     }
+    // A worker checks pending_ under wake_mu_ and then sleeps. Passing
+    // through the mutex orders this notify after any such check, so it
+    // cannot fall between the check and the sleep and be lost.
+    { std::lock_guard<std::mutex> lock(wake_mu_); }
     wake_cv_.notify_one();
 }
 

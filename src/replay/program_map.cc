@@ -6,8 +6,6 @@
 
 namespace prorace::replay {
 
-using isa::Reg;
-
 namespace {
 
 /** splitmix64 finalizer, same mix as support/flat_map.hh. */
@@ -23,49 +21,6 @@ mixHash(uint64_t x)
 } // namespace
 
 // --- registers ---
-
-void
-ProgramMap::restoreRegs(const vm::RegFile &regs)
-{
-    values_ = regs.gpr;
-    avail_mask_ = 0xffff;
-}
-
-bool
-ProgramMap::regAvailable(Reg reg) const
-{
-    PRORACE_ASSERT(isGpr(reg), "availability of non-GPR");
-    return (avail_mask_ >> gprIndex(reg)) & 1u;
-}
-
-uint64_t
-ProgramMap::regValue(Reg reg) const
-{
-    PRORACE_ASSERT(regAvailable(reg), "read of unavailable register ",
-                   isa::regName(reg));
-    return values_[gprIndex(reg)];
-}
-
-void
-ProgramMap::setReg(Reg reg, uint64_t value)
-{
-    PRORACE_ASSERT(isGpr(reg), "set of non-GPR");
-    values_[gprIndex(reg)] = value;
-    avail_mask_ |= static_cast<uint16_t>(1u << gprIndex(reg));
-}
-
-void
-ProgramMap::invalidateReg(Reg reg)
-{
-    PRORACE_ASSERT(isGpr(reg), "invalidate of non-GPR");
-    avail_mask_ &= static_cast<uint16_t>(~(1u << gprIndex(reg)));
-}
-
-void
-ProgramMap::invalidateAllRegs()
-{
-    avail_mask_ = 0;
-}
 
 unsigned
 ProgramMap::availableRegCount() const
@@ -312,7 +267,37 @@ ProgramMap::invalidateMemory()
 }
 
 void
+ProgramMap::reset()
+{
+    // A fresh map's state, minus the allocation: the epoch bump makes
+    // every page's availability stale. Not an invalidateMemory(), so it
+    // is not counted as one.
+    avail_mask_ = 0;
+    ++epoch_;
+    if (page_count_ > kRetainedPages)
+        releasePages();
+}
+
+void
+ProgramMap::releasePages()
+{
+    collectConsumed(released_consumed_);
+    table_.clear();
+    page_count_ = 0;
+    last_page_ = nullptr;
+    for (const auto &[addr, size] : blacklist_)
+        markBlacklisted(addr, size);
+}
+
+void
 ProgramMap::blacklistMem(uint64_t addr, uint64_t size)
+{
+    blacklist_.emplace_back(addr, size);
+    markBlacklisted(addr, size);
+}
+
+void
+ProgramMap::markBlacklisted(uint64_t addr, uint64_t size)
 {
     uint64_t done = 0;
     while (done < size) {
@@ -327,24 +312,27 @@ ProgramMap::blacklistMem(uint64_t addr, uint64_t size)
     }
 }
 
-std::unordered_set<uint64_t>
-ProgramMap::consumedAddresses() const
+void
+ProgramMap::collectConsumed(std::unordered_set<uint64_t> &out) const
 {
-    std::unordered_set<uint64_t> out;
     for (const auto &slot : table_) {
         if (!slot)
             continue;
         const uint64_t base = slot->index << kPageShift;
         for (unsigned w = 0; w < kWordsPerPage; ++w) {
-            uint64_t bits = slot->consumed[w];
-            while (bits) {
-                const unsigned b =
-                    static_cast<unsigned>(std::countr_zero(bits));
-                out.insert(base + 64ull * w + b);
-                bits &= bits - 1;
+            for (uint64_t bits = slot->consumed[w]; bits; bits &= bits - 1) {
+                out.insert(base + 64ull * w +
+                           static_cast<unsigned>(std::countr_zero(bits)));
             }
         }
     }
+}
+
+std::unordered_set<uint64_t>
+ProgramMap::consumedAddresses() const
+{
+    std::unordered_set<uint64_t> out = released_consumed_;
+    collectConsumed(out);
     return out;
 }
 

@@ -16,6 +16,9 @@
  * with a one-entry last-page cache. An aligned 8-byte load or store is
  * one page lookup plus word-wide bitmap ops, and invalidateMemory() is
  * an O(1) epoch bump instead of a hash-map rehash.
+ *
+ * One map serves every replay pass of a Replayer: reset() starts a pass
+ * in O(1) and keeps the allocated pages, so a warm map allocates nothing.
  */
 
 #ifndef PRORACE_REPLAY_PROGRAM_MAP_HH
@@ -26,9 +29,11 @@
 #include <memory>
 #include <optional>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "isa/reg.hh"
+#include "support/log.hh"
 #include "vm/cpu.hh"
 
 namespace prorace::replay {
@@ -60,22 +65,49 @@ class ProgramMap
     ProgramMap() = default;
 
     /** Restore the full register file from a PEBS sample. */
-    void restoreRegs(const vm::RegFile &regs);
+    void
+    restoreRegs(const vm::RegFile &regs)
+    {
+        values_ = regs.gpr;
+        avail_mask_ = 0xffff;
+    }
 
     /** True when @p reg holds a known value. */
-    bool regAvailable(isa::Reg reg) const;
+    bool
+    regAvailable(isa::Reg reg) const
+    {
+        PRORACE_ASSERT(isGpr(reg), "availability of non-GPR");
+        return (avail_mask_ >> gprIndex(reg)) & 1u;
+    }
 
     /** Value of an available register (assert-checked). */
-    uint64_t regValue(isa::Reg reg) const;
+    uint64_t
+    regValue(isa::Reg reg) const
+    {
+        PRORACE_ASSERT(regAvailable(reg), "read of unavailable register ",
+                       isa::regName(reg));
+        return values_[gprIndex(reg)];
+    }
 
     /** Make @p reg available with @p value. */
-    void setReg(isa::Reg reg, uint64_t value);
+    void
+    setReg(isa::Reg reg, uint64_t value)
+    {
+        PRORACE_ASSERT(isGpr(reg), "set of non-GPR");
+        values_[gprIndex(reg)] = value;
+        avail_mask_ |= static_cast<uint16_t>(1u << gprIndex(reg));
+    }
 
     /** Mark @p reg unavailable. */
-    void invalidateReg(isa::Reg reg);
+    void
+    invalidateReg(isa::Reg reg)
+    {
+        PRORACE_ASSERT(isGpr(reg), "invalidate of non-GPR");
+        avail_mask_ &= static_cast<uint16_t>(~(1u << gprIndex(reg)));
+    }
 
     /** Mark every register unavailable (library-code gaps). */
-    void invalidateAllRegs();
+    void invalidateAllRegs() { avail_mask_ = 0; }
 
     /** Emulate a store of a known value (marks bytes available). */
     void writeMem(uint64_t addr, uint64_t value, uint8_t width);
@@ -94,6 +126,15 @@ class ProgramMap
     void invalidateMemory();
 
     /**
+     * Start a new replay pass: every register and all emulated memory
+     * become unavailable, as in a fresh map. The blacklist and the
+     * consumed marks carry over. Allocated pages are kept for reuse
+     * unless more than kRetainedPages are live; then they are released
+     * (consumed marks kept aside), so a long run's shadow stays bounded.
+     */
+    void reset();
+
+    /**
      * Blacklist an address range: it is never emulated again (used when
      * regenerating after a race on an emulated location).
      */
@@ -102,7 +143,7 @@ class ProgramMap
     /**
      * Emulated byte addresses whose values were consumed by reads,
      * rebuilt lazily from the per-page consumed bitmaps. Consumed marks
-     * survive invalidateMemory(), as before the paged rewrite.
+     * survive invalidateMemory() and reset().
      */
     std::unordered_set<uint64_t> consumedAddresses() const;
 
@@ -111,6 +152,9 @@ class ProgramMap
 
     /** Shadow-structure counters (merged into ReplayStats). */
     const ProgramMapStats &memStats() const { return mstats_; }
+
+    /** Pages a reset() keeps; beyond this it releases them all. */
+    static constexpr size_t kRetainedPages = 256;
 
   private:
     static constexpr unsigned kPageShift = 12; ///< 4 KiB value bytes
@@ -152,6 +196,15 @@ class ProgramMap
 
     void growTable(size_t new_cap);
 
+    /** Add the consumed byte addresses of the live pages to @p out. */
+    void collectConsumed(std::unordered_set<uint64_t> &out) const;
+
+    /** Free every page, keeping consumed marks and the blacklist. */
+    void releasePages();
+
+    /** Set the blacklist bits of [addr, addr+size). */
+    void markBlacklisted(uint64_t addr, uint64_t size);
+
     /** Width must be a power-of-two load/store size with no wraparound. */
     static void checkSpan(uint64_t addr, uint8_t width);
 
@@ -172,6 +225,11 @@ class ProgramMap
     Page *last_page_ = nullptr; ///< one-entry lookup cache
     uint64_t epoch_ = 1;
     mutable ProgramMapStats mstats_;
+
+    /** Every blacklistMem() range, re-applied after releasePages(). */
+    std::vector<std::pair<uint64_t, uint64_t>> blacklist_;
+    /** Consumed byte addresses of released pages. */
+    std::unordered_set<uint64_t> released_consumed_;
 };
 
 } // namespace prorace::replay

@@ -1,9 +1,8 @@
 #include "replay/replayer.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <array>
+#include <bit>
 #include <optional>
 
 #include "analysis/analysis.hh"
@@ -46,25 +45,65 @@ Replayer::Replayer(const asmkit::Program &program,
                    const ReplayConfig &config)
     : program_(program), config_(config)
 {
+    // The blacklist is fixed for the replayer's lifetime, and the map
+    // keeps it across reset(), so it is applied once here.
+    for (const auto &[addr, size] : config_.mem_blacklist)
+        pm_.blacklistMem(addr, size);
+    stats_.program_map = pm_.memStats();
+}
+
+uint16_t
+Replayer::killMask(uint32_t idx) const
+{
+    return config_.analysis ? config_.analysis->facts(idx).kill
+                            : analysis::regWriteMask(program_.insnAt(idx));
+}
+
+void
+Replayer::EmitBuffer::open(uint64_t base, uint64_t len)
+{
+    for (const uint64_t k : keys_)
+        slot_[k] = 0;
+    accs_.clear();
+    keys_.clear();
+    live_ = 0;
+    base_ = base;
+    len_ = len;
+    if (slot_.size() < 2 * len)
+        slot_.resize(2 * len);
+}
+
+bool
+Replayer::EmitBuffer::add(unsigned slot, const ReconstructedAccess &acc)
+{
+    PRORACE_ASSERT(slot < 2 && acc.position >= base_ &&
+                       acc.position - base_ < len_,
+                   "emit outside the open window");
+    const uint64_t k = 2 * (acc.position - base_) + slot;
+    if (slot_[k])
+        return false;
+    accs_.push_back(acc);
+    keys_.push_back(k);
+    slot_[k] = static_cast<uint32_t>(accs_.size());
+    ++live_;
+    return true;
 }
 
 void
 Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
-                      const trace::RunTrace &run, const FactList &facts,
-                      AccessOrigin tag, EmitMap &emit, FactList *hints_out,
-                      bool *consistent_out, uint64_t *bad_pos_out)
+                      const FactList &facts, AccessOrigin tag,
+                      FactList *hints_out, bool *consistent_out,
+                      uint64_t *bad_pos_out)
 {
     size_t fact_cursor = 0;
     while (fact_cursor < facts.size() &&
            facts[fact_cursor].pos < win.start) {
         ++fact_cursor;
     }
-    (void)run;
-    ProgramMap pm;
+    ProgramMap &pm = pm_;
+    pm.reset();
     if (win.s1)
         pm.restoreRegs(win.s1->regs);
-    for (const auto &[addr, size] : config_.mem_blacklist)
-        pm.blacklistMem(addr, size);
     // Emulated condition flags, where computable. Every conditional
     // branch whose flags are known is cross-checked against the
     // PT-recorded direction: a contradiction proves the window's
@@ -125,20 +164,17 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
         // Erase suspect reconstructions of the enclosing loop body.
         const uint64_t lo = pos > kViolationScope ? pos - kViolationScope
                                                   : 0;
-        auto it = emit.entries.lower_bound(lo * 4);
-        while (it != emit.entries.end() && it->first <= pos * 4 + 3) {
-            const AccessOrigin origin = it->second.origin;
-            if (origin == AccessOrigin::kForward ||
-                origin == AccessOrigin::kBackward) {
-                if (origin == AccessOrigin::kForward)
-                    --stats_.recovered_forward;
-                else
-                    --stats_.recovered_backward;
-                it = emit.entries.erase(it);
-            } else {
-                ++it;
+        emit_.eraseIf(lo, pos, [&](const ReconstructedAccess &acc) {
+            if (acc.origin == AccessOrigin::kForward) {
+                --stats_.recovered_forward;
+                return true;
             }
-        }
+            if (acc.origin == AccessOrigin::kBackward) {
+                --stats_.recovered_backward;
+                return true;
+            }
+            return false;
+        });
         // Invalidate the registers behind the contradiction.
         for (unsigned r = 0; r < isa::kNumGprs; ++r) {
             if ((flag_src_mask >> r) & 1u)
@@ -220,7 +256,7 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
             acc.is_write = is_write;
             acc.is_atomic = atomic;
             acc.origin = origin_for(rip_rel);
-            if (emit.add(pos, slot, acc)) {
+            if (emit_.add(slot, acc)) {
                 switch (acc.origin) {
                   case AccessOrigin::kSampled:
                     ++stats_.sampled;
@@ -270,7 +306,7 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
             acc.is_write = false;
             acc.is_atomic = atomic;
             acc.origin = AccessOrigin::kConstant;
-            if (emit.add(pos, slot, acc))
+            if (emit_.add(slot, acc))
                 ++stats_.recovered_constant;
         };
 
@@ -810,16 +846,12 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
         // Any register this instruction may write sheds its taint unless
         // the case above explicitly re-tainted the destination.
         taint = static_cast<uint16_t>(
-            (taint &
-             static_cast<uint16_t>(~analysis::regWriteMask(insn))) |
-            taint_new);
+            (taint & static_cast<uint16_t>(~killMask(idx))) | taint_new);
     }
 
-    // consumedAddresses() is rebuilt from the per-page consumed bitmaps,
-    // so materialize it once per pass.
-    const std::unordered_set<uint64_t> consumed = pm.consumedAddresses();
-    consumed_.insert(consumed.begin(), consumed.end());
-    stats_.program_map.merge(pm.memStats());
+    // Consumed marks stay in the reused map's pages; only its counters
+    // are published here.
+    stats_.program_map = pm.memStats();
 
     if (win.s2) {
         for (unsigned r = 0; r < isa::kNumGprs; ++r) {
@@ -845,43 +877,28 @@ Replayer::backwardScan(const Window &win, const pmu::ThreadPath &path,
     size_t hint_cursor = hints.size(); // consumed in descending order
 
     PRORACE_ASSERT(win.s2, "backward scan requires an ending sample");
-    // K[r]: value of register r at the *pre-state* of the current
-    // position, where known.
-    std::array<std::optional<uint64_t>, isa::kNumGprs> know;
-    for (unsigned r = 0; r < isa::kNumGprs; ++r)
-        know[r] = win.s2->regs.gpr[r];
+    // Register r's value at the *pre-state* of the current position is
+    // val[r] when bit r of `known` is set. Clearing a bit leaves the
+    // stale value behind; it is never read again until the bit is set.
+    uint16_t known = 0xffff;
+    std::array<uint64_t, isa::kNumGprs> val = win.s2->regs.gpr;
+    auto bit = [](Reg r) {
+        return static_cast<uint16_t>(1u << gprIndex(r));
+    };
 
+    facts_out.clear();
     auto record_fact = [&](uint64_t pos, Reg reg, uint64_t value) {
         if (pos >= win.end)
             return;
         facts_out.push_back({pos, reg, value});
     };
-
-    // Fast path over straight-line block runs: run_start[rel] is the
-    // lowest position of the maximal same-block consecutive-index run
-    // containing position win.start + rel. When the whole block's kill
-    // mask misses every known register, no instruction of the run can
-    // record a fact, invert, learn, or contradict anything — the scan
-    // state is provably unchanged across the run, so it is skipped in
-    // one step (down to the nearest forward hint, which still must be
-    // merged).
-    const analysis::ProgramAnalysis *pa = config_.analysis;
-    std::vector<uint64_t> run_start;
-    if (pa && win.end > win.start) {
-        run_start.resize(win.end - win.start);
-        for (uint64_t rel = 0; rel < run_start.size(); ++rel) {
-            const uint64_t p = win.start + rel;
-            const uint32_t i = path.insns[p];
-            run_start[rel] = p;
-            if (rel == 0 || i == kPathGap)
-                continue;
-            const uint32_t prev = path.insns[p - 1];
-            if (prev != kPathGap && prev + 1 == i &&
-                program_.blockOf(prev) == program_.blockOf(i)) {
-                run_start[rel] = run_start[rel - 1];
-            }
+    // Record the registers of @p mask at @p pos, lowest register first.
+    auto record_known = [&](uint64_t pos, uint16_t mask) {
+        for (; mask; mask &= static_cast<uint16_t>(mask - 1)) {
+            const unsigned r = static_cast<unsigned>(std::countr_zero(mask));
+            record_fact(pos, isa::gprFromIndex(r), val[r]);
         }
-    }
+    };
 
     // Registers that survive all the way to the window end are injected
     // wherever their validity begins; writes terminate validity.
@@ -890,137 +907,110 @@ Replayer::backwardScan(const Window &win, const pmu::ThreadPath &path,
         if (idx == kPathGap) {
             // Unknown code: nothing is known before this point; inject
             // the survivors right after the gap.
-            for (unsigned r = 0; r < isa::kNumGprs; ++r) {
-                if (know[r]) {
-                    record_fact(pp + 1, isa::gprFromIndex(r), *know[r]);
-                    know[r] = std::nullopt;
-                }
-            }
+            record_known(pp + 1, known);
+            known = 0;
             continue;
         }
-        if (pa) {
-            const uint64_t run_lo = run_start[pp - win.start];
-            uint16_t known_mask = 0;
-            for (unsigned r = 0; r < isa::kNumGprs; ++r) {
-                if (know[r])
-                    known_mask |= static_cast<uint16_t>(1u << r);
-            }
-            if (run_lo < pp &&
-                (known_mask & pa->blockKill(program_.blockOf(idx))) == 0) {
-                // Stop early at the highest pending hint in the run so
-                // its merge into the known set is not lost.
-                size_t c = hint_cursor;
-                while (c > 0 && hints[c - 1].pos > pp)
-                    --c;
-                uint64_t stop = run_lo;
-                if (c > 0 && hints[c - 1].pos >= run_lo)
-                    stop = hints[c - 1].pos;
-                if (stop < pp) {
-                    hint_cursor = c;
-                    pp = stop + 1; // loop decrement lands on stop
-                    continue;
-                }
-            }
-        }
-        const Insn &insn = program_.insnAt(idx);
-        const uint16_t wmask = pa ? pa->facts(idx).kill
-                                  : regWriteMask(insn);
+        // Every reverse-execution rule below needs the post-state of a
+        // register the instruction writes. When no known register is
+        // written, the instruction records, inverts, learns and
+        // contradicts nothing, so only the hint merge remains.
+        const uint16_t wmask = killMask(idx);
+        if (known & wmask) {
+            const Insn &insn = program_.insnAt(idx);
+            const uint16_t post = known; // known set after the insn
+            // Default: a write makes the pre-state unknown; the
+            // surviving post-state value is injected just after the
+            // write (backward propagation, §5.2.1).
+            record_known(pp + 1, known & wmask);
+            known &= static_cast<uint16_t>(~wmask);
+            auto post_known = [&](Reg r) { return (post & bit(r)) != 0; };
+            auto learn = [&](Reg r, uint64_t value) {
+                known |= bit(r);
+                val[gprIndex(r)] = value;
+            };
 
-        std::array<std::optional<uint64_t>, isa::kNumGprs> next = know;
-        // Default: a write makes the pre-state unknown; the surviving
-        // post-state value is injected just after the write (backward
-        // propagation, §5.2.1).
-        for (unsigned r = 0; r < isa::kNumGprs; ++r) {
-            if ((wmask >> r) & 1u) {
-                if (know[r])
-                    record_fact(pp + 1, isa::gprFromIndex(r), *know[r]);
-                next[r] = std::nullopt;
-            }
-        }
-
-        // Reverse execution (§5.2.2): invert what can be inverted and
-        // learn operands from copies.
-        switch (insn.op) {
-          case Op::kMovRI:
-            // The post-state of an immediate move is statically known:
-            // a derived value that contradicts it means the closing
-            // sample was matched to the wrong path position, and the
-            // whole window is suspect.
-            if (know[gprIndex(insn.dst)] &&
-                *know[gprIndex(insn.dst)] !=
-                    static_cast<uint64_t>(insn.imm) &&
-                consistent_out) {
-                ++stats_.violations_backward;
-                *consistent_out = false;
-            }
-            break;
-          case Op::kLea:
-            if (insn.mem.rip_relative) {
-                if (know[gprIndex(insn.dst)] &&
-                    *know[gprIndex(insn.dst)] !=
-                        static_cast<uint64_t>(insn.mem.disp) &&
+            // Reverse execution (§5.2.2): invert what can be inverted
+            // and learn operands from copies.
+            switch (insn.op) {
+              case Op::kMovRI:
+                // The post-state of an immediate move is statically
+                // known: a derived value that contradicts it means the
+                // closing sample was matched to the wrong path position,
+                // and the whole window is suspect.
+                if (post_known(insn.dst) &&
+                    val[gprIndex(insn.dst)] !=
+                        static_cast<uint64_t>(insn.imm) &&
                     consistent_out) {
                     ++stats_.violations_backward;
                     *consistent_out = false;
                 }
                 break;
-            }
-            // dst_post = base_pre + disp (single-base operands only).
-            if (know[gprIndex(insn.dst)] &&
-                insn.mem.base != Reg::none &&
-                insn.mem.index == Reg::none) {
-                const uint64_t base_pre = *know[gprIndex(insn.dst)] -
-                    static_cast<uint64_t>(insn.mem.disp);
-                if (!next[gprIndex(insn.mem.base)]) {
-                    next[gprIndex(insn.mem.base)] = base_pre;
+              case Op::kLea:
+                if (insn.mem.rip_relative) {
+                    if (post_known(insn.dst) &&
+                        val[gprIndex(insn.dst)] !=
+                            static_cast<uint64_t>(insn.mem.disp) &&
+                        consistent_out) {
+                        ++stats_.violations_backward;
+                        *consistent_out = false;
+                    }
+                    break;
+                }
+                // dst_post = base_pre + disp (single-base operands only).
+                if (post_known(insn.dst) && insn.mem.base != Reg::none &&
+                    insn.mem.index == Reg::none &&
+                    !(known & bit(insn.mem.base))) {
+                    const uint64_t base_pre = val[gprIndex(insn.dst)] -
+                        static_cast<uint64_t>(insn.mem.disp);
+                    learn(insn.mem.base, base_pre);
                     record_fact(pp, insn.mem.base, base_pre);
                 }
-            }
-            break;
-          case Op::kAluRI:
-            if (invertibleAlu(insn.alu) && know[gprIndex(insn.dst)]) {
-                uint64_t pre = 0;
-                if (isa::invertAlu(insn.alu, *know[gprIndex(insn.dst)],
-                                   static_cast<uint64_t>(insn.imm), pre)) {
-                    next[gprIndex(insn.dst)] = pre;
+                break;
+              case Op::kAluRI:
+                if (invertibleAlu(insn.alu) && post_known(insn.dst)) {
+                    uint64_t pre = 0;
+                    if (isa::invertAlu(insn.alu, val[gprIndex(insn.dst)],
+                                       static_cast<uint64_t>(insn.imm),
+                                       pre)) {
+                        learn(insn.dst, pre);
+                    }
                 }
-            }
-            break;
-          case Op::kAluRR:
-            if (invertibleAlu(insn.alu) && insn.src != insn.dst &&
-                know[gprIndex(insn.dst)] && know[gprIndex(insn.src)]) {
-                uint64_t pre = 0;
-                if (isa::invertAlu(insn.alu, *know[gprIndex(insn.dst)],
-                                   *know[gprIndex(insn.src)], pre)) {
-                    next[gprIndex(insn.dst)] = pre;
+                break;
+              case Op::kAluRR:
+                if (invertibleAlu(insn.alu) && insn.src != insn.dst &&
+                    post_known(insn.dst) && post_known(insn.src)) {
+                    uint64_t pre = 0;
+                    if (isa::invertAlu(insn.alu, val[gprIndex(insn.dst)],
+                                       val[gprIndex(insn.src)], pre)) {
+                        learn(insn.dst, pre);
+                    }
                 }
-            }
-            break;
-          case Op::kMovRR:
-            // dst_post == src_pre == src_post: learn the source.
-            if (know[gprIndex(insn.dst)] && insn.src != insn.dst) {
-                if (!next[gprIndex(insn.src)]) {
-                    next[gprIndex(insn.src)] = *know[gprIndex(insn.dst)];
-                    record_fact(pp, insn.src, *know[gprIndex(insn.dst)]);
+                break;
+              case Op::kMovRR:
+                // dst_post == src_pre == src_post: learn the source.
+                if (post_known(insn.dst) && insn.src != insn.dst &&
+                    !(known & bit(insn.src))) {
+                    const uint64_t v = val[gprIndex(insn.dst)];
+                    learn(insn.src, v);
+                    record_fact(pp, insn.src, v);
                 }
+                break;
+              case Op::kPush:
+              case Op::kCall:
+              case Op::kCallInd:
+                if (post_known(Reg::rsp))
+                    learn(Reg::rsp, val[gprIndex(Reg::rsp)] + 8);
+                break;
+              case Op::kPop:
+              case Op::kRet:
+                if (post_known(Reg::rsp))
+                    learn(Reg::rsp, val[gprIndex(Reg::rsp)] - 8);
+                break;
+              default:
+                break;
             }
-            break;
-          case Op::kPush:
-          case Op::kCall:
-          case Op::kCallInd:
-            if (know[gprIndex(Reg::rsp)])
-                next[gprIndex(Reg::rsp)] = *know[gprIndex(Reg::rsp)] + 8;
-            break;
-          case Op::kPop:
-          case Op::kRet:
-            if (know[gprIndex(Reg::rsp)])
-                next[gprIndex(Reg::rsp)] = *know[gprIndex(Reg::rsp)] - 8;
-            break;
-          default:
-            break;
         }
-
-        know = next;
 
         // Forward hints: registers the previous forward pass knew at
         // this position extend the backward knowledge (fixed-point
@@ -1030,26 +1020,36 @@ Replayer::backwardScan(const Window &win, const pmu::ThreadPath &path,
         for (size_t i = hint_cursor; i > 0 && hints[i - 1].pos == pp;
              --i) {
             const ReplayFact &hint = hints[i - 1];
-            if (!know[gprIndex(hint.reg)])
-                know[gprIndex(hint.reg)] = hint.val;
+            if (!(known & bit(hint.reg))) {
+                known |= bit(hint.reg);
+                val[gprIndex(hint.reg)] = hint.val;
+            }
         }
     }
 
     // Survivors reach the window start.
-    for (unsigned r = 0; r < isa::kNumGprs; ++r) {
-        if (know[r])
-            record_fact(win.start, isa::gprFromIndex(r), *know[r]);
+    record_known(win.start, known);
+
+    // Facts were recorded with non-increasing positions (each step
+    // records at pp + 1, then at pp). Reverse them into ascending order,
+    // restoring record order among facts of one position.
+    std::reverse(facts_out.begin(), facts_out.end());
+    for (auto group = facts_out.begin(); group != facts_out.end();) {
+        auto next = group;
+        while (next != facts_out.end() && next->pos == group->pos)
+            ++next;
+        std::reverse(group, next);
+        group = next;
     }
 }
 
 void
 Replayer::replayWindow(const Window &win, const pmu::ThreadPath &path,
                        const ThreadAlignment &alignment,
-                       const trace::RunTrace &run, EmitMap &emit_out)
+                       std::vector<ReconstructedAccess> &out)
 {
-    (void)alignment;
     ++stats_.windows;
-    // Reconstruct into a window-local buffer. Consistency violations
+    // Reconstruct into the window buffer. Consistency violations
     // (branch directions or known immediates contradicting the replayed
     // state, forward/backward disagreement, closing-sample mismatch)
     // mean part of the window is suspect: forward-derived events past
@@ -1057,53 +1057,48 @@ Replayer::replayWindow(const Window &win, const pmu::ThreadPath &path,
     // events are dropped whenever the backward side is implicated —
     // FastTrack's no-false-positive guarantee is worth more than the
     // extra coverage.
-    EmitMap emit;
+    emit_.open(win.start, win.end > win.start ? win.end - win.start : 0);
     bool fwd_ok = true;
     uint64_t fwd_bad_pos = ~0ull;
     bool bwd_ok = true;
 
     if (config_.mode == ReplayMode::kForwardOnly || !win.s2) {
-        forwardPass(win, path, run, {}, AccessOrigin::kForward, emit,
-                    nullptr, &fwd_ok, &fwd_bad_pos);
+        forwardPass(win, path, {}, AccessOrigin::kForward, nullptr,
+                    &fwd_ok, &fwd_bad_pos);
     } else {
         // Round 0: plain forward replay; collects hints at unresolved
         // memory instructions and classifies forward-recoverable
         // accesses.
-        FactList hints;
-        forwardPass(win, path, run, {}, AccessOrigin::kForward, emit,
-                    &hints, &fwd_ok, &fwd_bad_pos);
+        hints_.clear();
+        forwardPass(win, path, {}, AccessOrigin::kForward, &hints_,
+                    &fwd_ok, &fwd_bad_pos);
 
-        auto by_pos = [](const ReplayFact &a, const ReplayFact &b) {
-            return a.pos < b.pos;
-        };
-        size_t emitted = emit.entries.size();
+        size_t emitted = emit_.size();
         for (int round = 0; round < config_.max_backward_rounds; ++round) {
             ++stats_.backward_rounds;
-            FactList facts;
-            backwardScan(win, path, hints, facts, &bwd_ok);
-            if (facts.empty())
+            backwardScan(win, path, hints_, facts_, &bwd_ok);
+            if (facts_.empty())
                 break;
-            std::stable_sort(facts.begin(), facts.end(), by_pos);
-            hints.clear();
+            hints_.clear();
             bool mixed_ok = true;
             uint64_t mixed_bad_pos = ~0ull;
-            forwardPass(win, path, run, facts, AccessOrigin::kBackward,
-                        emit, &hints, &mixed_ok, &mixed_bad_pos);
+            forwardPass(win, path, facts_, AccessOrigin::kBackward,
+                        &hints_, &mixed_ok, &mixed_bad_pos);
             if (!mixed_ok && mixed_bad_pos < fwd_bad_pos) {
                 // A violation in a region the plain forward pass had
                 // validated implicates the injected backward facts.
                 bwd_ok = false;
             }
-            if (emit.entries.size() == emitted)
+            if (emit_.size() == emitted)
                 break;
-            emitted = emit.entries.size();
+            emitted = emit_.size();
         }
     }
 
     if (!fwd_ok || !bwd_ok)
         ++stats_.inconsistent_windows;
 
-    for (const auto &[key, acc] : emit.entries) {
+    emit_.forEach([&](const ReconstructedAccess &acc) {
         // PC-relative addresses derive from the PT path alone and
         // sampled accesses from the hardware record; both always
         // survive.
@@ -1123,14 +1118,15 @@ Replayer::replayWindow(const Window &win, const pmu::ThreadPath &path,
                 --stats_.recovered_forward;
             else
                 --stats_.recovered_backward;
-            continue;
+            return;
         }
-        emit_out.entries.insert({key, acc});
-    }
+        out.push_back(acc);
+        out.back().tsc = alignment.tscAt(acc.position);
+    });
 }
 
 void
-Replayer::replayBasicBlock(const trace::PebsRecord &rec, EmitMap &emit)
+Replayer::replayBasicBlock(const trace::PebsRecord &rec)
 {
     const uint32_t block = program_.blockOf(rec.insn_index);
     const uint32_t begin = program_.blockBegin(block);
@@ -1138,49 +1134,46 @@ Replayer::replayBasicBlock(const trace::PebsRecord &rec, EmitMap &emit)
 
     // Synthetic path covering exactly this basic block; the sample's
     // position within it anchors the register file.
-    pmu::ThreadPath bb_path;
-    bb_path.tid = rec.tid;
+    bb_path_.tid = rec.tid;
+    bb_path_.insns.clear();
     for (uint32_t i = begin; i < end; ++i)
-        bb_path.insns.push_back(i);
+        bb_path_.insns.push_back(i);
     const uint64_t sample_pos = rec.insn_index - begin;
+    emit_.open(0, bb_path_.insns.size());
 
     // Forward part: from the sample to the end of the block.
     Window fwd;
     fwd.tid = rec.tid;
     fwd.start = sample_pos;
-    fwd.end = bb_path.insns.size();
+    fwd.end = bb_path_.insns.size();
     fwd.s1 = &rec;
     bool consistent = true;
-    forwardPass(fwd, bb_path, {}, {}, AccessOrigin::kForward, emit,
-                nullptr, &consistent, nullptr);
+    forwardPass(fwd, bb_path_, {}, AccessOrigin::kForward, nullptr,
+                &consistent, nullptr);
 
     // Trivial backward propagation: registers not written between a
     // block position and the sample hold their sampled values there
-    // (RaceZ's single-basic-block scheme).
+    // (RaceZ's single-basic-block scheme). Built from the sample
+    // backwards, highest register first, then reversed into position
+    // order.
     if (sample_pos > 0) {
-        const analysis::ProgramAnalysis *pa = config_.analysis;
-        FactList facts;
+        facts_.clear();
         uint16_t written = 0;
-        std::vector<uint16_t> mask_from(sample_pos);
         for (uint64_t p = sample_pos; p-- > 0;) {
-            const uint32_t i = bb_path.insns[p];
-            written |= pa ? pa->facts(i).kill
-                          : regWriteMask(program_.insnAt(i));
-            mask_from[p] = written;
-        }
-        for (uint64_t p = 0; p < sample_pos; ++p) {
-            for (unsigned r = 0; r < isa::kNumGprs; ++r) {
-                if (!((mask_from[p] >> r) & 1u))
-                    facts.push_back({p, isa::gprFromIndex(r),
-                                     rec.regs.gpr[r]});
+            written |= killMask(bb_path_.insns[p]);
+            for (unsigned r = isa::kNumGprs; r-- > 0;) {
+                if (!((written >> r) & 1u))
+                    facts_.push_back({p, isa::gprFromIndex(r),
+                                      rec.regs.gpr[r]});
             }
         }
+        std::reverse(facts_.begin(), facts_.end());
         Window bwd;
         bwd.tid = rec.tid;
         bwd.start = 0;
         bwd.end = sample_pos;
-        forwardPass(bwd, bb_path, {}, facts, AccessOrigin::kForward, emit,
-                    nullptr, nullptr, nullptr);
+        forwardPass(bwd, bb_path_, facts_, AccessOrigin::kForward, nullptr,
+                    nullptr, nullptr);
     }
 }
 
@@ -1243,40 +1236,34 @@ Replayer::buildWindows(
     return windows;
 }
 
-void
-Replayer::replayThread(const pmu::ThreadPath &path,
-                       const ThreadAlignment &alignment,
-                       const trace::RunTrace &run,
-                       std::vector<ReconstructedAccess> &out)
+std::map<uint32_t, std::vector<size_t>>
+Replayer::unmatchedSamples(
+    const std::map<uint32_t, ThreadAlignment> &alignments,
+    const trace::RunTrace &run)
 {
-    const std::map<uint64_t, const trace::SyncRecord *> sync_at =
-        syncAtMap(alignment, run);
-    EmitMap emit;
-    for (const Window &w : buildWindows(path, alignment, run, sync_at))
-        replayWindow(w, path, alignment, run, emit);
-    finalizeThread(path, alignment, run, emit, out);
+    // An alignment only places its own thread's samples, so one matched
+    // mark per record serves every thread.
+    std::vector<bool> matched(run.pebs.size());
+    for (const auto &[tid, alignment] : alignments) {
+        for (const AlignedSample &s : alignment.samples)
+            matched[s.record_index] = true;
+    }
+    std::map<uint32_t, std::vector<size_t>> out;
+    for (size_t i = 0; i < run.pebs.size(); ++i) {
+        const uint32_t tid = run.pebs[i].tid;
+        if (!matched[i] && alignments.count(tid))
+            out[tid].push_back(i);
+    }
+    return out;
 }
 
 void
-Replayer::finalizeThread(const pmu::ThreadPath &path,
-                         const ThreadAlignment &alignment,
-                         const trace::RunTrace &run, EmitMap &emit,
-                         std::vector<ReconstructedAccess> &out)
+Replayer::appendSamples(const std::vector<size_t> &records,
+                        const trace::RunTrace &run,
+                        std::vector<ReconstructedAccess> &out)
 {
-    for (auto &[key, acc] : emit.entries) {
-        acc.tsc = alignment.tscAt(acc.position);
-        out.push_back(acc);
-    }
-
-    // Samples that could not be located on the path (typically taken
-    // inside untraced library code) still carry an exact access.
-    std::unordered_set<size_t> matched;
-    for (const AlignedSample &s : alignment.samples)
-        matched.insert(s.record_index);
-    for (size_t i = 0; i < run.pebs.size(); ++i) {
+    for (const size_t i : records) {
         const trace::PebsRecord &rec = run.pebs[i];
-        if (rec.tid != path.tid || matched.count(i))
-            continue;
         ReconstructedAccess acc;
         acc.tid = rec.tid;
         acc.insn_index = rec.insn_index;
@@ -1285,9 +1272,9 @@ Replayer::finalizeThread(const pmu::ThreadPath &path,
         acc.is_write = rec.is_write;
         acc.is_atomic = rec.is_atomic;
         acc.tsc = rec.tsc;
-        acc.origin = detect::AccessOrigin::kSampled;
-        // Position is unknown; use the nearest path position by time so
-        // the detector's same-thread ordering stays sane.
+        acc.origin = AccessOrigin::kSampled;
+        // The path position is unknown; the sample's own timestamp
+        // keeps the detector's same-thread ordering sane.
         acc.position = 0;
         ++stats_.sampled;
         out.push_back(acc);
@@ -1305,27 +1292,35 @@ Replayer::replayAll(const std::map<uint32_t, pmu::ThreadPath> &paths,
         // RaceZ does not use PT: every sample is reconstructed within
         // its static basic block, ordered by sample time.
         for (const trace::PebsRecord &rec : run.pebs) {
-            EmitMap emit;
-            replayBasicBlock(rec, emit);
-            for (auto &[key, acc] : emit.entries) {
+            replayBasicBlock(rec);
+            const int64_t sample_pos = static_cast<int64_t>(
+                rec.insn_index -
+                program_.blockBegin(program_.blockOf(rec.insn_index)));
+            emit_.forEach([&](const ReconstructedAccess &acc) {
                 // Order accesses around the sample's timestamp while
                 // preserving intra-block program order.
                 const int64_t delta =
-                    static_cast<int64_t>(acc.position) -
-                    static_cast<int64_t>(rec.insn_index -
-                                         program_.blockBegin(
-                                             program_.blockOf(
-                                                 rec.insn_index)));
-                acc.tsc = rec.tsc + delta;
+                    static_cast<int64_t>(acc.position) - sample_pos;
                 out.push_back(acc);
-            }
+                out.back().tsc = rec.tsc + delta;
+            });
         }
     } else {
+        const std::map<uint32_t, std::vector<size_t>> unmatched =
+            unmatchedSamples(alignments, run);
         for (const auto &[tid, path] : paths) {
             auto it = alignments.find(tid);
             if (it == alignments.end())
                 continue;
-            replayThread(path, it->second, run, out);
+            const ThreadAlignment &alignment = it->second;
+            const std::map<uint64_t, const trace::SyncRecord *> sync_at =
+                syncAtMap(alignment, run);
+            for (const Window &w :
+                 buildWindows(path, alignment, run, sync_at)) {
+                replayWindow(w, path, alignment, out);
+            }
+            if (auto u = unmatched.find(tid); u != unmatched.end())
+                appendSamples(u->second, run, out);
         }
         appendPathlessSamples(paths, run, out);
     }
@@ -1339,21 +1334,12 @@ Replayer::appendPathlessSamples(
     const std::map<uint32_t, pmu::ThreadPath> &paths,
     const trace::RunTrace &run, std::vector<ReconstructedAccess> &out)
 {
-    for (const trace::PebsRecord &rec : run.pebs) {
-        if (paths.count(rec.tid))
-            continue;
-        ReconstructedAccess acc;
-        acc.tid = rec.tid;
-        acc.insn_index = rec.insn_index;
-        acc.addr = rec.addr;
-        acc.width = rec.width;
-        acc.is_write = rec.is_write;
-        acc.is_atomic = rec.is_atomic;
-        acc.tsc = rec.tsc;
-        acc.origin = AccessOrigin::kSampled;
-        ++stats_.sampled;
-        out.push_back(acc);
+    std::vector<size_t> records;
+    for (size_t i = 0; i < run.pebs.size(); ++i) {
+        if (!paths.count(run.pebs[i].tid))
+            records.push_back(i);
     }
+    appendSamples(records, run, out);
 }
 
 void

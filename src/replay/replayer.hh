@@ -24,6 +24,7 @@
 #ifndef PRORACE_REPLAY_REPLAYER_HH
 #define PRORACE_REPLAY_REPLAYER_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <unordered_set>
@@ -145,33 +146,25 @@ struct ReplayConfig {
     /**
      * Precomputed static analysis of the program being replayed, or
      * nullptr to fall back to per-instruction fact derivation. When
-     * set, the backward scan skips whole basic-block runs via the
-     * block kill masks and the aligner indexes the flat fact table;
-     * results are bit-identical either way. The analysis (owned by the
-     * offline analyzer) must outlive every replayer holding this
-     * config.
+     * set, the replayer reads kill masks from the flat fact table and
+     * the aligner indexes it too; results are bit-identical either
+     * way. The analysis (owned by the offline analyzer) must outlive
+     * every replayer holding this config.
      */
     const analysis::ProgramAnalysis *analysis = nullptr;
 };
 
 /**
  * Reconstructs the extended memory trace for one run.
+ *
+ * A replayer owns its scratch state: one ProgramMap reset per pass, a
+ * window-dense emission buffer, and the hint/fact lists of the
+ * forward/backward fixed point. All of it is reused from window to
+ * window, so once warm a replayer allocates only for its output.
  */
 class Replayer
 {
   public:
-    /** Deduplicating per-window emission buffer keyed by (position, slot). */
-    struct EmitMap {
-        std::map<uint64_t, ReconstructedAccess> entries;
-
-        bool
-        add(uint64_t position, unsigned slot,
-            const ReconstructedAccess &acc)
-        {
-            return entries.try_emplace(position * 4 + slot, acc).second;
-        }
-    };
-
     /**
      * A replay window between two adjacent samples of one thread.
      *
@@ -196,15 +189,6 @@ class Replayer
     Replayer(const asmkit::Program &program, const ReplayConfig &config);
 
     /**
-     * Replay one thread. Appends reconstructed accesses (including the
-     * sampled ones) to @p out in program order.
-     */
-    void replayThread(const pmu::ThreadPath &path,
-                      const ThreadAlignment &alignment,
-                      const trace::RunTrace &run,
-                      std::vector<ReconstructedAccess> &out);
-
-    /**
      * Replay every aligned thread; returns the extended memory trace
      * sorted by estimated TSC.
      */
@@ -225,8 +209,8 @@ class Replayer
 
     /**
      * Build one thread's inter-sample window list. Windows cover
-     * disjoint [start, end) path ranges; @p sync_at must outlive the
-     * returned windows.
+     * disjoint [start, end) path ranges in ascending order; @p sync_at
+     * must outlive the returned windows.
      */
     static std::vector<Window>
     buildWindows(const pmu::ThreadPath &path,
@@ -236,16 +220,33 @@ class Replayer
                                 const trace::SyncRecord *> &sync_at);
 
     /**
-     * Post-window per-thread work: timestamp the emitted accesses and
-     * append them in position order, then append this thread's
-     * path-unlocatable samples in record order. Appending per-thread
-     * results in ascending-tid order reproduces the serial replayAll
-     * sequence exactly.
+     * Replay one window and append its surviving accesses to @p out in
+     * (position, slot) order, timestamped from @p alignment. Windows are
+     * disjoint, so appending a thread's windows in path order yields
+     * that thread's accesses in position order.
      */
-    void finalizeThread(const pmu::ThreadPath &path,
-                        const ThreadAlignment &alignment,
-                        const trace::RunTrace &run, EmitMap &emit,
-                        std::vector<ReconstructedAccess> &out);
+    void replayWindow(const Window &win, const pmu::ThreadPath &path,
+                      const ThreadAlignment &alignment,
+                      std::vector<ReconstructedAccess> &out);
+
+    /**
+     * Samples of aligned threads that could not be located on their
+     * thread's path (typically taken inside untraced library code), as
+     * PEBS record indices grouped by tid, in record order.
+     */
+    static std::map<uint32_t, std::vector<size_t>>
+    unmatchedSamples(const std::map<uint32_t, ThreadAlignment> &alignments,
+                     const trace::RunTrace &run);
+
+    /**
+     * Append the PEBS records @p records as exact sampled accesses with
+     * unknown path position. A thread's window accesses followed by its
+     * unmatched samples, threads in ascending tid order, reproduces the
+     * serial replayAll sequence exactly.
+     */
+    void appendSamples(const std::vector<size_t> &records,
+                       const trace::RunTrace &run,
+                       std::vector<ReconstructedAccess> &out);
 
     /** Append the accesses of samples whose thread has no path. */
     void appendPathlessSamples(
@@ -259,33 +260,110 @@ class Replayer
      */
     static void sortByTsc(std::vector<ReconstructedAccess> &out);
 
-    void replayWindow(const Window &win, const pmu::ThreadPath &path,
-                      const ThreadAlignment &alignment,
-                      const trace::RunTrace &run, EmitMap &emit);
+    /** Emulated-memory byte addresses whose values were consumed. */
+    std::unordered_set<uint64_t> consumedAddresses() const
+    {
+        return pm_.consumedAddresses();
+    }
+
+  private:
+    /**
+     * Window-dense emission buffer, deduplicating by (position, slot).
+     * The slot pair of path position p lives at 2 * (p - base) of a
+     * table spanning the open window, so insertion and the
+     * violation-scope erase are array operations. The table only grows
+     * (to the longest window seen) and is never re-zeroed: open()
+     * clears just the slots the previous window used. Entries live in
+     * a side store and forEach() visits them in key order.
+     */
+    class EmitBuffer
+    {
+      public:
+        /** Forget all entries and cover positions [base, base + len). */
+        void open(uint64_t base, uint64_t len);
+
+        /** Insert @p acc at (acc.position, @p slot) unless that is taken. */
+        bool add(unsigned slot, const ReconstructedAccess &acc);
+
+        /** Number of live entries. */
+        size_t size() const { return live_; }
+
+        /** Erase the entries at positions [lo, hi] that @p drop selects. */
+        template <typename Pred>
+        void
+        eraseIf(uint64_t lo, uint64_t hi, Pred drop)
+        {
+            if (len_ == 0 || hi < base_)
+                return;
+            lo = std::max(lo, base_);
+            hi = std::min(hi, base_ + len_ - 1);
+            for (uint64_t k = 2 * (lo - base_); k <= 2 * (hi - base_) + 1;
+                 ++k) {
+                if (slot_[k] && drop(accs_[slot_[k] - 1])) {
+                    slot_[k] = 0;
+                    --live_;
+                }
+            }
+        }
+
+        /** Visit the live entries in (position, slot) order. */
+        template <typename Visit>
+        void
+        forEach(Visit visit)
+        {
+            order_.clear();
+            for (uint32_t i = 0; i < accs_.size(); ++i) {
+                if (slot_[keys_[i]] == i + 1)
+                    order_.push_back(i);
+            }
+            // Each pass emits in position order, so the store is a few
+            // sorted runs; keys are unique among live entries.
+            auto by_key = [this](uint32_t a, uint32_t b) {
+                return keys_[a] < keys_[b];
+            };
+            if (!std::is_sorted(order_.begin(), order_.end(), by_key))
+                std::sort(order_.begin(), order_.end(), by_key);
+            for (const uint32_t i : order_)
+                visit(accs_[i]);
+        }
+
+      private:
+        uint64_t base_ = 0;
+        uint64_t len_ = 0;
+        std::vector<uint32_t> slot_; ///< 0 = empty, else 1 + accs_ index
+        std::vector<ReconstructedAccess> accs_;
+        std::vector<uint64_t> keys_;  ///< slot_ index of each accs_ entry
+        std::vector<uint32_t> order_; ///< forEach scratch
+        size_t live_ = 0;
+    };
 
     void forwardPass(const Window &win, const pmu::ThreadPath &path,
-                     const trace::RunTrace &run, const FactList &facts,
-                     detect::AccessOrigin tag, EmitMap &emit,
+                     const FactList &facts, detect::AccessOrigin tag,
                      FactList *hints_out, bool *consistent_out,
                      uint64_t *bad_pos_out);
 
+    /**
+     * Backward sweep from the closing sample; leaves the recovered
+     * facts in @p facts_out in ascending position order.
+     */
     void backwardScan(const Window &win, const pmu::ThreadPath &path,
                       const FactList &hints, FactList &facts_out,
                       bool *consistent_out);
 
-    void replayBasicBlock(const trace::PebsRecord &rec, EmitMap &emit);
+    /** RaceZ reconstruction of one sample's basic block into emit_. */
+    void replayBasicBlock(const trace::PebsRecord &rec);
 
-    /** Emulated-memory byte addresses whose values were consumed. */
-    const std::unordered_set<uint64_t> &consumedAddresses() const
-    {
-        return consumed_;
-    }
+    /** May-write register mask of instruction @p idx. */
+    uint16_t killMask(uint32_t idx) const;
 
-  private:
     const asmkit::Program &program_;
     ReplayConfig config_;
     ReplayStats stats_;
-    std::unordered_set<uint64_t> consumed_;
+    ProgramMap pm_;
+    EmitBuffer emit_;
+    FactList hints_;
+    FactList facts_;
+    pmu::ThreadPath bb_path_; ///< basic-block mode's synthetic path
 };
 
 } // namespace prorace::replay

@@ -207,6 +207,45 @@ TEST(ParallelOffline, ZeroThreadsDelegatesToSerialEngine)
               s.report.format(w.program.get()));
 }
 
+TEST(ParallelOffline, PoisonedWindowIsQuarantinedAlone)
+{
+    // A sample whose recorded address wraps the address space makes its
+    // window's replay throw (the ProgramMap span check). The fan-out
+    // re-runs the failed task's windows one at a time and gives up only
+    // the poisoned window; the rest of its thread still reconstructs.
+    Program p = globalRaceProgram();
+    auto cfg = core::proRaceConfig(25, 1);
+    auto run = core::Session::run(
+        p, [](vm::Machine &m) { m.addThread("main"); }, cfg.session);
+    const auto paths = pmu::decodePt(p, pmu::PtFilter::all(), run.trace);
+    const auto alignments = replay::alignTrace(p, paths, run.trace);
+    const replay::ThreadAlignment *victim = nullptr;
+    for (const auto &[tid, alignment] : alignments) {
+        if (alignment.samples.size() >= 3)
+            victim = &alignment;
+    }
+    ASSERT_NE(victim, nullptr);
+
+    core::OfflineOptions opt = cfg.offline;
+    opt.num_threads = 2;
+    opt.max_regeneration_rounds = 0;
+    const core::OfflineResult clean =
+        core::OfflineAnalyzer(p, opt).analyze(run.trace);
+    EXPECT_EQ(clean.quarantine.window_retries, 0u);
+
+    trace::RunTrace poisoned = run.trace;
+    const size_t mid = victim->samples.size() / 2;
+    poisoned.pebs[victim->samples[mid].record_index].addr = ~uint64_t{0};
+    const core::OfflineResult r =
+        core::OfflineAnalyzer(p, opt).analyze(poisoned);
+    EXPECT_EQ(r.quarantine.windows_quarantined, 1u);
+    // Every window of the failed task was re-run, the poisoned one too.
+    EXPECT_GT(r.quarantine.window_retries, 1u);
+    EXPECT_EQ(r.replay_stats.windows + 1, clean.replay_stats.windows);
+    EXPECT_LT(r.extended_trace_events, clean.extended_trace_events);
+    EXPECT_GT(r.extended_trace_events, clean.extended_trace_events / 2);
+}
+
 /** What the checkpoint hooks saw during one analyze() call. */
 struct HookTrace {
     std::string report;

@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <unordered_set>
 
 #include "core/offline.hh"
 #include "core/session.hh"
@@ -313,6 +315,167 @@ TEST(Replayer, PcRelativeRecoveredWithoutAnySample)
     for (const auto &a : accesses)
         pcrel += a.origin == detect::AccessOrigin::kPcRelative;
     EXPECT_GE(pcrel, 1000u) << "one load + one store per iteration";
+}
+
+/** Field-wise equality of two extended traces. */
+void
+expectSameTrace(const std::vector<ReconstructedAccess> &a,
+                const std::vector<ReconstructedAccess> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].tid, b[i].tid) << "access " << i;
+        EXPECT_EQ(a[i].position, b[i].position) << "access " << i;
+        EXPECT_EQ(a[i].insn_index, b[i].insn_index) << "access " << i;
+        EXPECT_EQ(a[i].addr, b[i].addr) << "access " << i;
+        EXPECT_EQ(a[i].width, b[i].width) << "access " << i;
+        EXPECT_EQ(a[i].is_write, b[i].is_write) << "access " << i;
+        EXPECT_EQ(a[i].is_atomic, b[i].is_atomic) << "access " << i;
+        EXPECT_EQ(a[i].tsc, b[i].tsc) << "access " << i;
+        EXPECT_EQ(a[i].origin, b[i].origin) << "access " << i;
+    }
+}
+
+/**
+ * The extended trace assembled the way the parallel analyzer builds it:
+ * every window on its own fresh replayer, samples appended per thread.
+ */
+std::vector<ReconstructedAccess>
+replayWindowByWindow(const asmkit::Program &program, const ReplayConfig &cfg,
+                     const Fixture &fx, ReplayStats &stats,
+                     std::unordered_set<uint64_t> &consumed)
+{
+    std::vector<ReconstructedAccess> out;
+    Replayer samples(program, cfg);
+    const auto unmatched = Replayer::unmatchedSamples(fx.alignments,
+                                                      fx.trace);
+    for (const auto &[tid, path] : fx.paths) {
+        const ThreadAlignment &alignment = fx.alignments.at(tid);
+        const auto sync_at = Replayer::syncAtMap(alignment, fx.trace);
+        for (const Replayer::Window &w :
+             Replayer::buildWindows(path, alignment, fx.trace, sync_at)) {
+            Replayer fresh(program, cfg);
+            const size_t first = out.size();
+            fresh.replayWindow(w, path, alignment, out);
+            // A window appends in position order, inside its range.
+            for (size_t i = first; i < out.size(); ++i) {
+                EXPECT_GE(out[i].position, w.start);
+                EXPECT_LT(out[i].position, w.end);
+                if (i > first) {
+                    EXPECT_LE(out[i - 1].position, out[i].position);
+                }
+            }
+            stats.merge(fresh.stats());
+            const auto c = fresh.consumedAddresses();
+            consumed.insert(c.begin(), c.end());
+        }
+        if (auto u = unmatched.find(tid); u != unmatched.end())
+            samples.appendSamples(u->second, fx.trace, out);
+    }
+    samples.appendPathlessSamples(fx.paths, fx.trace, out);
+    Replayer::sortByTsc(out);
+    stats.merge(samples.stats());
+    return out;
+}
+
+/**
+ * A loop that spills to the stack and to a global and reloads both, so
+ * forward replay consumes emulated memory in every window.
+ */
+asmkit::Program
+makeSpillProgram(int iterations)
+{
+    asmkit::ProgramBuilder b;
+    b.globalU64("sink", 0);
+    b.label("main");
+    b.movri(Reg::rcx, 0);
+    b.label("loop");
+    b.push(Reg::rcx);
+    b.addri(Reg::rcx, 1);
+    b.pop(Reg::rax);                     // reloads the pushed value
+    b.store(b.symRef("sink"), Reg::rax);
+    b.load(Reg::rdx, b.symRef("sink"));  // reloads the stored value
+    b.alurr(AluOp::kAdd, Reg::rdx, Reg::rcx);
+    b.cmpri(Reg::rcx, iterations);
+    b.jcc(CondCode::kLt, "loop");
+    b.halt();
+    return b.build();
+}
+
+TEST(Replayer, ReusedScratchMatchesAFreshReplayerPerWindow)
+{
+    // One replayer carries its ProgramMap, emit buffer and fact lists
+    // from window to window (and from run to run); replaying every
+    // window on its own fresh replayer must give the same trace, the
+    // same counters and the same consumed set.
+    asmkit::Program program = makeSpillProgram(600);
+    Fixture fx(program, 23);
+
+    const ReplayConfig cfg;
+    Replayer reused(program, cfg);
+    const auto first = reused.replayAll(fx.paths, fx.alignments, fx.trace);
+    ASSERT_GT(reused.stats().windows, 20u);
+    const auto consumed = reused.consumedAddresses();
+    ASSERT_FALSE(consumed.empty());
+
+    ReplayStats fresh_stats;
+    std::unordered_set<uint64_t> fresh_consumed;
+    expectSameTrace(first, replayWindowByWindow(program, cfg, fx,
+                                                fresh_stats,
+                                                fresh_consumed));
+    EXPECT_EQ(consumed, fresh_consumed);
+    EXPECT_EQ(reused.stats().totalAccesses(), fresh_stats.totalAccesses());
+    EXPECT_EQ(reused.stats().recovered_backward,
+              fresh_stats.recovered_backward);
+    EXPECT_EQ(reused.stats().backward_rounds, fresh_stats.backward_rounds);
+    EXPECT_EQ(reused.stats().inconsistent_windows,
+              fresh_stats.inconsistent_windows);
+    // A warm map allocates far fewer shadow pages than one per window.
+    EXPECT_LT(reused.stats().program_map.pages_allocated,
+              fresh_stats.program_map.pages_allocated);
+
+    // A second run on the warm replayer leaves no residue.
+    expectSameTrace(first,
+                    reused.replayAll(fx.paths, fx.alignments, fx.trace));
+    EXPECT_EQ(reused.consumedAddresses(), consumed);
+}
+
+TEST(Replayer, BlacklistHoldsAcrossReusedPasses)
+{
+    // The blacklist is applied once per replayer and must veto every
+    // later pass: a blacklisted byte is never consumed, and the result
+    // matches a fresh replayer per window.
+    asmkit::Program program = makeSpillProgram(600);
+    Fixture fx(program, 23);
+    Replayer probe(program, {});
+    probe.replayAll(fx.paths, fx.alignments, fx.trace);
+    std::vector<uint64_t> granules;
+    for (const uint64_t a : probe.consumedAddresses())
+        granules.push_back(a & ~7ull);
+    ASSERT_FALSE(granules.empty());
+    std::sort(granules.begin(), granules.end());
+    granules.erase(std::unique(granules.begin(), granules.end()),
+                   granules.end());
+
+    ReplayConfig cfg;
+    for (size_t i = 0; i < granules.size(); i += 2)
+        cfg.mem_blacklist.emplace_back(granules[i], 8);
+    Replayer replayer(program, cfg);
+    const auto trace = replayer.replayAll(fx.paths, fx.alignments, fx.trace);
+    verifyAgainstOracle(fx, trace);
+    const auto consumed = replayer.consumedAddresses();
+    for (const uint64_t a : consumed) {
+        for (const auto &[lo, size] : cfg.mem_blacklist)
+            EXPECT_FALSE(a >= lo && a < lo + size)
+                << "blacklisted byte 0x" << std::hex << a << " consumed";
+    }
+
+    ReplayStats fresh_stats;
+    std::unordered_set<uint64_t> fresh_consumed;
+    expectSameTrace(trace, replayWindowByWindow(program, cfg, fx,
+                                                fresh_stats,
+                                                fresh_consumed));
+    EXPECT_EQ(consumed, fresh_consumed);
 }
 
 TEST(Offline, DetectsARealRaceEndToEnd)

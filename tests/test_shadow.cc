@@ -305,6 +305,59 @@ TEST(PagedProgramMap, WidthAndOverflowAsserts)
     EXPECT_EQ(pm.readMem(~uint64_t{0} - 8, 8).value(), 0x42ull);
 }
 
+TEST(PagedProgramMap, ResetStartsAPassButKeepsBlacklistAndConsumed)
+{
+    ProgramMap pm;
+    vm::RegFile regs{};
+    regs.gpr[3] = 42;
+    pm.restoreRegs(regs);
+    pm.blacklistMem(0x6004, 4);
+    pm.writeMem(0x6000, 0x1122334455667788ull, 8);
+    ASSERT_EQ(pm.readMem(0x6000, 4).value(), 0x55667788ull);
+    const auto consumed = pm.consumedAddresses();
+    ASSERT_EQ(consumed.size(), 4u);
+    const uint64_t pages = pm.memStats().pages_allocated;
+
+    pm.reset();
+    EXPECT_EQ(pm.availableRegCount(), 0u);
+    EXPECT_FALSE(pm.readMem(0x6000, 4).has_value());
+    EXPECT_EQ(pm.consumedAddresses(), consumed);
+    EXPECT_EQ(pm.memStats().mem_invalidations, 0u);
+
+    // The warm page is reused, and the blacklist still vetoes bytes.
+    pm.writeMem(0x6000, ~0ull, 8);
+    EXPECT_EQ(pm.readMem(0x6000, 4).value(), 0xffffffffull);
+    EXPECT_FALSE(pm.readMem(0x6004, 4).has_value());
+    EXPECT_EQ(pm.memStats().pages_allocated, pages);
+}
+
+TEST(PagedProgramMap, ResetReleasesPagesBeyondTheRetainLimit)
+{
+    ProgramMap pm;
+    constexpr uint64_t kBase = 0x100000;
+    pm.blacklistMem(kBase + 8, 8);
+    const uint64_t n = ProgramMap::kRetainedPages + 8;
+    for (uint64_t i = 0; i < n; ++i) {
+        pm.writeMem(kBase + i * 0x1000, i, 8);
+        ASSERT_EQ(pm.readMem(kBase + i * 0x1000, 8).value(), i);
+    }
+    const auto consumed = pm.consumedAddresses();
+    ASSERT_EQ(consumed.size(), n * 8);
+    const uint64_t pages = pm.memStats().pages_allocated;
+
+    pm.reset();
+    // Released pages' consumed marks are kept aside, not lost.
+    EXPECT_EQ(pm.consumedAddresses(), consumed);
+    // Touching a released page allocates it anew.
+    pm.writeMem(kBase + 0x2000, 7, 8);
+    EXPECT_GT(pm.memStats().pages_allocated, pages);
+    EXPECT_EQ(pm.readMem(kBase + 0x2000, 8).value(), 7u);
+    // The blacklist was re-applied after the release.
+    pm.writeMem(kBase + 8, 7, 8);
+    EXPECT_FALSE(pm.readMem(kBase + 8, 8).has_value());
+    EXPECT_EQ(pm.consumedAddresses().size(), consumed.size());
+}
+
 // --- FastTrack vs the reference detector ---
 
 /** One recorded detector event, replayable into either detector. */
