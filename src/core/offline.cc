@@ -17,6 +17,9 @@ using detect::AccessOrigin;
 using replay::Replayer;
 using vm::SyncKind;
 
+static_assert(trace::kMaxThreads == detect::Epoch::kMaxThreads,
+              "the decoder's tid limit must be the detector's");
+
 namespace {
 
 /** One entry of the merged detector feed. */
@@ -71,8 +74,8 @@ syncSubrank(SyncKind kind)
 /**
  * Merge the reconstructed accesses and the sync trace into the
  * TSC-ordered detector feed with the release < access < acquire
- * tie-break. Both detection paths (one-shot and streaming) consume the
- * identical feed, which is what makes their reports byte-identical.
+ * tie-break. One-shot and streaming detection consume the identical
+ * feed, which is what makes their reports byte-identical.
  */
 std::vector<FeedEvent>
 buildFeed(const trace::RunTrace &run,
@@ -128,10 +131,9 @@ toMemAccess(const replay::ReconstructedAccess &a)
     return ma;
 }
 
-/** Dispatch one feed event into either detector flavor. */
-template <typename Detector>
+/** Dispatch one feed event into the detector. */
 void
-dispatchEvent(Detector &ft, const FeedEvent &ev,
+dispatchEvent(detect::FastTrack &ft, const FeedEvent &ev,
               const trace::RunTrace &run,
               const std::vector<replay::ReconstructedAccess> &accesses)
 {
@@ -248,45 +250,6 @@ runExtent(const std::vector<FeedEvent> &feed,
     return j;
 }
 
-/**
- * Dispatch the whole feed with optional run-level folding: the first
- * iteration of a run of identical accesses is dispatched normally, then
- * the detector is asked to absorb the repeats in one step; if it
- * declines (shared-read state, where repeat TSCs matter), the repeats
- * are dispatched individually from the original events. @p on_events is
- * called once per run/event with the number of feed events covered and
- * the TSC of the last one — the hook streaming detection paces its
- * batch boundaries with.
- */
-template <typename Detector, typename OnEvents>
-void
-dispatchFeed(Detector &ft, const std::vector<FeedEvent> &feed,
-             const trace::RunTrace &run,
-             const std::vector<replay::ReconstructedAccess> &accesses,
-             bool run_summary, OnEvents &&on_events, size_t start = 0)
-{
-    // @p start resumes mid-feed (checkpoint warm start). Cursor values
-    // recorded by on_events are sums of whole run extents, so a saved
-    // cursor always lands back on a run boundary and the continuation
-    // dispatches exactly the events an uninterrupted run would have.
-    size_t i = start;
-    while (i < feed.size()) {
-        const FeedEvent &ev = feed[i];
-        size_t j = i + 1;
-        if (run_summary && !ev.is_sync)
-            j = runExtent(feed, accesses, i);
-        dispatchEvent(ft, ev, run, accesses);
-        if (j - i > 1 &&
-            !ft.foldRepeats(toMemAccess(accesses[ev.index]),
-                            j - i - 1)) {
-            for (size_t k = i + 1; k < j; ++k)
-                dispatchEvent(ft, feed[k], run, accesses);
-        }
-        on_events(j - i, feed[j - 1].tsc);
-        i = j;
-    }
-}
-
 } // namespace
 
 namespace detail {
@@ -298,12 +261,9 @@ detectRaces(const trace::RunTrace &run,
             detect::RaceReport &report, detect::FastTrackStats &stats,
             bool run_summary)
 {
-    const std::vector<FeedEvent> feed =
-        buildFeed(run, alignments, accesses);
     detect::FastTrack ft;
-    dispatchFeed(ft, feed, run, accesses, run_summary,
-                 [](uint64_t, uint64_t) {});
-    report = ft.report();
+    detectRacesIncremental(run, alignments, accesses, ft, run_summary);
+    report = std::move(ft.report());
     stats = ft.stats();
 }
 
@@ -312,53 +272,73 @@ detectRacesIncremental(
     const trace::RunTrace &run,
     const std::map<uint32_t, replay::ThreadAlignment> &alignments,
     const std::vector<replay::ReconstructedAccess> &accesses,
-    detect::IncrementalFastTrack &detector, bool run_summary,
+    detect::FastTrack &detector, bool run_summary,
     const CheckpointHooks *hooks, bool allow_checkpoint)
 {
     const std::vector<FeedEvent> feed =
         buildFeed(run, alignments, accesses);
 
+    // Batch boundaries, GC and the hooks belong to streaming detection;
+    // one-shot detection dispatches the feed straight through.
+    const detect::IncrementalOptions &options = detector.options();
+    if (!options.enabled)
+        hooks = nullptr;
+
     // Checkpoint warm start: the saved image is only valid against the
     // exact feed it was cut from, so the feed size must match and the
     // image must deserialize cleanly; anything else cold-starts.
-    uint64_t start = 0;
+    size_t i = 0;
     if (hooks && allow_checkpoint && hooks->restore &&
         hooks->resume_feed_total == feed.size() &&
         hooks->resume_events <= feed.size()) {
         support::ByteReader reader(*hooks->restore);
         if (detector.restoreState(reader)) {
-            start = hooks->resume_events;
+            i = static_cast<size_t>(hooks->resume_events);
             if (hooks->resumed)
                 *hooks->resumed = true;
         }
     }
 
-    const uint64_t batch =
-        detector.options().batch_events ? detector.options().batch_events
-                                        : 1;
+    // Run-level folding: the first iteration of a run of identical
+    // accesses is dispatched normally, then the detector is asked to
+    // absorb the repeats in one step; if it declines (shared-read
+    // state, where repeat TSCs matter), the repeats are dispatched
+    // individually. Batches close on whole runs, so a saved cursor
+    // always lands back on a run boundary and a resumed dispatch sees
+    // exactly the events an uninterrupted run would have.
+    uint64_t batch = UINT64_MAX; // one-shot: no boundaries
+    if (options.enabled)
+        batch = std::max<uint64_t>(options.batch_events, 1);
     uint64_t in_batch = 0;
-    uint64_t cursor = start;
-    dispatchFeed(
-        detector, feed, run, accesses, run_summary,
-        [&](uint64_t events, uint64_t frontier_tsc) {
-            in_batch += events;
-            cursor += events;
-            if (in_batch >= batch) {
-                // Every later event has tsc >= this one (the feed is
-                // sorted), so this event's TSC is a valid retirement
-                // frontier.
-                detector.batchBoundary(frontier_tsc);
-                in_batch = 0;
-                if (hooks) {
-                    if (hooks->tick)
-                        hooks->tick();
-                    if (allow_checkpoint && hooks->on_boundary)
-                        hooks->on_boundary(cursor, feed.size(),
-                                           detector);
-                }
-            }
-        },
-        static_cast<size_t>(start));
+    while (i < feed.size()) {
+        const FeedEvent &ev = feed[i];
+        size_t j = i + 1;
+        if (run_summary && !ev.is_sync)
+            j = runExtent(feed, accesses, i);
+        dispatchEvent(detector, ev, run, accesses);
+        if (j - i > 1 &&
+            !detector.foldRepeats(toMemAccess(accesses[ev.index]),
+                                  j - i - 1)) {
+            for (size_t k = i + 1; k < j; ++k)
+                dispatchEvent(detector, feed[k], run, accesses);
+        }
+        in_batch += j - i;
+        i = j;
+        if (in_batch < batch)
+            continue;
+        // Every later event has tsc >= this one (the feed is sorted), so
+        // this event's TSC is a valid retirement frontier.
+        detector.batchBoundary(feed[j - 1].tsc);
+        in_batch = 0;
+        if (hooks) {
+            if (hooks->tick)
+                hooks->tick();
+            if (allow_checkpoint && hooks->on_boundary)
+                hooks->on_boundary(i, feed.size(), detector);
+        }
+    }
+    if (!options.enabled)
+        return;
     detector.finish();
     if (hooks) {
         if (hooks->tick)
@@ -827,23 +807,17 @@ OfflineAnalyzer::detectAccesses(
     detail::applyStaticPrefilter(accesses, analysis_.get(),
                                  options_.static_prefilter,
                                  result.prefilter, &run);
-    if (options_.incremental.enabled) {
-        detect::IncrementalFastTrack detector(options_.incremental);
-        // GC is gated until every thread of the run has appeared in the
-        // feed; the meta thread table is the authoritative population.
-        for (const trace::ThreadMeta &tm : run.meta.threads)
-            detector.requireThread(tm.tid);
-        detail::detectRacesIncremental(run, alignments, accesses,
-                                       detector, options_.run_summary,
-                                       &options_.checkpoint,
-                                       first_round);
-        result.report = detector.report();
-        result.detect_stats = detector.stats();
-        result.incremental.merge(detector.incrementalStats());
-    } else {
-        detail::detectRaces(run, alignments, accesses, result.report,
-                            result.detect_stats, options_.run_summary);
-    }
+    detect::FastTrack detector(options_.incremental);
+    // Streaming GC is gated until every thread of the run has appeared
+    // in the feed; the meta thread table is the authoritative population.
+    for (const trace::ThreadMeta &tm : run.meta.threads)
+        detector.requireThread(tm.tid);
+    detail::detectRacesIncremental(run, alignments, accesses, detector,
+                                   options_.run_summary,
+                                   &options_.checkpoint, first_round);
+    result.report = std::move(detector.report());
+    result.detect_stats = detector.stats();
+    result.incremental.merge(detector.incrementalStats());
 }
 
 OfflineResult

@@ -15,7 +15,6 @@
 #include "analysis/analysis.hh"
 #include "asmkit/program.hh"
 #include "detect/fasttrack.hh"
-#include "detect/incremental.hh"
 #include "detect/report.hh"
 #include "exec/executor.hh"
 #include "pmu/pt.hh"
@@ -29,13 +28,13 @@
 namespace prorace::core {
 
 /**
- * Checkpoint/resume and supervision hooks into the streaming detection
- * stage (detect::IncrementalFastTrack). The analysis service uses these
- * for crash recovery: at every epoch-GC batch boundary it can serialize
- * the detector plus the feed cursor, and a later analysis of the same
- * byte stream warm-starts from that image instead of re-running the
- * detector from event zero. Hooks fire only on the incremental path
- * (OfflineOptions::incremental.enabled), for any num_threads;
+ * Checkpoint/resume and supervision hooks into streaming detection
+ * (detect::FastTrack with batch boundaries). The analysis service uses
+ * these for crash recovery: at every epoch-GC batch boundary it can
+ * serialize the detector plus the feed cursor, and a later analysis of
+ * the same byte stream warm-starts from that image instead of
+ * re-running the detector from event zero. Hooks fire only in streaming
+ * mode (OfflineOptions::incremental.enabled), for any num_threads;
  * checkpointing and restore apply to regeneration round 0 only — later
  * rounds re-run against a different blacklist, so a round-0 image
  * would be stale for them.
@@ -57,7 +56,7 @@ struct CheckpointHooks {
      * uninterrupted run has at this point. The hook may serialize it.
      */
     std::function<void(uint64_t feed_cursor, uint64_t feed_total,
-                       detect::IncrementalFastTrack &detector)>
+                       detect::FastTrack &detector)>
         on_boundary;
 
     /**
@@ -118,9 +117,10 @@ struct OfflineOptions {
      */
     bool run_summary = true;
     /**
-     * Streaming detection (detect::IncrementalFastTrack): process the
-     * merged detector feed in batches with epoch-GC of quiescent shadow
-     * state between batches, bounding detector memory on long traces.
+     * Streaming detection (detect::FastTrack with batch boundaries):
+     * process the merged detector feed in batches with epoch-GC of
+     * quiescent shadow state between batches, bounding detector memory
+     * on long traces.
      * The race report is byte-identical to one-shot detection; only
      * resident state and statistics differ. The analysis service runs
      * every session this way.
@@ -307,13 +307,8 @@ class OfflineAnalyzer
 namespace detail {
 
 /**
- * The detection stage shared by the serial and parallel paths: merge
- * the reconstructed accesses and the sync trace into one TSC-ordered
- * feed (with the release < access < acquire tie-break at
- * equal timestamps) and run FastTrack over it. With @p run_summary set,
- * consecutive identical accesses are folded through
- * FastTrack::foldRepeats (per-iteration fallback when the detector
- * cannot prove absorption); the report is byte-identical either way.
+ * One-shot detection: detectRacesIncremental() with a default-built
+ * (non-streaming) FastTrack, returning its report and counters.
  */
 void detectRaces(const trace::RunTrace &run,
                  const std::map<uint32_t,
@@ -323,18 +318,26 @@ void detectRaces(const trace::RunTrace &run,
                  detect::FastTrackStats &stats, bool run_summary = true);
 
 /**
- * The streaming variant of detectRaces: the identical merged feed is
- * dispatched into an IncrementalFastTrack in batches of
- * options.batch_events events, with a batch boundary (thread
- * retirement + epoch GC) between batches. The caller pre-seeds
- * @p detector with requireThread() for every expected thread; the race
- * report is byte-identical to the one-shot path.
+ * The detection stage: merge the reconstructed accesses and the sync
+ * trace into one TSC-ordered feed (with the release < access < acquire
+ * tie-break at equal timestamps) and dispatch it into @p detector. With
+ * @p run_summary set, consecutive identical accesses are folded through
+ * FastTrack::foldRepeats (per-iteration fallback when the detector
+ * cannot prove absorption); the report is byte-identical either way.
+ *
+ * When the detector's IncrementalOptions::enabled is set, the feed is
+ * dispatched in batches of batch_events events with a batchBoundary()
+ * (thread retirement + epoch GC) between batches, @p hooks fire, and
+ * the stream ends with finish(). The caller pre-seeds @p detector with
+ * requireThread() for every expected thread. Otherwise the feed runs
+ * straight through and @p hooks are ignored. The race report is the
+ * same in both modes.
  */
 void detectRacesIncremental(
     const trace::RunTrace &run,
     const std::map<uint32_t, replay::ThreadAlignment> &alignments,
     const std::vector<replay::ReconstructedAccess> &accesses,
-    detect::IncrementalFastTrack &detector, bool run_summary = true,
+    detect::FastTrack &detector, bool run_summary = true,
     const CheckpointHooks *hooks = nullptr,
     bool allow_checkpoint = true);
 

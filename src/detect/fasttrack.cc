@@ -1,6 +1,7 @@
 #include "detect/fasttrack.hh"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "support/log.hh"
@@ -19,7 +20,10 @@ granuleOf(uint64_t addr)
 
 } // namespace
 
-FastTrack::FastTrack() = default;
+FastTrack::FastTrack(const IncrementalOptions &options) : options_(options)
+{
+}
+
 FastTrack::~FastTrack() = default;
 
 FastTrack::ThreadState &
@@ -34,8 +38,13 @@ FastTrack::threadState(uint32_t tid)
     }
     if (tid >= threads_.size())
         threads_.resize(tid + 1);
-    if (!threads_[tid])
+    if (!threads_[tid]) {
+        // The thread's first event: it joins the GC floor and, if it
+        // is a required initial thread, no longer gates GC.
         threads_[tid] = std::make_unique<ThreadState>(tid);
+        if (tid < required_.size() && required_[tid])
+            --required_unseen_;
+    }
     return *threads_[tid];
 }
 
@@ -135,9 +144,9 @@ FastTrack::semInit(uint32_t tid, uint64_t object, uint64_t value)
     // one is ordered only by whatever else orders it (e.g. fork). The
     // initializer still publishes through the fork edge to its children,
     // so no extra clock work is needed here.
-    (void)tid;
     (void)value;
     ++stats_.sync_ops;
+    threadState(tid);
     sem_posts_[object].posts.clear();
 }
 
@@ -145,12 +154,13 @@ void
 FastTrack::semWait(uint32_t tid, uint64_t object)
 {
     ++stats_.sync_ops;
+    ThreadState &th = threadState(tid);
     SemQueue *q = sem_posts_.find(object);
     if (!q || q->posts.empty()) {
         // Consumed an initial credit: no post to order after.
         return;
     }
-    threadState(tid).clock.join(q->posts.front());
+    th.clock.join(q->posts.front());
     q->posts.erase(q->posts.begin());
 }
 
@@ -188,16 +198,20 @@ FastTrack::fork(uint32_t parent, uint32_t child)
 }
 
 void
-FastTrack::threadExit(uint32_t tid)
+FastTrack::threadExit(uint32_t tid, uint64_t tsc)
 {
     ++stats_.sync_ops;
-    exited_[tid].assign(threadState(tid).clock);
+    ThreadState &th = threadState(tid);
+    th.exited = true;
+    th.exit_tsc = tsc;
+    exited_[tid].assign(th.clock);
 }
 
 void
 FastTrack::join(uint32_t parent, uint32_t child)
 {
     ++stats_.sync_ops;
+    ThreadState &th = threadState(parent);
     const VectorClock *exit_clock = exited_.find(child);
     if (!exit_clock) {
         if (child < exit_reclaimed_.size() && exit_reclaimed_[child]) {
@@ -208,40 +222,95 @@ FastTrack::join(uint32_t parent, uint32_t child)
         warn("join of thread ", child, " with no recorded exit");
         return;
     }
-    threadState(parent).clock.join(*exit_clock);
+    th.clock.join(*exit_clock);
 }
 
-bool
-FastTrack::threadClockFloor(const std::vector<bool> &retired,
-                            VectorClock &floor) const
+void
+FastTrack::requireThread(uint32_t tid)
 {
-    bool any = false;
-    const uint32_t width = static_cast<uint32_t>(threads_.size());
+    // A tid past the epoch limit can never produce an event (threadState
+    // rejects it), so it cannot gate anything. Ignoring it keeps the
+    // bitmap within the size restoreState() accepts.
+    if (tid >= Epoch::kMaxThreads)
+        return;
+    if (tid >= required_.size())
+        required_.resize(tid + 1, false);
+    if (required_[tid])
+        return;
+    required_[tid] = true;
+    if (!(tid < threads_.size() && threads_[tid]))
+        ++required_unseen_;
+}
+
+IncrementalStats
+FastTrack::incrementalStats() const
+{
+    IncrementalStats s = inc_;
+    s.events = stats_.reads + stats_.writes + stats_.sync_ops;
+    return s;
+}
+
+void
+FastTrack::batchBoundary(uint64_t frontier_tsc)
+{
+    ++inc_.batches;
+
+    // Retire exited threads the feed has moved strictly past: ties at
+    // the frontier TSC may still have unprocessed same-TSC events of
+    // that thread in the next batch, so they stay live until then.
     for (const auto &th : threads_) {
-        if (!th)
+        if (th && th->exited && th->exit_tsc < frontier_tsc)
+            th->retired = true;
+    }
+
+    inc_.peak_live_granules =
+        std::max(inc_.peak_live_granules, uint64_t{shadow_.size()});
+    inc_.peak_live_clocks =
+        std::max(inc_.peak_live_clocks, uint64_t{exited_.size()});
+
+    if (!options_.enable_gc)
+        return;
+    const uint64_t events = incrementalStats().events;
+    if (events - events_at_last_gc_ < options_.gc_min_events)
+        return;
+    if (required_unseen_ != 0) {
+        ++inc_.gc_gated;
+        return;
+    }
+    sweep();
+    events_at_last_gc_ = events;
+}
+
+void
+FastTrack::finish()
+{
+    batchBoundary(std::numeric_limits<uint64_t>::max());
+}
+
+void
+FastTrack::sweep()
+{
+    // The floor is the pointwise minimum of every live (started, not
+    // retired) thread's clock. No live thread left means no legal
+    // future event at all (any new thread would need a fork edge from a
+    // live one, and the required initial threads have all been seen):
+    // everything is quiescent, modeled as an infinite floor.
+    const uint32_t width = static_cast<uint32_t>(threads_.size());
+    VectorClock floor;
+    for (uint32_t t = 0; t < width; ++t)
+        floor.set(t, UINT64_MAX);
+    for (const auto &th : threads_) {
+        if (!th || th->retired)
             continue;
-        if (th->tid < retired.size() && retired[th->tid])
-            continue;
-        if (!any) {
-            for (uint32_t t = 0; t < width; ++t)
-                floor.set(t, th->clock.get(t));
-            any = true;
-            continue;
-        }
         for (uint32_t t = 0; t < width; ++t) {
             const uint64_t v = th->clock.get(t);
             if (v < floor.get(t))
                 floor.set(t, v);
         }
     }
-    return any;
-}
-
-void
-FastTrack::infiniteClockFloor(VectorClock &floor) const
-{
-    for (uint32_t t = 0; t < threads_.size(); ++t)
-        floor.set(t, UINT64_MAX);
+    ++inc_.gc_sweeps;
+    inc_.granules_reclaimed += sweepQuiescentShadow(floor);
+    inc_.clocks_reclaimed += sweepExitedClocks(floor);
 }
 
 uint64_t
@@ -264,7 +333,6 @@ FastTrack::sweepQuiescentShadow(const VectorClock &floor)
     });
     for (uint64_t granule : dead)
         shadow_.erase(granule);
-    stats_.gc_granules_reclaimed += dead.size();
     return dead.size();
 }
 
@@ -282,15 +350,14 @@ FastTrack::sweepExitedClocks(const VectorClock &floor)
             exit_reclaimed_.resize(tid + 1, false);
         exit_reclaimed_[tid] = true;
     }
-    stats_.gc_clocks_reclaimed += dead.size();
     return dead.size();
 }
 
 void
 FastTrack::allocate(uint32_t tid, uint64_t addr, uint64_t size)
 {
-    (void)tid;
     ++stats_.sync_ops;
+    threadState(tid);
     alloc_sizes_[addr] = size;
     // A fresh lifetime: discard stale shadow state so accesses to the
     // previous occupant of this address cannot be paired with accesses
@@ -304,8 +371,8 @@ FastTrack::allocate(uint32_t tid, uint64_t addr, uint64_t size)
 void
 FastTrack::deallocate(uint32_t tid, uint64_t addr)
 {
-    (void)tid;
     ++stats_.sync_ops;
+    threadState(tid);
     const uint64_t *size_entry = alloc_sizes_.find(addr);
     if (!size_entry)
         return;
@@ -474,8 +541,11 @@ FastTrack::foldRepeats(const MemAccess &ma, uint64_t n)
 
 namespace {
 
-/** Detector checkpoint layout version (bump on any format change). */
-constexpr uint32_t kFastTrackStateVersion = 2;
+/**
+ * Detector checkpoint layout version (bump on any format change). An
+ * image of any other version fails to restore; the caller cold-starts.
+ */
+constexpr uint32_t kFastTrackStateVersion = 3;
 
 void
 putClock(support::ByteWriter &w, const VectorClock &clock)
@@ -567,6 +637,9 @@ FastTrack::serializeState(support::ByteWriter &w) const
             continue;
         w.u32(th->tid);
         putClock(w, th->clock);
+        w.u8(th->exited ? 1 : 0);
+        w.u64(th->exit_tsc);
+        w.u8(th->retired ? 1 : 0);
     }
 
     for (const auto *map : {&locks_, &exited_, &rw_read_}) {
@@ -630,8 +703,18 @@ FastTrack::serializeState(support::ByteWriter &w) const
     w.u64(stats_.vc_spills);
     w.u64(stats_.run_blocks_folded);
     w.u64(stats_.run_iterations_folded);
-    w.u64(stats_.gc_granules_reclaimed);
-    w.u64(stats_.gc_clocks_reclaimed);
+
+    w.u32(static_cast<uint32_t>(required_.size()));
+    for (const bool required : required_)
+        w.u8(required ? 1 : 0);
+    w.u64(inc_.batches);
+    w.u64(inc_.gc_sweeps);
+    w.u64(inc_.gc_gated);
+    w.u64(inc_.granules_reclaimed);
+    w.u64(inc_.clocks_reclaimed);
+    w.u64(inc_.peak_live_granules);
+    w.u64(inc_.peak_live_clocks);
+    w.u64(events_at_last_gc_);
 }
 
 bool
@@ -646,11 +729,18 @@ FastTrack::restoreState(support::ByteReader &r)
     const uint32_t thread_count = r.u32();
     if (thread_count > Epoch::kMaxThreads)
         return false;
-    std::vector<std::pair<uint32_t, VectorClock>> threads(thread_count);
-    for (auto &[tid, clock] : threads) {
-        tid = r.u32();
-        if (tid >= Epoch::kMaxThreads || !getClock(r, clock))
+    std::vector<ThreadState> threads;
+    threads.reserve(thread_count);
+    for (uint32_t i = 0; i < thread_count; ++i) {
+        const uint32_t tid = r.u32();
+        if (tid >= Epoch::kMaxThreads)
             return false;
+        ThreadState &th = threads.emplace_back(tid);
+        if (!getClock(r, th.clock))
+            return false;
+        th.exited = r.u8() != 0;
+        th.exit_tsc = r.u64();
+        th.retired = r.u8() != 0;
     }
 
     std::vector<std::pair<uint64_t, VectorClock>> locks, exited, rw_read;
@@ -737,16 +827,35 @@ FastTrack::restoreState(support::ByteReader &r)
     stats.vc_spills = r.u64();
     stats.run_blocks_folded = r.u64();
     stats.run_iterations_folded = r.u64();
-    stats.gc_granules_reclaimed = r.u64();
-    stats.gc_clocks_reclaimed = r.u64();
+
+    const uint32_t required_count = r.u32();
+    if (required_count > Epoch::kMaxThreads)
+        return false;
+    std::vector<bool> required(required_count);
+    for (uint32_t i = 0; i < required_count; ++i)
+        required[i] = r.u8() != 0;
+    IncrementalStats inc;
+    inc.batches = r.u64();
+    inc.gc_sweeps = r.u64();
+    inc.gc_gated = r.u64();
+    inc.granules_reclaimed = r.u64();
+    inc.clocks_reclaimed = r.u64();
+    inc.peak_live_granules = r.u64();
+    inc.peak_live_clocks = r.u64();
+    const uint64_t events_at_last_gc = r.u64();
     if (!r.ok())
         return false;
 
+    // The gate is rebuilt, not stored: threads first with no required
+    // set, then requireThread() counts the required tids not yet seen.
     threads_.clear();
-    for (auto &[tid, clock] : threads) {
-        ThreadState &th = threadState(tid);
-        th.clock = std::move(clock);
-    }
+    required_.clear();
+    required_unseen_ = 0;
+    for (ThreadState &th : threads)
+        threadState(th.tid) = std::move(th);
+    for (uint32_t tid = 0; tid < required.size(); ++tid)
+        if (required[tid])
+            requireThread(tid);
     locks_ = {};
     for (auto &[key, clock] : locks)
         locks_[key] = std::move(clock);
@@ -772,6 +881,8 @@ FastTrack::restoreState(support::ByteReader &r)
     for (const DataRace &race : races)
         report_.add(race);
     stats_ = stats;
+    inc_ = inc;
+    events_at_last_gc_ = events_at_last_gc;
     return true;
 }
 

@@ -18,6 +18,30 @@
  * malloc/free are tracked so a block freed and re-allocated at the same
  * address does not produce false races between the two objects' lifetimes
  * (paper §4.3).
+ *
+ * The same detector serves one-shot analysis of a whole trace and
+ * streaming analysis of an unbounded one. In streaming mode the caller
+ * adds batchBoundary(frontier_tsc) calls between batches of events, and
+ * the detector reclaims state that can provably never race again, so
+ * resident memory stays bounded (DESIGN.md §13.2):
+ *
+ *   - The *floor* is the pointwise minimum of every live thread's
+ *     vector clock. Shadow state at or below the floor happens-before
+ *     every possible future access, because clocks only grow and a new
+ *     thread inherits a live parent's clock at its fork edge. Sweeping
+ *     such state cannot change any future race check, so the report is
+ *     byte-identical with GC on or off.
+ *   - A thread leaves the floor only once it is *retired*: its exit
+ *     event has been processed and the feed frontier has advanced
+ *     strictly past the exit's timestamp, so no same-TSC stragglers of
+ *     that thread can still arrive.
+ *   - GC is *gated* until every expected initial thread (declared via
+ *     requireThread(), typically from the trace meta's thread table)
+ *     has produced an event or been forked. A thread that has not yet
+ *     appeared would start with a fresh low clock and could still race
+ *     with arbitrarily old state. If an expected thread never appears
+ *     (e.g. its records were lost), GC never runs and the detector
+ *     degrades to unbounded FastTrack, which is still report-identical.
  */
 
 #ifndef PRORACE_DETECT_FASTTRACK_HH
@@ -59,10 +83,6 @@ struct FastTrackStats {
     uint64_t run_blocks_folded = 0;     ///< repeated blocks absorbed whole
     uint64_t run_iterations_folded = 0; ///< events absorbed without dispatch
 
-    // Streaming-GC reclamation (zero outside incremental mode).
-    uint64_t gc_granules_reclaimed = 0; ///< quiescent shadow entries erased
-    uint64_t gc_clocks_reclaimed = 0;   ///< exited-thread clocks erased
-
     // Flat shadow-table probe behavior (filled by FastTrack::stats()).
     uint64_t shadow_slots = 0;       ///< live granules in the shadow table
     uint64_t shadow_capacity = 0;    ///< shadow-table slot count
@@ -87,14 +107,70 @@ struct FastTrackStats {
         vc_spills += other.vc_spills;
         run_blocks_folded += other.run_blocks_folded;
         run_iterations_folded += other.run_iterations_folded;
-        gc_granules_reclaimed += other.gc_granules_reclaimed;
-        gc_clocks_reclaimed += other.gc_clocks_reclaimed;
         shadow_slots += other.shadow_slots;
         shadow_capacity += other.shadow_capacity;
         shadow_lookups += other.shadow_lookups;
         shadow_probe_steps += other.shadow_probe_steps;
     }
 };
+
+/** Streaming-detection knobs (core::OfflineOptions embeds one). */
+struct IncrementalOptions {
+    /**
+     * Detect in streaming mode in the offline pipeline: batch
+     * boundaries, epoch GC and the checkpoint hooks run only when set.
+     */
+    bool enabled = false;
+
+    /**
+     * Sweep quiescent state at batch boundaries. Disable (keeping the
+     * batching) when the sync stream is known lossy: a lost spawn
+     * record could make a thread appear without a fork edge, and only
+     * an unswept table reproduces the one-shot report then.
+     */
+    bool enable_gc = true;
+
+    /** Feed events per batch between batchBoundary() calls. */
+    uint64_t batch_events = 8192;
+
+    /** Minimum events between sweeps (bounds the O(table) scan cost). */
+    uint64_t gc_min_events = 2048;
+};
+
+/** Streaming-detector observability counters. */
+struct IncrementalStats {
+    uint64_t events = 0;          ///< reads + writes + sync ops checked
+    uint64_t batches = 0;         ///< batchBoundary() calls
+    uint64_t gc_sweeps = 0;       ///< sweeps actually run
+    uint64_t gc_gated = 0;        ///< sweeps skipped: initial tids unseen
+    uint64_t granules_reclaimed = 0;
+    uint64_t clocks_reclaimed = 0;
+    uint64_t peak_live_granules = 0; ///< max shadow size at any boundary
+    uint64_t peak_live_clocks = 0;   ///< max exited-clock count likewise
+
+    void
+    merge(const IncrementalStats &other)
+    {
+        events += other.events;
+        batches += other.batches;
+        gc_sweeps += other.gc_sweeps;
+        gc_gated += other.gc_gated;
+        granules_reclaimed += other.granules_reclaimed;
+        clocks_reclaimed += other.clocks_reclaimed;
+        // Peaks are resident-memory bounds: the fleet-wide bound is the
+        // sum of the per-instance bounds (instances coexist).
+        peak_live_granules += other.peak_live_granules;
+        peak_live_clocks += other.peak_live_clocks;
+    }
+};
+
+class FastTrack;
+
+/**
+ * Old name of the streaming detector, still used by prorace_bench/;
+ * retire it when that harness next changes.
+ */
+using IncrementalFastTrack = FastTrack;
 
 /**
  * FastTrack over a pre-merged event stream.
@@ -106,7 +182,7 @@ struct FastTrackStats {
 class FastTrack
 {
   public:
-    FastTrack();
+    explicit FastTrack(const IncrementalOptions &options = {});
     ~FastTrack();
 
     // --- synchronization events ---
@@ -171,21 +247,12 @@ class FastTrack
     /** pthread_create edge parent -> child. */
     void fork(uint32_t parent, uint32_t child);
 
-    /** Thread exit: publishes the final clock for joiners. */
-    void threadExit(uint32_t tid);
-
     /**
-     * Timestamped variant with the same detector semantics; the TSC is
-     * meaningful only to streaming wrappers (IncrementalFastTrack uses
-     * it to decide when the thread has retired from the event feed), so
-     * serial and streaming detection can share one dispatch routine.
+     * Thread exit: publishes the final clock for joiners. @p tsc is the
+     * exit's feed timestamp; the streaming GC retires the thread once a
+     * batch boundary's frontier passes it.
      */
-    void
-    threadExit(uint32_t tid, uint64_t tsc)
-    {
-        (void)tsc;
-        threadExit(tid);
-    }
+    void threadExit(uint32_t tid, uint64_t tsc = 0);
 
     /** pthread_join edge child-exit -> parent. */
     void join(uint32_t parent, uint32_t child);
@@ -228,62 +295,53 @@ class FastTrack
     /** Statistics, including flat-table probe counters. */
     FastTrackStats stats() const;
 
-    /** Live shadow granules right now (cheap; no counter snapshot). */
-    uint64_t liveGranuleCount() const { return shadow_.size(); }
-
-    /** Exited-thread clocks currently held for joiners. */
-    uint64_t exitedClockCount() const { return exited_.size(); }
-
-    // --- streaming garbage collection (detect/incremental.hh) ---
-    //
-    // Shadow state whose epochs are at or below the pointwise minimum
-    // of every live thread's clock can never race again: clocks only
-    // grow, new threads inherit a live parent's clock at fork, so any
-    // future access happens-after the candidate state. Sweeping such
-    // state therefore changes no report (DESIGN.md §13.2); the wrapper
-    // is responsible for calling this only when the live-thread set is
-    // fully known (see IncrementalFastTrack's initial-thread gating).
+    // --- streaming control (DESIGN.md §13.2) ---
 
     /**
-     * Pointwise minimum of the clocks of every started thread not
-     * flagged in @p retired (indexed by tid; short vectors mean "not
-     * retired"). Returns false — leaving @p floor untouched as the
-     * all-zero clock — when no live thread exists.
+     * Declare a thread that must be seen before any GC: the gating
+     * described in the file comment. Call once per tid in the trace
+     * meta before feeding events.
      */
-    bool threadClockFloor(const std::vector<bool> &retired,
-                          VectorClock &floor) const;
+    void requireThread(uint32_t tid);
 
     /**
-     * Fill @p floor with a component above every epoch any known
-     * thread can have issued: the "everything is quiescent" floor for
-     * the no-live-threads-remain case (no legal future event exists).
+     * A batch of feed events is complete and every later event has
+     * tsc >= @p frontier_tsc: retire threads whose exit is strictly
+     * before the frontier, then sweep quiescent state if GC is
+     * enabled, ungated, and due.
      */
-    void infiniteClockFloor(VectorClock &floor) const;
+    void batchBoundary(uint64_t frontier_tsc);
 
     /**
-     * Erase shadow granules whose write epoch and read state are both
-     * at or below @p floor. Returns the number of granules reclaimed.
+     * End of stream: a final unconditional boundary (with an infinite
+     * frontier, so every exited thread retires) that settles the peak
+     * counters. The report is valid without calling this; it only
+     * completes the statistics.
      */
-    uint64_t sweepQuiescentShadow(const VectorClock &floor);
+    void finish();
 
-    /**
-     * Erase exited-thread clocks at or below @p floor. A later join of
-     * a reclaimed thread is a silent no-op (its clock was already
-     * dominated by the joiner's, so the join could not have changed
-     * anything). Returns the number of clocks reclaimed.
-     */
-    uint64_t sweepExitedClocks(const VectorClock &floor);
+    IncrementalStats incrementalStats() const;
+    const IncrementalOptions &options() const { return options_; }
+
+    /** Live shadow granules right now (memory-bound assertions). */
+    uint64_t liveGranules() const { return shadow_.size(); }
+
+    /** All required initial threads have appeared; GC may run. */
+    bool gcUngated() const { return required_unseen_ == 0; }
 
     // --- checkpoint serialization (service warm-start) ---
     //
-    // The complete behavioral state — thread clocks, lock/exit clocks,
-    // reclaim tombstones, shadow granules, allocation lifetimes, the
-    // report so far, and the behavior-neutral counters — round-trips
-    // through a byte stream. A restored detector fed the remainder of
-    // the original event feed produces a report byte-identical to one
-    // that ran uninterrupted (asserted in tests/test_recovery.cc).
-    // Tables are written key-sorted so the same state always serializes
-    // to the same bytes regardless of probe order.
+    // The complete behavioral state — thread clocks and exit/retirement
+    // marks, the GC gate, lock/exit clocks, reclaim tombstones, shadow
+    // granules, allocation lifetimes, the report so far, and the
+    // behavior-neutral counters — round-trips through one versioned
+    // byte image. A restored detector fed the remainder of the original
+    // event feed produces a report byte-identical to one that ran
+    // uninterrupted (asserted in tests/test_recovery.cc). Tables are
+    // written key-sorted so the same state always serializes to the
+    // same bytes regardless of probe order. Options are not part of the
+    // state: the restoring instance keeps its own configuration (batch
+    // pacing may then differ, which only moves GC boundaries).
 
     /** Append the full detector state to @p w. */
     void serializeState(support::ByteWriter &w) const;
@@ -330,6 +388,9 @@ class FastTrack
 
         uint32_t tid;
         VectorClock clock;
+        bool exited = false;  ///< threadExit() seen; exit_tsc is valid
+        bool retired = false; ///< exited, and the frontier passed exit_tsc
+        uint64_t exit_tsc = 0;
 
         uint64_t epochClock() const { return clock.get(tid); }
         Epoch epoch() const { return Epoch(tid, epochClock()); }
@@ -341,8 +402,17 @@ class FastTrack
         }
     };
 
+    /**
+     * The state of @p tid, created on its first event. Every event
+     * method calls this for the thread it names, even where it needs
+     * no clock: creation marks the thread seen for the GC gate and puts
+     * it in the GC floor, and the two must never disagree.
+     */
     ThreadState &threadState(uint32_t tid);
     VectorClock &lockClock(uint64_t object);
+    void sweep();
+    uint64_t sweepQuiescentShadow(const VectorClock &floor);
+    uint64_t sweepExitedClocks(const VectorClock &floor);
     void checkRead(VarState &var, const MemAccess &ma, ThreadState &th);
     void checkWrite(VarState &var, const MemAccess &ma, ThreadState &th);
     void reportRace(const VarState &var, bool prior_is_write,
@@ -365,6 +435,13 @@ class FastTrack
     FlatMap<uint64_t> alloc_sizes_;
     RaceReport report_;
     FastTrackStats stats_;
+
+    // Streaming bookkeeping.
+    IncrementalOptions options_;
+    IncrementalStats inc_;       ///< events is filled on read
+    std::vector<bool> required_; ///< tids gating GC
+    uint64_t required_unseen_ = 0;
+    uint64_t events_at_last_gc_ = 0;
 };
 
 } // namespace prorace::detect

@@ -408,7 +408,7 @@ AnalysisService::analyzeSession(std::shared_ptr<SessionState> session)
                 }
                 opts.checkpoint.on_boundary =
                     [&](uint64_t cursor, uint64_t total,
-                        detect::IncrementalFastTrack &detector) {
+                        detect::FastTrack &detector) {
                         support::ByteWriter w;
                         detector.serializeState(w);
                         if (writeCheckpointFile(

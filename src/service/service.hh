@@ -9,7 +9,7 @@
  * each session's byte stream with a trace::TraceReader cursor, and on
  * close hands the ingested trace to the offline pipeline on the
  * work-stealing executor, with streaming detection
- * (detect::IncrementalFastTrack) so detector memory stays bounded on
+ * (detect::FastTrack with epoch GC) so detector memory stays bounded on
  * long traces. Finished reports fold into the cross-tenant ReportStore.
  *
  * Two mechanisms bound resident memory regardless of producer count or

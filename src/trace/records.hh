@@ -20,6 +20,14 @@
 namespace prorace::trace {
 
 /**
+ * Thread ids a trace may name. The detector packs a tid into 10 epoch
+ * bits (detect::Epoch::kMaxThreads); the decoder treats records and
+ * thread tables naming a larger tid as corrupt, so no trace can reach
+ * the detector with one.
+ */
+constexpr uint32_t kMaxThreads = 1024;
+
+/**
  * One PEBS sample: the sampled instruction, its data address, the TSC,
  * and the complete register file captured *before* the instruction
  * executes (the state the replayer restores).

@@ -542,6 +542,8 @@ decodePebsChunk(const uint8_t *data, size_t size,
         PebsRecord rec;
         rec.tid = static_cast<uint32_t>(
             applyDelta(p.prev_tid, col[kColTid].varint()));
+        if (rec.tid >= kMaxThreads)
+            return false; // salvage drops the segment
         PebsPredictor::PerTid &pt = p.per_tid[rec.tid];
         rec.core = static_cast<uint32_t>(
             applyDelta(p.prev_core, col[kColCore].varint()));
@@ -690,15 +692,20 @@ decodeSyncChunk(const uint8_t *data, size_t size,
             applyDelta(p.prev_tid, col[kColSyncTid].varint()));
         SyncPredictor::PerTid &pt = p.per_tid[s.tid];
         const uint8_t kind_raw = col[kColSyncKind].u8();
-        if (kind_raw > vm::kMaxSyncKind) {
-            // A corrupt kind byte would otherwise dispatch as garbage;
-            // dropping the segment routes the loss through salvage,
-            // which disables epoch GC for the affected window.
+        // A corrupt kind byte would otherwise dispatch as garbage, and a
+        // tid past the limit would reach the detector; dropping the
+        // segment routes the loss through salvage, which disables epoch
+        // GC for the affected window.
+        if (kind_raw > vm::kMaxSyncKind || s.tid >= kMaxThreads)
             return false;
-        }
         s.kind = static_cast<vm::SyncKind>(kind_raw);
         s.object = applyDelta(pt.object, col[kColSyncObject].varint());
         s.aux = applyDelta(pt.aux, col[kColSyncAux].varint());
+        // Spawn and join name the child thread in aux.
+        if ((s.kind == vm::SyncKind::kSpawn ||
+             s.kind == vm::SyncKind::kJoin) &&
+            s.aux >= kMaxThreads)
+            return false;
         s.tsc = applyDelta(p.prev_tsc, col[kColSyncTsc].varint());
         s.insn_index = static_cast<uint32_t>(
             applyDelta(pt.insn_index, col[kColSyncInsn].varint()));
@@ -780,7 +787,8 @@ serializeMeta(const RunTrace &trace, const CompressionStats &cs)
 
 /**
  * Parse a meta payload. Returns false (leaving the outputs partially
- * filled) when the payload is short or its counts point past its end.
+ * filled) when the payload is short, its counts point past its end, or
+ * its thread table names a tid of kMaxThreads or more.
  */
 bool
 parseMeta(const std::vector<uint8_t> &payload, TraceMeta &m,
@@ -811,6 +819,8 @@ parseMeta(const std::vector<uint8_t> &payload, TraceMeta &m,
         ThreadMeta t;
         t.tid = r.u32();
         t.entry_index = r.u32();
+        if (t.tid >= kMaxThreads)
+            return false;
         m.threads.push_back(t);
     }
     expected_pebs = r.u64();

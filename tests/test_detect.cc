@@ -10,7 +10,6 @@
 
 #include "detect/fasttrack.hh"
 #include "detect/fasttrack_ref.hh"
-#include "detect/incremental.hh"
 #include "detect/report.hh"
 #include "detect/vector_clock.hh"
 #include "support/journal.hh"
@@ -555,12 +554,16 @@ TEST(FastTrack, RestoreRejectsTruncatedSemSection)
     EXPECT_EQ(b.stats().writes, 1u);
 }
 
-/** One randomized event over the full sync vocabulary. */
+/**
+ * One randomized event over the full sync vocabulary, by one of threads
+ * 0 .. @p threads - 1.
+ */
 template <typename Detector>
 void
-applyRandomEvent(Detector &ft, std::mt19937_64 &rng, uint64_t tsc)
+applyRandomEvent(Detector &ft, std::mt19937_64 &rng, uint64_t tsc,
+                 uint32_t threads = 4)
 {
-    const uint32_t tid = static_cast<uint32_t>(rng() % 4);
+    const uint32_t tid = static_cast<uint32_t>(rng() % threads);
     const uint64_t obj = 0xa000 + (rng() % 3) * 0x100;
     const uint64_t addr = 0x1000 + (rng() % 6) * 8;
     switch (rng() % 14) {
@@ -629,30 +632,70 @@ TEST(Differential, IncrementalMatchesOneShotOnRandomSyncStreams)
 {
     // Streaming with batch boundaries and epoch GC enabled must be
     // report-identical to one-shot analysis of the same events.
+    //
+    // In the late-start variants, required thread 3 has no fork edge
+    // and stays silent for the first boundaries; its first event is a
+    // malloc or a free, and a boundary follows at once. GC must stay
+    // gated until then, and from then on thread 3's fresh clock must
+    // hold the floor down: a probe write by thread 0 that threads 1 and
+    // 2 have synchronized with must survive that boundary's sweep,
+    // because thread 3's next write races with it.
+    enum class Start { kForked, kLateMalloc, kLateFree };
+    constexpr uint64_t kLateStep = 1500;
+    constexpr uint64_t kProbeAddr = 0x7000;
+    constexpr uint64_t kProbeLock = 0xf000;
     for (uint64_t seed : testutil::testSeeds({111ull, 222ull})) {
-        PRORACE_SEED_TRACE(seed);
-        IncrementalOptions opts;
-        opts.enable_gc = true;
-        opts.gc_min_events = 256;
-        IncrementalFastTrack inc(opts);
-        FastTrack oneshot;
-        for (uint32_t t = 0; t < 4; ++t)
-            inc.requireThread(t);
-        for (uint32_t t = 1; t < 4; ++t) {
-            inc.fork(0, t);
-            oneshot.fork(0, t);
+        for (const Start start :
+             {Start::kForked, Start::kLateMalloc, Start::kLateFree}) {
+            PRORACE_SEED_TRACE(seed);
+            const bool late = start != Start::kForked;
+            IncrementalOptions opts;
+            opts.enable_gc = true;
+            opts.gc_min_events = 256;
+            FastTrack inc(opts);
+            FastTrack oneshot;
+            for (uint32_t t = 0; t < 4; ++t)
+                inc.requireThread(t);
+            for (uint32_t t = 1; t < (late ? 3u : 4u); ++t) {
+                inc.fork(0, t);
+                oneshot.fork(0, t);
+            }
+            std::mt19937_64 rng(seed);
+            for (uint64_t i = 0; i < 4000; ++i) {
+                if (late && i == kLateStep) {
+                    EXPECT_FALSE(inc.gcUngated());
+                    EXPECT_GT(inc.incrementalStats().gc_gated, 0u);
+                    for (FastTrack *ft : {&inc, &oneshot}) {
+                        ft->access(acc(0, kProbeAddr, true, 101));
+                        ft->release(0, kProbeLock);
+                        ft->acquire(1, kProbeLock);
+                        ft->acquire(2, kProbeLock);
+                        if (start == Start::kLateMalloc)
+                            ft->allocate(3, 0x8000, 16);
+                        else
+                            ft->deallocate(3, 0x8000);
+                    }
+                    EXPECT_TRUE(inc.gcUngated());
+                    inc.batchBoundary(i);
+                    for (FastTrack *ft : {&inc, &oneshot})
+                        ft->access(acc(3, kProbeAddr, true, 100));
+                    EXPECT_TRUE(oneshot.report().containsPair(101, 100));
+                    EXPECT_TRUE(inc.report().containsPair(101, 100));
+                }
+                const uint32_t threads = late && i < kLateStep ? 3 : 4;
+                std::mt19937_64 fork_a = rng;
+                applyRandomEvent(inc, fork_a, i, threads);
+                applyRandomEvent(oneshot, rng, i, threads);
+                if (i % 512 == 511)
+                    inc.batchBoundary(i + 1);
+            }
+            inc.finish();
+            EXPECT_GT(inc.incrementalStats().gc_sweeps, 0u);
+            EXPECT_EQ(reportPairs(inc.report()),
+                      reportPairs(oneshot.report()))
+                << "seed " << seed << " start "
+                << static_cast<int>(start);
         }
-        std::mt19937_64 rng(seed);
-        for (uint64_t i = 0; i < 4000; ++i) {
-            std::mt19937_64 fork_a = rng;
-            applyRandomEvent(inc, fork_a, i);
-            applyRandomEvent(oneshot, rng, i);
-            if (i % 512 == 511)
-                inc.batchBoundary(i + 1);
-        }
-        inc.finish();
-        EXPECT_EQ(reportPairs(inc.report()), reportPairs(oneshot.report()))
-            << "seed " << seed;
     }
 }
 

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -19,6 +20,7 @@
 #include "core/pipeline.hh"
 #include "fault_injection.hh"
 #include "pmu/pt_decode.hh"
+#include "service/service.hh"
 #include "trace/trace_file.hh"
 #include "workload/racybugs.hh"
 
@@ -306,6 +308,90 @@ TEST(FaultTolerance, AnalyzeFileSurfacesErrorsAndLoss)
     auto missing = analyzer.analyzeFile("/nonexistent/trace.bin");
     ASSERT_FALSE(missing.ok());
     EXPECT_EQ(missing.error().kind, trace::TraceErrorKind::kIo);
+}
+
+
+TEST(FaultTolerance, HostileThreadIdsNeverReachTheDetector)
+{
+    // CRC-valid traces written by the real v5 writer whose records or
+    // thread table name tids past the detector's epoch limit. Reaching
+    // the detector, such a tid aborts the process (or sizes the GC gate
+    // bitmap by the tid).
+    const TracedBug &tb = smallTrace();
+    auto loaded = trace::readTrace(tb.bytes);
+    ASSERT_TRUE(loaded.ok());
+    const trace::RunTrace &clean = loaded.value().trace;
+    ASSERT_FALSE(clean.pebs.empty());
+    ASSERT_FALSE(clean.sync.empty());
+
+    // Bad PEBS and sync records: their segments are salvaged away.
+    std::vector<trace::RunTrace> bad_records(3, clean);
+    trace::PebsRecord pebs = clean.pebs.back();
+    pebs.tid = trace::kMaxThreads;
+    bad_records[0].pebs.push_back(pebs);
+    trace::SyncRecord sync = clean.sync.back();
+    sync.tid = 0xFFFFFFFFu;
+    bad_records[1].sync.push_back(sync);
+    sync.tid = 0;
+    sync.kind = vm::SyncKind::kSpawn;
+    sync.aux = trace::kMaxThreads + 1; // the spawned child's tid
+    bad_records[2].sync.push_back(sync);
+
+    // A bad thread table: the meta segment is corrupt.
+    trace::RunTrace bad_meta = clean;
+    bad_meta.meta.threads.push_back({0xFFFFFFF0u, 0});
+
+    const std::string path = "/tmp/prorace_hostile_tid.trace";
+    core::OfflineAnalyzer analyzer(*tb.workload.program, tb.cfg.offline);
+    for (size_t i = 0; i < bad_records.size(); ++i) {
+        trace::saveTrace(bad_records[i], path);
+        auto salvaged = analyzer.analyzeFile(path);
+        ASSERT_TRUE(salvaged.ok()) << i << ": "
+                                   << salvaged.error().format();
+        const trace::SegmentLoss &loss = salvaged.value().ingest_loss;
+        EXPECT_EQ(loss.segments_dropped, 1u) << i;
+        EXPECT_GT(i == 0 ? loss.pebs_dropped : loss.sync_dropped, 0u)
+            << i;
+    }
+
+    trace::saveTrace(bad_meta, path);
+    auto rejected = analyzer.analyzeFile(path);
+    ASSERT_FALSE(rejected.ok());
+    EXPECT_EQ(rejected.error().kind, trace::TraceErrorKind::kCorruptMeta);
+    std::remove(path.c_str());
+
+    // The same bytes through the service: the bad-record session
+    // completes degraded, the bad-meta session fails alone, and a clean
+    // session alongside them is unaffected.
+    service::ServiceOptions options;
+    options.num_workers = 1;
+    options.offline.pt_filter = tb.workload.pt_filter;
+    service::AnalysisService svc(options);
+    svc.registerProgram("pfscan", tb.workload.program);
+    const std::vector<std::vector<uint8_t>> streams = {
+        trace::serializeTrace(bad_records[2]),
+        trace::serializeTrace(bad_meta), tb.bytes};
+    for (const std::vector<uint8_t> &bytes : streams) {
+        const uint64_t id = svc.openSession("tenant", "pfscan");
+        ASSERT_NE(id, 0u);
+        svc.submit(id, bytes);
+        svc.closeSession(id);
+    }
+    svc.drain();
+    std::vector<service::SessionOutcome> outcomes = svc.outcomes();
+    ASSERT_EQ(outcomes.size(), 3u);
+    std::sort(outcomes.begin(), outcomes.end(),
+              [](const auto &a, const auto &b) {
+                  return a.session_id < b.session_id;
+              });
+    EXPECT_TRUE(outcomes[0].ok) << outcomes[0].error;
+    EXPECT_GT(outcomes[0].loss.segments_dropped, 0u);
+    EXPECT_FALSE(outcomes[1].ok);
+    EXPECT_NE(outcomes[1].error.find("meta"), std::string::npos)
+        << outcomes[1].error;
+    EXPECT_TRUE(outcomes[2].ok) << outcomes[2].error;
+    EXPECT_FALSE(outcomes[2].loss.hasLoss());
+    svc.shutdown();
 }
 
 } // namespace

@@ -264,7 +264,7 @@ analyzeWithHooks(const Program &program, const trace::RunTrace &run,
     opt.checkpoint.tick = [&seen] { ++seen.ticks; };
     opt.checkpoint.on_boundary =
         [&seen](uint64_t cursor, uint64_t total,
-                 detect::IncrementalFastTrack &detector) {
+                 detect::FastTrack &detector) {
             support::ByteWriter writer;
             detector.serializeState(writer);
             seen.boundaries.emplace_back(cursor, total);

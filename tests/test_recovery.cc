@@ -19,12 +19,13 @@
 #include <vector>
 
 #include "core/pipeline.hh"
-#include "detect/incremental.hh"
+#include "detect/fasttrack.hh"
 #include "fault_injection.hh"
 #include "oracle/generator.hh"
 #include "service/fleet.hh"
 #include "service/report_store.hh"
 #include "service/service.hh"
+#include "support/crc32.hh"
 #include "support/journal.hh"
 #include "support/rng.hh"
 #include "testutil.hh"
@@ -478,7 +479,7 @@ expectCheckpointIdentity(const asmkit::Program &program,
     core::OfflineOptions capture = streaming;
     capture.checkpoint.on_boundary =
         [&](uint64_t cursor, uint64_t total,
-            detect::IncrementalFastTrack &detector) {
+            detect::FastTrack &detector) {
             ByteWriter w;
             detector.serializeState(w);
             checkpoints.push_back({cursor, total, w.take()});
@@ -629,7 +630,7 @@ TEST(CheckpointRestore, RwSharedAndSemStateSurviveGcBoundary)
     options.gc_min_events = 0; // sweep at every boundary
     for (uint64_t seed : testutil::testSeeds({401ull, 409ull, 419ull})) {
         PRORACE_SEED_TRACE(seed);
-        detect::IncrementalFastTrack a(options);
+        detect::FastTrack a(options);
         for (uint32_t t = 0; t < 4; ++t)
             a.requireThread(t);
         for (uint32_t t = 1; t < 4; ++t)
@@ -654,7 +655,7 @@ TEST(CheckpointRestore, RwSharedAndSemStateSurviveGcBoundary)
 
         ByteWriter w;
         a.serializeState(w);
-        detect::IncrementalFastTrack b(options);
+        detect::FastTrack b(options);
         ByteReader r(w.bytes());
         ASSERT_TRUE(b.restoreState(r)) << "seed " << seed;
 
@@ -669,7 +670,7 @@ TEST(CheckpointRestore, RwSharedAndSemStateSurviveGcBoundary)
             const uint32_t insn =
                 8 + static_cast<uint32_t>(rng.below(48));
             const bool is_write = rng.below(2) == 0;
-            for (detect::IncrementalFastTrack *ft : {&a, &b}) {
+            for (detect::FastTrack *ft : {&a, &b}) {
                 switch (op) {
                   case 0: ft->readLock(tid, obj); break;
                   case 1: ft->readUnlock(tid, obj); break;
@@ -711,7 +712,7 @@ TEST(CheckpointRestore, SerializedStateRoundTripsByteIdentically)
     detect::IncrementalOptions options;
     options.enabled = true;
     options.gc_min_events = 0;
-    detect::IncrementalFastTrack a(options);
+    detect::FastTrack a(options);
     a.requireThread(0);
     a.requireThread(1);
     a.fork(0, 1);
@@ -729,7 +730,7 @@ TEST(CheckpointRestore, SerializedStateRoundTripsByteIdentically)
     ByteWriter w1;
     a.serializeState(w1);
 
-    detect::IncrementalFastTrack b(options);
+    detect::FastTrack b(options);
     ByteReader r(w1.bytes());
     ASSERT_TRUE(b.restoreState(r));
     ByteWriter w2;
@@ -745,7 +746,7 @@ TEST(CheckpointRestore, SerializedStateRoundTripsByteIdentically)
     EXPECT_EQ(w1.bytes(), w3.bytes());
 
     // Both detectors see the same continuation and report identically.
-    for (detect::IncrementalFastTrack *ft : {&a, &b}) {
+    for (detect::FastTrack *ft : {&a, &b}) {
         detect::MemAccess racy;
         racy.tid = 0;
         racy.addr = 0x3000;
@@ -760,6 +761,75 @@ TEST(CheckpointRestore, SerializedStateRoundTripsByteIdentically)
         ft->finish();
     }
     EXPECT_EQ(a.report().format(nullptr), b.report().format(nullptr));
+}
+
+/**
+ * A detector image in the layout used before the streaming bookkeeping
+ * moved into FastTrack: a version-1 wrapper header (GC counters; seen,
+ * required and retired bitmaps; exit TSCs; gate counters) in front of a
+ * version-2 core image, here of an empty detector that requires
+ * thread 0 and has seen it. Sets @p core_offset to where the core
+ * image starts.
+ */
+std::vector<uint8_t>
+legacyWrapperImage(size_t &core_offset)
+{
+    ByteWriter w;
+    w.u32(1); // wrapper layout version
+    for (int i = 0; i < 8; ++i)
+        w.u64(0); // events, batches, sweeps, gated, reclaimed x2, peaks
+    for (int i = 0; i < 3; ++i) {
+        w.u32(1); // seen, required, retired: one tid each
+        w.u8(i < 2 ? 1 : 0);
+    }
+    w.u32(0); // exit TSCs
+    w.u64(0); // required_unseen
+    w.u64(0); // events_at_last_gc
+    w.u8(0);  // exited_pending
+    core_offset = w.bytes().size();
+    w.u32(2); // core layout version
+    // Threads, lock/exit/rwlock-read clocks, semaphores, reclaim marks,
+    // shadow, allocations, races: all empty.
+    for (int i = 0; i < 9; ++i)
+        w.u32(0);
+    for (int i = 0; i < 10; ++i)
+        w.u64(0); // detector counters
+    return w.take();
+}
+
+TEST(CheckpointRestore, PreviousLayoutImageIsRejectedUnchanged)
+{
+    detect::IncrementalOptions options;
+    options.enabled = true;
+    options.gc_min_events = 0;
+    detect::FastTrack ft(options);
+    ft.requireThread(0);
+    ft.requireThread(1);
+    ft.fork(0, 1);
+    detect::MemAccess ma;
+    ma.tid = 1;
+    ma.addr = 0x2000;
+    ma.is_write = true;
+    ma.insn_index = 2;
+    ma.tsc = 11;
+    ft.access(ma);
+    ft.threadExit(1, 12);
+    ft.batchBoundary(50);
+    ByteWriter before;
+    ft.serializeState(before);
+
+    // Neither the old wrapper image nor the old core image inside it
+    // restores, and a failed restore changes nothing.
+    size_t core_offset = 0;
+    const std::vector<uint8_t> legacy = legacyWrapperImage(core_offset);
+    ByteReader wrapper(legacy);
+    EXPECT_FALSE(ft.restoreState(wrapper));
+    ByteReader core(legacy.data() + core_offset,
+                    legacy.size() - core_offset);
+    EXPECT_FALSE(ft.restoreState(core));
+    ByteWriter after;
+    ft.serializeState(after);
+    EXPECT_EQ(before.bytes(), after.bytes());
 }
 
 // ---------------------------------------------------------------------
@@ -877,6 +947,77 @@ TEST(ServiceRecovery, RestartRecoversStoreAndWarmStartsResubmission)
     // Both observations of every race are now in the recovered store.
     for (const service::StoredRace &row : svc.store().query())
         EXPECT_EQ(row.observations, 2u);
+    svc.shutdown();
+}
+
+TEST(ServiceRecovery, PreviousLayoutCheckpointColdStarts)
+{
+    // A checkpoint file written before the detector image changed
+    // layout: the file frame and stream identity still match, but the
+    // detector image inside is the old wrapper layout. The resubmitted
+    // session must cold-start and report exactly what a cold run does.
+    const uint64_t seed = testutil::testSeed(85);
+    PRORACE_SEED_TRACE(seed);
+    TempDir dir("svc-legacy-ckpt");
+    const Recorded rec = recordWorkload("aget-bug2", 0.3, 8, seed);
+
+    std::string expected_report;
+    {
+        service::AnalysisService svc(
+            durableOptions(dir.path, rec.filter));
+        svc.registerProgram("aget-bug2", rec.program);
+        const uint64_t id = svc.openSession("tenant-a", "aget-bug2");
+        ASSERT_NE(id, 0u);
+        streamSession(svc, id, rec.bytes);
+        svc.drain();
+        const auto outcomes = svc.outcomes();
+        ASSERT_EQ(outcomes.size(), 1u);
+        ASSERT_TRUE(outcomes[0].ok) << outcomes[0].error;
+        ASSERT_GT(outcomes[0].checkpoints_written, 0u);
+        expected_report = outcomes[0].report.format(rec.program.get());
+        svc.shutdown();
+    }
+
+    // Swap the detector image for the old layout, keeping the rest of
+    // the file (magic, version, stream identity, cursor) and a valid
+    // trailing CRC.
+    std::vector<std::string> files;
+    for (const auto &entry : std::filesystem::directory_iterator(
+             dir.path + "/checkpoints"))
+        files.push_back(entry.path().string());
+    ASSERT_EQ(files.size(), 1u);
+    const std::vector<uint8_t> file = readFile(files[0]);
+    ASSERT_GT(file.size(), 4u);
+    ByteReader r(file.data(), file.size() - 4);
+    ByteWriter w;
+    w.u32(r.u32()); // magic
+    w.u32(r.u32()); // file version
+    w.str(r.str()); // tenant
+    w.str(r.str()); // program
+    w.u64(r.u64()); // stream bytes
+    w.u32(r.u32()); // stream CRC
+    w.u64(r.u64()); // feed cursor
+    w.u64(r.u64()); // feed total
+    r.blob();
+    ASSERT_TRUE(r.ok());
+    size_t core_offset = 0;
+    w.blob(legacyWrapperImage(core_offset));
+    w.u32(crc32(w.bytes().data(), w.bytes().size()));
+    writeFile(files[0], w.bytes());
+
+    service::AnalysisService svc(durableOptions(dir.path, rec.filter));
+    svc.registerProgram("aget-bug2", rec.program);
+    const uint64_t id = svc.openSession("tenant-a", "aget-bug2");
+    ASSERT_NE(id, 0u);
+    streamSession(svc, id, rec.bytes);
+    svc.drain();
+    const auto outcomes = svc.outcomes();
+    ASSERT_EQ(outcomes.size(), 1u);
+    EXPECT_TRUE(outcomes[0].ok) << outcomes[0].error;
+    EXPECT_FALSE(outcomes[0].warm_started);
+    EXPECT_EQ(outcomes[0].report.format(rec.program.get()),
+              expected_report);
+    EXPECT_EQ(svc.tenantStats().at("tenant-a").warm_starts, 0u);
     svc.shutdown();
 }
 

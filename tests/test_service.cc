@@ -13,7 +13,7 @@
 #include <thread>
 
 #include "core/pipeline.hh"
-#include "detect/incremental.hh"
+#include "detect/fasttrack.hh"
 #include "oracle/generator.hh"
 #include "service/fleet.hh"
 #include "service/ingest.hh"
@@ -26,7 +26,7 @@
 namespace prorace {
 namespace {
 
-using detect::IncrementalFastTrack;
+using detect::FastTrack;
 using detect::IncrementalOptions;
 using detect::MemAccess;
 
@@ -129,7 +129,7 @@ eagerGc()
 
 TEST(EpochGc, QuiescentStateIsReclaimed)
 {
-    IncrementalFastTrack ft(eagerGc());
+    FastTrack ft(eagerGc());
     ft.requireThread(0);
     ft.requireThread(1);
 
@@ -154,7 +154,7 @@ TEST(EpochGc, QuiescentStateIsReclaimed)
 
 TEST(EpochGc, UnsynchronizedStateSurvivesSweep)
 {
-    IncrementalFastTrack ft(eagerGc());
+    FastTrack ft(eagerGc());
     ft.requireThread(0);
     ft.requireThread(1);
 
@@ -172,7 +172,7 @@ TEST(EpochGc, UnsynchronizedStateSurvivesSweep)
 
 TEST(EpochGc, GatedUntilRequiredThreadsAppear)
 {
-    IncrementalFastTrack ft(eagerGc());
+    FastTrack ft(eagerGc());
     ft.requireThread(0);
     ft.requireThread(7); // never produces an event
 
@@ -187,11 +187,11 @@ TEST(EpochGc, GatedUntilRequiredThreadsAppear)
 TEST(EpochGc, NoResurrectionAfterExitReclaim)
 {
     IncrementalOptions options = eagerGc();
-    IncrementalFastTrack gc(options);
+    FastTrack gc(options);
     options.enable_gc = false;
-    IncrementalFastTrack raw(options);
+    FastTrack raw(options);
 
-    for (IncrementalFastTrack *ft : {&gc, &raw}) {
+    for (FastTrack *ft : {&gc, &raw}) {
         ft->requireThread(0);
         ft->requireThread(1);
         ft->fork(0, 1);
@@ -211,7 +211,7 @@ TEST(EpochGc, NoResurrectionAfterExitReclaim)
     // no-op (the unswept detector joins harmlessly again); later
     // accesses must behave identically: no spurious race from swept
     // state, no missed race.
-    for (IncrementalFastTrack *ft : {&gc, &raw}) {
+    for (FastTrack *ft : {&gc, &raw}) {
         ft->join(0, 1);
         ft->access(access(0, 0x2000, false, 3, 60));
         ft->access(access(0, 0x2000, true, 4, 61));
@@ -223,7 +223,7 @@ TEST(EpochGc, NoResurrectionAfterExitReclaim)
 
 TEST(EpochGc, ExitTiesAtFrontierStayLive)
 {
-    IncrementalFastTrack ft(eagerGc());
+    FastTrack ft(eagerGc());
     ft.requireThread(0);
     ft.requireThread(1);
     // t0 writes after the fork, so t1 never observed the write: only

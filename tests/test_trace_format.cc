@@ -20,7 +20,6 @@
 #include "core/offline.hh"
 #include "core/pipeline.hh"
 #include "detect/fasttrack.hh"
-#include "detect/incremental.hh"
 #include "fault_injection.hh"
 #include "oracle/generator.hh"
 #include "support/crc32.hh"
@@ -124,7 +123,11 @@ randomTrace(uint64_t seed, size_t pebs_records = 900,
         s.kind = static_cast<SyncKind>(rng.below(vm::kMaxSyncKind + 1ull));
         s.object = rng.chance(0.7) ? 0x9000 + 16 * rng.below(8)
                                    : rng.next();
-        s.aux = rng.below(1u << 20);
+        // Spawn and join name a thread in aux, which the decoder checks
+        // against the thread limit like any tid.
+        const bool names_thread =
+            s.kind == SyncKind::kSpawn || s.kind == SyncKind::kJoin;
+        s.aux = rng.below(names_thread ? trace::kMaxThreads : 1u << 20);
         s.tsc = stsc;
         s.insn_index = static_cast<uint32_t>(rng.below(5000));
         t.sync.push_back(s);
@@ -656,7 +659,7 @@ TEST(RunSummary, IncrementalDetectorFoldsAndMatchesOneShot)
         detect::IncrementalOptions opts;
         opts.enabled = true;
         opts.batch_events = 4; // force many batch boundaries mid-run
-        detect::IncrementalFastTrack inc(opts);
+        detect::FastTrack inc(opts);
         for (const trace::ThreadMeta &tm : run.meta.threads)
             inc.requireThread(tm.tid);
         core::detail::detectRacesIncremental(run, alignments, accesses,
