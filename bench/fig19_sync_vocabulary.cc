@@ -15,8 +15,8 @@
  *   - the all-clean-families workload reports nothing at period 1
  *   - clean archetypes report nothing; the racy MPMC variant's two
  *     planted bugs are both detected at period 1
- *   - serial/parallel and folded/unfolded reports are byte-identical
- *     on a sync-heavy subject
+ *   - serial and parallel reports are byte-identical on a sync-heavy
+ *     subject
  * Exit status 1 on any violation, so the Release perf job gates on it.
  *
  * `--json <path>` writes per-trial JSONL rows.
@@ -218,8 +218,8 @@ archetypeThroughput(bench::JsonReporter &json)
 bool
 reportIdentity()
 {
-    // Serial vs parallel and folded vs unfolded on a subject that uses
-    // every new primitive at once.
+    // Serial vs parallel on a subject that uses every new primitive at
+    // once.
     oracle::GeneratorConfig cfg;
     cfg.seed = 41;
     cfg.threads = 4;
@@ -238,28 +238,22 @@ reportIdentity()
     std::string baseline;
     bool ok = true;
     for (const unsigned jobs : {0u, 3u}) {
-        for (const bool folded : {true, false}) {
-            core::OfflineOptions opt = pc.offline;
-            opt.num_threads = jobs;
-            opt.run_summary = folded;
-            core::OfflineAnalyzer analyzer(*gw.workload.program, opt);
-            const std::string report =
-                analyzer.analyze(run.trace).report.format(prog);
-            if (baseline.empty())
-                baseline = report;
-            else if (report != baseline) {
-                std::fprintf(stderr,
-                             "FAIL: jobs=%u folded=%d report diverged "
-                             "on %s\n",
-                             jobs, int(folded),
-                             gw.workload.name.c_str());
-                ok = false;
-            }
+        core::OfflineOptions opt = pc.offline;
+        opt.num_threads = jobs;
+        core::OfflineAnalyzer analyzer(*gw.workload.program, opt);
+        const std::string report =
+            analyzer.analyze(run.trace).report.format(prog);
+        if (baseline.empty()) {
+            baseline = report;
+        } else if (report != baseline) {
+            std::fprintf(stderr, "FAIL: jobs=%u report diverged on %s\n",
+                         jobs, gw.workload.name.c_str());
+            ok = false;
         }
     }
     if (ok)
-        std::printf("\nserial/parallel x folded/unfolded identity: OK "
-                    "(%s)\n", gw.workload.name.c_str());
+        std::printf("\nserial/parallel identity: OK (%s)\n",
+                    gw.workload.name.c_str());
     return ok;
 }
 

@@ -93,7 +93,6 @@ struct Args {
     bool stats = false;        ///< dump shadow-structure counters
     bool no_prefilter = false; ///< disable the static access prefilter
     bool no_pointsto = false;  ///< disable the Andersen points-to layer
-    bool no_run_summary = false; ///< dispatch folded runs one by one
 
     // Fleet-service knobs (serve / submit commands).
     unsigned producers = 4;
@@ -206,11 +205,6 @@ printShadowStats(const core::OfflineResult &result)
                 static_cast<unsigned long long>(ft.epoch_fast_path),
                 static_cast<unsigned long long>(ft.read_shares),
                 static_cast<unsigned long long>(ft.vc_spills));
-    std::printf("run summary: %llu blocks folded, %llu iterations "
-                "folded\n",
-                static_cast<unsigned long long>(ft.run_blocks_folded),
-                static_cast<unsigned long long>(
-                    ft.run_iterations_folded));
 
     const trace::CompressionStats &cm = result.compression;
     if (cm.pebs_raw_bytes || cm.sync_raw_bytes) {
@@ -239,19 +233,19 @@ usage()
                  " [--seed N] [--driver prorace|vanilla] [--scale X]\n"
                  "       prorace_cli analyze <workload> <file> [--racez]"
                  " [--scale X] [--jobs N] [--stats] [--no-prefilter]"
-                 " [--no-pointsto] [--no-run-summary]\n"
+                 " [--no-pointsto]\n"
                  "       prorace_cli run <workload> [--period N]"
                  " [--seed N] [--scale X] [--jobs N] [--stats]"
-                 " [--no-prefilter] [--no-pointsto] [--no-run-summary]\n"
+                 " [--no-prefilter] [--no-pointsto]\n"
                  "       prorace_cli oracle [--count K] [--period N]"
-                 " [--seed N] [--jobs N] [--sync] [--no-run-summary]\n"
+                 " [--seed N] [--jobs N] [--sync]\n"
                  "       prorace_cli static-report <workload>"
                  " [--scale X] [--no-pointsto]\n"
                  "       prorace_cli serve [--producers N] [--sessions "
                  "N] [--workers N] [--slots N] [--credit BYTES] "
                  "[--shed] [--chunk BYTES] [--subjects a,b,c]"
                  " [--scale X] [--period N] [--seed N] [--stats]"
-                 " [--no-run-summary] [--state-dir DIR] [--poison N]"
+                 " [--state-dir DIR] [--poison N]"
                  " [--deadline SECS]\n"
                  "       prorace_cli submit <workload> <trace-file>"
                  " [--tenant NAME] [--chunk BYTES] [--scale X]"
@@ -280,11 +274,7 @@ usage()
                  "--no-pointsto disables the Andersen points-to layer "
                  "(heap-locality pruning, indirect-branch sharpening, "
                  "replay constant recovery; the race report is identical "
-                 "either way)\n"
-                 "--no-run-summary dispatches every iteration of a "
-                 "compressed run block through the detector instead of "
-                 "folding proven-absorbed repeats (the race report is "
-                 "identical; detection just costs more)\n");
+                 "either way)\n");
     return 2;
 }
 
@@ -338,8 +328,6 @@ parseFlags(int argc, char **argv, int first, Args &args)
             args.no_prefilter = true;
         } else if (flag == "--no-pointsto") {
             args.no_pointsto = true;
-        } else if (flag == "--no-run-summary") {
-            args.no_run_summary = true;
         } else if (flag == "--driver") {
             const char *v = next();
             if (!v)
@@ -472,7 +460,6 @@ cmdAnalyze(const Args &args)
     opt.num_threads = args.jobs;
     opt.static_prefilter = !args.no_prefilter;
     opt.pointsto = !args.no_pointsto;
-    opt.run_summary = !args.no_run_summary;
     if (args.racez)
         opt.replay.mode = replay::ReplayMode::kBasicBlock;
     core::OfflineAnalyzer analyzer(*w->program, opt);
@@ -540,7 +527,6 @@ cmdRun(const Args &args)
     cfg.offline.num_threads = args.jobs;
     cfg.offline.static_prefilter = !args.no_prefilter;
     cfg.offline.pointsto = !args.no_pointsto;
-    cfg.offline.run_summary = !args.no_run_summary;
     core::PipelineResult result =
         core::runPipeline(*w->program, w->setup, cfg);
     if (args.stats)
@@ -570,7 +556,6 @@ cmdOracle(const Args &args)
         core::PipelineConfig pc = core::proRaceConfig(
             args.period, args.seed + 7, gw.workload.pt_filter);
         pc.offline.num_threads = args.jobs;
-        pc.offline.run_summary = !args.no_run_summary;
         core::PipelineResult result = core::runPipeline(
             *gw.workload.program, gw.workload.setup, pc);
         const oracle::OracleScore score =
@@ -782,7 +767,7 @@ printTenantRow(const std::string &name,
         std::fprintf(stderr,
                      "  %-12s pebs %llu -> %llu bytes (%.2fx), sync "
                      "%llu -> %llu bytes, %llu run blocks (%llu "
-                     "iterations), %llu folded by detector\n",
+                     "iterations)\n",
                      "",
                      static_cast<unsigned long long>(cm.pebs_raw_bytes),
                      static_cast<unsigned long long>(
@@ -793,9 +778,7 @@ printTenantRow(const std::string &name,
                          cm.sync_encoded_bytes),
                      static_cast<unsigned long long>(cm.run_blocks),
                      static_cast<unsigned long long>(
-                         cm.run_iterations_folded),
-                     static_cast<unsigned long long>(
-                         ts.detect.run_iterations_folded));
+                         cm.run_iterations_folded));
     }
     // Salvage/loss accounting: what this tenant's streams lost to
     // damage. Only printed when there was any, so clean runs stay
@@ -856,7 +839,6 @@ cmdServe(const Args &args)
     cfg.service.session_slots = args.slots;
     cfg.service.ingest.credit_bytes = args.credit;
     cfg.service.ingest.shed_on_full = args.shed;
-    cfg.service.offline.run_summary = !args.no_run_summary;
     cfg.service.offline.pointsto = !args.no_pointsto;
     cfg.service.state_dir = args.state_dir;
     cfg.service.supervision.session_deadline_seconds = args.deadline;

@@ -225,31 +225,6 @@ dispatchEvent(detect::FastTrack &ft, const FeedEvent &ev,
     }
 }
 
-/**
- * End of the maximal run starting at feed position @p i: the first
- * position whose event is a sync op or an access differing from
- * feed[i]'s in anything but the TSC. Only such runs — identical
- * accesses with no intervening event of any thread — are candidates for
- * detector-side folding.
- */
-size_t
-runExtent(const std::vector<FeedEvent> &feed,
-          const std::vector<replay::ReconstructedAccess> &accesses,
-          size_t i)
-{
-    const replay::ReconstructedAccess &a = accesses[feed[i].index];
-    size_t j = i + 1;
-    while (j < feed.size() && !feed[j].is_sync) {
-        const replay::ReconstructedAccess &b = accesses[feed[j].index];
-        if (b.tid != a.tid || b.addr != a.addr || b.width != a.width ||
-            b.is_write != a.is_write || b.is_atomic != a.is_atomic ||
-            b.insn_index != a.insn_index || b.origin != a.origin)
-            break;
-        ++j;
-    }
-    return j;
-}
-
 } // namespace
 
 namespace detail {
@@ -258,11 +233,10 @@ void
 detectRaces(const trace::RunTrace &run,
             const std::map<uint32_t, replay::ThreadAlignment> &alignments,
             const std::vector<replay::ReconstructedAccess> &accesses,
-            detect::RaceReport &report, detect::FastTrackStats &stats,
-            bool run_summary)
+            detect::RaceReport &report, detect::FastTrackStats &stats)
 {
     detect::FastTrack ft;
-    detectRacesIncremental(run, alignments, accesses, ft, run_summary);
+    detectRacesIncremental(run, alignments, accesses, ft);
     report = std::move(ft.report());
     stats = ft.stats();
 }
@@ -272,8 +246,8 @@ detectRacesIncremental(
     const trace::RunTrace &run,
     const std::map<uint32_t, replay::ThreadAlignment> &alignments,
     const std::vector<replay::ReconstructedAccess> &accesses,
-    detect::FastTrack &detector, bool run_summary,
-    const CheckpointHooks *hooks, bool allow_checkpoint)
+    detect::FastTrack &detector, const CheckpointHooks *hooks,
+    bool allow_checkpoint)
 {
     const std::vector<FeedEvent> feed =
         buildFeed(run, alignments, accesses);
@@ -299,36 +273,20 @@ detectRacesIncremental(
         }
     }
 
-    // Run-level folding: the first iteration of a run of identical
-    // accesses is dispatched normally, then the detector is asked to
-    // absorb the repeats in one step; if it declines (shared-read
-    // state, where repeat TSCs matter), the repeats are dispatched
-    // individually. Batches close on whole runs, so a saved cursor
-    // always lands back on a run boundary and a resumed dispatch sees
-    // exactly the events an uninterrupted run would have.
+    // Batches close on event counts, so a saved cursor names exactly
+    // the events an uninterrupted run would have dispatched before it.
     uint64_t batch = UINT64_MAX; // one-shot: no boundaries
     if (options.enabled)
         batch = std::max<uint64_t>(options.batch_events, 1);
     uint64_t in_batch = 0;
     while (i < feed.size()) {
-        const FeedEvent &ev = feed[i];
-        size_t j = i + 1;
-        if (run_summary && !ev.is_sync)
-            j = runExtent(feed, accesses, i);
-        dispatchEvent(detector, ev, run, accesses);
-        if (j - i > 1 &&
-            !detector.foldRepeats(toMemAccess(accesses[ev.index]),
-                                  j - i - 1)) {
-            for (size_t k = i + 1; k < j; ++k)
-                dispatchEvent(detector, feed[k], run, accesses);
-        }
-        in_batch += j - i;
-        i = j;
-        if (in_batch < batch)
+        dispatchEvent(detector, feed[i], run, accesses);
+        ++i;
+        if (++in_batch < batch)
             continue;
         // Every later event has tsc >= this one (the feed is sorted), so
         // this event's TSC is a valid retirement frontier.
-        detector.batchBoundary(feed[j - 1].tsc);
+        detector.batchBoundary(feed[i - 1].tsc);
         in_batch = 0;
         if (hooks) {
             if (hooks->tick)
@@ -813,7 +771,6 @@ OfflineAnalyzer::detectAccesses(
     for (const trace::ThreadMeta &tm : run.meta.threads)
         detector.requireThread(tm.tid);
     detail::detectRacesIncremental(run, alignments, accesses, detector,
-                                   options_.run_summary,
                                    &options_.checkpoint, first_round);
     result.report = std::move(detector.report());
     result.detect_stats = detector.stats();

@@ -105,16 +105,7 @@ struct OfflineOptions {
      * maps here.
      */
     bool pointsto = true;
-    /**
-     * Fold consecutive identical accesses in the detector feed — runs
-     * the v5 trace compressor stores as strided blocks — into a single
-     * dispatched iteration plus one absorption check, instead of
-     * re-running the FastTrack fast path per iteration. Folding only
-     * happens when the detector proves the repeats are no-ops
-     * (FastTrack::foldRepeats), so the race report is byte-identical
-     * with the summary on or off; only detection cost changes.
-     * `--no-run-summary` in the CLI maps here.
-     */
+    /** Ignored; kept only so prorace_bench/ compiles. */
     bool run_summary = true;
     /**
      * Streaming detection (detect::FastTrack with batch boundaries):
@@ -315,15 +306,13 @@ void detectRaces(const trace::RunTrace &run,
                                 replay::ThreadAlignment> &alignments,
                  const std::vector<replay::ReconstructedAccess> &accesses,
                  detect::RaceReport &report,
-                 detect::FastTrackStats &stats, bool run_summary = true);
+                 detect::FastTrackStats &stats);
 
 /**
  * The detection stage: merge the reconstructed accesses and the sync
  * trace into one TSC-ordered feed (with the release < access < acquire
- * tie-break at equal timestamps) and dispatch it into @p detector. With
- * @p run_summary set, consecutive identical accesses are folded through
- * FastTrack::foldRepeats (per-iteration fallback when the detector
- * cannot prove absorption); the report is byte-identical either way.
+ * tie-break at equal timestamps) and dispatch each event into
+ * @p detector exactly once.
  *
  * When the detector's IncrementalOptions::enabled is set, the feed is
  * dispatched in batches of batch_events events with a batchBoundary()
@@ -337,9 +326,37 @@ void detectRacesIncremental(
     const trace::RunTrace &run,
     const std::map<uint32_t, replay::ThreadAlignment> &alignments,
     const std::vector<replay::ReconstructedAccess> &accesses,
-    detect::FastTrack &detector, bool run_summary = true,
-    const CheckpointHooks *hooks = nullptr,
+    detect::FastTrack &detector, const CheckpointHooks *hooks = nullptr,
     bool allow_checkpoint = true);
+
+// --- prorace_bench/ compatibility shims: retire with
+// OfflineOptions::run_summary and FastTrackStats::run_iterations_folded.
+
+/** Ignores @p run_summary; kept only so prorace_bench/ compiles. */
+inline void
+detectRaces(const trace::RunTrace &run,
+            const std::map<uint32_t, replay::ThreadAlignment> &alignments,
+            const std::vector<replay::ReconstructedAccess> &accesses,
+            detect::RaceReport &report, detect::FastTrackStats &stats,
+            bool /*run_summary*/)
+{
+    detectRaces(run, alignments, accesses, report, stats);
+}
+
+/** Ignores @p run_summary; kept only so prorace_bench/ compiles. */
+inline void
+detectRacesIncremental(
+    const trace::RunTrace &run,
+    const std::map<uint32_t, replay::ThreadAlignment> &alignments,
+    const std::vector<replay::ReconstructedAccess> &accesses,
+    detect::FastTrack &detector, bool /*run_summary*/,
+    const CheckpointHooks *hooks = nullptr, bool allow_checkpoint = true)
+{
+    detectRacesIncremental(run, alignments, accesses, detector, hooks,
+                           allow_checkpoint);
+}
+
+// --- end of prorace_bench/ compatibility shims ----------------------
 
 /**
  * Paper §5.1: races on locations whose emulated values the replay

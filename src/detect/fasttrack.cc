@@ -506,46 +506,13 @@ FastTrack::checkWrite(VarState &var, const MemAccess &ma, ThreadState &th)
     var.write_atomic = ma.is_atomic;
 }
 
-bool
-FastTrack::foldRepeats(const MemAccess &ma, uint64_t n)
-{
-    if (n == 0)
-        return true;
-    ThreadState &th = threadState(ma.tid);
-    const uint64_t first = granuleOf(ma.addr);
-    const uint64_t last = granuleOf(ma.addr + (ma.width ? ma.width - 1 : 0));
-    // Check every granule before committing: a straddling access whose
-    // granules disagree (one absorbed, one shared) falls back entirely,
-    // which is always safe — re-dispatching an absorbed granule is the
-    // no-op fast path.
-    for (uint64_t g = first; g <= last; ++g) {
-        const VarState *var = shadow_.find(g);
-        const bool absorbed = var &&
-            (ma.is_write
-                 ? var->write_epoch == th.epoch()
-                 : (!var->read_is_shared &&
-                    var->read_epoch == th.epoch()));
-        if (!absorbed)
-            return false;
-    }
-    const uint64_t checks = n * (last - first + 1);
-    if (ma.is_write)
-        stats_.writes += checks;
-    else
-        stats_.reads += checks;
-    stats_.epoch_fast_path += checks;
-    ++stats_.run_blocks_folded;
-    stats_.run_iterations_folded += n;
-    return true;
-}
-
 namespace {
 
 /**
  * Detector checkpoint layout version (bump on any format change). An
  * image of any other version fails to restore; the caller cold-starts.
  */
-constexpr uint32_t kFastTrackStateVersion = 3;
+constexpr uint32_t kFastTrackStateVersion = 4;
 
 void
 putClock(support::ByteWriter &w, const VectorClock &clock)
@@ -701,8 +668,6 @@ FastTrack::serializeState(support::ByteWriter &w) const
     w.u64(stats_.epoch_fast_path);
     w.u64(stats_.read_shares);
     w.u64(stats_.vc_spills);
-    w.u64(stats_.run_blocks_folded);
-    w.u64(stats_.run_iterations_folded);
 
     w.u32(static_cast<uint32_t>(required_.size()));
     for (const bool required : required_)
@@ -825,8 +790,6 @@ FastTrack::restoreState(support::ByteReader &r)
     stats.epoch_fast_path = r.u64();
     stats.read_shares = r.u64();
     stats.vc_spills = r.u64();
-    stats.run_blocks_folded = r.u64();
-    stats.run_iterations_folded = r.u64();
 
     const uint32_t required_count = r.u32();
     if (required_count > Epoch::kMaxThreads)

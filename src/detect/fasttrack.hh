@@ -79,9 +79,8 @@ struct FastTrackStats {
     uint64_t read_shares = 0;     ///< epoch -> vector-clock inflations
     uint64_t vc_spills = 0;       ///< read clocks spilled past inline storage
 
-    // Run-level summarization (core's run_summary feed folding).
-    uint64_t run_blocks_folded = 0;     ///< repeated blocks absorbed whole
-    uint64_t run_iterations_folded = 0; ///< events absorbed without dispatch
+    /** Ignored (always 0); kept only so prorace_bench/ compiles. */
+    uint64_t run_iterations_folded = 0;
 
     // Flat shadow-table probe behavior (filled by FastTrack::stats()).
     uint64_t shadow_slots = 0;       ///< live granules in the shadow table
@@ -105,8 +104,6 @@ struct FastTrackStats {
         epoch_fast_path += other.epoch_fast_path;
         read_shares += other.read_shares;
         vc_spills += other.vc_spills;
-        run_blocks_folded += other.run_blocks_folded;
-        run_iterations_folded += other.run_iterations_folded;
         shadow_slots += other.shadow_slots;
         shadow_capacity += other.shadow_capacity;
         shadow_lookups += other.shadow_lookups;
@@ -267,26 +264,6 @@ class FastTrack
 
     /** Check and record one access. */
     void access(const MemAccess &ma);
-
-    /**
-     * Fold @p n repeats of @p ma — identical in every field except
-     * possibly the TSC — that immediately follow an already-dispatched
-     * occurrence, with no intervening event of any thread. Returns true
-     * when every granule the access touches provably absorbs the
-     * repeats: each repeat would hit the same-epoch fast path
-     * (write_epoch == the thread's current epoch for writes; an
-     * unshared read_epoch equal to it for reads) and return without
-     * changing state or reports. The counters are advanced exactly as
-     * per-iteration dispatch would have, so statistics stay identical
-     * too.
-     *
-     * Returns false — having changed nothing — when any touched granule
-     * would not absorb the repeats (the read state inflated to a shared
-     * vector clock, whose representative-reader sample tracks the
-     * latest iteration's TSC and can alter later report bytes). The
-     * caller must then dispatch the repeats individually.
-     */
-    bool foldRepeats(const MemAccess &ma, uint64_t n);
 
     /** Detected races. */
     const RaceReport &report() const { return report_; }

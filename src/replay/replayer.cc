@@ -1264,6 +1264,10 @@ Replayer::appendSamples(const std::vector<size_t> &records,
 {
     for (const size_t i : records) {
         const trace::PebsRecord &rec = run.pebs[i];
+        if (rec.insn_index >= program_.size()) {
+            ++stats_.samples_out_of_program;
+            continue;
+        }
         ReconstructedAccess acc;
         acc.tid = rec.tid;
         acc.insn_index = rec.insn_index;
@@ -1292,6 +1296,10 @@ Replayer::replayAll(const std::map<uint32_t, pmu::ThreadPath> &paths,
         // RaceZ does not use PT: every sample is reconstructed within
         // its static basic block, ordered by sample time.
         for (const trace::PebsRecord &rec : run.pebs) {
+            if (rec.insn_index >= program_.size()) {
+                ++stats_.samples_out_of_program;
+                continue;
+            }
             replayBasicBlock(rec);
             const int64_t sample_pos = static_cast<int64_t>(
                 rec.insn_index -

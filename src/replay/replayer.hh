@@ -81,6 +81,8 @@ struct ReplayStats {
     uint64_t violations_sample = 0;   ///< sampled-address EA mismatches
     uint64_t violations_end = 0;      ///< closing-sample register mismatches
     uint64_t violations_backward = 0; ///< backward immediate contradictions
+    /** PEBS samples dropped: insn_index outside the program. */
+    uint64_t samples_out_of_program = 0;
 
     /** Paged-ProgramMap shadow counters, summed over all replay passes. */
     ProgramMapStats program_map;
@@ -113,6 +115,7 @@ struct ReplayStats {
         violations_sample += o.violations_sample;
         violations_end += o.violations_end;
         violations_backward += o.violations_backward;
+        samples_out_of_program += o.samples_out_of_program;
         program_map.merge(o.program_map);
     }
 
@@ -240,9 +243,11 @@ class Replayer
 
     /**
      * Append the PEBS records @p records as exact sampled accesses with
-     * unknown path position. A thread's window accesses followed by its
-     * unmatched samples, threads in ascending tid order, reproduces the
-     * serial replayAll sequence exactly.
+     * unknown path position. A record whose insn_index lies outside the
+     * program names no instruction and is dropped (counted in
+     * ReplayStats::samples_out_of_program). A thread's window accesses
+     * followed by its unmatched samples, threads in ascending tid
+     * order, reproduces the serial replayAll sequence exactly.
      */
     void appendSamples(const std::vector<size_t> &records,
                        const trace::RunTrace &run,

@@ -394,5 +394,51 @@ TEST(FaultTolerance, HostileThreadIdsNeverReachTheDetector)
     svc.shutdown();
 }
 
+TEST(FaultTolerance, HostileInsnIndexIsDroppedNotDereferenced)
+{
+    // A CRC-valid trace written by the real v5 writer whose PEBS record
+    // names an instruction far past the end of the program. It matches
+    // no path position, so it reaches replay as an unlocatable sample;
+    // indexing the static facts with it reads out of bounds.
+    const TracedBug &tb = smallTrace();
+    auto loaded = trace::readTrace(tb.bytes);
+    ASSERT_TRUE(loaded.ok());
+    trace::RunTrace hostile = loaded.value().trace;
+    ASSERT_FALSE(hostile.pebs.empty());
+    hostile.pebs[hostile.pebs.size() / 2].insn_index = 0xFFFFFF00u;
+    const std::vector<uint8_t> bytes = trace::serializeTrace(hostile);
+    auto forged = trace::readTrace(bytes);
+    ASSERT_TRUE(forged.ok());
+    ASSERT_FALSE(forged.value().loss.hasLoss());
+
+    for (const unsigned jobs : {0u, 2u}) {
+        core::OfflineOptions opt = tb.cfg.offline;
+        opt.num_threads = jobs;
+        core::OfflineAnalyzer analyzer(*tb.workload.program, opt);
+        const core::OfflineResult result =
+            analyzer.analyze(forged.value().trace);
+        EXPECT_EQ(result.replay_stats.samples_out_of_program, 1u)
+            << "jobs " << jobs;
+    }
+
+    // The same bytes through the service complete like any other
+    // session instead of taking the process down.
+    service::ServiceOptions options;
+    options.num_workers = 1;
+    options.offline.pt_filter = tb.workload.pt_filter;
+    service::AnalysisService svc(options);
+    svc.registerProgram("pfscan", tb.workload.program);
+    const uint64_t id = svc.openSession("tenant", "pfscan");
+    ASSERT_NE(id, 0u);
+    svc.submit(id, bytes);
+    svc.closeSession(id);
+    svc.drain();
+    const std::vector<service::SessionOutcome> outcomes = svc.outcomes();
+    ASSERT_EQ(outcomes.size(), 1u);
+    EXPECT_TRUE(outcomes[0].ok) << outcomes[0].error;
+    EXPECT_FALSE(outcomes[0].quarantined);
+    svc.shutdown();
+}
+
 } // namespace
 } // namespace prorace

@@ -797,6 +797,29 @@ legacyWrapperImage(size_t &core_offset)
     return w.take();
 }
 
+/**
+ * A version-3 detector image, the layout that still carried the two
+ * run-folding counters after the six detector counters: an empty
+ * detector that requires thread 0.
+ */
+std::vector<uint8_t>
+version3Image()
+{
+    ByteWriter w;
+    w.u32(3); // layout version
+    // Threads, lock/exit/rwlock-read clocks, semaphores, reclaim marks,
+    // shadow, allocations, races: all empty.
+    for (int i = 0; i < 9; ++i)
+        w.u32(0);
+    for (int i = 0; i < 8; ++i)
+        w.u64(0); // detector counters, the two fold counters included
+    w.u32(1); // required: thread 0
+    w.u8(1);
+    for (int i = 0; i < 8; ++i)
+        w.u64(0); // GC counters, peaks, events at last sweep
+    return w.take();
+}
+
 TEST(CheckpointRestore, PreviousLayoutImageIsRejectedUnchanged)
 {
     detect::IncrementalOptions options;
@@ -818,8 +841,8 @@ TEST(CheckpointRestore, PreviousLayoutImageIsRejectedUnchanged)
     ByteWriter before;
     ft.serializeState(before);
 
-    // Neither the old wrapper image nor the old core image inside it
-    // restores, and a failed restore changes nothing.
+    // Neither the old wrapper image, the old core image inside it, nor
+    // a version-3 image restores, and a failed restore changes nothing.
     size_t core_offset = 0;
     const std::vector<uint8_t> legacy = legacyWrapperImage(core_offset);
     ByteReader wrapper(legacy);
@@ -827,6 +850,9 @@ TEST(CheckpointRestore, PreviousLayoutImageIsRejectedUnchanged)
     ByteReader core(legacy.data() + core_offset,
                     legacy.size() - core_offset);
     EXPECT_FALSE(ft.restoreState(core));
+    const std::vector<uint8_t> v3 = version3Image();
+    ByteReader v3_reader(v3);
+    EXPECT_FALSE(ft.restoreState(v3_reader));
     ByteWriter after;
     ft.serializeState(after);
     EXPECT_EQ(before.bytes(), after.bytes());

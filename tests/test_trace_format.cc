@@ -552,12 +552,12 @@ TEST(TraceFormatV5, SyncLossDisablesEpochGcForEveryKind)
         << "batching must stay on; only the sweeps stop";
 }
 
-// --- detector-side run folding ------------------------------------
+// --- streaming detection over repeated-access runs ----------------
 
 /**
  * A deterministic hand-built detection input: two threads, a hot
- * write loop (foldable), a shared-read loop (must fall back), and one
- * real race. Returns the sync-only RunTrace and the access list.
+ * repeated-write run, a shared-read run, and one real race. Returns the
+ * sync-only RunTrace and the access list.
  */
 void
 buildFoldScenario(RunTrace &run,
@@ -591,14 +591,13 @@ buildFoldScenario(RunTrace &run,
     };
 
     sync(1, SyncKind::kSpawn, 0, 2, 10);
-    // Foldable run: thread 1 writes the same granule 12 times with no
-    // intervening event — iterations 2..12 are provably absorbed.
+    // Repeated-write run: thread 1 writes the same granule 12 times
+    // with no intervening event (same-epoch fast path after the first).
     for (uint64_t i = 0; i < 12; ++i)
         access(1, 0x1000, true, 100 + i, 7);
     // Shared-read run: both threads read the granule (read-share
-    // inflation), then thread 2 re-reads it 6 times. The detector must
-    // decline to fold those (the shared-read sample timestamps matter)
-    // and the fallback dispatches them one by one.
+    // inflation), then thread 2 re-reads it 6 times; the shared-read
+    // sample tracks the latest reader's timestamp.
     access(1, 0x2000, false, 200, 8);
     access(2, 0x2000, false, 210, 9);
     for (uint64_t i = 0; i < 6; ++i)
@@ -608,41 +607,7 @@ buildFoldScenario(RunTrace &run,
     access(2, 0x3000, true, 310, 11);
 }
 
-TEST(RunSummary, FoldsProvenRunsAndKeepsReportsIdentical)
-{
-    RunTrace run;
-    std::vector<replay::ReconstructedAccess> accesses;
-    buildFoldScenario(run, accesses);
-    const std::map<uint32_t, replay::ThreadAlignment> alignments;
-
-    detect::RaceReport folded, unfolded;
-    detect::FastTrackStats fs, us;
-    core::detail::detectRaces(run, alignments, accesses, folded, fs,
-                              /*run_summary=*/true);
-    core::detail::detectRaces(run, alignments, accesses, unfolded, us,
-                              /*run_summary=*/false);
-
-    EXPECT_FALSE(folded.empty());
-    EXPECT_EQ(folded.format(), unfolded.format());
-
-    // The write loop folds (11 repeats in one block); the shared-read
-    // loop must NOT fold (absorbing it would drop the later readers'
-    // timestamps from the shadow state).
-    EXPECT_EQ(fs.run_blocks_folded, 1u);
-    EXPECT_EQ(fs.run_iterations_folded, 11u);
-    EXPECT_EQ(us.run_blocks_folded, 0u);
-    EXPECT_EQ(us.run_iterations_folded, 0u);
-
-    // Folding mirrors the unfolded accounting exactly: every other
-    // counter pair matches, so --stats output is mode-independent too.
-    EXPECT_EQ(fs.reads, us.reads);
-    EXPECT_EQ(fs.writes, us.writes);
-    EXPECT_EQ(fs.epoch_fast_path, us.epoch_fast_path);
-    EXPECT_EQ(fs.read_shares, us.read_shares);
-    EXPECT_EQ(fs.sync_ops, us.sync_ops);
-}
-
-TEST(RunSummary, IncrementalDetectorFoldsAndMatchesOneShot)
+TEST(DetectFeed, StreamingMatchesOneShotOnRepeatedRuns)
 {
     RunTrace run;
     std::vector<replay::ReconstructedAccess> accesses;
@@ -651,40 +616,42 @@ TEST(RunSummary, IncrementalDetectorFoldsAndMatchesOneShot)
 
     detect::RaceReport oneshot;
     detect::FastTrackStats os;
-    core::detail::detectRaces(run, alignments, accesses, oneshot, os,
-                              true);
+    core::detail::detectRaces(run, alignments, accesses, oneshot, os);
+    EXPECT_FALSE(oneshot.empty());
 
-    uint64_t events[2] = {0, 0};
-    for (const bool summary : {true, false}) {
-        detect::IncrementalOptions opts;
-        opts.enabled = true;
-        opts.batch_events = 4; // force many batch boundaries mid-run
-        detect::FastTrack inc(opts);
-        for (const trace::ThreadMeta &tm : run.meta.threads)
-            inc.requireThread(tm.tid);
-        core::detail::detectRacesIncremental(run, alignments, accesses,
-                                             inc, summary);
-        EXPECT_EQ(inc.report().format(), oneshot.format())
-            << "summary " << summary;
-        events[summary] = inc.incrementalStats().events;
-        EXPECT_EQ(inc.stats().run_iterations_folded,
-                  summary ? 11u : 0u);
-    }
-    // Folded iterations count toward batch pacing exactly as if they
-    // had been dispatched: the event totals agree between the modes.
-    EXPECT_EQ(events[0], events[1]);
-    EXPECT_GE(events[0], accesses.size() + run.sync.size());
+    detect::IncrementalOptions opts;
+    opts.enabled = true;
+    opts.batch_events = 4; // batch boundaries fall inside both runs
+    detect::FastTrack inc(opts);
+    for (const trace::ThreadMeta &tm : run.meta.threads)
+        inc.requireThread(tm.tid);
+    core::detail::detectRacesIncremental(run, alignments, accesses, inc);
+    EXPECT_EQ(inc.report().format(), oneshot.format());
+
+    // Every feed event is dispatched exactly once, in either mode (each
+    // access touches one granule, so it is one read or write check).
+    const uint64_t feed = accesses.size() + run.sync.size();
+    EXPECT_EQ(os.reads + os.writes + os.sync_ops, feed);
+    const detect::FastTrackStats is = inc.stats();
+    EXPECT_EQ(is.reads, os.reads);
+    EXPECT_EQ(is.writes, os.writes);
+    EXPECT_EQ(is.epoch_fast_path, os.epoch_fast_path);
+    EXPECT_EQ(is.read_shares, os.read_shares);
+    EXPECT_EQ(is.sync_ops, os.sync_ops);
+    EXPECT_EQ(inc.incrementalStats().events, feed);
+    // One boundary per full batch, wherever it falls in a run, plus
+    // the closing one from finish().
+    EXPECT_EQ(inc.incrementalStats().batches,
+              feed / opts.batch_events + 1);
 }
 
 // --- end-to-end report identity over the compressed format --------
 
-/** Analyze a RunTrace directly with the given run_summary setting. */
+/** Analyze a RunTrace directly. */
 std::string
-reportOf(const workload::Workload &w, const core::OfflineOptions &base,
-         const RunTrace &run, bool run_summary)
+reportOf(const workload::Workload &w, const core::OfflineOptions &opt,
+         const RunTrace &run)
 {
-    core::OfflineOptions opt = base;
-    opt.run_summary = run_summary;
     core::OfflineAnalyzer analyzer(*w.program, opt);
     return analyzer.analyze(run).report.format(w.program.get());
 }
@@ -692,8 +659,8 @@ reportOf(const workload::Workload &w, const core::OfflineOptions &base,
 TEST(TraceFormatV5, ReportIdentityOnRegistrySubjects)
 {
     // The tentpole gate: for real traced subjects, analysis of the
-    // decoded v5 stream equals analysis of the in-memory trace, with
-    // run folding on and off, byte for byte.
+    // decoded v5 stream equals analysis of the in-memory trace, byte
+    // for byte.
     for (const char *id : {"pfscan", "apache-25520"}) {
         const workload::Workload w = workload::makeRacyBug(id, 0.5);
         core::PipelineConfig cfg =
@@ -706,15 +673,8 @@ TEST(TraceFormatV5, ReportIdentityOnRegistrySubjects)
         ASSERT_TRUE(loaded.ok()) << id;
         ASSERT_FALSE(loaded.value().loss.hasLoss()) << id;
 
-        const std::string baseline =
-            reportOf(w, cfg.offline, run.trace, false);
-        EXPECT_EQ(reportOf(w, cfg.offline, run.trace, true), baseline)
-            << id;
-        EXPECT_EQ(reportOf(w, cfg.offline, loaded.value().trace, true),
-                  baseline)
-            << id;
-        EXPECT_EQ(reportOf(w, cfg.offline, loaded.value().trace, false),
-                  baseline)
+        EXPECT_EQ(reportOf(w, cfg.offline, loaded.value().trace),
+                  reportOf(w, cfg.offline, run.trace))
             << id;
     }
 }
@@ -736,18 +696,8 @@ TEST(TraceFormatV5, ReportIdentityOnOracleBattery)
         ASSERT_TRUE(loaded.ok()) << gw.workload.name;
         ASSERT_FALSE(loaded.value().loss.hasLoss()) << gw.workload.name;
 
-        const std::string baseline =
-            reportOf(gw.workload, pc.offline, run.trace, false);
-        EXPECT_EQ(reportOf(gw.workload, pc.offline, run.trace, true),
-                  baseline)
-            << gw.workload.name;
-        EXPECT_EQ(reportOf(gw.workload, pc.offline,
-                           loaded.value().trace, true),
-                  baseline)
-            << gw.workload.name;
-        EXPECT_EQ(reportOf(gw.workload, pc.offline,
-                           loaded.value().trace, false),
-                  baseline)
+        EXPECT_EQ(reportOf(gw.workload, pc.offline, loaded.value().trace),
+                  reportOf(gw.workload, pc.offline, run.trace))
             << gw.workload.name;
     }
 }
