@@ -46,7 +46,8 @@ main(int argc, char **argv)
         auto online =
             core::Session::run(*w.program, w.setup, cfg.session);
         auto paths =
-            pmu::decodePt(*w.program, w.pt_filter, online.trace);
+            pmu::decodePt(*w.program, online.trace.meta.pt_filter,
+                          online.trace);
         replay::AlignStats stats;
         replay::alignTrace(*w.program, paths, online.trace, &stats);
         std::printf("%12u %12llu %12llu %14llu\n", tsc_period,
@@ -76,7 +77,8 @@ main(int argc, char **argv)
         auto online =
             core::Session::run(*w.program, w.setup, cfg.session);
         auto paths =
-            pmu::decodePt(*w.program, w.pt_filter, online.trace);
+            pmu::decodePt(*w.program, online.trace.meta.pt_filter,
+                          online.trace);
         auto aligns =
             replay::alignTrace(*w.program, paths, online.trace);
         for (int rounds : {0, 1, 3}) {

@@ -113,7 +113,8 @@ BM_PtDecode(benchmark::State &state)
     for (auto _ : state) {
         pmu::PtDecodeStats stats;
         auto paths =
-            pmu::decodePt(*w.program, w.pt_filter, run.trace, &stats);
+            pmu::decodePt(*w.program, run.trace.meta.pt_filter,
+                          run.trace, &stats);
         benchmark::DoNotOptimize(paths);
         entries += stats.path_entries;
     }
@@ -127,7 +128,8 @@ BM_AlignSamples(benchmark::State &state)
 {
     auto &run = benchRun();
     auto &w = benchApp();
-    auto paths = pmu::decodePt(*w.program, w.pt_filter, run.trace);
+    auto paths =
+        pmu::decodePt(*w.program, run.trace.meta.pt_filter, run.trace);
     for (auto _ : state) {
         auto aligns = replay::alignTrace(*w.program, paths, run.trace);
         benchmark::DoNotOptimize(aligns);
@@ -143,7 +145,8 @@ BM_Replay(benchmark::State &state)
     // analysis-free legacy path. Both replay the same windows.
     auto &run = benchRun();
     auto &w = benchApp();
-    auto paths = pmu::decodePt(*w.program, w.pt_filter, run.trace);
+    auto paths =
+        pmu::decodePt(*w.program, run.trace.meta.pt_filter, run.trace);
     auto aligns = replay::alignTrace(*w.program, paths, run.trace);
     const analysis::ProgramAnalysis pa(*w.program);
     replay::ReplayConfig cfg;
@@ -424,7 +427,6 @@ BM_ParallelOffline(benchmark::State &state)
     uint64_t events = 0;
     for (auto _ : state) {
         core::OfflineOptions opt;
-        opt.pt_filter = w.pt_filter;
         opt.num_threads = jobs;
         core::OfflineAnalyzer analyzer(*w.program, opt);
         core::OfflineResult result = analyzer.analyze(run.trace);

@@ -44,8 +44,8 @@ main(int argc, char **argv)
         auto online =
             core::Session::run(*bug.program, bug.setup, cfg.session);
 
-        auto paths = pmu::decodePt(*bug.program, bug.pt_filter,
-                                   online.trace);
+        auto paths = pmu::decodePt(
+            *bug.program, online.trace.meta.pt_filter, online.trace);
         auto aligns =
             replay::alignTrace(*bug.program, paths, online.trace);
 

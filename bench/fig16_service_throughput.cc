@@ -158,7 +158,6 @@ runMemoryPoint(const std::string &subject, double scale,
         core::Session::run(*w->program, w->setup, cfg.session);
 
     core::OfflineOptions gc_on;
-    gc_on.pt_filter = w->pt_filter;
     gc_on.incremental.enabled = true;
     gc_on.incremental.batch_events = 1024;
     gc_on.incremental.gc_min_events = 256;

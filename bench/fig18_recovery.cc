@@ -250,7 +250,6 @@ runWarmStart(const Scratch &scratch, bench::JsonReporter &json)
     const std::vector<uint8_t> bytes = trace::serializeTrace(run.trace);
 
     service::ServiceOptions options;
-    options.offline.pt_filter = w->pt_filter;
     options.offline.incremental.batch_events = 1024;
     options.offline.incremental.gc_min_events = 256;
     options.state_dir = scratch.path + "/warm";

@@ -456,7 +456,6 @@ cmdAnalyze(const Args &args)
         return 1;
     }
     core::OfflineOptions opt;
-    opt.pt_filter = w->pt_filter;
     opt.num_threads = args.jobs;
     opt.static_prefilter = !args.no_prefilter;
     opt.pointsto = !args.no_pointsto;
@@ -1016,7 +1015,6 @@ cmdSubmit(const Args &args)
     }
 
     service::ServiceOptions options;
-    options.offline.pt_filter = w->pt_filter;
     options.state_dir = args.state_dir;
     service::AnalysisService svc(options);
     svc.registerProgram(args.workload, w->program);

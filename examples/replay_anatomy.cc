@@ -46,7 +46,8 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(
                     run.stats.samples_taken));
 
-    auto paths = pmu::decodePt(*w.program, w.pt_filter, run.trace);
+    auto paths = pmu::decodePt(*w.program, run.trace.meta.pt_filter,
+                               run.trace);
     replay::AlignStats align_stats;
     auto aligns = replay::alignTrace(*w.program, paths, run.trace,
                                      &align_stats);

@@ -599,7 +599,7 @@ OfflineAnalyzer::decodeSharded(const trace::RunTrace &run,
     for (size_t core = 0; core < run.pt.size(); ++core) {
         shard_futures.push_back(ex.submit([this, &run, &shard_stats,
                                            core] {
-            return pmu::decodePtStream(program_, options_.pt_filter, run,
+            return pmu::decodePtStream(program_, run.meta.pt_filter, run,
                                        core, &shard_stats[core]);
         }));
     }
@@ -618,7 +618,7 @@ OfflineAnalyzer::decodeSharded(const trace::RunTrace &run,
         // the result stays bit-identical.
         if (stats)
             *stats = pmu::PtDecodeStats();
-        return pmu::decodePt(program_, options_.pt_filter, run, stats);
+        return pmu::decodePt(program_, run.meta.pt_filter, run, stats);
     }
     if (stats) {
         for (const pmu::PtDecodeStats &s : shard_stats)
@@ -797,7 +797,7 @@ OfflineAnalyzer::analyze(const trace::RunTrace &run)
     if (windowed) {
         Stopwatch timer;
         paths = ex ? decodeSharded(run, *ex, &result.decode_stats)
-                   : pmu::decodePt(program_, options_.pt_filter, run,
+                   : pmu::decodePt(program_, run.meta.pt_filter, run,
                                    &result.decode_stats);
         result.decode_seconds = timer.lap();
 

@@ -74,11 +74,14 @@ struct CheckpointHooks {
     bool *resumed = nullptr;
 };
 
-/** Offline-phase configuration. */
+/**
+ * Offline-phase configuration. There is no PT filter here: the decoder
+ * walks each trace with the filter recorded in its meta
+ * (trace::TraceMeta::pt_filter), so a trace cannot be analyzed under a
+ * filter other than the one it was traced with.
+ */
 struct OfflineOptions {
     replay::ReplayConfig replay;
-    /** Must match the PT filter the online phase traced with. */
-    pmu::PtFilter pt_filter = pmu::PtFilter::all();
     /** Regeneration rounds when races land on emulated locations. */
     int max_regeneration_rounds = 2;
     /**
@@ -105,8 +108,6 @@ struct OfflineOptions {
      * maps here.
      */
     bool pointsto = true;
-    /** Ignored; kept only so prorace_bench/ compiles. */
-    bool run_summary = true;
     /**
      * Streaming detection (detect::FastTrack with batch boundaries):
      * process the merged detector feed in batches with epoch-GC of
@@ -119,6 +120,18 @@ struct OfflineOptions {
     detect::IncrementalOptions incremental;
     /** Detector checkpoint/resume + deadline hooks (service tier). */
     CheckpointHooks checkpoint;
+
+    // --- prorace_bench/ compatibility shims (see the detail:: block
+    // below): ignored by the analyzer.
+    /** Ignored; kept only so prorace_bench/ compiles. */
+    bool run_summary = true;
+    /**
+     * Ignored; kept only so prorace_bench/ compiles. proRaceConfig()
+     * still fills it with the tracing filter, because the harness
+     * hands it to pmu::decodePt in its layer-by-layer replay of
+     * analyze(); analysis itself decodes with run.meta.pt_filter.
+     */
+    pmu::PtFilter pt_filter = pmu::PtFilter::all();
 };
 
 /**
@@ -244,7 +257,10 @@ class OfflineAnalyzer
     OfflineAnalyzer(const asmkit::Program &program,
                     const OfflineOptions &options);
 
-    /** Run the full offline pipeline over @p run. */
+    /**
+     * Run the full offline pipeline over @p run, decoding its PT
+     * streams with the filter it was traced with (run.meta.pt_filter).
+     */
     OfflineResult analyze(const trace::RunTrace &run);
 
     /**
@@ -330,7 +346,8 @@ void detectRacesIncremental(
     bool allow_checkpoint = true);
 
 // --- prorace_bench/ compatibility shims: retire with
-// OfflineOptions::run_summary and FastTrackStats::run_iterations_folded.
+// OfflineOptions::run_summary, OfflineOptions::pt_filter and
+// FastTrackStats::run_iterations_folded.
 
 /** Ignores @p run_summary; kept only so prorace_bench/ compiles. */
 inline void

@@ -12,7 +12,7 @@ proRaceConfig(uint64_t period, uint64_t seed, const pmu::PtFilter &filter)
     cfg.session.tracing.driver = driver::DriverKind::kProRace;
     cfg.session.tracing.seed = seed ^ 0x517cc1b727220a95ull;
     cfg.session.tracing.pt.filter = filter;
-    cfg.offline.pt_filter = filter;
+    cfg.offline.pt_filter = filter; // ignored; see OfflineOptions
     cfg.offline.replay.mode = replay::ReplayMode::kForwardBackward;
     return cfg;
 }

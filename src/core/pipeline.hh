@@ -30,7 +30,8 @@ struct PipelineResult {
  *
  * @param period       PEBS sampling period
  * @param seed         machine + tracing randomness seed
- * @param pt_filter    code regions to trace (defaults to everything)
+ * @param pt_filter    code regions to trace (defaults to everything);
+ *                     the trace records it and analysis decodes with it
  */
 PipelineConfig proRaceConfig(uint64_t period, uint64_t seed,
                              const pmu::PtFilter &pt_filter =

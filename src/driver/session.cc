@@ -274,6 +274,7 @@ TracingSession::finish()
     trace.meta.pebs_bytes = stats_.pebs_bytes;
     trace.meta.pt_bytes = stats_.pt_bytes;
     trace.meta.sync_bytes = stats_.sync_bytes;
+    trace.meta.pt_filter = config_.pt.filter;
     return trace;
 }
 

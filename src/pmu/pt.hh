@@ -8,48 +8,14 @@
 #define PRORACE_PMU_PT_HH
 
 #include <cstdint>
-#include <utility>
-#include <vector>
 
 #include "pmu/pt_packet.hh"
 #include "trace/records.hh"
 
 namespace prorace::pmu {
 
-/**
- * Code-region filter: up to four [begin, end) instruction-index ranges,
- * matching the four address-range filter pairs of the PT hardware.
- */
-class PtFilter
-{
-  public:
-    /** Maximum ranges the hardware supports. */
-    static constexpr size_t kMaxRanges = 4;
-
-    /** A filter admitting every instruction. */
-    static PtFilter all();
-
-    /** An empty filter admits nothing; add ranges with addRange(). */
-    PtFilter() = default;
-
-    /** Add a [begin, end) range; fatal beyond four ranges. */
-    void addRange(uint32_t begin, uint32_t end);
-
-    /** True when @p index lies in some range. */
-    bool contains(uint32_t index) const;
-
-    /** True for the match-everything filter. */
-    bool isAll() const { return all_; }
-
-    const std::vector<std::pair<uint32_t, uint32_t>> &ranges() const
-    {
-        return ranges_;
-    }
-
-  private:
-    std::vector<std::pair<uint32_t, uint32_t>> ranges_;
-    bool all_ = false;
-};
+/** The code-region filter type lives with the trace that records it. */
+using trace::PtFilter;
 
 /** PT configuration. */
 struct PtConfig {

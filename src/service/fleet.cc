@@ -18,7 +18,7 @@ namespace {
 struct RecordedSubject {
     std::string name;
     std::shared_ptr<const asmkit::Program> program;
-    std::vector<uint8_t> bytes; ///< serialized v4 trace
+    std::vector<uint8_t> bytes; ///< serialized trace, filter included
 };
 
 RecordedSubject

@@ -5,12 +5,13 @@
  * ProRace's deployment model keeps production machines cheap and moves
  * the heavyweight analysis to dedicated machines; this is that backend
  * tier as one process. Producers open *sessions* (one recorded run
- * each), stream v4 trace bytes in chunks, and close; the service tails
- * each session's byte stream with a trace::TraceReader cursor, and on
- * close hands the ingested trace to the offline pipeline on the
- * work-stealing executor, with streaming detection
- * (detect::FastTrack with epoch GC) so detector memory stays bounded on
- * long traces. Finished reports fold into the cross-tenant ReportStore.
+ * each), stream trace-file bytes (trace/trace_file.hh) in chunks, and
+ * close; the service tails each session's byte stream with a
+ * trace::TraceReader cursor, and on close hands the ingested trace to
+ * the offline pipeline on the work-stealing executor, with streaming
+ * detection (detect::FastTrack with epoch GC) so detector memory stays
+ * bounded on long traces. Finished reports fold into the cross-tenant
+ * ReportStore.
  *
  * Two mechanisms bound resident memory regardless of producer count or
  * stream length (DESIGN.md §13.4):
@@ -110,7 +111,9 @@ struct ServiceOptions {
      * incremental.enabled is forced on, and num_threads to 0 (sessions
      * already run in parallel on the service pool). enable_gc is
      * cleared per session when that session's sync stream arrived
-     * damaged (the GC soundness gate).
+     * damaged (the GC soundness gate). Each session decodes with the
+     * PT filter its own trace records, so one service analyzes
+     * programs traced under different filters.
      */
     core::OfflineOptions offline;
     /**

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "vm/cpu.hh"
@@ -26,6 +27,44 @@ namespace prorace::trace {
  * the detector with one.
  */
 constexpr uint32_t kMaxThreads = 1024;
+
+/**
+ * PT code-region filter: up to four [begin, end) instruction-index
+ * ranges, matching the four address-range filter pairs of the PT
+ * hardware. The online phase traces with it and records it in
+ * TraceMeta, so the decoder always walks a trace with the filter it
+ * was recorded under.
+ */
+class PtFilter
+{
+  public:
+    /** Maximum ranges the hardware supports. */
+    static constexpr size_t kMaxRanges = 4;
+
+    /** A filter admitting every instruction. */
+    static PtFilter all();
+
+    /** An empty filter admits nothing; add ranges with addRange(). */
+    PtFilter() = default;
+
+    /** Add a [begin, end) range; fatal beyond four ranges. */
+    void addRange(uint32_t begin, uint32_t end);
+
+    /** True when @p index lies in some range. */
+    bool contains(uint32_t index) const;
+
+    /** True for the match-everything filter. */
+    bool isAll() const { return all_; }
+
+    const std::vector<std::pair<uint32_t, uint32_t>> &ranges() const
+    {
+        return ranges_;
+    }
+
+  private:
+    std::vector<std::pair<uint32_t, uint32_t>> ranges_;
+    bool all_ = false;
+};
 
 /**
  * One PEBS sample: the sampled instruction, its data address, the TSC,
@@ -115,6 +154,8 @@ struct TraceMeta {
      *  first sample). */
     std::vector<uint64_t> first_periods;
     std::vector<ThreadMeta> threads;
+    /** The PT filter the run was traced with; the decoder's filter. */
+    PtFilter pt_filter = PtFilter::all();
     /** Filled by the v5 encoder at serialization time; on a decoded
      *  trace it reflects what the file's encoder measured. */
     CompressionStats compression;

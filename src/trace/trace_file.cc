@@ -782,13 +782,46 @@ serializeMeta(const RunTrace &trace, const CompressionStats &cs)
     w.u64(cs.sync_encoded_bytes);
     w.u64(cs.run_blocks);
     w.u64(cs.run_iterations_folded);
+    // The PT filter the run was traced with: all-flag, then the
+    // [begin, end) ranges.
+    w.u8(m.pt_filter.isAll() ? 1 : 0);
+    w.u8(static_cast<uint8_t>(m.pt_filter.ranges().size()));
+    for (const auto &[begin, end] : m.pt_filter.ranges()) {
+        w.u32(begin);
+        w.u32(end);
+    }
     return w.take();
 }
 
 /**
+ * Parse the PT filter table. Returns false for a filter the hardware
+ * cannot produce (an all-flag other than 0/1, more than
+ * PtFilter::kMaxRanges ranges, an inverted range) or a short table, so
+ * no such filter reaches PtFilter::addRange's checks.
+ */
+bool
+parsePtFilter(Reader &r, PtFilter &filter)
+{
+    const uint8_t all = r.u8();
+    const uint8_t nranges = r.u8();
+    if (r.failed() || all > 1 || nranges > PtFilter::kMaxRanges)
+        return false;
+    filter = all ? PtFilter::all() : PtFilter();
+    for (uint8_t i = 0; i < nranges; ++i) {
+        const uint32_t begin = r.u32();
+        const uint32_t end = r.u32();
+        if (r.failed() || begin > end)
+            return false;
+        filter.addRange(begin, end);
+    }
+    return true;
+}
+
+/**
  * Parse a meta payload. Returns false (leaving the outputs partially
- * filled) when the payload is short, its counts point past its end, or
- * its thread table names a tid of kMaxThreads or more.
+ * filled) when the payload is short, its counts point past its end,
+ * its thread table names a tid of kMaxThreads or more, or its PT
+ * filter table is one the hardware cannot produce.
  */
 bool
 parseMeta(const std::vector<uint8_t> &payload, TraceMeta &m,
@@ -832,7 +865,7 @@ parseMeta(const std::vector<uint8_t> &payload, TraceMeta &m,
     m.compression.sync_encoded_bytes = r.u64();
     m.compression.run_blocks = r.u64();
     m.compression.run_iterations_folded = r.u64();
-    return !r.failed();
+    return !r.failed() && parsePtFilter(r, m.pt_filter);
 }
 
 /** Next offset >= @p from where kSegmentMagic occurs, or buffer size. */

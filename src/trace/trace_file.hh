@@ -14,7 +14,8 @@
  *             u32 header_crc, u32 payload_crc, payload
  *
  * Segment kinds: one meta segment (run counters + expected record
- * counts + compression accounting), PEBS records in chunks, sync
+ * counts + compression accounting + the PT filter the run was traced
+ * with), PEBS records in chunks, sync
  * records in chunks, one PT segment per core, and an end marker whose
  * absence flags truncation. PEBS/sync segments failing their CRC are
  * dropped (a garbage sample would poison replay); PT segments failing
@@ -35,8 +36,14 @@
  * iteration count and strides. All predictor state resets at segment
  * boundaries so every segment still decodes standalone, which is what
  * keeps the v4 salvage semantics: a damaged segment is dropped without
- * poisoning its neighbours. v4 traces are rejected with a version error
- * naming both versions, exactly as v4 did to v3.
+ * poisoning its neighbours.
+ *
+ * Version 6 keeps the v5 segments and appends the PT filter to the meta
+ * payload (u8 all-flag, u8 range count, then u32 begin / u32 end per
+ * range, at most four), so a trace names the filter it must be decoded
+ * with and analysis takes no filter of its own. A filter table the
+ * hardware cannot produce makes the meta segment corrupt. Traces of any
+ * other version are rejected with a version error naming both versions.
  */
 
 #ifndef PRORACE_TRACE_TRACE_FILE_HH
@@ -56,11 +63,11 @@ inline constexpr uint32_t kTraceMagic = 0x50524354; // "PRCT"
 
 /**
  * Current format version. Bumped to 5 for the columnar compressed
- * payloads; older fixed-width traces are rejected with a clear error
- * (re-trace the workload — the production side always writes the
- * current version).
+ * payloads and to 6 for the PT filter in the meta segment; older
+ * traces are rejected with a clear error (re-trace the workload — the
+ * production side always writes the current version).
  */
-inline constexpr uint32_t kTraceVersion = 5;
+inline constexpr uint32_t kTraceVersion = 6;
 
 /** Magic introducing every segment; the resync scan target. */
 inline constexpr uint32_t kSegmentMagic = 0x35474553; // "SEG5"

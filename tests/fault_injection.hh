@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "support/crc32.hh"
 #include "support/log.hh"
 #include "support/rng.hh"
 #include "trace/trace_file.hh"
@@ -70,6 +71,37 @@ mapSegments(const std::vector<uint8_t> &bytes)
         pos = s.end;
     }
     return spans;
+}
+
+/** The payload bytes of segment @p span. */
+inline std::vector<uint8_t>
+segmentPayload(const std::vector<uint8_t> &bytes, const SegmentSpan &span)
+{
+    return std::vector<uint8_t>(bytes.begin() + span.begin + 25,
+                                bytes.begin() + span.end);
+}
+
+/**
+ * Replace the payload of segment @p span with @p payload and re-frame
+ * it (payload size, header CRC, payload CRC): a CRC-valid segment
+ * holding content the writer never produces, for tests of the
+ * reader's semantic checks. @p span is stale afterwards.
+ */
+inline void
+rewriteSegmentPayload(std::vector<uint8_t> &bytes, const SegmentSpan &span,
+                      const std::vector<uint8_t> &payload)
+{
+    auto putLe = [&](size_t pos, uint64_t v, int width) {
+        for (int i = 0; i < width; ++i)
+            bytes[pos + i] = static_cast<uint8_t>(v >> (8 * i));
+    };
+    std::vector<uint8_t> out(bytes.begin(), bytes.begin() + span.begin + 25);
+    out.insert(out.end(), payload.begin(), payload.end());
+    out.insert(out.end(), bytes.begin() + span.end, bytes.end());
+    bytes = std::move(out);
+    putLe(span.begin + 9, payload.size(), 8);
+    putLe(span.begin + 17, crc32(bytes.data() + span.begin + 4, 13), 4);
+    putLe(span.begin + 21, crc32(payload), 4);
 }
 
 /**

@@ -429,7 +429,7 @@ struct Fixture {
         for (uint32_t tid = 0; tid < machine.numThreads(); ++tid)
             trace.meta.threads.push_back(
                 {tid, machine.thread(tid).entry_ip});
-        paths = pmu::decodePt(program, filter, trace);
+        paths = pmu::decodePt(program, trace.meta.pt_filter, trace);
         alignments = replay::alignTrace(program, paths, trace);
     }
 };

@@ -93,7 +93,7 @@ TEST_P(SeedSweep, ReconstructedAccessesAreNeverPhantom)
     for (const auto &e : machine.memoryLog())
         truth[e.tid].insert({e.insn_index, e.addr, e.is_write});
 
-    auto paths = pmu::decodePt(*w.program, w.pt_filter, trace);
+    auto paths = pmu::decodePt(*w.program, trace.meta.pt_filter, trace);
     auto aligns = replay::alignTrace(*w.program, paths, trace);
     replay::Replayer rep(*w.program, {});
     auto accesses = rep.replayAll(paths, aligns, trace);

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/offline.hh"
@@ -45,6 +46,15 @@ traceBug(const char *id, uint64_t period, uint64_t seed,
         *tb.workload.program, tb.workload.setup, tb.cfg.session);
     tb.bytes = trace::serializeTrace(run.trace);
     return tb;
+}
+
+void
+writeFile(const std::string &path, const std::vector<uint8_t> &bytes)
+{
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr) << path;
+    std::fwrite(bytes.data(), 1, bytes.size(), f);
+    std::fclose(f);
 }
 
 /** A small default subject for the format-level tests. */
@@ -148,9 +158,10 @@ TEST(FaultTolerance, PtResyncRecoversAfterMidStreamDamage)
     auto clean = trace::readTrace(tb.bytes);
     ASSERT_TRUE(clean.ok());
     pmu::PtDecodeStats clean_stats;
+    const trace::RunTrace &clean_trace = clean.value().trace;
     auto clean_paths =
-        pmu::decodePt(*tb.workload.program, tb.cfg.offline.pt_filter,
-                      clean.value().trace, &clean_stats);
+        pmu::decodePt(*tb.workload.program, clean_trace.meta.pt_filter,
+                      clean_trace, &clean_stats);
     EXPECT_GT(clean_stats.psb_packets, 0u);
     EXPECT_EQ(clean_stats.resyncs, 0u);
     ASSERT_FALSE(clean_paths.empty());
@@ -173,9 +184,9 @@ TEST(FaultTolerance, PtResyncRecoversAfterMidStreamDamage)
     ASSERT_TRUE(loaded.ok());
     EXPECT_EQ(loaded.value().loss.pt_streams_damaged, 1u);
     pmu::PtDecodeStats stats;
-    auto paths =
-        pmu::decodePt(*tb.workload.program, tb.cfg.offline.pt_filter,
-                      loaded.value().trace, &stats);
+    const trace::RunTrace &salvaged = loaded.value().trace;
+    auto paths = pmu::decodePt(*tb.workload.program,
+                               salvaged.meta.pt_filter, salvaged, &stats);
     EXPECT_GE(stats.resyncs, 1u);
     // Resynchronization keeps the intact packets: paths still decode.
     uint64_t entries = 0;
@@ -293,10 +304,7 @@ TEST(FaultTolerance, AnalyzeFileSurfacesErrorsAndLoss)
             break;
         }
     }
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fwrite(damaged.data(), 1, damaged.size(), f);
-    std::fclose(f);
+    writeFile(path, damaged);
 
     core::OfflineAnalyzer analyzer(*tb.workload.program,
                                    tb.cfg.offline);
@@ -337,9 +345,42 @@ TEST(FaultTolerance, HostileThreadIdsNeverReachTheDetector)
     sync.aux = trace::kMaxThreads + 1; // the spawned child's tid
     bad_records[2].sync.push_back(sync);
 
-    // A bad thread table: the meta segment is corrupt.
-    trace::RunTrace bad_meta = clean;
-    bad_meta.meta.threads.push_back({0xFFFFFFF0u, 0});
+    // Bad meta segments, each rejected whole: a thread table naming a
+    // huge tid, and PT filter tables the hardware cannot produce (five
+    // ranges, an inverted range). The writer cannot express those
+    // filters, so they are planted into its meta payload and re-CRC'd.
+    trace::RunTrace bad_table = clean;
+    bad_table.meta.threads.push_back({0xFFFFFFF0u, 0});
+    using Ranges = std::vector<std::pair<uint32_t, uint32_t>>;
+    const auto withFilterTable = [&](const Ranges &ranges) {
+        std::vector<uint8_t> bytes = tb.bytes;
+        const fault::SegmentSpan meta = fault::mapSegments(bytes)[0];
+        EXPECT_EQ(meta.kind, 1u);
+        std::vector<uint8_t> payload = fault::segmentPayload(bytes, meta);
+        // Strip the recorded table: all-flag, count, 8 bytes per range.
+        payload.resize(payload.size() - 2 -
+                       8 * clean.meta.pt_filter.ranges().size());
+        payload.push_back(0);
+        payload.push_back(static_cast<uint8_t>(ranges.size()));
+        for (const auto &[begin, end] : ranges) {
+            for (const uint32_t v : {begin, end})
+                for (int i = 0; i < 4; ++i)
+                    payload.push_back(static_cast<uint8_t>(v >> (8 * i)));
+        }
+        fault::rewriteSegmentPayload(bytes, meta, payload);
+        return bytes;
+    };
+    // Control: a forged table the hardware can produce loads as written,
+    // so the rejections below come from the table, not the forging.
+    const Ranges legal = {{0, 4096}, {8192, 9000}};
+    auto forged = trace::readTrace(withFilterTable(legal));
+    ASSERT_TRUE(forged.ok()) << forged.error().format();
+    EXPECT_EQ(forged.value().trace.meta.pt_filter.ranges(), legal);
+    const std::vector<std::vector<uint8_t>> bad_meta = {
+        trace::serializeTrace(bad_table),
+        withFilterTable({{0, 10}, {20, 30}, {40, 50}, {60, 70}, {80, 90}}),
+        withFilterTable({{0, 4096}, {200, 100}}),
+    };
 
     const std::string path = "/tmp/prorace_hostile_tid.trace";
     core::OfflineAnalyzer analyzer(*tb.workload.program, tb.cfg.offline);
@@ -354,23 +395,27 @@ TEST(FaultTolerance, HostileThreadIdsNeverReachTheDetector)
             << i;
     }
 
-    trace::saveTrace(bad_meta, path);
-    auto rejected = analyzer.analyzeFile(path);
-    ASSERT_FALSE(rejected.ok());
-    EXPECT_EQ(rejected.error().kind, trace::TraceErrorKind::kCorruptMeta);
+    for (size_t i = 0; i < bad_meta.size(); ++i) {
+        writeFile(path, bad_meta[i]);
+        auto rejected = analyzer.analyzeFile(path);
+        ASSERT_FALSE(rejected.ok()) << i;
+        EXPECT_EQ(rejected.error().kind,
+                  trace::TraceErrorKind::kCorruptMeta)
+            << i;
+    }
     std::remove(path.c_str());
 
     // The same bytes through the service: the bad-record session
-    // completes degraded, the bad-meta session fails alone, and a clean
-    // session alongside them is unaffected.
+    // completes degraded, each bad-meta session fails alone, and a
+    // clean session alongside them is unaffected.
     service::ServiceOptions options;
     options.num_workers = 1;
-    options.offline.pt_filter = tb.workload.pt_filter;
     service::AnalysisService svc(options);
     svc.registerProgram("pfscan", tb.workload.program);
-    const std::vector<std::vector<uint8_t>> streams = {
-        trace::serializeTrace(bad_records[2]),
-        trace::serializeTrace(bad_meta), tb.bytes};
+    std::vector<std::vector<uint8_t>> streams = {
+        trace::serializeTrace(bad_records[2])};
+    streams.insert(streams.end(), bad_meta.begin(), bad_meta.end());
+    streams.push_back(tb.bytes);
     for (const std::vector<uint8_t> &bytes : streams) {
         const uint64_t id = svc.openSession("tenant", "pfscan");
         ASSERT_NE(id, 0u);
@@ -379,18 +424,20 @@ TEST(FaultTolerance, HostileThreadIdsNeverReachTheDetector)
     }
     svc.drain();
     std::vector<service::SessionOutcome> outcomes = svc.outcomes();
-    ASSERT_EQ(outcomes.size(), 3u);
+    ASSERT_EQ(outcomes.size(), streams.size());
     std::sort(outcomes.begin(), outcomes.end(),
               [](const auto &a, const auto &b) {
                   return a.session_id < b.session_id;
               });
-    EXPECT_TRUE(outcomes[0].ok) << outcomes[0].error;
-    EXPECT_GT(outcomes[0].loss.segments_dropped, 0u);
-    EXPECT_FALSE(outcomes[1].ok);
-    EXPECT_NE(outcomes[1].error.find("meta"), std::string::npos)
-        << outcomes[1].error;
-    EXPECT_TRUE(outcomes[2].ok) << outcomes[2].error;
-    EXPECT_FALSE(outcomes[2].loss.hasLoss());
+    EXPECT_TRUE(outcomes.front().ok) << outcomes.front().error;
+    EXPECT_GT(outcomes.front().loss.segments_dropped, 0u);
+    for (size_t i = 1; i <= bad_meta.size(); ++i) {
+        EXPECT_FALSE(outcomes[i].ok) << i;
+        EXPECT_NE(outcomes[i].error.find("meta"), std::string::npos)
+            << outcomes[i].error;
+    }
+    EXPECT_TRUE(outcomes.back().ok) << outcomes.back().error;
+    EXPECT_FALSE(outcomes.back().loss.hasLoss());
     svc.shutdown();
 }
 
@@ -425,7 +472,6 @@ TEST(FaultTolerance, HostileInsnIndexIsDroppedNotDereferenced)
     // session instead of taking the process down.
     service::ServiceOptions options;
     options.num_workers = 1;
-    options.offline.pt_filter = tb.workload.pt_filter;
     service::AnalysisService svc(options);
     svc.registerProgram("pfscan", tb.workload.program);
     const uint64_t id = svc.openSession("tenant", "pfscan");

@@ -217,7 +217,7 @@ TEST(ParallelOffline, PoisonedWindowIsQuarantinedAlone)
     auto cfg = core::proRaceConfig(25, 1);
     auto run = core::Session::run(
         p, [](vm::Machine &m) { m.addThread("main"); }, cfg.session);
-    const auto paths = pmu::decodePt(p, pmu::PtFilter::all(), run.trace);
+    const auto paths = pmu::decodePt(p, run.trace.meta.pt_filter, run.trace);
     const auto alignments = replay::alignTrace(p, paths, run.trace);
     const replay::ThreadAlignment *victim = nullptr;
     for (const auto &[tid, alignment] : alignments) {

@@ -118,7 +118,6 @@ reportOf(std::initializer_list<detect::DataRace> races)
 /** One recorded workload, reusable across service tests. */
 struct Recorded {
     std::shared_ptr<const asmkit::Program> program;
-    pmu::PtFilter filter;
     trace::RunTrace trace;
     std::vector<uint8_t> bytes;
 };
@@ -136,7 +135,6 @@ recordWorkload(const std::string &name, double scale, uint64_t period,
         core::Session::run(*w->program, w->setup, cfg.session);
     Recorded rec;
     rec.program = w->program;
-    rec.filter = w->pt_filter;
     rec.trace = std::move(run.trace);
     rec.bytes = trace::serializeTrace(rec.trace);
     return rec;
@@ -465,12 +463,10 @@ struct CapturedCheckpoint {
  */
 void
 expectCheckpointIdentity(const asmkit::Program &program,
-                         const trace::RunTrace &trace,
-                         const pmu::PtFilter &filter, uint64_t seed,
+                         const trace::RunTrace &trace, uint64_t seed,
                          const std::string &label)
 {
     core::OfflineOptions streaming;
-    streaming.pt_filter = filter;
     streaming.incremental.enabled = true;
     streaming.incremental.batch_events = 256; // many boundaries
     streaming.incremental.gc_min_events = 64;
@@ -557,8 +553,7 @@ TEST(CheckpointRestore, EveryRegistrySubject)
         cfg.session.run_baseline = false;
         core::RunArtifacts run =
             core::Session::run(*w->program, w->setup, cfg.session);
-        expectCheckpointIdentity(*w->program, run.trace, w->pt_filter,
-                                 seed + 1, name);
+        expectCheckpointIdentity(*w->program, run.trace, seed + 1, name);
     }
 }
 
@@ -575,8 +570,7 @@ TEST(CheckpointRestore, OracleBattery)
         core::RunArtifacts run = core::Session::run(
             *gw.workload.program, gw.workload.setup, pc.session);
         expectCheckpointIdentity(*gw.workload.program, run.trace,
-                                 gw.workload.pt_filter, seed + 13,
-                                 gw.workload.name);
+                                 seed + 13, gw.workload.name);
     }
 }
 
@@ -613,8 +607,7 @@ TEST(CheckpointRestore, SyncVocabularyOracles)
         core::RunArtifacts run = core::Session::run(
             *gw.workload.program, gw.workload.setup, pc.session);
         expectCheckpointIdentity(*gw.workload.program, run.trace,
-                                 gw.workload.pt_filter, seed + 17,
-                                 gw.workload.name);
+                                 seed + 17, gw.workload.name);
     }
 }
 
@@ -894,11 +887,10 @@ TEST(StreamIdentity, IndependentOfChunking)
 // ---------------------------------------------------------------------
 
 service::ServiceOptions
-durableOptions(const std::string &state_dir, const pmu::PtFilter &filter)
+durableOptions(const std::string &state_dir)
 {
     service::ServiceOptions options;
     options.num_workers = 2;
-    options.offline.pt_filter = filter;
     options.offline.incremental.batch_events = 256;
     options.offline.incremental.gc_min_events = 64;
     options.state_dir = state_dir;
@@ -917,8 +909,7 @@ TEST(ServiceRecovery, RestartRecoversStoreAndWarmStartsResubmission)
     std::string expected_report;
     uint64_t sequence_before = 0;
     {
-        service::AnalysisService svc(
-            durableOptions(dir.path, rec.filter));
+        service::AnalysisService svc(durableOptions(dir.path));
         svc.registerProgram("aget-bug2", rec.program);
         const uint64_t id = svc.openSession("tenant-a", "aget-bug2");
         ASSERT_NE(id, 0u);
@@ -946,7 +937,7 @@ TEST(ServiceRecovery, RestartRecoversStoreAndWarmStartsResubmission)
     // Restart on the same state dir: the store comes back
     // byte-identically and sequence numbering continues above the
     // recovered maximum.
-    service::AnalysisService svc(durableOptions(dir.path, rec.filter));
+    service::AnalysisService svc(durableOptions(dir.path));
     svc.registerProgram("aget-bug2", rec.program);
     const service::ServiceStats boot = svc.stats();
     EXPECT_TRUE(boot.durable);
@@ -989,8 +980,7 @@ TEST(ServiceRecovery, PreviousLayoutCheckpointColdStarts)
 
     std::string expected_report;
     {
-        service::AnalysisService svc(
-            durableOptions(dir.path, rec.filter));
+        service::AnalysisService svc(durableOptions(dir.path));
         svc.registerProgram("aget-bug2", rec.program);
         const uint64_t id = svc.openSession("tenant-a", "aget-bug2");
         ASSERT_NE(id, 0u);
@@ -1031,7 +1021,7 @@ TEST(ServiceRecovery, PreviousLayoutCheckpointColdStarts)
     w.u32(crc32(w.bytes().data(), w.bytes().size()));
     writeFile(files[0], w.bytes());
 
-    service::AnalysisService svc(durableOptions(dir.path, rec.filter));
+    service::AnalysisService svc(durableOptions(dir.path));
     svc.registerProgram("aget-bug2", rec.program);
     const uint64_t id = svc.openSession("tenant-a", "aget-bug2");
     ASSERT_NE(id, 0u);
@@ -1098,7 +1088,6 @@ TEST(Supervision, TransientFaultIsRetriedToSuccess)
     const Recorded rec = recordWorkload("aget-bug2", 0.2, 8, seed);
 
     service::ServiceOptions options;
-    options.offline.pt_filter = rec.filter;
     options.supervision.backoff_initial_seconds = 0.001;
     std::atomic<unsigned> injections{0};
     options.analysis_fault_injector = [&](const std::string &, uint64_t,
@@ -1135,7 +1124,6 @@ TEST(Supervision, PersistentFaultQuarantinesSessionThenTenant)
     const Recorded rec = recordWorkload("aget-bug2", 0.2, 8, seed);
 
     service::ServiceOptions options;
-    options.offline.pt_filter = rec.filter;
     options.supervision.max_retries = 1;
     options.supervision.backoff_initial_seconds = 0.001;
     options.supervision.tenant_quarantine_strikes = 1;
@@ -1193,7 +1181,6 @@ TEST(Supervision, DeadlineTimeoutCountsAndQuarantines)
     const Recorded rec = recordWorkload("aget-bug2", 0.2, 8, seed);
 
     service::ServiceOptions options;
-    options.offline.pt_filter = rec.filter;
     options.offline.incremental.batch_events = 64; // many tick points
     options.supervision.session_deadline_seconds = 1e-9; // always over
     options.supervision.max_retries = 1;

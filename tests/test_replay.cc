@@ -59,7 +59,7 @@ struct Fixture {
         for (const auto &e : machine.memoryLog())
             oracle[{e.tid, e.retire_index}].push_back(e);
 
-        paths = pmu::decodePt(program, pmu::PtFilter::all(), trace);
+        paths = pmu::decodePt(program, trace.meta.pt_filter, trace);
         alignments = alignTrace(program, paths, trace, &align_stats);
     }
 };
@@ -231,7 +231,7 @@ TEST(Replayer, BackwardReplayRecoversPointerChase)
     trace::RunTrace trace = tracing.finish();
     trace.meta.threads.push_back({0, machine.thread(0).entry_ip});
 
-    auto paths = pmu::decodePt(program, pmu::PtFilter::all(), trace);
+    auto paths = pmu::decodePt(program, trace.meta.pt_filter, trace);
     auto alignments = alignTrace(program, paths, trace);
 
     auto count_b = [&](ReplayMode mode) {
@@ -306,7 +306,7 @@ TEST(Replayer, PcRelativeRecoveredWithoutAnySample)
     trace::RunTrace trace = tracing.finish();
     trace.meta.threads.push_back({0, machine.thread(0).entry_ip});
 
-    auto paths = pmu::decodePt(program, pmu::PtFilter::all(), trace);
+    auto paths = pmu::decodePt(program, trace.meta.pt_filter, trace);
     auto alignments = alignTrace(program, paths, trace);
     Replayer replayer(program, {});
     auto accesses = replayer.replayAll(paths, alignments, trace);

@@ -137,7 +137,7 @@ struct TracedRun {
         trace = tracing.finish();
         for (uint32_t tid = 0; tid < machine.numThreads(); ++tid)
             trace.meta.threads.push_back({tid, machine.thread(tid).entry_ip});
-        paths = pmu::decodePt(*w.program, w.pt_filter, trace);
+        paths = pmu::decodePt(*w.program, trace.meta.pt_filter, trace);
         alignments = alignTrace(*w.program, paths, trace);
     }
 };

@@ -38,11 +38,9 @@ using detect::MemAccess;
 void
 expectIncrementalIdentity(const asmkit::Program &program,
                           const trace::RunTrace &trace,
-                          const pmu::PtFilter &filter,
                           const std::string &label)
 {
     core::OfflineOptions oneshot;
-    oneshot.pt_filter = filter;
     core::OfflineAnalyzer a(program, oneshot);
     const core::OfflineResult base = a.analyze(trace);
 
@@ -78,8 +76,7 @@ TEST(IncrementalIdentity, EveryRegistrySubject)
         cfg.session.run_baseline = false;
         core::RunArtifacts run =
             core::Session::run(*w->program, w->setup, cfg.session);
-        expectIncrementalIdentity(*w->program, run.trace, w->pt_filter,
-                                  name);
+        expectIncrementalIdentity(*w->program, run.trace, name);
     }
 }
 
@@ -96,7 +93,6 @@ TEST(IncrementalIdentity, OracleBattery)
         core::RunArtifacts run = core::Session::run(
             *gw.workload.program, gw.workload.setup, pc.session);
         expectIncrementalIdentity(*gw.workload.program, run.trace,
-                                  gw.workload.pt_filter,
                                   gw.workload.name);
     }
 }
@@ -485,7 +481,6 @@ TEST(AnalysisService, MultiTenantStreamingMatchesDirectAnalysis)
     const std::vector<uint8_t> bytes = trace::serializeTrace(run.trace);
 
     core::OfflineOptions direct;
-    direct.pt_filter = w->pt_filter;
     core::OfflineAnalyzer analyzer(*w->program, direct);
     const std::string expected =
         analyzer.analyze(run.trace).report.format(w->program.get());
@@ -493,7 +488,6 @@ TEST(AnalysisService, MultiTenantStreamingMatchesDirectAnalysis)
     service::ServiceOptions options;
     options.num_workers = 2;
     options.session_slots = 2;
-    options.offline.pt_filter = w->pt_filter;
     service::AnalysisService svc(options);
     svc.registerProgram("aget-bug2", w->program);
 
@@ -606,6 +600,53 @@ TEST(AnalysisService, DamagedStreamFailsSessionOnly)
     EXPECT_FALSE(outcomes[0].error.empty());
     EXPECT_EQ(svc.tenantStats().at("t").sessions_failed, 1u);
     EXPECT_EQ(svc.stats().distinct_races, 0u);
+}
+
+TEST(AnalysisService, SubjectFilteredStreamsMatchDirectAnalysis)
+{
+    // The fleet records each subject under its main-executable PT
+    // filter and streams it to a service built with default options.
+    // A session must decode with the filter its trace records and so
+    // report exactly what direct analysis of the same bytes reports;
+    // decoding with any other filter aligns almost no samples.
+    const uint64_t seed = testutil::testSeed(7);
+    PRORACE_SEED_TRACE(seed);
+    for (const std::string &name : service::FleetConfig().subjects) {
+        auto w = workload::findWorkload(name, 0.25);
+        ASSERT_TRUE(w.has_value()) << name;
+        ASSERT_FALSE(w->pt_filter.isAll()) << name;
+        core::PipelineConfig cfg =
+            core::proRaceConfig(16, seed, w->pt_filter);
+        cfg.session.run_baseline = false;
+        core::RunArtifacts run =
+            core::Session::run(*w->program, w->setup, cfg.session);
+        const std::vector<uint8_t> bytes = trace::serializeTrace(run.trace);
+
+        auto loaded = trace::readTrace(bytes);
+        ASSERT_TRUE(loaded.ok()) << name;
+        core::OfflineAnalyzer analyzer(*w->program, cfg.offline);
+        const core::OfflineResult direct =
+            analyzer.analyze(loaded.value().trace);
+
+        service::AnalysisService svc{service::ServiceOptions()};
+        svc.registerProgram(name, w->program);
+        const uint64_t id = svc.openSession("tenant", name);
+        ASSERT_NE(id, 0u) << name;
+        svc.submit(id, bytes);
+        svc.closeSession(id);
+        svc.drain();
+        const std::vector<service::SessionOutcome> outcomes =
+            svc.outcomes();
+        ASSERT_EQ(outcomes.size(), 1u) << name;
+        EXPECT_TRUE(outcomes[0].ok) << name << ": " << outcomes[0].error;
+        EXPECT_EQ(outcomes[0].extended_trace_events,
+                  direct.extended_trace_events)
+            << name;
+        EXPECT_EQ(outcomes[0].report.format(w->program.get()),
+                  direct.report.format(w->program.get()))
+            << name;
+        svc.shutdown();
+    }
 }
 
 TEST(FleetSimulator, SmokeRunDetectsAndDeduplicates)

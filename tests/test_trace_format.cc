@@ -1,12 +1,12 @@
 /**
  * @file
- * The v5 columnar trace format: field-exact round trips over random
- * traces, run-block detection and its compression floor, resumable
- * cursor parity at every chunking, corruption behavior of the columnar
- * payloads, the version gate, and — the correctness contract of the
- * whole layer — byte-identical race reports between the compressed
- * path and the in-memory path, with detector-side run folding on and
- * off.
+ * The columnar trace format (v5 payloads; v6 adds the recorded PT
+ * filter to the meta segment): field-exact round trips over random
+ * traces and recorded filters, run-block detection and its compression
+ * floor, resumable cursor parity at every chunking, corruption
+ * behavior of the columnar payloads, the version gate, and — the
+ * correctness contract of the whole layer — byte-identical race
+ * reports between the compressed path and the in-memory path.
  */
 
 #include <gtest/gtest.h>
@@ -144,9 +144,28 @@ randomTrace(uint64_t seed, size_t pebs_records = 900,
     return t;
 }
 
+/**
+ * PT filters a trace can record: everything, one range, and the
+ * hardware's four (one reaching the top of the index space).
+ */
+std::vector<trace::PtFilter>
+recordedFilters()
+{
+    trace::PtFilter one;
+    one.addRange(16, 4096);
+    trace::PtFilter four;
+    four.addRange(0, 0);
+    four.addRange(100, 2000);
+    four.addRange(0x10000, 0x10040);
+    four.addRange(0x7FFFFFF0u, 0xFFFFFFFFu);
+    return {trace::PtFilter::all(), one, four};
+}
+
 void
 expectTracesEqual(const RunTrace &a, const RunTrace &b)
 {
+    ASSERT_EQ(a.meta.pt_filter.isAll(), b.meta.pt_filter.isAll());
+    ASSERT_EQ(a.meta.pt_filter.ranges(), b.meta.pt_filter.ranges());
     ASSERT_EQ(a.pebs.size(), b.pebs.size());
     for (size_t i = 0; i < a.pebs.size(); ++i) {
         const trace::PebsRecord &x = a.pebs[i];
@@ -182,17 +201,21 @@ expectTracesEqual(const RunTrace &a, const RunTrace &b)
 TEST(TraceFormatV5, RoundTripRandomTracesFieldExact)
 {
     for (uint64_t seed = 1; seed <= 8; ++seed) {
-        const RunTrace t = randomTrace(seed);
-        const std::vector<uint8_t> bytes = trace::serializeTrace(t);
-        auto loaded = trace::readTrace(bytes);
-        ASSERT_TRUE(loaded.ok()) << "seed " << seed;
-        EXPECT_FALSE(loaded.value().loss.hasLoss()) << "seed " << seed;
-        expectTracesEqual(t, loaded.value().trace);
-        // Deterministic encoder: re-serializing the decoded trace
-        // reproduces the file byte for byte (the service relies on
-        // this to dedup/re-export ingested traces).
-        EXPECT_EQ(trace::serializeTrace(loaded.value().trace), bytes)
-            << "seed " << seed;
+        for (const trace::PtFilter &filter : recordedFilters()) {
+            RunTrace t = randomTrace(seed);
+            t.meta.pt_filter = filter;
+            const std::vector<uint8_t> bytes = trace::serializeTrace(t);
+            auto loaded = trace::readTrace(bytes);
+            ASSERT_TRUE(loaded.ok()) << "seed " << seed;
+            EXPECT_FALSE(loaded.value().loss.hasLoss())
+                << "seed " << seed;
+            expectTracesEqual(t, loaded.value().trace);
+            // Deterministic encoder: re-serializing the decoded trace
+            // reproduces the file byte for byte (the service relies on
+            // this to dedup/re-export ingested traces).
+            EXPECT_EQ(trace::serializeTrace(loaded.value().trace), bytes)
+                << "seed " << seed;
+        }
     }
 }
 
@@ -236,27 +259,32 @@ TEST(TraceFormatV5, SampledLoopHitsCompressionFloor)
 
 TEST(TraceFormatV5, CursorParityAtEveryChunkSize)
 {
-    const RunTrace t = randomTrace(77);
-    const std::vector<uint8_t> bytes = trace::serializeTrace(t);
-    auto oneshot = trace::readTrace(bytes);
-    ASSERT_TRUE(oneshot.ok());
+    for (const trace::PtFilter &filter : recordedFilters()) {
+        RunTrace t = randomTrace(77);
+        t.meta.pt_filter = filter;
+        const std::vector<uint8_t> bytes = trace::serializeTrace(t);
+        auto oneshot = trace::readTrace(bytes);
+        ASSERT_TRUE(oneshot.ok());
+        expectTracesEqual(t, oneshot.value().trace);
 
-    for (size_t chunk : {size_t(1), size_t(7), size_t(64), size_t(4096),
-                         bytes.size()}) {
-        trace::TraceReader reader("<chunked>");
-        for (size_t off = 0; off < bytes.size(); off += chunk) {
-            const size_t len = std::min(chunk, bytes.size() - off);
-            reader.feed(bytes.data() + off, len);
-            reader.poll();
+        for (size_t chunk : {size_t(1), size_t(7), size_t(64),
+                             size_t(4096), bytes.size()}) {
+            trace::TraceReader reader("<chunked>");
+            for (size_t off = 0; off < bytes.size(); off += chunk) {
+                const size_t len = std::min(chunk, bytes.size() - off);
+                reader.feed(bytes.data() + off, len);
+                reader.poll();
+            }
+            auto streamed = reader.finish();
+            ASSERT_TRUE(streamed.ok()) << "chunk " << chunk;
+            EXPECT_FALSE(streamed.value().loss.hasLoss())
+                << "chunk " << chunk;
+            expectTracesEqual(oneshot.value().trace,
+                              streamed.value().trace);
+            EXPECT_EQ(trace::serializeTrace(streamed.value().trace),
+                      bytes)
+                << "chunk " << chunk;
         }
-        auto streamed = reader.finish();
-        ASSERT_TRUE(streamed.ok()) << "chunk " << chunk;
-        EXPECT_FALSE(streamed.value().loss.hasLoss())
-            << "chunk " << chunk;
-        expectTracesEqual(oneshot.value().trace,
-                          streamed.value().trace);
-        EXPECT_EQ(trace::serializeTrace(streamed.value().trace), bytes)
-            << "chunk " << chunk;
     }
 }
 
@@ -264,13 +292,15 @@ TEST(TraceFormatV5, VersionErrorNamesBothVersions)
 {
     std::vector<uint8_t> bytes =
         trace::serializeTrace(randomTrace(5, 50, 20));
-    bytes[4] = 4; // a v4 producer's file
+    // The previous version's file: v5, which has no PT filter in its
+    // meta segment.
+    bytes[4] = static_cast<uint8_t>(trace::kTraceVersion - 1);
     auto loaded = trace::readTrace(bytes);
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.error().kind, trace::TraceErrorKind::kBadVersion);
     const std::string msg = loaded.error().format();
-    EXPECT_NE(msg.find("version 4"), std::string::npos) << msg;
     EXPECT_NE(msg.find("version 5"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("version 6"), std::string::npos) << msg;
 }
 
 TEST(TraceFormatV5, ColumnarPayloadCorruptionDropsWholeSegments)
