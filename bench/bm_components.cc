@@ -419,8 +419,8 @@ BENCHMARK(BM_ReorderBufferCommit)->Unit(benchmark::kMillisecond);
 void
 BM_ParallelOffline(benchmark::State &state)
 {
-    // Whole offline pipeline (arg = jobs; 0 runs the serial stages for
-    // comparison).
+    // Whole offline pipeline (arg = jobs; 0 runs every task on the
+    // calling thread, for comparison).
     auto &run = benchRun();
     auto &w = benchApp();
     const unsigned jobs = static_cast<unsigned>(state.range(0));

@@ -85,7 +85,7 @@ struct Args {
     uint64_t period = 10000;
     uint64_t seed = 1;
     double scale = 1.0;
-    unsigned jobs = 0; ///< offline analysis threads (0 = serial)
+    unsigned jobs = 0; ///< offline analysis workers (0 = calling thread)
     size_t count = 5;  ///< generated workloads for the oracle command
     bool racez = false;
     bool sync_battery = false; ///< oracle: rich-sync-vocabulary configs
@@ -264,7 +264,8 @@ usage()
                  "misuse, spinlock publication, relaxed atomics) "
                  "instead of the lock/atomic standard battery\n"
                  "--jobs N runs the offline analysis on N worker threads"
-                 " (0 = serial; results are identical either way)\n"
+                 " (0 = on the calling thread; results are identical"
+                 " either way)\n"
                  "--stats dumps the shadow-structure counters (program-"
                  "map pages and probes, FastTrack table and clocks)\n"
                  "and the static-prefilter event counters\n"

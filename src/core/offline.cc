@@ -1,7 +1,6 @@
 #include "core/offline.hh"
 
 #include <algorithm>
-#include <exception>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -538,9 +537,8 @@ regenerationBlacklist(
 namespace {
 
 /**
- * Consecutive windows of one thread, replayed in path order on one
- * Replayer so its scratch state is reused across them (sequence = index
- * into the task list).
+ * Consecutive windows of one thread, replayed in path order
+ * (sequence = index into the task list).
  */
 struct WindowTask {
     bool last_of_thread = false; ///< thread finalizes after this commit
@@ -552,15 +550,19 @@ struct WindowTask {
 /** Path positions a task collects before it is closed. */
 constexpr uint64_t kTaskPositions = uint64_t{1} << 14;
 
-/** What a task hands to the ordered-commit stage. */
+/** What a replay attempt on a private Replayer hands to the commit. */
 struct WindowResult {
     std::vector<replay::ReconstructedAccess> accesses;
     replay::ReplayStats stats;
     std::unordered_set<uint64_t> consumed;
-    std::exception_ptr error;
+    bool failed = false;
 };
 
-/** Replay @p windows on a private Replayer (throws what replay throws). */
+/**
+ * Replay @p windows on a fresh Replayer. A failed attempt contributes
+ * no accesses and no counters, but keeps its consumed-address marks: a
+ * larger consumed set only makes §5.1 regeneration more conservative.
+ */
 WindowResult
 replayWindows(const asmkit::Program &program,
               const replay::ReplayConfig &config, const WindowTask &t,
@@ -568,9 +570,14 @@ replayWindows(const asmkit::Program &program,
 {
     WindowResult res;
     Replayer replayer(program, config);
-    for (const Replayer::Window &w : windows)
-        replayer.replayWindow(w, *t.path, *t.alignment, res.accesses);
-    res.stats = replayer.stats();
+    try {
+        for (const Replayer::Window &w : windows)
+            replayer.replayWindow(w, *t.path, *t.alignment, res.accesses);
+        res.stats = replayer.stats();
+    } catch (...) {
+        res.accesses = {};
+        res.failed = true;
+    }
     res.consumed = replayer.consumedAddresses();
     return res;
 }
@@ -589,33 +596,34 @@ OfflineAnalyzer::OfflineAnalyzer(const asmkit::Program &program,
 }
 
 OfflineAnalyzer::Paths
-OfflineAnalyzer::decodeSharded(const trace::RunTrace &run,
-                               exec::Executor &ex,
-                               pmu::PtDecodeStats *stats)
+OfflineAnalyzer::decode(const trace::RunTrace &run, exec::Executor *ex,
+                        pmu::PtDecodeStats *stats)
 {
-    std::vector<exec::Future<Paths>> shard_futures;
+    // One shard per PT stream, on the executor or on the calling thread.
+    std::vector<Paths> shards(run.pt.size());
     std::vector<pmu::PtDecodeStats> shard_stats(run.pt.size());
-    shard_futures.reserve(run.pt.size());
-    for (size_t core = 0; core < run.pt.size(); ++core) {
-        shard_futures.push_back(ex.submit([this, &run, &shard_stats,
-                                           core] {
-            return pmu::decodePtStream(program_, run.meta.pt_filter, run,
-                                       core, &shard_stats[core]);
-        }));
+    const auto decode_shard = [&](uint64_t core) {
+        shards[core] = pmu::decodePtStream(program_, run.meta.pt_filter, run,
+                                           core, &shard_stats[core]);
+    };
+    if (ex) {
+        ex->parallelFor(run.pt.size(), decode_shard);
+    } else {
+        for (size_t core = 0; core < run.pt.size(); ++core)
+            decode_shard(core);
     }
 
     Paths paths;
     bool migrated = false;
-    for (auto &f : shard_futures) {
-        for (auto &[tid, path] : f.get()) {
+    for (Paths &shard : shards) {
+        for (auto &[tid, path] : shard) {
             if (!paths.emplace(tid, std::move(path)).second)
                 migrated = true;
         }
     }
     if (migrated) {
-        // A tid with packets in two streams means the serial decoder
-        // would have threaded one walker across both; redo serially so
-        // the result stays bit-identical.
+        // A tid with packets in two streams needs one walker threaded
+        // across both; decodePt does that.
         if (stats)
             *stats = pmu::PtDecodeStats();
         return pmu::decodePt(program_, run.meta.pt_filter, run, stats);
@@ -634,7 +642,8 @@ OfflineAnalyzer::reconstruct(const trace::RunTrace &run, const Paths &paths,
                              exec::Executor *ex, OfflineResult &result,
                              std::unordered_set<uint64_t> &consumed)
 {
-    if (!ex) {
+    if (replay_config.mode == replay::ReplayMode::kBasicBlock) {
+        // RaceZ has no paths and no inter-sample windows to plan.
         Replayer replayer(program_, replay_config);
         std::vector<replay::ReconstructedAccess> accesses =
             replayer.replayAll(paths, alignments, run);
@@ -646,7 +655,7 @@ OfflineAnalyzer::reconstruct(const trace::RunTrace &run, const Paths &paths,
 
     // --- plan: per-thread window runs, in ascending-tid order ---
     // sync_at maps live here so Window::sync_at pointers stay valid for
-    // the whole fan-out.
+    // the whole pass.
     std::map<uint32_t, std::map<uint64_t, const trace::SyncRecord *>>
         sync_maps;
     std::vector<WindowTask> tasks;
@@ -676,13 +685,15 @@ OfflineAnalyzer::reconstruct(const trace::RunTrace &run, const Paths &paths,
         }
     }
 
-    // --- fan out: bounded in-flight tasks, ordered commit ---
-    // Submission is throttled to the reorder-buffer capacity, so a
-    // commit can never block with every worker stuck on a
-    // later-sequence task (see reorder_buffer.hh).
-    const uint64_t capacity =
-        std::max<uint64_t>(2 * ex->numThreads(), 16);
-    exec::ReorderBuffer<WindowResult> rob(capacity);
+    // --- placement: where tasks run, never what they compute ---
+    // On the executor, each task replays on a private Replayer and its
+    // result waits in a reorder buffer for its turn. Submission is
+    // throttled to the buffer's capacity, so a commit can never block
+    // with every worker stuck on a later-sequence task (see
+    // reorder_buffer.hh). On the calling thread, one Replayer is reused
+    // across tasks and each task appends straight into the run's access
+    // vector, so nothing is buffered.
+    std::optional<exec::ReorderBuffer<WindowResult>> rob;
     uint64_t next_submit = 0;
     auto submit_one = [&] {
         const uint64_t seq = next_submit++;
@@ -692,39 +703,76 @@ OfflineAnalyzer::reconstruct(const trace::RunTrace &run, const Paths &paths,
             try {
                 res = replayWindows(program_, replay_config, *t, t->windows);
             } catch (...) {
-                res.error = std::current_exception();
+                res.failed = true; // allocation failure outside replay
             }
-            rob.commit(seq, std::move(res));
+            rob->commit(seq, std::move(res));
         });
     };
-    while (next_submit < tasks.size() && next_submit < capacity)
-        submit_one();
+    std::optional<Replayer> replayer;
+    if (ex) {
+        const uint64_t capacity =
+            std::max<uint64_t>(2 * ex->numThreads(), 16);
+        rob.emplace(capacity);
+        while (next_submit < tasks.size() && next_submit < capacity)
+            submit_one();
+    } else {
+        replayer.emplace(program_, replay_config);
+    }
 
-    // The commit thread re-assembles exactly the serial pre-sort access
-    // sequence: threads in ascending tid order, windows in path order
-    // (each already in position order), then each thread's unlocatable
-    // samples in record order.
+    // The commit re-assembles the access sequence in plan order: threads
+    // in ascending tid order, windows in path order (each already in
+    // position order), then each thread's unlocatable samples in record
+    // order. A failed task contributes no accesses and no counters.
     std::vector<replay::ReconstructedAccess> accesses;
     replay::ReplayStats replay_stats;
-    auto absorb = [&](const WindowResult &res) {
+    auto absorb = [&](WindowResult &res) {
+        consumed.merge(res.consumed);
+        if (res.failed)
+            return false;
         replay_stats.merge(res.stats);
-        consumed.insert(res.consumed.begin(), res.consumed.end());
         accesses.insert(accesses.end(), res.accesses.begin(),
                         res.accesses.end());
+        return true;
     };
+    // Fold the calling-thread Replayer's consumed marks and @p stats
+    // into the run's.
+    auto retire_replayer = [&](const replay::ReplayStats &stats) {
+        replay_stats.merge(stats);
+        std::unordered_set<uint64_t> marks = replayer->consumedAddresses();
+        consumed.merge(marks);
+    };
+    auto run_task = [&](const WindowTask &t) {
+        if (ex) {
+            WindowResult res = rob->pop();
+            if (next_submit < tasks.size())
+                submit_one();
+            return absorb(res);
+        }
+        const size_t mark = accesses.size();
+        const replay::ReplayStats before = replayer->stats();
+        try {
+            for (const Replayer::Window &w : t.windows)
+                replayer->replayWindow(w, *t.path, *t.alignment, accesses);
+            return true;
+        } catch (...) {
+            // Undo the task: drop its accesses, keep the counters from
+            // before it and every consumed mark (the failed task's
+            // too), and go on with a fresh Replayer, since a throw may
+            // leave scratch state half-updated.
+            accesses.resize(mark);
+            retire_replayer(before);
+            replayer.emplace(program_, replay_config);
+            return false;
+        }
+    };
+
     Replayer finalizer(program_, replay_config);
     const std::map<uint32_t, std::vector<size_t>> unmatched =
         Replayer::unmatchedSamples(alignments, run);
-    for (uint64_t seq = 0; seq < tasks.size(); ++seq) {
-        const WindowResult res = rob.pop();
-        if (next_submit < tasks.size())
-            submit_one();
-        const WindowTask &t = tasks[seq];
-        if (!res.error) {
-            absorb(res);
-        } else {
+    for (const WindowTask &t : tasks) {
+        if (!run_task(t)) {
             // Quarantine policy: re-run the task's windows one at a
-            // time on the commit thread (transient failures —
+            // time on the calling thread (transient failures —
             // allocation pressure on a loaded worker — get a second
             // chance), and give up a window that fails again, recording
             // the loss. One poisoned window costs its reconstructed
@@ -734,12 +782,10 @@ OfflineAnalyzer::reconstruct(const trace::RunTrace &run, const Paths &paths,
             // retry is unnecessary by construction.
             for (const Replayer::Window &w : t.windows) {
                 ++result.quarantine.window_retries;
-                try {
-                    absorb(replayWindows(program_, replay_config, t,
-                                         {&w, 1}));
-                } catch (...) {
+                WindowResult res =
+                    replayWindows(program_, replay_config, t, {&w, 1});
+                if (!absorb(res))
                     ++result.quarantine.windows_quarantined;
-                }
             }
         }
         if (t.last_of_thread) {
@@ -750,6 +796,8 @@ OfflineAnalyzer::reconstruct(const trace::RunTrace &run, const Paths &paths,
     finalizer.appendPathlessSamples(paths, run, accesses);
     Replayer::sortByTsc(accesses);
 
+    if (replayer)
+        retire_replayer(replayer->stats());
     replay_stats.merge(finalizer.stats()); // unlocatable-sample counts
     result.replay_stats = replay_stats;
     result.extended_trace_events = accesses.size();
@@ -759,13 +807,14 @@ OfflineAnalyzer::reconstruct(const trace::RunTrace &run, const Paths &paths,
 void
 OfflineAnalyzer::detectAccesses(
     const trace::RunTrace &run, const Alignments &alignments,
+    const detect::IncrementalOptions &incremental,
     std::vector<replay::ReconstructedAccess> &accesses,
     OfflineResult &result, bool first_round)
 {
     detail::applyStaticPrefilter(accesses, analysis_.get(),
                                  options_.static_prefilter,
                                  result.prefilter, &run);
-    detect::FastTrack detector(options_.incremental);
+    detect::FastTrack detector(incremental);
     // Streaming GC is gated until every thread of the run has appeared
     // in the feed; the meta thread table is the authoritative population.
     for (const trace::ThreadMeta &tm : run.meta.threads)
@@ -780,11 +829,33 @@ OfflineAnalyzer::detectAccesses(
 OfflineResult
 OfflineAnalyzer::analyze(const trace::RunTrace &run)
 {
+    return analyzeRun(run, options_.incremental);
+}
+
+OfflineResult
+OfflineAnalyzer::analyze(const trace::LoadedTrace &loaded)
+{
+    // Lost sync segments can hide fork edges, and the GC soundness
+    // argument leans on observing every fork; keep the streaming
+    // batching but fall back to an unswept table for this damaged run.
+    detect::IncrementalOptions incremental = options_.incremental;
+    if (loaded.loss.sync_dropped > 0)
+        incremental.enable_gc = false;
+    OfflineResult result = analyzeRun(loaded.trace, incremental);
+    result.ingest_loss = loaded.loss;
+    result.compression = loaded.trace.meta.compression;
+    return result;
+}
+
+OfflineResult
+OfflineAnalyzer::analyzeRun(const trace::RunTrace &run,
+                            const detect::IncrementalOptions &incremental)
+{
     exec_stats_ = exec::ExecutorStats();
     OfflineResult result;
 
     // Basic-block mode (RaceZ) has no PT streams or inter-sample
-    // windows to shard, so it always runs serially.
+    // windows, so it never needs an executor.
     const bool windowed =
         options_.replay.mode != replay::ReplayMode::kBasicBlock;
     std::optional<exec::Executor> executor;
@@ -796,9 +867,7 @@ OfflineAnalyzer::analyze(const trace::RunTrace &run)
     Alignments alignments;
     if (windowed) {
         Stopwatch timer;
-        paths = ex ? decodeSharded(run, *ex, &result.decode_stats)
-                   : pmu::decodePt(program_, run.meta.pt_filter, run,
-                                   &result.decode_stats);
+        paths = decode(run, ex, &result.decode_stats);
         result.decode_seconds = timer.lap();
 
         alignments = replay::alignTrace(program_, paths, run,
@@ -820,7 +889,8 @@ OfflineAnalyzer::analyze(const trace::RunTrace &run)
                         consumed);
         pass.reconstruct_seconds += timer.lap();
         // The prefilter cost counts as detection cost.
-        detectAccesses(run, alignments, accesses, pass, round == 0);
+        detectAccesses(run, alignments, incremental, accesses, pass,
+                       round == 0);
         pass.detect_seconds += timer.lap();
         result = pass;
 
@@ -848,17 +918,7 @@ OfflineAnalyzer::analyzeFile(const std::string &path)
     auto loaded = trace::readTraceFile(path);
     if (!loaded.ok())
         return loaded.error();
-    // Lost sync segments can hide fork edges, and the GC soundness
-    // argument leans on observing every fork; keep the streaming
-    // batching but fall back to an unswept table for this damaged run.
-    const bool saved_gc = options_.incremental.enable_gc;
-    if (loaded.value().loss.sync_dropped > 0)
-        options_.incremental.enable_gc = false;
-    OfflineResult result = analyze(loaded.value().trace);
-    options_.incremental.enable_gc = saved_gc;
-    result.ingest_loss = loaded.value().loss;
-    result.compression = loaded.value().trace.meta.compression;
-    return result;
+    return analyze(loaded.value());
 }
 
 } // namespace prorace::core

@@ -24,6 +24,7 @@
 #include "support/expected.hh"
 #include "trace/records.hh"
 #include "trace/trace_error.hh"
+#include "trace/trace_file.hh"
 
 namespace prorace::core {
 
@@ -85,9 +86,10 @@ struct OfflineOptions {
     /** Regeneration rounds when races land on emulated locations. */
     int max_regeneration_rounds = 2;
     /**
-     * Analysis worker threads: 0 = serial (the classic single-threaded
-     * pipeline), N > 0 = shard PT decode and window replay across N
-     * executor workers. The result is bit-identical either way.
+     * Where PT decode shards and replay tasks run: 0 = on the calling
+     * thread, N > 0 = on N executor workers. Either way the same decode
+     * and reconstruction routines run the same plan and commit in the
+     * same order, so the result is bit-identical.
      */
     unsigned num_threads = 0;
     /**
@@ -190,11 +192,12 @@ struct PrefilterStats {
 };
 
 /**
- * Loss accounting of the parallel replay path's window quarantine: a
- * replay window whose task threw is retried once on the commit thread
- * and then, if it fails again, dropped with its reconstructed accesses
- * (its samples still reach detection through the unmatched-sample
- * fallback).
+ * Loss accounting of the replay window quarantine, at every
+ * num_threads: the windows of a replay task that threw are retried one
+ * at a time on the calling thread, and a window that fails again is
+ * dropped with its reconstructed accesses (its opening sample
+ * included). A failed attempt contributes no accesses and no replay
+ * counters.
  */
 struct QuarantineStats {
     uint64_t window_retries = 0;      ///< windows of failed tasks re-run inline
@@ -217,10 +220,10 @@ struct OfflineResult {
     detect::FastTrackStats detect_stats;
     /** Streaming-detector counters (OfflineOptions::incremental). */
     detect::IncrementalStats incremental;
-    /** What trace ingestion discarded (analyzeFile() path only). */
+    /** What trace ingestion discarded (LoadedTrace analysis only). */
     trace::SegmentLoss ingest_loss;
     /** v5 columnar compression counters of the ingested trace
-     *  (analyzeFile() path only; zero for in-memory analysis). */
+     *  (LoadedTrace analysis only; zero for a bare RunTrace). */
     trace::CompressionStats compression;
     QuarantineStats quarantine;
     PrefilterStats prefilter;
@@ -243,13 +246,15 @@ struct OfflineResult {
  * The offline analyzer: feed it the program binary and a run trace; it
  * returns the race report and pipeline statistics.
  *
- * OfflineOptions::num_threads picks how PT decode and replay run: 0
- * (and always basic-block mode, which has no PT streams or windows)
- * runs them serially; N > 0 runs them on a per-call N-worker executor
- * (per-core decode shards, inter-sample windows fanned out and
- * committed in serial order through a reorder buffer), bit-identically.
- * Prefiltering, detection and the CheckpointHooks are the same serial
- * step on both paths (DESIGN.md §8).
+ * There is one decode routine (per-core PT decode shards, merged) and
+ * one reconstruction routine (inter-sample windows grouped into
+ * per-thread tasks, committed in plan order, failed tasks retried per
+ * window and quarantined). OfflineOptions::num_threads only picks where
+ * the shards and tasks run: on the calling thread at 0, on a per-call
+ * N-worker executor at N > 0. Basic-block mode has no PT streams or
+ * windows and always runs on the calling thread. Prefiltering,
+ * detection and the CheckpointHooks run on the calling thread
+ * (DESIGN.md §8).
  */
 class OfflineAnalyzer
 {
@@ -264,6 +269,14 @@ class OfflineAnalyzer
     OfflineResult analyze(const trace::RunTrace &run);
 
     /**
+     * Analyze an ingested trace and record what ingestion discarded.
+     * When sync records were lost, streaming detection runs without
+     * epoch GC: a lost spawn record could hide a fork edge the GC
+     * soundness argument relies on.
+     */
+    OfflineResult analyze(const trace::LoadedTrace &loaded);
+
+    /**
      * Ingest @p path fault-tolerantly and analyze what survives.
      * Segment damage degrades the result (recorded in
      * OfflineResult::ingest_loss); only an uninterpretable file —
@@ -273,7 +286,7 @@ class OfflineAnalyzer
     Result<OfflineResult, trace::TraceError>
     analyzeFile(const std::string &path);
 
-    /** Executor counters of the last analyze() call (zero if serial). */
+    /** Executor counters of the last analyze() call (zero at 0 threads). */
     const exec::ExecutorStats &executorStats() const
     {
         return exec_stats_;
@@ -283,13 +296,22 @@ class OfflineAnalyzer
     using Paths = std::map<uint32_t, pmu::ThreadPath>;
     using Alignments = std::map<uint32_t, replay::ThreadAlignment>;
 
-    /** Decode on @p ex, one task per PT stream (serial on migration). */
-    Paths decodeSharded(const trace::RunTrace &run, exec::Executor &ex,
-                        pmu::PtDecodeStats *stats);
+    /** analyze() with the detector options this run allows. */
+    OfflineResult analyzeRun(const trace::RunTrace &run,
+                             const detect::IncrementalOptions &incremental);
 
     /**
-     * One replay pass with the given blacklist, serial when @p ex is
-     * null; returns the TSC-sorted extended trace.
+     * Decode one shard per PT stream, on @p ex or on the calling thread
+     * when it is null, and merge them (pmu::decodePt when a thread
+     * migrated between streams).
+     */
+    Paths decode(const trace::RunTrace &run, exec::Executor *ex,
+                 pmu::PtDecodeStats *stats);
+
+    /**
+     * One replay pass with the given blacklist, its tasks on @p ex or on
+     * the calling thread when it is null; returns the TSC-sorted
+     * extended trace.
      */
     std::vector<replay::ReconstructedAccess>
     reconstruct(const trace::RunTrace &run, const Paths &paths,
@@ -301,6 +323,7 @@ class OfflineAnalyzer
     /** Prefilter plus one-shot or streaming detection. */
     void detectAccesses(const trace::RunTrace &run,
                         const Alignments &alignments,
+                        const detect::IncrementalOptions &incremental,
                         std::vector<replay::ReconstructedAccess> &accesses,
                         OfflineResult &result, bool first_round);
 
@@ -387,8 +410,7 @@ regenerationBlacklist(
     const std::vector<std::pair<uint64_t, uint64_t>> &existing);
 
 /**
- * The static access prefilter shared by the serial and parallel
- * paths: removes extended-trace events at definitely-thread-local
+ * The static access prefilter: removes extended-trace events at definitely-thread-local
  * sites and accounts for what was dropped. A no-op (beyond counting
  * events_seen) when @p enabled is false or @p analysis is null.
  *

@@ -9,7 +9,7 @@
  * producer may run: commit(seq) blocks while seq >= frontier +
  * capacity, which caps memory held for out-of-order completions.
  *
- * The offline analyzer's parallel path additionally throttles
+ * The offline analyzer's executor placement additionally throttles
  * *submission* to the capacity, so under the work-stealing executor
  * (whose owners pop LIFO) a late-sequence task can never occupy every
  * worker while an early-sequence task is still queued — the blocking commit path is a

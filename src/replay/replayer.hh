@@ -96,7 +96,7 @@ struct ReplayStats {
 
     /**
      * Fold another accumulator in. Window replays are independent, so
-     * summing per-task stats reproduces the serial accumulation
+     * summing per-task stats reproduces one replayer's accumulation
      * exactly (every counter is a plain sum of window-local deltas).
      */
     void
@@ -193,7 +193,10 @@ class Replayer
 
     /**
      * Replay every aligned thread; returns the extended memory trace
-     * sorted by estimated TSC.
+     * sorted by estimated TSC. This is the public layer call and the
+     * reference composition of the window-planning calls below; the
+     * offline analyzer runs those calls itself (as window tasks) and
+     * calls replayAll only in basic-block mode.
      */
     std::vector<ReconstructedAccess>
     replayAll(const std::map<uint32_t, pmu::ThreadPath> &paths,
@@ -203,7 +206,7 @@ class Replayer
     /** Accumulated statistics. */
     const ReplayStats &stats() const { return stats_; }
 
-    // --- window planning (shared by the serial and parallel paths) ---
+    // --- window planning (replayAll and the offline analyzer's tasks) ---
 
     /** malloc/spawn sync records mapped to their path positions. */
     static std::map<uint64_t, const trace::SyncRecord *>
@@ -247,7 +250,7 @@ class Replayer
      * program names no instruction and is dropped (counted in
      * ReplayStats::samples_out_of_program). A thread's window accesses
      * followed by its unmatched samples, threads in ascending tid
-     * order, reproduces the serial replayAll sequence exactly.
+     * order, is the pre-sort sequence replayAll builds.
      */
     void appendSamples(const std::vector<size_t> &records,
                        const trace::RunTrace &run,
@@ -259,9 +262,9 @@ class Replayer
         const trace::RunTrace &run, std::vector<ReconstructedAccess> &out);
 
     /**
-     * The final deterministic ordering of the extended trace. Both
-     * analyzer paths build the pre-sort sequence identically, so this
-     * shared sort yields bit-identical extended traces.
+     * The final deterministic ordering of the extended trace. A stable
+     * sort: any caller that builds the same pre-sort sequence gets a
+     * bit-identical extended trace.
      */
     static void sortByTsc(std::vector<ReconstructedAccess> &out);
 

@@ -356,13 +356,10 @@ AnalysisService::analyzeSession(std::shared_ptr<SessionState> session)
     outcome.loss = loaded.loss;
     outcome.compression = loaded.trace.meta.compression;
     core::OfflineOptions opts = options_.offline;
-    // Sessions run serially: the service already parallelises across
-    // sessions on its own pool, and executors must not nest there.
+    // Sessions run their replay tasks on the worker's own thread: the
+    // service already parallelises across sessions on its own pool, and
+    // executors must not nest there.
     opts.num_threads = 0;
-    // GC soundness gate: a lossy sync stream may hide fork edges,
-    // so this session runs batched but unswept (still identical).
-    if (loaded.loss.sync_dropped > 0)
-        opts.incremental.enable_gc = false;
 
     const std::string ckpt_path = checkpointPath(
         session->tenant, session->program_id, stream_bytes, stream_crc);
@@ -420,7 +417,7 @@ AnalysisService::analyzeSession(std::shared_ptr<SessionState> session)
             }
 
             core::OfflineAnalyzer analyzer(*session->program, opts);
-            core::OfflineResult result = analyzer.analyze(loaded.trace);
+            core::OfflineResult result = analyzer.analyze(loaded);
             outcome.ok = true;
             outcome.warm_started = resumed;
             outcome.checkpoints_written = checkpoints_written;

@@ -108,12 +108,14 @@ struct ServiceOptions {
     IngestPolicy ingest;
     /**
      * Offline-pipeline configuration applied to every session.
-     * incremental.enabled is forced on, and num_threads to 0 (sessions
-     * already run in parallel on the service pool). enable_gc is
-     * cleared per session when that session's sync stream arrived
-     * damaged (the GC soundness gate). Each session decodes with the
-     * PT filter its own trace records, so one service analyzes
-     * programs traced under different filters.
+     * incremental.enabled is forced on, and num_threads to 0: sessions
+     * already run in parallel on the service pool, so each session's
+     * replay tasks run on its worker thread, with the same window
+     * quarantine as at any other num_threads. enable_gc is cleared per
+     * session when that session's sync stream arrived damaged (the GC
+     * soundness gate of OfflineAnalyzer::analyze(const LoadedTrace &)).
+     * Each session decodes with the PT filter its own trace records,
+     * so one service analyzes programs traced under different filters.
      */
     core::OfflineOptions offline;
     /**

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -21,6 +22,7 @@
 #include "core/pipeline.hh"
 #include "fault_injection.hh"
 #include "pmu/pt_decode.hh"
+#include "replay/align.hh"
 #include "service/service.hh"
 #include "trace/trace_file.hh"
 #include "workload/racybugs.hh"
@@ -316,6 +318,56 @@ TEST(FaultTolerance, AnalyzeFileSurfacesErrorsAndLoss)
     auto missing = analyzer.analyzeFile("/nonexistent/trace.bin");
     ASSERT_FALSE(missing.ok());
     EXPECT_EQ(missing.error().kind, trace::TraceErrorKind::kIo);
+
+    // A file that lost a sync segment runs streaming detection without
+    // epoch GC. That gate belongs to the one run: it must not outlive
+    // it, even when the analysis throws (here from a deadline tick), so
+    // the next, clean file sweeps exactly as on a fresh analyzer.
+    std::vector<uint8_t> lossy(tb.bytes.begin(), tb.bytes.begin() + 8);
+    bool sync_gone = false;
+    for (const fault::SegmentSpan &s : fault::mapSegments(tb.bytes)) {
+        if (s.kind == 3 && !sync_gone) {
+            sync_gone = true;
+            continue;
+        }
+        lossy.insert(lossy.end(), tb.bytes.begin() + s.begin,
+                     tb.bytes.begin() + s.end);
+    }
+    ASSERT_TRUE(sync_gone);
+    const std::string lossy_path = path + ".lossy";
+    writeFile(path, tb.bytes);
+    writeFile(lossy_path, lossy);
+
+    core::OfflineOptions streaming = tb.cfg.offline;
+    streaming.incremental.enabled = true;
+    streaming.incremental.batch_events = 64;
+    streaming.incremental.gc_min_events = 64;
+    bool expire = false;
+    streaming.checkpoint.tick = [&expire] {
+        if (expire)
+            throw std::runtime_error("session deadline exceeded");
+    };
+    auto fresh = core::OfflineAnalyzer(*tb.workload.program, streaming)
+                     .analyzeFile(path);
+    ASSERT_TRUE(fresh.ok());
+    ASSERT_GT(fresh.value().incremental.gc_sweeps, 0u);
+
+    core::OfflineAnalyzer reused(*tb.workload.program, streaming);
+    auto ungated = reused.analyzeFile(lossy_path);
+    ASSERT_TRUE(ungated.ok());
+    EXPECT_GT(ungated.value().ingest_loss.sync_dropped, 0u);
+    EXPECT_EQ(ungated.value().incremental.gc_sweeps, 0u);
+    expire = true;
+    EXPECT_THROW(reused.analyzeFile(lossy_path), std::runtime_error);
+    expire = false;
+    auto after = reused.analyzeFile(path);
+    ASSERT_TRUE(after.ok());
+    EXPECT_EQ(after.value().incremental.gc_sweeps,
+              fresh.value().incremental.gc_sweeps);
+    EXPECT_EQ(after.value().report.format(tb.workload.program.get()),
+              fresh.value().report.format(tb.workload.program.get()));
+    std::remove(path.c_str());
+    std::remove(lossy_path.c_str());
 }
 
 
@@ -483,6 +535,108 @@ TEST(FaultTolerance, HostileInsnIndexIsDroppedNotDereferenced)
     ASSERT_EQ(outcomes.size(), 1u);
     EXPECT_TRUE(outcomes[0].ok) << outcomes[0].error;
     EXPECT_FALSE(outcomes[0].quarantined);
+    svc.shutdown();
+}
+
+/**
+ * Everything an analysis result says except its timers and the paged
+ * ProgramMap counters, which count the shadow pages of each Replayer
+ * and so depend on how replay tasks map onto replayers.
+ */
+std::string
+resultDigest(const core::OfflineResult &r, const asmkit::Program &program)
+{
+    const replay::ReplayStats &rs = r.replay_stats;
+    const detect::FastTrackStats &ds = r.detect_stats;
+    std::ostringstream out;
+    out << r.report.format(&program) << "\nevents "
+        << r.extended_trace_events << " rounds " << r.regeneration_rounds
+        << "\ndecode " << r.decode_stats.packets << ' '
+        << r.decode_stats.path_entries << "\nalign "
+        << r.align_stats.samples_matched << ' '
+        << r.align_stats.samples_unmatched << ' '
+        << r.align_stats.candidates_rejected << "\nreplay " << rs.sampled
+        << ' ' << rs.recovered_forward << ' ' << rs.recovered_backward << ' '
+        << rs.recovered_pcrel << ' ' << rs.recovered_constant << ' '
+        << rs.windows << ' ' << rs.inconsistent_windows << ' '
+        << rs.backward_rounds << ' ' << rs.violations_branch << ' '
+        << rs.violations_fact << ' ' << rs.violations_sample << ' '
+        << rs.violations_end << ' ' << rs.violations_backward << ' '
+        << rs.samples_out_of_program << "\nprefilter "
+        << r.prefilter.events_seen << ' ' << r.prefilter.pruned()
+        << "\ndetect " << ds.reads << ' ' << ds.writes << ' ' << ds.sync_ops
+        << ' ' << ds.epoch_fast_path << ' ' << ds.read_shares
+        << "\nquarantine " << r.quarantine.window_retries << ' '
+        << r.quarantine.windows_quarantined << "\nloss "
+        << r.ingest_loss.summary();
+    return out.str();
+}
+
+TEST(FaultTolerance, HostileSampleAddressQuarantinesOneWindow)
+{
+    // A CRC-valid trace written by the real writer whose matched PEBS
+    // sample records an address that wraps the address space. Replaying
+    // the sample's window trips the ProgramMap span check. That window
+    // alone must be quarantined, alike at every num_threads, and a
+    // service session (which analyzes at num_threads 0) must succeed on
+    // its first attempt rather than spend its retries and a tenant
+    // strike on bytes that fail the same way every time.
+    const TracedBug tb = traceBug("apache-25520", 500, 7);
+    const asmkit::Program &program = *tb.workload.program;
+    auto loaded = trace::readTrace(tb.bytes);
+    ASSERT_TRUE(loaded.ok());
+    trace::RunTrace hostile = loaded.value().trace;
+    const auto paths =
+        pmu::decodePt(program, hostile.meta.pt_filter, hostile);
+    const auto alignments = replay::alignTrace(program, paths, hostile);
+    const replay::ThreadAlignment *victim = nullptr;
+    for (const auto &[tid, alignment] : alignments) {
+        if (!victim || alignment.samples.size() > victim->samples.size())
+            victim = &alignment;
+    }
+    ASSERT_NE(victim, nullptr);
+    ASSERT_GE(victim->samples.size(), 3u);
+    const size_t mid = victim->samples.size() / 2;
+    hostile.pebs[victim->samples[mid].record_index].addr = ~uint64_t{0};
+    const std::vector<uint8_t> bytes = trace::serializeTrace(hostile);
+    auto forged = trace::readTrace(bytes);
+    ASSERT_TRUE(forged.ok());
+    ASSERT_FALSE(forged.value().loss.hasLoss());
+
+    core::OfflineResult direct;
+    for (const unsigned jobs : {0u, 1u, 2u, 8u}) {
+        core::OfflineOptions opt = tb.cfg.offline;
+        opt.num_threads = jobs;
+        const core::OfflineResult r =
+            core::OfflineAnalyzer(program, opt).analyze(forged.value());
+        EXPECT_EQ(r.quarantine.windows_quarantined, 1u) << "jobs " << jobs;
+        if (jobs == 0)
+            direct = r;
+        else
+            EXPECT_EQ(resultDigest(r, program), resultDigest(direct, program))
+                << "jobs " << jobs;
+    }
+    EXPECT_GT(direct.report.size(), 0u);
+
+    service::ServiceOptions options;
+    options.num_workers = 1;
+    service::AnalysisService svc(options);
+    svc.registerProgram("apache", tb.workload.program);
+    const uint64_t id = svc.openSession("tenant", "apache");
+    ASSERT_NE(id, 0u);
+    svc.submit(id, bytes);
+    svc.closeSession(id);
+    svc.drain();
+    const std::vector<service::SessionOutcome> outcomes = svc.outcomes();
+    ASSERT_EQ(outcomes.size(), 1u);
+    EXPECT_TRUE(outcomes[0].ok) << outcomes[0].error;
+    EXPECT_EQ(outcomes[0].attempts, 1u);
+    EXPECT_FALSE(outcomes[0].quarantined);
+    EXPECT_EQ(outcomes[0].quarantine.windows_quarantined, 1u);
+    EXPECT_EQ(outcomes[0].extended_trace_events,
+              direct.extended_trace_events);
+    EXPECT_EQ(outcomes[0].report.format(&program),
+              direct.report.format(&program));
     svc.shutdown();
 }
 

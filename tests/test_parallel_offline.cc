@@ -1,18 +1,24 @@
 /**
- * @file
- * Serial/parallel equivalence of the offline-analysis engine: for every
- * workload, seed, and thread count, OfflineAnalyzer with num_threads > 0
+ * Placement equivalence of the offline-analysis engine. OfflineAnalyzer
+ * runs one decode routine and one reconstruction routine at every
+ * num_threads; the thread count only decides whether decode shards and
+ * replay tasks run on the calling thread (0) or on N executor workers.
+ * For every workload, seed, and thread count, the executor placement
  * must produce a byte-identical race report, identical pipeline
- * statistics (everything except the wall-clock timers) and identical
- * checkpoint-hook traffic to the serial stages on the same trace.
+ * statistics (everything except the wall-clock timers and the paged
+ * ProgramMap counters), identical window quarantine and identical
+ * checkpoint-hook traffic to the calling-thread placement on the same
+ * trace.
  */
 
 #include <gtest/gtest.h>
 
+#include "analysis/analysis.hh"
 #include "asmkit/builder.hh"
 #include "core/pipeline.hh"
 #include "support/journal.hh"
 #include "workload/racybugs.hh"
+#include "workload/registry.hh"
 
 namespace prorace {
 namespace {
@@ -25,8 +31,8 @@ using isa::Reg;
 const unsigned kThreadCounts[] = {1, 2, 8};
 
 /**
- * Analyze @p run serially and with @p num_threads workers; every
- * non-timing field of the results must match exactly.
+ * Analyze @p run on the calling thread and with @p num_threads workers;
+ * every non-timing field of the results must match exactly.
  */
 void
 expectEquivalent(const Program &program, const trace::RunTrace &run,
@@ -99,6 +105,11 @@ expectEquivalent(const Program &program, const trace::RunTrace &run,
     EXPECT_EQ(s.detect_stats.epoch_fast_path,
               p.detect_stats.epoch_fast_path);
     EXPECT_EQ(s.detect_stats.read_shares, p.detect_stats.read_shares);
+
+    // Window quarantine.
+    EXPECT_EQ(s.quarantine.window_retries, p.quarantine.window_retries);
+    EXPECT_EQ(s.quarantine.windows_quarantined,
+              p.quarantine.windows_quarantined);
 }
 
 /**
@@ -185,7 +196,7 @@ TEST(ParallelOffline, MatchesSerialOnRaceFreeWorkload)
                          "apache-21287");
 }
 
-TEST(ParallelOffline, ZeroThreadsDelegatesToSerialEngine)
+TEST(ParallelOffline, ZeroThreadsRunNoExecutorTasks)
 {
     workload::Workload w = workload::makeRacyBug("pfscan", 0.4);
     auto cfg = core::proRaceConfig(100, 2, w.pt_filter);
@@ -194,10 +205,11 @@ TEST(ParallelOffline, ZeroThreadsDelegatesToSerialEngine)
     ASSERT_EQ(cfg.offline.num_threads, 0u);
     core::OfflineAnalyzer serial(*w.program, cfg.offline);
     core::OfflineResult s = serial.analyze(run.trace);
-    // The serial stages ran no executor tasks...
+    // At 0 every decode shard and replay task ran on the calling
+    // thread...
     EXPECT_EQ(serial.executorStats().executed, 0u);
 
-    // ...and the parallel ones did, reporting the same races.
+    // ...and at 2 on the executor, reporting the same races.
     core::OfflineOptions par_opt = cfg.offline;
     par_opt.num_threads = 2;
     core::OfflineAnalyzer parallel(*w.program, par_opt);
@@ -210,9 +222,10 @@ TEST(ParallelOffline, ZeroThreadsDelegatesToSerialEngine)
 TEST(ParallelOffline, PoisonedWindowIsQuarantinedAlone)
 {
     // A sample whose recorded address wraps the address space makes its
-    // window's replay throw (the ProgramMap span check). The fan-out
-    // re-runs the failed task's windows one at a time and gives up only
-    // the poisoned window; the rest of its thread still reconstructs.
+    // window's replay throw (the ProgramMap span check). At every
+    // num_threads, the failed task's windows are re-run one at a time
+    // and only the poisoned window is given up; the rest of its thread
+    // still reconstructs.
     Program p = globalRaceProgram();
     auto cfg = core::proRaceConfig(25, 1);
     auto run = core::Session::run(
@@ -227,7 +240,6 @@ TEST(ParallelOffline, PoisonedWindowIsQuarantinedAlone)
     ASSERT_NE(victim, nullptr);
 
     core::OfflineOptions opt = cfg.offline;
-    opt.num_threads = 2;
     opt.max_regeneration_rounds = 0;
     const core::OfflineResult clean =
         core::OfflineAnalyzer(p, opt).analyze(run.trace);
@@ -236,14 +248,128 @@ TEST(ParallelOffline, PoisonedWindowIsQuarantinedAlone)
     trace::RunTrace poisoned = run.trace;
     const size_t mid = victim->samples.size() / 2;
     poisoned.pebs[victim->samples[mid].record_index].addr = ~uint64_t{0};
-    const core::OfflineResult r =
-        core::OfflineAnalyzer(p, opt).analyze(poisoned);
-    EXPECT_EQ(r.quarantine.windows_quarantined, 1u);
-    // Every window of the failed task was re-run, the poisoned one too.
-    EXPECT_GT(r.quarantine.window_retries, 1u);
-    EXPECT_EQ(r.replay_stats.windows + 1, clean.replay_stats.windows);
-    EXPECT_LT(r.extended_trace_events, clean.extended_trace_events);
-    EXPECT_GT(r.extended_trace_events, clean.extended_trace_events / 2);
+    for (unsigned n : {0u, 1u, 2u, 8u}) {
+        SCOPED_TRACE("num_threads=" + std::to_string(n));
+        opt.num_threads = n;
+        const core::OfflineResult r =
+            core::OfflineAnalyzer(p, opt).analyze(poisoned);
+        EXPECT_EQ(r.quarantine.windows_quarantined, 1u);
+        // Every window of the failed task was re-run, the poisoned one
+        // too.
+        EXPECT_GT(r.quarantine.window_retries, 1u);
+        EXPECT_EQ(r.replay_stats.windows + 1, clean.replay_stats.windows);
+        EXPECT_LT(r.extended_trace_events, clean.extended_trace_events);
+        EXPECT_GT(r.extended_trace_events,
+                  clean.extended_trace_events / 2);
+        if (n > 0)
+            expectEquivalent(p, poisoned, opt, n, "poisoned");
+    }
+}
+
+/** What the reference composition of the public layer calls produced. */
+struct LayeredResult {
+    std::string report;
+    uint64_t extended_trace_events = 0;
+    int regeneration_rounds = 0;
+};
+
+/**
+ * analyze() composed from the public layer calls, one-shot detection,
+ * the paper's §5.1 regeneration loop included: pmu::decodePt,
+ * replay::alignTrace, Replayer::replayAll, the static prefilter and
+ * detectRaces. The analyzer runs its own decode shards and window tasks
+ * instead, so this is the reference it must reproduce.
+ */
+LayeredResult
+analyzeByLayer(const Program &program, const trace::RunTrace &run,
+               const core::OfflineOptions &options)
+{
+    const analysis::ProgramAnalysis facts(program, options.pointsto);
+    replay::ReplayConfig config = options.replay;
+    config.analysis = &facts;
+    const auto paths = pmu::decodePt(program, run.meta.pt_filter, run);
+    const auto alignments =
+        replay::alignTrace(program, paths, run, nullptr, &facts);
+
+    LayeredResult out;
+    for (int round = 0;; ++round) {
+        out.regeneration_rounds = round;
+        replay::Replayer replayer(program, config);
+        std::vector<replay::ReconstructedAccess> accesses =
+            replayer.replayAll(paths, alignments, run);
+        out.extended_trace_events = accesses.size();
+        core::PrefilterStats prefilter;
+        core::detail::applyStaticPrefilter(accesses, &facts,
+                                           options.static_prefilter,
+                                           prefilter, &run);
+        detect::RaceReport report;
+        detect::FastTrackStats stats;
+        core::detail::detectRaces(run, alignments, accesses, report, stats);
+        out.report = report.format(&program);
+        if (round >= options.max_regeneration_rounds)
+            break;
+        const auto additions = core::detail::regenerationBlacklist(
+            report, replayer.consumedAddresses(), config.mem_blacklist);
+        if (additions.empty())
+            break;
+        config.mem_blacklist.insert(config.mem_blacklist.end(),
+                                    additions.begin(), additions.end());
+    }
+    return out;
+}
+
+/** analyze() at 0 and 2 threads must equal analyzeByLayer(). */
+void
+expectMatchesLayers(const Program &program, const trace::RunTrace &run,
+                    const core::OfflineOptions &base, const char *label,
+                    int *regeneration_rounds = nullptr)
+{
+    const LayeredResult ref = analyzeByLayer(program, run, base);
+    if (regeneration_rounds)
+        *regeneration_rounds = ref.regeneration_rounds;
+    for (unsigned n : {0u, 2u}) {
+        SCOPED_TRACE(std::string(label) + ", num_threads=" +
+                     std::to_string(n));
+        core::OfflineOptions opt = base;
+        opt.num_threads = n;
+        const core::OfflineResult r =
+            core::OfflineAnalyzer(program, opt).analyze(run);
+        EXPECT_EQ(r.report.format(&program), ref.report);
+        EXPECT_EQ(r.extended_trace_events, ref.extended_trace_events);
+        EXPECT_EQ(r.regeneration_rounds, ref.regeneration_rounds);
+    }
+}
+
+TEST(ReferenceComposition, RegistrySubjectsMatchAnalyze)
+{
+    for (const char *name :
+         {"memcached", "kvchurn", "mysql-644", "mpmc-queue-racy"}) {
+        auto w = workload::findWorkload(name, 0.3);
+        ASSERT_TRUE(w.has_value()) << name;
+        for (uint64_t seed : {1u, 2u}) {
+            auto cfg = core::proRaceConfig(32, seed, w->pt_filter);
+            auto run = core::Session::run(*w->program, w->setup,
+                                          cfg.session);
+            expectMatchesLayers(*w->program, run.trace, cfg.offline, name);
+        }
+    }
+}
+
+TEST(ReferenceComposition, RegenerationRoundsMatchAnalyze)
+{
+    Program p = globalRaceProgram();
+    bool saw_regeneration = false;
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+        auto cfg = core::proRaceConfig(25, seed);
+        auto run = core::Session::run(
+            p, [](vm::Machine &m) { m.addThread("main"); }, cfg.session);
+        int rounds = 0;
+        expectMatchesLayers(p, run.trace, cfg.offline, "global-race",
+                            &rounds);
+        saw_regeneration = saw_regeneration || rounds > 0;
+    }
+    EXPECT_TRUE(saw_regeneration)
+        << "no seed exercised the regeneration loop";
 }
 
 /** What the checkpoint hooks saw during one analyze() call. */
