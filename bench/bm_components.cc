@@ -18,7 +18,6 @@
 #include "detect/fasttrack.hh"
 #include "detect/fasttrack_ref.hh"
 #include "exec/executor.hh"
-#include "exec/reorder_buffer.hh"
 #include "pmu/pt_decode.hh"
 #include "replay/align.hh"
 #include "replay/byte_map_model.hh"
@@ -384,37 +383,6 @@ BM_ExecutorSubmit(benchmark::State &state)
 }
 BENCHMARK(BM_ExecutorSubmit)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
-
-void
-BM_ReorderBufferCommit(benchmark::State &state)
-{
-    // Ordered-commit throughput: workers commit out of order, one
-    // consumer drains in sequence order.
-    uint64_t items = 0;
-    for (auto _ : state) {
-        constexpr uint64_t kItems = 4096;
-        exec::Executor ex(2);
-        exec::ReorderBuffer<uint64_t> rob(64);
-        uint64_t submitted = 0;
-        auto submit_one = [&] {
-            const uint64_t seq = submitted++;
-            ex.submit([&rob, seq] { rob.commit(seq, seq * 3); });
-        };
-        while (submitted < 64)
-            submit_one();
-        uint64_t total = 0;
-        for (uint64_t seq = 0; seq < kItems; ++seq) {
-            total += rob.pop();
-            if (submitted < kItems)
-                submit_one();
-        }
-        benchmark::DoNotOptimize(total);
-        items += kItems;
-    }
-    state.counters["commits/s"] = benchmark::Counter(
-        static_cast<double>(items), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_ReorderBufferCommit)->Unit(benchmark::kMillisecond);
 
 void
 BM_ParallelOffline(benchmark::State &state)

@@ -1,11 +1,11 @@
 #include "core/offline.hh"
 
 #include <algorithm>
+#include <deque>
 #include <optional>
 #include <span>
 #include <unordered_map>
 
-#include "exec/reorder_buffer.hh"
 #include "support/log.hh"
 #include "support/timer.hh"
 #include "trace/trace_file.hh"
@@ -550,37 +550,101 @@ struct WindowTask {
 /** Path positions a task collects before it is closed. */
 constexpr uint64_t kTaskPositions = uint64_t{1} << 14;
 
-/** What a replay attempt on a private Replayer hands to the commit. */
-struct WindowResult {
+/** What a worker hands to the ordered commit. */
+struct TaskResult {
     std::vector<replay::ReconstructedAccess> accesses;
-    replay::ReplayStats stats;
-    std::unordered_set<uint64_t> consumed;
-    bool failed = false;
+    bool ok = false;
 };
 
 /**
- * Replay @p windows on a fresh Replayer. A failed attempt contributes
- * no accesses and no counters, but keeps its consumed-address marks: a
- * larger consumed set only makes §5.1 regeneration more conservative.
+ * The Replayer one thread reuses for every task it runs, plus the
+ * counters and consumed marks of the Replayers it retired.
  */
-WindowResult
-replayWindows(const asmkit::Program &program,
-              const replay::ReplayConfig &config, const WindowTask &t,
-              std::span<const Replayer::Window> windows)
+class Lane
 {
-    WindowResult res;
-    Replayer replayer(program, config);
-    try {
-        for (const Replayer::Window &w : windows)
-            replayer.replayWindow(w, *t.path, *t.alignment, res.accesses);
-        res.stats = replayer.stats();
-    } catch (...) {
-        res.accesses = {};
-        res.failed = true;
+  public:
+    Lane(const asmkit::Program &program, const replay::ReplayConfig &config)
+        : program_(program), config_(config),
+          replayer_(std::in_place, program, config)
+    {
     }
-    res.consumed = replayer.consumedAddresses();
-    return res;
-}
+
+    Replayer &replayer() { return *replayer_; }
+
+    /**
+     * Replay @p windows of @p t into @p out. A failed attempt leaves
+     * @p out and the counters as they were before it, but keeps its
+     * consumed-address marks (a larger consumed set only makes §5.1
+     * regeneration more conservative), and the lane goes on with a
+     * fresh Replayer, since a throw may leave scratch state
+     * half-updated.
+     */
+    bool
+    run(const WindowTask &t, std::span<const Replayer::Window> windows,
+        std::vector<replay::ReconstructedAccess> &out)
+    {
+        const size_t mark = out.size();
+        const replay::ReplayStats before = replayer_->stats();
+        try {
+            for (const Replayer::Window &w : windows)
+                replayer_->replayWindow(w, *t.path, *t.alignment, out);
+            return true;
+        } catch (...) {
+            out.resize(mark);
+            retire(before);
+            replayer_.emplace(program_, config_);
+            return false;
+        }
+    }
+
+    /**
+     * Fold the lane into the pass's counters and consumed set, once at
+     * the end of the pass. Sums and a set union: lane order is free.
+     */
+    void
+    fold(replay::ReplayStats &stats, std::unordered_set<uint64_t> &consumed)
+    {
+        stats.merge(retired_stats_);
+        stats.merge(replayer_->stats());
+        consumed.merge(retired_consumed_);
+        consumed.merge(replayer_->consumedAddresses());
+    }
+
+  private:
+    /** Keep @p stats and every consumed mark of the current Replayer. */
+    void
+    retire(const replay::ReplayStats &stats)
+    {
+        retired_stats_.merge(stats);
+        retired_consumed_.merge(replayer_->consumedAddresses());
+    }
+
+    const asmkit::Program &program_;
+    const replay::ReplayConfig &config_;
+    std::optional<Replayer> replayer_;
+    replay::ReplayStats retired_stats_;
+    std::unordered_set<uint64_t> retired_consumed_;
+};
+
+/**
+ * Tasks submitted to the executor whose results the commit has not
+ * taken yet. Destruction waits for every one of them: they replay on
+ * lanes and read tasks of the frame that holds this, so an exception
+ * must not unwind that frame under a running task.
+ */
+struct InFlight {
+    std::deque<exec::Future<TaskResult>> futures;
+
+    ~InFlight()
+    {
+        for (exec::Future<TaskResult> &f : futures) {
+            try {
+                f.get();
+            } catch (...) {
+            }
+        }
+    }
+};
 
 } // namespace
 
@@ -686,89 +750,68 @@ OfflineAnalyzer::reconstruct(const trace::RunTrace &run, const Paths &paths,
     }
 
     // --- placement: where tasks run, never what they compute ---
-    // On the executor, each task replays on a private Replayer and its
-    // result waits in a reorder buffer for its turn. Submission is
-    // throttled to the buffer's capacity, so a commit can never block
-    // with every worker stuck on a later-sequence task (see
-    // reorder_buffer.hh). On the calling thread, one Replayer is reused
-    // across tasks and each task appends straight into the run's access
-    // vector, so nothing is buffered.
-    std::optional<exec::ReorderBuffer<WindowResult>> rob;
-    uint64_t next_submit = 0;
-    auto submit_one = [&] {
-        const uint64_t seq = next_submit++;
-        const WindowTask *t = &tasks[seq];
-        ex->submit([this, &rob, &replay_config, t, seq] {
-            WindowResult res;
-            try {
-                res = replayWindows(program_, replay_config, *t, t->windows);
-            } catch (...) {
-                res.failed = true; // allocation failure outside replay
-            }
-            rob->commit(seq, std::move(res));
-        });
-    };
-    std::optional<Replayer> replayer;
+    // Every replay attempt runs on a lane: worker i's tasks on
+    // worker_lanes[i], everything on the calling thread (the tasks at
+    // num_threads 0, the per-window retries, the sample appends) on
+    // `caller`. On the executor the calling thread keeps up to
+    // max(2N, 16) tasks in flight and takes their results in plan order
+    // from the futures; workers never wait for the commit.
+    Lane caller(program_, replay_config);
+    std::deque<Lane> worker_lanes;
+    InFlight in_flight;
+    size_t next_submit = 0;
+    size_t max_in_flight = 0;
     if (ex) {
-        const uint64_t capacity =
-            std::max<uint64_t>(2 * ex->numThreads(), 16);
-        rob.emplace(capacity);
-        while (next_submit < tasks.size() && next_submit < capacity)
-            submit_one();
-    } else {
-        replayer.emplace(program_, replay_config);
+        for (unsigned i = 0; i < ex->numThreads(); ++i)
+            worker_lanes.emplace_back(program_, replay_config);
+        max_in_flight = std::max<size_t>(2 * ex->numThreads(), 16);
     }
+    auto refill = [&] {
+        while (next_submit < tasks.size() &&
+               in_flight.futures.size() < max_in_flight) {
+            const WindowTask *t = &tasks[next_submit++];
+            in_flight.futures.push_back(ex->submit([&worker_lanes, t] {
+                const unsigned worker = exec::Executor::workerIndex();
+                PRORACE_ASSERT(worker < worker_lanes.size(),
+                               "replay task off its executor");
+                TaskResult res;
+                res.ok = worker_lanes[worker].run(*t, t->windows,
+                                                  res.accesses);
+                return res;
+            }));
+        }
+    };
 
     // The commit re-assembles the access sequence in plan order: threads
     // in ascending tid order, windows in path order (each already in
     // position order), then each thread's unlocatable samples in record
     // order. A failed task contributes no accesses and no counters.
     std::vector<replay::ReconstructedAccess> accesses;
-    replay::ReplayStats replay_stats;
-    auto absorb = [&](WindowResult &res) {
-        consumed.merge(res.consumed);
-        if (res.failed)
-            return false;
-        replay_stats.merge(res.stats);
-        accesses.insert(accesses.end(), res.accesses.begin(),
-                        res.accesses.end());
-        return true;
-    };
-    // Fold the calling-thread Replayer's consumed marks and @p stats
-    // into the run's.
-    auto retire_replayer = [&](const replay::ReplayStats &stats) {
-        replay_stats.merge(stats);
-        std::unordered_set<uint64_t> marks = replayer->consumedAddresses();
-        consumed.merge(marks);
-    };
     auto run_task = [&](const WindowTask &t) {
-        if (ex) {
-            WindowResult res = rob->pop();
-            if (next_submit < tasks.size())
-                submit_one();
-            return absorb(res);
-        }
-        const size_t mark = accesses.size();
-        const replay::ReplayStats before = replayer->stats();
+        if (!ex)
+            return caller.run(t, t.windows, accesses);
+        TaskResult res;
         try {
-            for (const Replayer::Window &w : t.windows)
-                replayer->replayWindow(w, *t.path, *t.alignment, accesses);
-            return true;
+            res = in_flight.futures.front().get();
         } catch (...) {
-            // Undo the task: drop its accesses, keep the counters from
-            // before it and every consumed mark (the failed task's
-            // too), and go on with a fresh Replayer, since a throw may
-            // leave scratch state half-updated.
-            accesses.resize(mark);
-            retire_replayer(before);
-            replayer.emplace(program_, replay_config);
-            return false;
+            res.ok = false; // allocation failure outside replay
         }
+        in_flight.futures.pop_front();
+        refill();
+        if (res.ok) {
+            accesses.insert(accesses.end(), res.accesses.begin(),
+                            res.accesses.end());
+        }
+        return res.ok;
     };
 
-    Replayer finalizer(program_, replay_config);
+    // The deadline tick fires after every committed task, in streaming
+    // mode like every hook.
+    const std::function<void()> &tick = options_.checkpoint.tick;
+    const bool ticking = options_.incremental.enabled && tick;
     const std::map<uint32_t, std::vector<size_t>> unmatched =
         Replayer::unmatchedSamples(alignments, run);
+    refill(); // nothing to submit at num_threads 0
     for (const WindowTask &t : tasks) {
         if (!run_task(t)) {
             // Quarantine policy: re-run the task's windows one at a
@@ -782,23 +825,24 @@ OfflineAnalyzer::reconstruct(const trace::RunTrace &run, const Paths &paths,
             // retry is unnecessary by construction.
             for (const Replayer::Window &w : t.windows) {
                 ++result.quarantine.window_retries;
-                WindowResult res =
-                    replayWindows(program_, replay_config, t, {&w, 1});
-                if (!absorb(res))
+                if (!caller.run(t, {&w, 1}, accesses))
                     ++result.quarantine.windows_quarantined;
             }
         }
         if (t.last_of_thread) {
             if (auto u = unmatched.find(t.path->tid); u != unmatched.end())
-                finalizer.appendSamples(u->second, run, accesses);
+                caller.replayer().appendSamples(u->second, run, accesses);
         }
+        if (ticking)
+            tick();
     }
-    finalizer.appendPathlessSamples(paths, run, accesses);
+    caller.replayer().appendPathlessSamples(paths, run, accesses);
     Replayer::sortByTsc(accesses);
 
-    if (replayer)
-        retire_replayer(replayer->stats());
-    replay_stats.merge(finalizer.stats()); // unlocatable-sample counts
+    replay::ReplayStats replay_stats;
+    caller.fold(replay_stats, consumed);
+    for (Lane &lane : worker_lanes)
+        lane.fold(replay_stats, consumed);
     result.replay_stats = replay_stats;
     result.extended_trace_events = accesses.size();
     return accesses;

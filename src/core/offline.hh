@@ -29,7 +29,7 @@
 namespace prorace::core {
 
 /**
- * Checkpoint/resume and supervision hooks into streaming detection
+ * Checkpoint/resume and supervision hooks into the streaming analysis
  * (detect::FastTrack with batch boundaries). The analysis service uses
  * these for crash recovery: at every epoch-GC batch boundary it can
  * serialize the detector plus the feed cursor, and a later analysis of
@@ -42,10 +42,12 @@ namespace prorace::core {
  */
 struct CheckpointHooks {
     /**
-     * Fired at every batch boundary of every round, and once after the
-     * final event. May throw to abort the analysis — this is how the
-     * service enforces per-session deadlines cooperatively; the
-     * exception propagates out of analyze().
+     * Fired on the calling thread after every committed replay task,
+     * at every detection batch boundary, and once after the final
+     * event, in every round. Decode and alignment run without a tick.
+     * May throw to abort the analysis — this is how the service
+     * enforces per-session deadlines cooperatively; the exception
+     * propagates out of analyze() once no replay task is running.
      */
     std::function<void()> tick;
 
@@ -309,9 +311,9 @@ class OfflineAnalyzer
                  pmu::PtDecodeStats *stats);
 
     /**
-     * One replay pass with the given blacklist, its tasks on @p ex or on
-     * the calling thread when it is null; returns the TSC-sorted
-     * extended trace.
+     * One replay pass with the given blacklist, its tasks on the
+     * per-worker replayers of @p ex or on the calling thread's when it
+     * is null; returns the TSC-sorted extended trace.
      */
     std::vector<replay::ReconstructedAccess>
     reconstruct(const trace::RunTrace &run, const Paths &paths,

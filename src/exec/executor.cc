@@ -8,6 +8,8 @@ namespace prorace::exec {
 
 namespace {
 
+thread_local unsigned t_worker_index = Executor::kNotAWorker;
+
 double
 secondsSince(std::chrono::steady_clock::time_point t0)
 {
@@ -115,9 +117,16 @@ Executor::recordTaskSeconds(std::chrono::steady_clock::time_point t0)
     task_seconds_.add(seconds);
 }
 
+unsigned
+Executor::workerIndex()
+{
+    return t_worker_index;
+}
+
 void
 Executor::workerLoop(unsigned index)
 {
+    t_worker_index = index;
     for (;;) {
         if (runOneTask(index))
             continue;

@@ -67,6 +67,16 @@ class Executor
         return static_cast<unsigned>(workers_.size());
     }
 
+    /** What workerIndex() returns on a thread outside every pool. */
+    static constexpr unsigned kNotAWorker = ~0u;
+
+    /**
+     * Index in [0, numThreads()) of the pool worker running the caller,
+     * or kNotAWorker off the pool. Callers keep per-worker state (one
+     * slot per worker) indexed by it.
+     */
+    static unsigned workerIndex();
+
     /**
      * Submit a callable; returns a Future of its result. The callable
      * runs exactly once on some worker thread.

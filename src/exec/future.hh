@@ -49,17 +49,6 @@ template <typename T> class Future
   public:
     Future() = default;
 
-    /** True when bound to a task (moved-from futures are invalid). */
-    bool valid() const { return state_ != nullptr; }
-
-    /** True once the producer delivered a value or an exception. */
-    bool
-    ready() const
-    {
-        std::lock_guard<std::mutex> lock(state_->mu);
-        return state_->ready;
-    }
-
     /** Block for the result; rethrows the task's exception, if any. */
     T
     get()
@@ -70,14 +59,6 @@ template <typename T> class Future
             std::rethrow_exception(state_->error);
         if constexpr (!std::is_void_v<T>)
             return std::move(*state_->value);
-    }
-
-    /** Block until ready without consuming the value. */
-    void
-    wait() const
-    {
-        std::unique_lock<std::mutex> lock(state_->mu);
-        state_->cv.wait(lock, [this] { return state_->ready; });
     }
 
   private:

@@ -10,12 +10,6 @@ validScale(uint8_t s)
     return s == 1 || s == 2 || s == 4 || s == 8;
 }
 
-bool
-validWidth(uint8_t w)
-{
-    return w == 1 || w == 2 || w == 4 || w == 8;
-}
-
 const char *
 validateMem(const MemOperand &m)
 {
@@ -31,6 +25,12 @@ validateMem(const MemOperand &m)
 }
 
 } // namespace
+
+bool
+validWidth(uint8_t w)
+{
+    return w == 1 || w == 2 || w == 4 || w == 8;
+}
 
 const char *
 validateInsn(const Insn &insn)

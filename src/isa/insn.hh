@@ -127,6 +127,9 @@ struct Insn {
     }
 };
 
+/** A memory access width the ISA can encode: 1, 2, 4 or 8 bytes. */
+bool validWidth(uint8_t w);
+
 /**
  * Check structural well-formedness of one instruction (register fields
  * present where required, scale is a power of two, width is sane).

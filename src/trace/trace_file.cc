@@ -6,6 +6,7 @@
 #include <cstring>
 #include <unordered_map>
 
+#include "isa/insn.hh"
 #include "support/crc32.hh"
 #include "support/log.hh"
 
@@ -551,6 +552,8 @@ decodePebsChunk(const uint8_t *data, size_t size,
             applyDelta(pt.insn_index, col[kColInsn].varint()));
         rec.addr = applyDelta(pt.addr, col[kColAddr].varint());
         rec.width = col[kColWidth].u8();
+        if (!isa::validWidth(rec.width))
+            return false; // no instruction accesses this many bytes
         const uint8_t flags = col[kColFlags].u8();
         rec.is_write = (flags & 1u) != 0;
         rec.is_atomic = (flags & 2u) != 0;

@@ -1,13 +1,16 @@
 /**
  * @file
  * Tests for the work-stealing executor subsystem: futures, task queues,
- * the executor itself (ordering-free completion, exception propagation,
- * stealing, stats), and the bounded reorder buffer's ordered commit.
+ * and the executor itself (ordering-free completion, exception
+ * propagation, stealing, stats, and the worker index that per-worker
+ * state is keyed by).
  */
 
 #include <atomic>
+#include <map>
 #include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -16,7 +19,6 @@
 
 #include "exec/executor.hh"
 #include "exec/future.hh"
-#include "exec/reorder_buffer.hh"
 #include "exec/task_queue.hh"
 
 namespace prorace::exec {
@@ -168,58 +170,34 @@ TEST(Executor, DestructorDrainsPendingTasks)
     EXPECT_EQ(ran.load(), 100);
 }
 
-TEST(ReorderBuffer, ReordersOutOfOrderCommits)
+TEST(Executor, WorkerIndexNamesTheRunningWorker)
 {
-    ReorderBuffer<int> rob(8);
-    std::thread committer([&rob] {
-        rob.commit(2, 20);
-        rob.commit(0, 0);
-        rob.commit(3, 30);
-        rob.commit(1, 10);
-    });
-    for (int seq = 0; seq < 4; ++seq)
-        EXPECT_EQ(rob.pop(), seq * 10);
-    committer.join();
-}
-
-TEST(ReorderBuffer, BlocksCommitsBeyondCapacity)
-{
-    ReorderBuffer<int> rob(2);
-    rob.commit(0, 0);
-    rob.commit(1, 1);
-    std::atomic<bool> third_done{false};
-    std::thread committer([&rob, &third_done] {
-        rob.commit(2, 2); // must wait until seq 0 is popped
-        third_done.store(true);
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    EXPECT_FALSE(third_done.load());
-    EXPECT_EQ(rob.pop(), 0);
-    EXPECT_EQ(rob.pop(), 1);
-    EXPECT_EQ(rob.pop(), 2);
-    committer.join();
-    EXPECT_TRUE(third_done.load());
-    EXPECT_EQ(rob.frontier(), 3u);
-    EXPECT_EQ(rob.held(), 0u);
-}
-
-TEST(ReorderBuffer, ManyProducersOneConsumerStaysOrdered)
-{
-    constexpr uint64_t kItems = 2000;
-    Executor ex(4);
-    ReorderBuffer<uint64_t> rob(16);
-    uint64_t submitted = 0;
-    auto submit_one = [&] {
-        const uint64_t seq = submitted++;
-        ex.submit([&rob, seq] { rob.commit(seq, seq * 7); });
-    };
-    while (submitted < 16)
-        submit_one();
-    for (uint64_t seq = 0; seq < kItems; ++seq) {
-        EXPECT_EQ(rob.pop(), seq * 7);
-        if (submitted < kItems)
-            submit_one();
+    // Per-worker state is safe only if each worker thread has one index
+    // of its own: a function of the thread, and no two threads share it.
+    EXPECT_EQ(Executor::workerIndex(), Executor::kNotAWorker);
+    Executor ex(3);
+    std::vector<Future<std::pair<std::thread::id, unsigned>>> futures;
+    for (int i = 0; i < 64; ++i) {
+        futures.push_back(ex.submit([] {
+            return std::make_pair(std::this_thread::get_id(),
+                                  Executor::workerIndex());
+        }));
     }
+    std::map<std::thread::id, unsigned> index_of;
+    std::set<unsigned> indices;
+    for (auto &f : futures) {
+        const auto [thread, index] = f.get();
+        EXPECT_LT(index, ex.numThreads());
+        const auto [it, fresh] = index_of.emplace(thread, index);
+        EXPECT_EQ(it->second, index);
+        if (fresh)
+            EXPECT_TRUE(indices.insert(index).second);
+    }
+    EXPECT_EQ(Executor::workerIndex(), Executor::kNotAWorker);
+    unsigned off_pool = 0;
+    std::thread outsider([&off_pool] { off_pool = Executor::workerIndex(); });
+    outsider.join();
+    EXPECT_EQ(off_pool, Executor::kNotAWorker);
 }
 
 } // namespace

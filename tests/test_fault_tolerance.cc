@@ -538,6 +538,58 @@ TEST(FaultTolerance, HostileInsnIndexIsDroppedNotDereferenced)
     svc.shutdown();
 }
 
+TEST(FaultTolerance, HostilePebsWidthDropsItsSegment)
+{
+    // A CRC-valid trace written by the real writer whose PEBS record
+    // claims a 3-byte access. No instruction accesses 3 bytes, so the
+    // reader treats the record's segment as damaged and salvage drops
+    // it: the analysis sees a plain sample loss, never the width.
+    const TracedBug tb = traceBug("pfscan", 100, 7);
+    auto loaded = trace::readTrace(tb.bytes);
+    ASSERT_TRUE(loaded.ok());
+    trace::RunTrace hostile = loaded.value().trace;
+    // Several segments, so samples survive the dropped one.
+    ASSERT_GT(hostile.pebs.size(), 2 * trace::kPebsChunkRecords);
+    hostile.pebs[hostile.pebs.size() / 2].width = 3;
+    const std::vector<uint8_t> bytes = trace::serializeTrace(hostile);
+    auto forged = trace::readTrace(bytes);
+    ASSERT_TRUE(forged.ok());
+    const trace::SegmentLoss &loss = forged.value().loss;
+    EXPECT_EQ(loss.segments_dropped, 1u);
+    EXPECT_GT(loss.pebs_dropped, 0u);
+    EXPECT_LE(loss.pebs_dropped, trace::kPebsChunkRecords);
+    EXPECT_EQ(loss.sync_dropped, 0u);
+    EXPECT_EQ(forged.value().trace.pebs.size() + loss.pebs_dropped,
+              hostile.pebs.size());
+
+    for (const unsigned jobs : {0u, 2u}) {
+        core::OfflineOptions opt = tb.cfg.offline;
+        opt.num_threads = jobs;
+        const core::OfflineResult r =
+            core::OfflineAnalyzer(*tb.workload.program, opt)
+                .analyze(forged.value());
+        EXPECT_EQ(r.quarantine.windows_quarantined, 0u) << "jobs " << jobs;
+        EXPECT_EQ(r.ingest_loss.pebs_dropped, loss.pebs_dropped)
+            << "jobs " << jobs;
+    }
+
+    service::ServiceOptions options;
+    options.num_workers = 1;
+    service::AnalysisService svc(options);
+    svc.registerProgram("pfscan", tb.workload.program);
+    const uint64_t id = svc.openSession("tenant", "pfscan");
+    ASSERT_NE(id, 0u);
+    svc.submit(id, bytes);
+    svc.closeSession(id);
+    svc.drain();
+    const std::vector<service::SessionOutcome> outcomes = svc.outcomes();
+    ASSERT_EQ(outcomes.size(), 1u);
+    EXPECT_TRUE(outcomes[0].ok) << outcomes[0].error;
+    EXPECT_FALSE(outcomes[0].quarantined);
+    EXPECT_EQ(outcomes[0].loss.pebs_dropped, loss.pebs_dropped);
+    svc.shutdown();
+}
+
 /**
  * Everything an analysis result says except its timers and the paged
  * ProgramMap counters, which count the shadow pages of each Replayer

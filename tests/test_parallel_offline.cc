@@ -11,6 +11,8 @@
  * trace.
  */
 
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
 #include "analysis/analysis.hh"
@@ -117,10 +119,10 @@ expectEquivalent(const Program &program, const trace::RunTrace &run,
  * whose stored value the replay reads back within the same window (the
  * global's address is a literal, so the emulated load succeeds), which
  * marks the racy location *consumed* and triggers the blacklist-and-
- * replay loop.
+ * replay loop. Each loop iteration is 6 path positions.
  */
 Program
-globalRaceProgram()
+globalRaceProgram(int64_t iterations = 300)
 {
     ProgramBuilder b;
     b.globalU64("counter", 0);
@@ -138,7 +140,7 @@ globalRaceProgram()
     b.addri(Reg::rax, 1);
     b.store(b.symRef("counter"), Reg::rax);
     b.addri(Reg::rcx, 1);
-    b.cmpri(Reg::rcx, 300);
+    b.cmpri(Reg::rcx, iterations);
     b.jcc(CondCode::kLt, "loop");
     b.halt();
     return b.build();
@@ -219,50 +221,109 @@ TEST(ParallelOffline, ZeroThreadsRunNoExecutorTasks)
               s.report.format(w.program.get()));
 }
 
+/**
+ * Replay tasks the analyzer plans for @p tid, and the path position the
+ * first one ends at: the thread's windows in path order, a task closed
+ * once it holds 16 Ki positions (core/offline.cc).
+ */
+std::pair<size_t, uint64_t>
+plannedTasks(const Program &program, const trace::RunTrace &run,
+             uint32_t tid)
+{
+    const auto paths = pmu::decodePt(program, run.meta.pt_filter, run);
+    const auto alignments = replay::alignTrace(program, paths, run);
+    const replay::ThreadAlignment &alignment = alignments.at(tid);
+    const auto sync_at = replay::Replayer::syncAtMap(alignment, run);
+    const auto windows = replay::Replayer::buildWindows(
+        paths.at(tid), alignment, run, sync_at);
+    size_t tasks = 0;
+    uint64_t first_end = 0;
+    uint64_t positions = 0;
+    for (size_t i = 0; i < windows.size(); ++i) {
+        positions += windows[i].end - windows[i].start;
+        if (positions >= (uint64_t{1} << 14) || i + 1 == windows.size()) {
+            if (tasks++ == 0)
+                first_end = windows[i].end;
+            positions = 0;
+        }
+    }
+    return {tasks, first_end};
+}
+
+/** The thread with the most aligned samples. */
+const replay::ThreadAlignment &
+busiestThread(const std::map<uint32_t, replay::ThreadAlignment> &alignments)
+{
+    const replay::ThreadAlignment *best = nullptr;
+    for (const auto &[tid, alignment] : alignments) {
+        if (!best || alignment.samples.size() > best->samples.size())
+            best = &alignment;
+    }
+    return *best;
+}
+
 TEST(ParallelOffline, PoisonedWindowIsQuarantinedAlone)
 {
     // A sample whose recorded address wraps the address space makes its
     // window's replay throw (the ProgramMap span check). At every
     // num_threads, the failed task's windows are re-run one at a time
     // and only the poisoned window is given up; the rest of its thread
-    // still reconstructs.
-    Program p = globalRaceProgram();
-    auto cfg = core::proRaceConfig(25, 1);
-    auto run = core::Session::run(
-        p, [](vm::Machine &m) { m.addThread("main"); }, cfg.session);
-    const auto paths = pmu::decodePt(p, run.trace.meta.pt_filter, run.trace);
-    const auto alignments = replay::alignTrace(p, paths, run.trace);
-    const replay::ThreadAlignment *victim = nullptr;
-    for (const auto &[tid, alignment] : alignments) {
-        if (alignment.samples.size() >= 3)
-            victim = &alignment;
-    }
-    ASSERT_NE(victim, nullptr);
+    // still reconstructs. Two inputs: a mid-thread sample of a one-task
+    // thread, and a sample in the first of several tasks of a thread,
+    // whose later tasks then replay on the failed lane's fresh Replayer.
+    struct Input {
+        const char *label;
+        int64_t iterations;
+        bool first_task;
+    };
+    for (const Input in : {Input{"mid-thread", 300, false},
+                           Input{"first-of-many", 12000, true}}) {
+        SCOPED_TRACE(in.label);
+        Program p = globalRaceProgram(in.iterations);
+        auto cfg = core::proRaceConfig(25, 1);
+        auto run = core::Session::run(
+            p, [](vm::Machine &m) { m.addThread("main"); }, cfg.session);
+        const auto paths =
+            pmu::decodePt(p, run.trace.meta.pt_filter, run.trace);
+        const auto alignments = replay::alignTrace(p, paths, run.trace);
+        const replay::ThreadAlignment &victim = busiestThread(alignments);
+        ASSERT_GE(victim.samples.size(), 3u);
 
-    core::OfflineOptions opt = cfg.offline;
-    opt.max_regeneration_rounds = 0;
-    const core::OfflineResult clean =
-        core::OfflineAnalyzer(p, opt).analyze(run.trace);
-    EXPECT_EQ(clean.quarantine.window_retries, 0u);
+        core::OfflineOptions opt = cfg.offline;
+        opt.max_regeneration_rounds = 0;
+        const core::OfflineResult clean =
+            core::OfflineAnalyzer(p, opt).analyze(run.trace);
+        EXPECT_EQ(clean.quarantine.window_retries, 0u);
 
-    trace::RunTrace poisoned = run.trace;
-    const size_t mid = victim->samples.size() / 2;
-    poisoned.pebs[victim->samples[mid].record_index].addr = ~uint64_t{0};
-    for (unsigned n : {0u, 1u, 2u, 8u}) {
-        SCOPED_TRACE("num_threads=" + std::to_string(n));
-        opt.num_threads = n;
-        const core::OfflineResult r =
-            core::OfflineAnalyzer(p, opt).analyze(poisoned);
-        EXPECT_EQ(r.quarantine.windows_quarantined, 1u);
-        // Every window of the failed task was re-run, the poisoned one
-        // too.
-        EXPECT_GT(r.quarantine.window_retries, 1u);
-        EXPECT_EQ(r.replay_stats.windows + 1, clean.replay_stats.windows);
-        EXPECT_LT(r.extended_trace_events, clean.extended_trace_events);
-        EXPECT_GT(r.extended_trace_events,
-                  clean.extended_trace_events / 2);
-        if (n > 0)
-            expectEquivalent(p, poisoned, opt, n, "poisoned");
+        size_t poison = victim.samples.size() / 2;
+        if (in.first_task) {
+            const auto [tasks, first_end] =
+                plannedTasks(p, run.trace, victim.tid);
+            ASSERT_GE(tasks, 3u);
+            poison = 1;
+            ASSERT_LT(victim.samples[poison + 1].position, first_end);
+        }
+        trace::RunTrace poisoned = run.trace;
+        poisoned.pebs[victim.samples[poison].record_index].addr =
+            ~uint64_t{0};
+        for (unsigned n : {0u, 1u, 2u, 8u}) {
+            SCOPED_TRACE("num_threads=" + std::to_string(n));
+            opt.num_threads = n;
+            const core::OfflineResult r =
+                core::OfflineAnalyzer(p, opt).analyze(poisoned);
+            EXPECT_EQ(r.quarantine.windows_quarantined, 1u);
+            // Every window of the failed task was re-run, the poisoned
+            // one too.
+            EXPECT_GT(r.quarantine.window_retries, 1u);
+            EXPECT_EQ(r.replay_stats.windows + 1,
+                      clean.replay_stats.windows);
+            EXPECT_LT(r.extended_trace_events,
+                      clean.extended_trace_events);
+            EXPECT_GT(r.extended_trace_events,
+                      clean.extended_trace_events / 2);
+            if (n > 0)
+                expectEquivalent(p, poisoned, opt, n, in.label);
+        }
     }
 }
 
@@ -441,6 +502,71 @@ TEST(ParallelOffline, CheckpointHooksFireAsInSerialRun)
         const core::OfflineResult restored = analyzer.analyze(run.trace);
         EXPECT_TRUE(resumed);
         EXPECT_EQ(restored.report.format(w.program.get()), serial.report);
+    }
+}
+
+TEST(ParallelOffline, DeadlineTickFiresAfterEveryReplayTask)
+{
+    // With one batch spanning the whole feed, detection ticks once (at
+    // end of feed); every other tick follows a committed replay task, so
+    // a round ticks tasks + 1 times at every num_threads. At N > 0 the
+    // executor ran one task per PT stream (decode) plus one per replay
+    // task.
+    Program p = globalRaceProgram(12000);
+    auto cfg = core::proRaceConfig(25, 1);
+    auto run = core::Session::run(
+        p, [](vm::Machine &m) { m.addThread("main"); }, cfg.session);
+    core::OfflineOptions opt = cfg.offline;
+    opt.max_regeneration_rounds = 0;
+    opt.incremental.enabled = true;
+    opt.incremental.batch_events = UINT64_MAX;
+
+    opt.num_threads = 0;
+    const HookTrace serial = analyzeWithHooks(p, run.trace, opt);
+    EXPECT_GT(serial.ticks, 4u);
+    for (unsigned n : {1u, 2u, 8u}) {
+        SCOPED_TRACE("num_threads=" + std::to_string(n));
+        opt.num_threads = n;
+        uint64_t ticks = 0;
+        opt.checkpoint.tick = [&ticks] { ++ticks; };
+        core::OfflineAnalyzer analyzer(p, opt);
+        EXPECT_EQ(analyzer.analyze(run.trace).report.format(&p),
+                  serial.report);
+        const uint64_t tasks =
+            analyzer.executorStats().submitted - run.trace.pt.size();
+        EXPECT_EQ(ticks, tasks + 1);
+        EXPECT_EQ(ticks, serial.ticks);
+    }
+}
+
+TEST(ParallelOffline, ThrowingTickAbortsBeforeDetection)
+{
+    // A deadline that expires at the first tick stops the analysis in
+    // the replay stage: analyze() throws, detection never reaches a
+    // batch boundary, and no replay task outlives the call.
+    Program p = globalRaceProgram(12000);
+    auto cfg = core::proRaceConfig(25, 1);
+    auto run = core::Session::run(
+        p, [](vm::Machine &m) { m.addThread("main"); }, cfg.session);
+    for (unsigned n : {0u, 4u}) {
+        SCOPED_TRACE("num_threads=" + std::to_string(n));
+        core::OfflineOptions opt = cfg.offline;
+        opt.num_threads = n;
+        opt.incremental.enabled = true;
+        uint64_t ticks = 0;
+        uint64_t boundaries = 0;
+        opt.checkpoint.tick = [&ticks] {
+            ++ticks;
+            throw std::runtime_error("deadline");
+        };
+        opt.checkpoint.on_boundary = [&boundaries](uint64_t, uint64_t,
+                                                   detect::FastTrack &) {
+            ++boundaries;
+        };
+        core::OfflineAnalyzer analyzer(p, opt);
+        EXPECT_THROW(analyzer.analyze(run.trace), std::runtime_error);
+        EXPECT_EQ(ticks, 1u);
+        EXPECT_EQ(boundaries, 0u);
     }
 }
 
