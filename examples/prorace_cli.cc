@@ -475,7 +475,7 @@ cmdAnalyze(const Args &args)
                     result.ingest_loss.summary().c_str());
     }
     if (result.quarantine.windows_quarantined) {
-        std::printf("quarantined %llu replay windows (%llu retried)\n",
+        std::printf("quarantined %llu replay units (%llu retried)\n",
                     static_cast<unsigned long long>(
                         result.quarantine.windows_quarantined),
                     static_cast<unsigned long long>(

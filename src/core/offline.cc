@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 #include <optional>
-#include <span>
 #include <unordered_map>
 
 #include "support/log.hh"
@@ -536,20 +535,6 @@ regenerationBlacklist(
 
 namespace {
 
-/**
- * Consecutive windows of one thread, replayed in path order
- * (sequence = index into the task list).
- */
-struct WindowTask {
-    bool last_of_thread = false; ///< thread finalizes after this commit
-    std::vector<Replayer::Window> windows;
-    const pmu::ThreadPath *path = nullptr;
-    const replay::ThreadAlignment *alignment = nullptr;
-};
-
-/** Path positions a task collects before it is closed. */
-constexpr uint64_t kTaskPositions = uint64_t{1} << 14;
-
 /** What a worker hands to the ordered commit. */
 struct TaskResult {
     std::vector<replay::ReconstructedAccess> accesses;
@@ -569,25 +554,22 @@ class Lane
     {
     }
 
-    Replayer &replayer() { return *replayer_; }
-
     /**
-     * Replay @p windows of @p t into @p out. A failed attempt leaves
-     * @p out and the counters as they were before it, but keeps its
-     * consumed-address marks (a larger consumed set only makes §5.1
+     * Replay units [first, last) of @p t into @p out. A failed attempt
+     * leaves @p out and the counters as they were before it, but keeps
+     * its consumed-address marks (a larger consumed set only makes §5.1
      * regeneration more conservative), and the lane goes on with a
      * fresh Replayer, since a throw may leave scratch state
      * half-updated.
      */
     bool
-    run(const WindowTask &t, std::span<const Replayer::Window> windows,
+    run(const Replayer::Task &t, size_t first, size_t last,
         std::vector<replay::ReconstructedAccess> &out)
     {
         const size_t mark = out.size();
         const replay::ReplayStats before = replayer_->stats();
         try {
-            for (const Replayer::Window &w : windows)
-                replayer_->replayWindow(w, *t.path, *t.alignment, out);
+            replayer_->replayTask(t, first, last, out);
             return true;
         } catch (...) {
             out.resize(mark);
@@ -706,56 +688,16 @@ OfflineAnalyzer::reconstruct(const trace::RunTrace &run, const Paths &paths,
                              exec::Executor *ex, OfflineResult &result,
                              std::unordered_set<uint64_t> &consumed)
 {
-    if (replay_config.mode == replay::ReplayMode::kBasicBlock) {
-        // RaceZ has no paths and no inter-sample windows to plan.
-        Replayer replayer(program_, replay_config);
-        std::vector<replay::ReconstructedAccess> accesses =
-            replayer.replayAll(paths, alignments, run);
-        result.replay_stats = replayer.stats();
-        result.extended_trace_events = accesses.size();
-        consumed = replayer.consumedAddresses();
-        return accesses;
-    }
-
-    // --- plan: per-thread window runs, in ascending-tid order ---
-    // sync_at maps live here so Window::sync_at pointers stay valid for
-    // the whole pass.
-    std::map<uint32_t, std::map<uint64_t, const trace::SyncRecord *>>
-        sync_maps;
-    std::vector<WindowTask> tasks;
-    for (const auto &[tid, path] : paths) {
-        auto it = alignments.find(tid);
-        if (it == alignments.end())
-            continue;
-        const replay::ThreadAlignment &alignment = it->second;
-        auto &sync_at = sync_maps[tid];
-        sync_at = Replayer::syncAtMap(alignment, run);
-        const std::vector<Replayer::Window> windows =
-            Replayer::buildWindows(path, alignment, run, sync_at);
-        WindowTask t;
-        uint64_t positions = 0;
-        for (size_t i = 0; i < windows.size(); ++i) {
-            t.windows.push_back(windows[i]);
-            positions += windows[i].end - windows[i].start;
-            const bool last = i + 1 == windows.size();
-            if (positions >= kTaskPositions || last) {
-                t.last_of_thread = last;
-                t.path = &path;
-                t.alignment = &alignment;
-                tasks.push_back(std::move(t));
-                t = WindowTask();
-                positions = 0;
-            }
-        }
-    }
+    const Replayer::Plan plan =
+        Replayer::plan(replay_config.mode, paths, alignments, run);
 
     // --- placement: where tasks run, never what they compute ---
     // Every replay attempt runs on a lane: worker i's tasks on
     // worker_lanes[i], everything on the calling thread (the tasks at
-    // num_threads 0, the per-window retries, the sample appends) on
-    // `caller`. On the executor the calling thread keeps up to
-    // max(2N, 16) tasks in flight and takes their results in plan order
-    // from the futures; workers never wait for the commit.
+    // num_threads 0 and the per-unit retries) on `caller`. On the
+    // executor the calling thread keeps up to max(2N, 16) tasks in
+    // flight and takes their results in plan order from the futures;
+    // workers never wait for the commit.
     Lane caller(program_, replay_config);
     std::deque<Lane> worker_lanes;
     InFlight in_flight;
@@ -767,29 +709,27 @@ OfflineAnalyzer::reconstruct(const trace::RunTrace &run, const Paths &paths,
         max_in_flight = std::max<size_t>(2 * ex->numThreads(), 16);
     }
     auto refill = [&] {
-        while (next_submit < tasks.size() &&
+        while (next_submit < plan.tasks.size() &&
                in_flight.futures.size() < max_in_flight) {
-            const WindowTask *t = &tasks[next_submit++];
+            const Replayer::Task *t = &plan.tasks[next_submit++];
             in_flight.futures.push_back(ex->submit([&worker_lanes, t] {
                 const unsigned worker = exec::Executor::workerIndex();
                 PRORACE_ASSERT(worker < worker_lanes.size(),
                                "replay task off its executor");
                 TaskResult res;
-                res.ok = worker_lanes[worker].run(*t, t->windows,
+                res.ok = worker_lanes[worker].run(*t, 0, t->units(),
                                                   res.accesses);
                 return res;
             }));
         }
     };
 
-    // The commit re-assembles the access sequence in plan order: threads
-    // in ascending tid order, windows in path order (each already in
-    // position order), then each thread's unlocatable samples in record
-    // order. A failed task contributes no accesses and no counters.
+    // The commit re-assembles the access sequence in plan order. A
+    // failed task contributes no accesses and no counters.
     std::vector<replay::ReconstructedAccess> accesses;
-    auto run_task = [&](const WindowTask &t) {
+    auto run_task = [&](const Replayer::Task &t) {
         if (!ex)
-            return caller.run(t, t.windows, accesses);
+            return caller.run(t, 0, t.units(), accesses);
         TaskResult res;
         try {
             res = in_flight.futures.front().get();
@@ -809,34 +749,28 @@ OfflineAnalyzer::reconstruct(const trace::RunTrace &run, const Paths &paths,
     // mode like every hook.
     const std::function<void()> &tick = options_.checkpoint.tick;
     const bool ticking = options_.incremental.enabled && tick;
-    const std::map<uint32_t, std::vector<size_t>> unmatched =
-        Replayer::unmatchedSamples(alignments, run);
     refill(); // nothing to submit at num_threads 0
-    for (const WindowTask &t : tasks) {
+    for (const Replayer::Task &t : plan.tasks) {
         if (!run_task(t)) {
-            // Quarantine policy: re-run the task's windows one at a
-            // time on the calling thread (transient failures —
-            // allocation pressure on a loaded worker — get a second
-            // chance), and give up a window that fails again, recording
-            // the loss. One poisoned window costs its reconstructed
-            // accesses (its opening sample included), not the run.
-            // Windows cannot hang: replay work is bounded by the
-            // window's path slice, so a timeout policy beyond this
+            // Quarantine policy: re-run the task's units (windows and
+            // samples) one at a time on the calling thread (transient
+            // failures — allocation pressure on a loaded worker — get a
+            // second chance), and give up a unit that fails again,
+            // recording the loss. One poisoned window costs its
+            // reconstructed accesses (its opening sample included), one
+            // poisoned sample its own, not the run. Units cannot hang:
+            // replay work is bounded by a window's path slice or a
+            // sample's basic block, so a timeout policy beyond this
             // retry is unnecessary by construction.
-            for (const Replayer::Window &w : t.windows) {
+            for (size_t u = 0; u < t.units(); ++u) {
                 ++result.quarantine.window_retries;
-                if (!caller.run(t, {&w, 1}, accesses))
+                if (!caller.run(t, u, u + 1, accesses))
                     ++result.quarantine.windows_quarantined;
             }
-        }
-        if (t.last_of_thread) {
-            if (auto u = unmatched.find(t.path->tid); u != unmatched.end())
-                caller.replayer().appendSamples(u->second, run, accesses);
         }
         if (ticking)
             tick();
     }
-    caller.replayer().appendPathlessSamples(paths, run, accesses);
     Replayer::sortByTsc(accesses);
 
     replay::ReplayStats replay_stats;
@@ -898,18 +832,15 @@ OfflineAnalyzer::analyzeRun(const trace::RunTrace &run,
     exec_stats_ = exec::ExecutorStats();
     OfflineResult result;
 
-    // Basic-block mode (RaceZ) has no PT streams or inter-sample
-    // windows, so it never needs an executor.
-    const bool windowed =
-        options_.replay.mode != replay::ReplayMode::kBasicBlock;
     std::optional<exec::Executor> executor;
-    if (windowed && options_.num_threads > 0)
+    if (options_.num_threads > 0)
         executor.emplace(options_.num_threads);
     exec::Executor *ex = executor ? &*executor : nullptr;
 
+    // RaceZ (basic-block mode) uses no PT: nothing to decode or align.
     Paths paths;
     Alignments alignments;
-    if (windowed) {
+    if (options_.replay.mode != replay::ReplayMode::kBasicBlock) {
         Stopwatch timer;
         paths = decode(run, ex, &result.decode_stats);
         result.decode_seconds = timer.lap();

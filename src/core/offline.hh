@@ -194,16 +194,16 @@ struct PrefilterStats {
 };
 
 /**
- * Loss accounting of the replay window quarantine, at every
- * num_threads: the windows of a replay task that threw are retried one
- * at a time on the calling thread, and a window that fails again is
- * dropped with its reconstructed accesses (its opening sample
- * included). A failed attempt contributes no accesses and no replay
- * counters.
+ * Loss accounting of the replay quarantine, in every replay mode and at
+ * every num_threads: the units (windows and pathless samples) of a
+ * replay task that threw are retried one at a time on the calling
+ * thread, and a unit that fails again is dropped with its
+ * reconstructed accesses (a window's opening sample included). A
+ * failed attempt contributes no accesses and no replay counters.
  */
 struct QuarantineStats {
-    uint64_t window_retries = 0;      ///< windows of failed tasks re-run inline
-    uint64_t windows_quarantined = 0; ///< windows dropped after retry
+    uint64_t window_retries = 0;      ///< units of failed tasks re-run inline
+    uint64_t windows_quarantined = 0; ///< units dropped after retry
 
     void
     merge(const QuarantineStats &other)
@@ -249,12 +249,12 @@ struct OfflineResult {
  * returns the race report and pipeline statistics.
  *
  * There is one decode routine (per-core PT decode shards, merged) and
- * one reconstruction routine (inter-sample windows grouped into
- * per-thread tasks, committed in plan order, failed tasks retried per
- * window and quarantined). OfflineOptions::num_threads only picks where
- * the shards and tasks run: on the calling thread at 0, on a per-call
- * N-worker executor at N > 0. Basic-block mode has no PT streams or
- * windows and always runs on the calling thread. Prefiltering,
+ * one reconstruction routine (the tasks of replay::Replayer::plan,
+ * committed in plan order, failed tasks retried per unit and
+ * quarantined). OfflineOptions::num_threads only picks where the
+ * shards and tasks run: on the calling thread at 0, on a per-call
+ * N-worker executor at N > 0. Basic-block (RaceZ) mode skips decode
+ * and alignment; its plan is sample tasks only. Prefiltering,
  * detection and the CheckpointHooks run on the calling thread
  * (DESIGN.md §8).
  */

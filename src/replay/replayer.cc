@@ -39,6 +39,12 @@ invertibleAlu(AluOp op)
     return op == AluOp::kAdd || op == AluOp::kSub || op == AluOp::kXor;
 }
 
+/** Path positions a window task collects before it is closed. */
+constexpr uint64_t kTaskPositions = uint64_t{1} << 14;
+
+/** Samples a sample task collects before it is closed. */
+constexpr size_t kTaskSamples = size_t{1} << 10;
+
 } // namespace
 
 Replayer::Replayer(const asmkit::Program &program,
@@ -1126,7 +1132,8 @@ Replayer::replayWindow(const Window &win, const pmu::ThreadPath &path,
 }
 
 void
-Replayer::replayBasicBlock(const trace::PebsRecord &rec)
+Replayer::replayBasicBlock(const trace::PebsRecord &rec,
+                           std::vector<ReconstructedAccess> &out)
 {
     const uint32_t block = program_.blockOf(rec.insn_index);
     const uint32_t begin = program_.blockBegin(block);
@@ -1175,72 +1182,28 @@ Replayer::replayBasicBlock(const trace::PebsRecord &rec)
         forwardPass(bwd, bb_path_, facts_, AccessOrigin::kForward, nullptr,
                     nullptr, nullptr);
     }
+
+    emit_.forEach([&](const ReconstructedAccess &acc) {
+        // Order accesses around the sample's timestamp while preserving
+        // intra-block program order.
+        const int64_t delta = static_cast<int64_t>(acc.position) -
+            static_cast<int64_t>(sample_pos);
+        out.push_back(acc);
+        out.back().tsc = rec.tsc + delta;
+    });
 }
 
-std::map<uint64_t, const trace::SyncRecord *>
-Replayer::syncAtMap(const ThreadAlignment &alignment,
-                    const trace::RunTrace &run)
+Replayer::Plan
+Replayer::plan(ReplayMode mode,
+               const std::map<uint32_t, pmu::ThreadPath> &paths,
+               const std::map<uint32_t, ThreadAlignment> &alignments,
+               const trace::RunTrace &run)
 {
-    // malloc/pthread_create results are visible to the offline phase via
-    // the sync trace; map them to path positions for register recovery.
-    std::map<uint64_t, const trace::SyncRecord *> sync_at;
-    for (const AlignedSync &s : alignment.syncs) {
-        const trace::SyncRecord &rec = run.sync[s.record_index];
-        if (rec.kind == vm::SyncKind::kMalloc ||
-            rec.kind == vm::SyncKind::kSpawn) {
-            sync_at[s.position] = &rec;
-        }
-    }
-    return sync_at;
-}
+    // RaceZ uses no PT: in basic-block mode no sample has a path.
+    static const std::map<uint32_t, pmu::ThreadPath> kNoPaths;
+    const std::map<uint32_t, pmu::ThreadPath> &traced =
+        mode == ReplayMode::kBasicBlock ? kNoPaths : paths;
 
-std::vector<Replayer::Window>
-Replayer::buildWindows(
-    const pmu::ThreadPath &path, const ThreadAlignment &alignment,
-    const trace::RunTrace &run,
-    const std::map<uint64_t, const trace::SyncRecord *> &sync_at)
-{
-    std::vector<Window> windows;
-    const auto &samples = alignment.samples;
-    if (samples.empty()) {
-        Window w;
-        w.tid = path.tid;
-        w.start = 0;
-        w.end = path.insns.size();
-        w.sync_at = &sync_at;
-        windows.push_back(w);
-    } else {
-        if (samples.front().position > 0) {
-            Window w;
-            w.tid = path.tid;
-            w.start = 0;
-            w.end = samples.front().position;
-            w.s2 = &run.pebs[samples.front().record_index];
-            w.sync_at = &sync_at;
-            windows.push_back(w);
-        }
-        for (size_t i = 0; i < samples.size(); ++i) {
-            Window w;
-            w.tid = path.tid;
-            w.start = samples[i].position;
-            w.end = i + 1 < samples.size() ? samples[i + 1].position
-                                           : path.insns.size();
-            w.s1 = &run.pebs[samples[i].record_index];
-            w.s2 = i + 1 < samples.size()
-                ? &run.pebs[samples[i + 1].record_index]
-                : nullptr;
-            w.sync_at = &sync_at;
-            windows.push_back(w);
-        }
-    }
-    return windows;
-}
-
-std::map<uint32_t, std::vector<size_t>>
-Replayer::unmatchedSamples(
-    const std::map<uint32_t, ThreadAlignment> &alignments,
-    const trace::RunTrace &run)
-{
     // An alignment only places its own thread's samples, so one matched
     // mark per record serves every thread.
     std::vector<bool> matched(run.pebs.size());
@@ -1248,24 +1211,93 @@ Replayer::unmatchedSamples(
         for (const AlignedSample &s : alignment.samples)
             matched[s.record_index] = true;
     }
-    std::map<uint32_t, std::vector<size_t>> out;
+    using Samples = std::vector<const trace::PebsRecord *>;
+    std::map<uint32_t, Samples> unmatched;
+    Samples pathless;
     for (size_t i = 0; i < run.pebs.size(); ++i) {
-        const uint32_t tid = run.pebs[i].tid;
-        if (!matched[i] && alignments.count(tid))
-            out[tid].push_back(i);
+        const trace::PebsRecord &rec = run.pebs[i];
+        if (!traced.count(rec.tid))
+            pathless.push_back(&rec);
+        else if (!matched[i])
+            unmatched[rec.tid].push_back(&rec);
     }
-    return out;
+
+    Plan plan;
+    auto add_samples = [&plan](const Samples &samples) {
+        for (size_t i = 0; i < samples.size(); ++i) {
+            if (i % kTaskSamples == 0)
+                plan.tasks.emplace_back();
+            plan.tasks.back().samples.push_back(samples[i]);
+        }
+    };
+    for (const auto &[tid, path] : traced) {
+        auto it = alignments.find(tid);
+        if (it == alignments.end())
+            continue;
+        const ThreadAlignment &alignment = it->second;
+        // malloc/pthread_create results are visible to the offline
+        // phase via the sync trace; map them to path positions for
+        // register recovery.
+        auto &sync_at = plan.sync_maps[tid];
+        for (const AlignedSync &s : alignment.syncs) {
+            const trace::SyncRecord &rec = run.sync[s.record_index];
+            if (rec.kind == vm::SyncKind::kMalloc ||
+                rec.kind == vm::SyncKind::kSpawn) {
+                sync_at[s.position] = &rec;
+            }
+        }
+
+        // Window k runs from sample k - 1 (or the path's start) to
+        // sample k (or the path's end); there is no window before a
+        // first sample at position 0.
+        const std::vector<AlignedSample> &samples = alignment.samples;
+        Task t;
+        uint64_t positions = 0;
+        for (size_t k = 0; k <= samples.size(); ++k) {
+            Window w;
+            w.tid = tid;
+            w.start = k == 0 ? 0 : samples[k - 1].position;
+            w.end = k < samples.size() ? samples[k].position
+                                       : path.insns.size();
+            if (k == 0 && !samples.empty() && w.end == 0)
+                continue;
+            w.s1 = k == 0 ? nullptr : &run.pebs[samples[k - 1].record_index];
+            w.s2 = k < samples.size() ? &run.pebs[samples[k].record_index]
+                                      : nullptr;
+            w.sync_at = &sync_at;
+            t.windows.push_back(w);
+            positions += w.end - w.start;
+            if (positions >= kTaskPositions || k == samples.size()) {
+                t.path = &path;
+                t.alignment = &alignment;
+                plan.tasks.push_back(std::move(t));
+                t = Task();
+                positions = 0;
+            }
+        }
+        if (auto u = unmatched.find(tid); u != unmatched.end())
+            add_samples(u->second);
+    }
+    add_samples(pathless);
+    return plan;
 }
 
 void
-Replayer::appendSamples(const std::vector<size_t> &records,
-                        const trace::RunTrace &run,
-                        std::vector<ReconstructedAccess> &out)
+Replayer::replayTask(const Task &task, size_t first, size_t last,
+                     std::vector<ReconstructedAccess> &out)
 {
-    for (const size_t i : records) {
-        const trace::PebsRecord &rec = run.pebs[i];
+    for (size_t u = first; u < last; ++u) {
+        if (u < task.windows.size()) {
+            replayWindow(task.windows[u], *task.path, *task.alignment, out);
+            continue;
+        }
+        const trace::PebsRecord &rec = *task.samples[u - task.windows.size()];
         if (rec.insn_index >= program_.size()) {
             ++stats_.samples_out_of_program;
+            continue;
+        }
+        if (config_.mode == ReplayMode::kBasicBlock) {
+            replayBasicBlock(rec, out);
             continue;
         }
         ReconstructedAccess acc;
@@ -1275,11 +1307,10 @@ Replayer::appendSamples(const std::vector<size_t> &records,
         acc.width = rec.width;
         acc.is_write = rec.is_write;
         acc.is_atomic = rec.is_atomic;
+        // The path position is unknown (0); the sample's own
+        // timestamp keeps the detector's same-thread ordering sane.
         acc.tsc = rec.tsc;
         acc.origin = AccessOrigin::kSampled;
-        // The path position is unknown; the sample's own timestamp
-        // keeps the detector's same-thread ordering sane.
-        acc.position = 0;
         ++stats_.sampled;
         out.push_back(acc);
     }
@@ -1290,64 +1321,12 @@ Replayer::replayAll(const std::map<uint32_t, pmu::ThreadPath> &paths,
                     const std::map<uint32_t, ThreadAlignment> &alignments,
                     const trace::RunTrace &run)
 {
+    const Plan p = plan(config_.mode, paths, alignments, run);
     std::vector<ReconstructedAccess> out;
-
-    if (config_.mode == ReplayMode::kBasicBlock) {
-        // RaceZ does not use PT: every sample is reconstructed within
-        // its static basic block, ordered by sample time.
-        for (const trace::PebsRecord &rec : run.pebs) {
-            if (rec.insn_index >= program_.size()) {
-                ++stats_.samples_out_of_program;
-                continue;
-            }
-            replayBasicBlock(rec);
-            const int64_t sample_pos = static_cast<int64_t>(
-                rec.insn_index -
-                program_.blockBegin(program_.blockOf(rec.insn_index)));
-            emit_.forEach([&](const ReconstructedAccess &acc) {
-                // Order accesses around the sample's timestamp while
-                // preserving intra-block program order.
-                const int64_t delta =
-                    static_cast<int64_t>(acc.position) - sample_pos;
-                out.push_back(acc);
-                out.back().tsc = rec.tsc + delta;
-            });
-        }
-    } else {
-        const std::map<uint32_t, std::vector<size_t>> unmatched =
-            unmatchedSamples(alignments, run);
-        for (const auto &[tid, path] : paths) {
-            auto it = alignments.find(tid);
-            if (it == alignments.end())
-                continue;
-            const ThreadAlignment &alignment = it->second;
-            const std::map<uint64_t, const trace::SyncRecord *> sync_at =
-                syncAtMap(alignment, run);
-            for (const Window &w :
-                 buildWindows(path, alignment, run, sync_at)) {
-                replayWindow(w, path, alignment, out);
-            }
-            if (auto u = unmatched.find(tid); u != unmatched.end())
-                appendSamples(u->second, run, out);
-        }
-        appendPathlessSamples(paths, run, out);
-    }
-
+    for (const Task &t : p.tasks)
+        replayTask(t, 0, t.units(), out);
     sortByTsc(out);
     return out;
-}
-
-void
-Replayer::appendPathlessSamples(
-    const std::map<uint32_t, pmu::ThreadPath> &paths,
-    const trace::RunTrace &run, std::vector<ReconstructedAccess> &out)
-{
-    std::vector<size_t> records;
-    for (size_t i = 0; i < run.pebs.size(); ++i) {
-        if (!paths.count(run.pebs[i].tid))
-            records.push_back(i);
-    }
-    appendSamples(records, run, out);
 }
 
 void

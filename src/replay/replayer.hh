@@ -16,9 +16,10 @@
  *    Facts recovered backward are injected into another forward pass;
  *    the two alternate to a fixed point.
  *
- * Three modes reproduce the paper's comparison: kBasicBlock limits
- * reconstruction to the sampled basic block (RaceZ), kForwardOnly runs
- * forward replay alone, and kForwardBackward is full ProRace.
+ * Three modes reproduce the paper's comparison: kForwardOnly runs
+ * forward replay alone, kForwardBackward is full ProRace, and
+ * kBasicBlock (RaceZ) uses no PT path at all, so every sample is
+ * reconstructed within its own static basic block.
  */
 
 #ifndef PRORACE_REPLAY_REPLAYER_HH
@@ -56,7 +57,10 @@ const char *replayModeName(ReplayMode mode);
 /** One entry of the extended memory trace. */
 struct ReconstructedAccess {
     uint32_t tid = 0;
-    uint64_t position = 0; ///< path position (BB mode: synthetic order)
+    /** Path position. A bare sample with no path position has 0; the
+     *  accesses of a sample's basic block (kBasicBlock) have their
+     *  index within that block. */
+    uint64_t position = 0;
     uint32_t insn_index = 0;
     uint64_t addr = 0;
     uint8_t width = 8;
@@ -189,14 +193,43 @@ class Replayer
             nullptr;
     };
 
+    /**
+     * One task of the replay plan. A window task holds consecutive
+     * windows of one thread in path order; a sample task holds samples
+     * with no path position in record order. Its units are its windows,
+     * then its samples.
+     */
+    struct Task {
+        std::vector<Window> windows;
+        const pmu::ThreadPath *path = nullptr;      ///< of the windows
+        const ThreadAlignment *alignment = nullptr; ///< of the windows
+        std::vector<const trace::PebsRecord *> samples;
+
+        size_t units() const { return windows.size() + samples.size(); }
+    };
+
+    /**
+     * A run's replay tasks in commit order. Windows point into
+     * sync_maps, so a plan moves but never copies; its tasks also point
+     * into the paths, alignments and trace it was built from.
+     */
+    struct Plan {
+        std::vector<Task> tasks;
+        std::map<uint32_t, std::map<uint64_t, const trace::SyncRecord *>>
+            sync_maps; ///< malloc/spawn records by path position, per tid
+
+        Plan() = default;
+        Plan(Plan &&) = default;
+        Plan(const Plan &) = delete;
+    };
+
     Replayer(const asmkit::Program &program, const ReplayConfig &config);
 
     /**
-     * Replay every aligned thread; returns the extended memory trace
-     * sorted by estimated TSC. This is the public layer call and the
-     * reference composition of the window-planning calls below; the
-     * offline analyzer runs those calls itself (as window tasks) and
-     * calls replayAll only in basic-block mode.
+     * Replay the run's plan inline and return the extended memory trace
+     * sorted by estimated TSC. This is the public layer call; the
+     * offline analyzer runs the same plan's tasks on its lanes and
+     * commits them in the same order.
      */
     std::vector<ReconstructedAccess>
     replayAll(const std::map<uint32_t, pmu::ThreadPath> &paths,
@@ -206,24 +239,33 @@ class Replayer
     /** Accumulated statistics. */
     const ReplayStats &stats() const { return stats_; }
 
-    // --- window planning (replayAll and the offline analyzer's tasks) ---
-
-    /** malloc/spawn sync records mapped to their path positions. */
-    static std::map<uint64_t, const trace::SyncRecord *>
-    syncAtMap(const ThreadAlignment &alignment,
-              const trace::RunTrace &run);
+    /**
+     * The replay plan of one run, the one routine both replayAll and
+     * the offline analyzer use. Threads with a path and an alignment
+     * come in ascending tid order, each with its windows (tasks closed
+     * at 16 Ki path positions) and then its unmatched samples (samples
+     * the aligner could not place, e.g. taken in untraced code). The
+     * samples of threads with no path come last. RaceZ uses no PT, so
+     * in basic-block mode the plan has no windows and every sample is
+     * pathless. Sample tasks close at 1 Ki samples.
+     */
+    static Plan plan(ReplayMode mode,
+                     const std::map<uint32_t, pmu::ThreadPath> &paths,
+                     const std::map<uint32_t, ThreadAlignment> &alignments,
+                     const trace::RunTrace &run);
 
     /**
-     * Build one thread's inter-sample window list. Windows cover
-     * disjoint [start, end) path ranges in ascending order; @p sync_at
-     * must outlive the returned windows.
+     * Replay units [first, last) of @p task and append their accesses
+     * to @p out: each window as replayWindow does, then each sample.
+     * A sample whose insn_index lies outside the program names no
+     * instruction and is dropped (ReplayStats::samples_out_of_program).
+     * Otherwise, in basic-block mode it is reconstructed within its
+     * basic block, timed at its TSC plus the intra-block distance (the
+     * RaceZ rule); in the PT modes it stays the exact sampled access at
+     * position 0, timed by its own TSC.
      */
-    static std::vector<Window>
-    buildWindows(const pmu::ThreadPath &path,
-                 const ThreadAlignment &alignment,
-                 const trace::RunTrace &run,
-                 const std::map<uint64_t,
-                                const trace::SyncRecord *> &sync_at);
+    void replayTask(const Task &task, size_t first, size_t last,
+                    std::vector<ReconstructedAccess> &out);
 
     /**
      * Replay one window and append its surviving accesses to @p out in
@@ -234,32 +276,6 @@ class Replayer
     void replayWindow(const Window &win, const pmu::ThreadPath &path,
                       const ThreadAlignment &alignment,
                       std::vector<ReconstructedAccess> &out);
-
-    /**
-     * Samples of aligned threads that could not be located on their
-     * thread's path (typically taken inside untraced library code), as
-     * PEBS record indices grouped by tid, in record order.
-     */
-    static std::map<uint32_t, std::vector<size_t>>
-    unmatchedSamples(const std::map<uint32_t, ThreadAlignment> &alignments,
-                     const trace::RunTrace &run);
-
-    /**
-     * Append the PEBS records @p records as exact sampled accesses with
-     * unknown path position. A record whose insn_index lies outside the
-     * program names no instruction and is dropped (counted in
-     * ReplayStats::samples_out_of_program). A thread's window accesses
-     * followed by its unmatched samples, threads in ascending tid
-     * order, is the pre-sort sequence replayAll builds.
-     */
-    void appendSamples(const std::vector<size_t> &records,
-                       const trace::RunTrace &run,
-                       std::vector<ReconstructedAccess> &out);
-
-    /** Append the accesses of samples whose thread has no path. */
-    void appendPathlessSamples(
-        const std::map<uint32_t, pmu::ThreadPath> &paths,
-        const trace::RunTrace &run, std::vector<ReconstructedAccess> &out);
 
     /**
      * The final deterministic ordering of the extended trace. A stable
@@ -358,8 +374,9 @@ class Replayer
                       const FactList &hints, FactList &facts_out,
                       bool *consistent_out);
 
-    /** RaceZ reconstruction of one sample's basic block into emit_. */
-    void replayBasicBlock(const trace::PebsRecord &rec);
+    /** RaceZ reconstruction of one sample's basic block into @p out. */
+    void replayBasicBlock(const trace::PebsRecord &rec,
+                          std::vector<ReconstructedAccess> &out);
 
     /** May-write register mask of instruction @p idx. */
     uint16_t killMask(uint32_t idx) const;

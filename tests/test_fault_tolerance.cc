@@ -628,11 +628,13 @@ TEST(FaultTolerance, HostileSampleAddressQuarantinesOneWindow)
 {
     // A CRC-valid trace written by the real writer whose matched PEBS
     // sample records an address that wraps the address space. Replaying
-    // the sample's window trips the ProgramMap span check. That window
-    // alone must be quarantined, alike at every num_threads, and a
-    // service session (which analyzes at num_threads 0) must succeed on
-    // its first attempt rather than spend its retries and a tenant
-    // strike on bytes that fail the same way every time.
+    // the sample trips the ProgramMap span check: in the PT modes it
+    // sits in a window, in basic-block (RaceZ) mode it is a pathless
+    // sample replayed within its basic block. That one unit alone must
+    // be quarantined, alike at every num_threads, and a service session
+    // (which analyzes at num_threads 0) must succeed on its first
+    // attempt rather than spend its retries and a tenant strike on
+    // bytes that fail the same way every time.
     const TracedBug tb = traceBug("apache-25520", 500, 7);
     const asmkit::Program &program = *tb.workload.program;
     auto loaded = trace::readTrace(tb.bytes);
@@ -655,41 +657,57 @@ TEST(FaultTolerance, HostileSampleAddressQuarantinesOneWindow)
     ASSERT_TRUE(forged.ok());
     ASSERT_FALSE(forged.value().loss.hasLoss());
 
-    core::OfflineResult direct;
-    for (const unsigned jobs : {0u, 1u, 2u, 8u}) {
+    for (const replay::ReplayMode mode :
+         {replay::ReplayMode::kForwardBackward,
+          replay::ReplayMode::kBasicBlock}) {
+        SCOPED_TRACE(replay::replayModeName(mode));
         core::OfflineOptions opt = tb.cfg.offline;
-        opt.num_threads = jobs;
-        const core::OfflineResult r =
-            core::OfflineAnalyzer(program, opt).analyze(forged.value());
-        EXPECT_EQ(r.quarantine.windows_quarantined, 1u) << "jobs " << jobs;
-        if (jobs == 0)
-            direct = r;
-        else
-            EXPECT_EQ(resultDigest(r, program), resultDigest(direct, program))
+        opt.replay.mode = mode;
+        const core::OfflineResult clean =
+            core::OfflineAnalyzer(program, opt).analyze(loaded.value());
+        core::OfflineResult direct;
+        for (const unsigned jobs : {0u, 1u, 2u, 8u}) {
+            opt.num_threads = jobs;
+            const core::OfflineResult r =
+                core::OfflineAnalyzer(program, opt).analyze(forged.value());
+            EXPECT_EQ(r.quarantine.windows_quarantined, 1u)
                 << "jobs " << jobs;
-    }
-    EXPECT_GT(direct.report.size(), 0u);
+            if (jobs == 0)
+                direct = r;
+            else
+                EXPECT_EQ(resultDigest(r, program),
+                          resultDigest(direct, program))
+                    << "jobs " << jobs;
+        }
+        // The lost unit costs its own accesses, not the run's.
+        EXPECT_LT(direct.extended_trace_events, clean.extended_trace_events);
+        EXPECT_GT(direct.extended_trace_events,
+                  clean.extended_trace_events * 9 / 10);
+        if (mode != replay::ReplayMode::kBasicBlock) // RaceZ misses it
+            EXPECT_GT(direct.report.size(), 0u);
 
-    service::ServiceOptions options;
-    options.num_workers = 1;
-    service::AnalysisService svc(options);
-    svc.registerProgram("apache", tb.workload.program);
-    const uint64_t id = svc.openSession("tenant", "apache");
-    ASSERT_NE(id, 0u);
-    svc.submit(id, bytes);
-    svc.closeSession(id);
-    svc.drain();
-    const std::vector<service::SessionOutcome> outcomes = svc.outcomes();
-    ASSERT_EQ(outcomes.size(), 1u);
-    EXPECT_TRUE(outcomes[0].ok) << outcomes[0].error;
-    EXPECT_EQ(outcomes[0].attempts, 1u);
-    EXPECT_FALSE(outcomes[0].quarantined);
-    EXPECT_EQ(outcomes[0].quarantine.windows_quarantined, 1u);
-    EXPECT_EQ(outcomes[0].extended_trace_events,
-              direct.extended_trace_events);
-    EXPECT_EQ(outcomes[0].report.format(&program),
-              direct.report.format(&program));
-    svc.shutdown();
+        service::ServiceOptions options;
+        options.num_workers = 1;
+        options.offline.replay.mode = mode;
+        service::AnalysisService svc(options);
+        svc.registerProgram("apache", tb.workload.program);
+        const uint64_t id = svc.openSession("tenant", "apache");
+        ASSERT_NE(id, 0u);
+        svc.submit(id, bytes);
+        svc.closeSession(id);
+        svc.drain();
+        const std::vector<service::SessionOutcome> outcomes = svc.outcomes();
+        ASSERT_EQ(outcomes.size(), 1u);
+        EXPECT_TRUE(outcomes[0].ok) << outcomes[0].error;
+        EXPECT_EQ(outcomes[0].attempts, 1u);
+        EXPECT_FALSE(outcomes[0].quarantined);
+        EXPECT_EQ(outcomes[0].quarantine.windows_quarantined, 1u);
+        EXPECT_EQ(outcomes[0].extended_trace_events,
+                  direct.extended_trace_events);
+        EXPECT_EQ(outcomes[0].report.format(&program),
+                  direct.report.format(&program));
+        svc.shutdown();
+    }
 }
 
 } // namespace

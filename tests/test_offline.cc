@@ -1,15 +1,21 @@
 /**
  * @file
  * Tests for the offline pipeline's glue: program map, feed ordering,
- * racy-location regeneration, and the end-to-end condvar/barrier HB
- * edges through reconstruction.
+ * racy-location regeneration, the end-to-end condvar/barrier HB
+ * edges through reconstruction, and the pinned RaceZ baseline.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "asmkit/builder.hh"
+#include "baseline/racez.hh"
 #include "core/pipeline.hh"
 #include "replay/program_map.hh"
+#include "support/crc32.hh"
+#include "workload/racybugs.hh"
 
 namespace prorace {
 namespace {
@@ -225,6 +231,126 @@ TEST(Offline, RecoveryRatioIsOneWithPebsOnly)
     EXPECT_DOUBLE_EQ(result.replay_stats.recoveryRatio(), 1.0);
     EXPECT_EQ(result.extended_trace_events,
               run.trace.pebs.size());
+}
+
+/**
+ * A RaceZ analysis pinned as text: the CRC of the report, the extended
+ * trace size and every replay counter except the paged ProgramMap's.
+ */
+std::string
+raceZDigest(const core::OfflineResult &r, const asmkit::Program &program)
+{
+    const std::string report = r.report.format(&program);
+    const replay::ReplayStats &s = r.replay_stats;
+    char buf[256];
+    std::snprintf(
+        buf, sizeof buf,
+        "%08x %zu events %llu replay %llu %llu %llu %llu %llu %llu %llu "
+        "%llu %llu %llu %llu %llu %llu %llu",
+        crc32(report.data(), report.size()), r.report.size(),
+        static_cast<unsigned long long>(r.extended_trace_events),
+        static_cast<unsigned long long>(s.sampled),
+        static_cast<unsigned long long>(s.recovered_forward),
+        static_cast<unsigned long long>(s.recovered_backward),
+        static_cast<unsigned long long>(s.recovered_pcrel),
+        static_cast<unsigned long long>(s.recovered_constant),
+        static_cast<unsigned long long>(s.windows),
+        static_cast<unsigned long long>(s.inconsistent_windows),
+        static_cast<unsigned long long>(s.backward_rounds),
+        static_cast<unsigned long long>(s.violations_branch),
+        static_cast<unsigned long long>(s.violations_fact),
+        static_cast<unsigned long long>(s.violations_sample),
+        static_cast<unsigned long long>(s.violations_end),
+        static_cast<unsigned long long>(s.violations_backward),
+        static_cast<unsigned long long>(s.samples_out_of_program));
+    return buf;
+}
+
+TEST(RaceZBaseline, Table2BugsKeepTheirReportsAndCounters)
+{
+    // The RaceZ column of Table 2 and the basic-block ratios of Fig 11
+    // rest on basic-block reconstruction. Each of the twelve bugs,
+    // traced with raceZConfig at P=100 and P=1000 (one fixed seed) and
+    // analyzed, must reproduce the committed report CRC, race count,
+    // extended-trace size and replay counters exactly.
+    struct Pinned {
+        const char *bug;
+        uint64_t period;
+        const char *digest;
+    };
+    static const Pinned kPinned[] = {
+        {"apache-21287", 100,
+         "7dd95ccd 2 events 3100 replay 1276 1824 0 38 0 0 0 0 0 0 0 0 0 0"},
+        {"apache-21287", 1000,
+         "64bcefec 2 events 475 replay 196 279 0 11 0 0 0 0 0 0 0 0 0 0"},
+        {"apache-25520", 100,
+         "ed9ba08b 2 events 2622 replay 1196 1426 0 1 0 0 0 0 0 0 0 0 0 0"},
+        {"apache-25520", 1000,
+         "d8c3b7d0 0 events 410 replay 188 222 0 0 0 0 0 0 0 0 0 0 0 0"},
+        {"apache-45605", 100,
+         "44be2fff 2 events 3012 replay 1288 1724 0 0 0 0 0 0 0 0 0 0 0 0"},
+        {"apache-45605", 1000,
+         "d8c3b7d0 0 events 465 replay 200 265 0 0 0 0 0 0 0 0 0 0 0 0"},
+        {"mysql-3596", 100,
+         "657ac755 2 events 3155 replay 1381 1774 0 32 0 0 0 0 0 0 0 0 0 0"},
+        {"mysql-3596", 1000,
+         "d8c3b7d0 0 events 485 replay 208 277 0 0 0 0 0 0 0 0 0 0 0 0"},
+        {"mysql-644", 100,
+         "b4b3d617 2 events 3652 replay 1484 2168 0 26 0 0 0 0 0 0 0 0 0 0"},
+        {"mysql-644", 1000,
+         "d8c3b7d0 0 events 530 replay 220 310 0 1 0 0 0 0 0 0 0 0 0 0"},
+        {"mysql-791", 100,
+         "7dd95ccd 2 events 3100 replay 1276 1824 0 38 0 0 0 0 0 0 0 0 0 0"},
+        {"mysql-791", 1000,
+         "64bcefec 2 events 475 replay 196 279 0 11 0 0 0 0 0 0 0 0 0 0"},
+        {"cherokee-0.9.2", 100,
+         "e7b31249 2 events 2610 replay 1168 1442 0 0 0 0 0 0 0 0 0 0 0 0"},
+        {"cherokee-0.9.2", 1000,
+         "d8c3b7d0 0 events 419 replay 188 231 0 0 0 0 0 0 0 0 0 0 0 0"},
+        {"cherokee-bug326", 100,
+         "6a3c1cb6 2 events 2443 replay 1131 1312 0 0 0 0 0 0 0 0 0 0 0 0"},
+        {"cherokee-bug326", 1000,
+         "73b1fc40 2 events 435 replay 184 251 0 0 0 0 0 0 0 0 0 0 0 0"},
+        {"pbzip2-0.9.4", 100,
+         "518ddb33 2 events 1975 replay 895 1080 0 15 0 0 0 0 0 0 0 0 0 0"},
+        {"pbzip2-0.9.4", 1000,
+         "d8c3b7d0 0 events 354 replay 160 194 0 0 0 0 0 0 0 0 0 0 0 0"},
+        {"pbzip2-0.9.5", 100,
+         "84a1ff77 2 events 1985 replay 902 1083 0 6 0 0 0 0 0 0 0 0 0 0"},
+        {"pbzip2-0.9.5", 1000,
+         "d8c3b7d0 0 events 334 replay 160 174 0 0 0 0 0 0 0 0 0 0 0 0"},
+        {"pfscan", 100,
+         "08f36b2e 2 events 2755 replay 1132 1623 0 9 0 0 0 0 0 0 0 0 0 0"},
+        {"pfscan", 1000,
+         "d8c3b7d0 0 events 435 replay 184 251 0 1 0 0 0 0 0 0 0 0 0 0"},
+        {"aget-bug2", 100,
+         "d8c3b7d0 0 events 2493 replay 1014 1479 0 0 0 0 0 0 0 0 0 0 0 0"},
+        {"aget-bug2", 1000,
+         "d8c3b7d0 0 events 419 replay 172 247 0 0 0 0 0 0 0 0 0 0 0 0"},
+    };
+    constexpr uint64_t kSeed = 5000; // table2's first trial
+    const auto bugs = workload::racyBugWorkloads(1.0);
+    size_t checked = 0;
+    for (const workload::Workload &w : bugs) {
+        for (const uint64_t period : {100ull, 1000ull}) {
+            const core::PipelineResult r = core::runPipeline(
+                *w.program, w.setup, baseline::raceZConfig(period, kSeed));
+            const std::string digest = raceZDigest(r.offline, *w.program);
+            const Pinned *pin = nullptr;
+            for (const Pinned &p : kPinned) {
+                if (w.name == p.bug && period == p.period)
+                    pin = &p;
+            }
+            if (!pin) {
+                ADD_FAILURE() << "unpinned: {\"" << w.name << "\", "
+                              << period << ", \"" << digest << "\"},";
+                continue;
+            }
+            EXPECT_EQ(digest, pin->digest) << w.name << " P=" << period;
+            ++checked;
+        }
+    }
+    EXPECT_EQ(checked, 24u);
 }
 
 } // namespace

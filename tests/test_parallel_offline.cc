@@ -6,9 +6,10 @@
  * For every workload, seed, and thread count, the executor placement
  * must produce a byte-identical race report, identical pipeline
  * statistics (everything except the wall-clock timers and the paged
- * ProgramMap counters), identical window quarantine and identical
+ * ProgramMap counters), identical replay quarantine and identical
  * checkpoint-hook traffic to the calling-thread placement on the same
- * trace.
+ * trace. The layered reference check also runs every subject in
+ * RaceZ's basic-block mode, whose plan holds sample tasks only.
  */
 
 #include <stdexcept>
@@ -222,9 +223,8 @@ TEST(ParallelOffline, ZeroThreadsRunNoExecutorTasks)
 }
 
 /**
- * Replay tasks the analyzer plans for @p tid, and the path position the
- * first one ends at: the thread's windows in path order, a task closed
- * once it holds 16 Ki positions (core/offline.cc).
+ * Window tasks the replay plan holds for @p tid, and the path position
+ * the first one ends at.
  */
 std::pair<size_t, uint64_t>
 plannedTasks(const Program &program, const trace::RunTrace &run,
@@ -232,20 +232,15 @@ plannedTasks(const Program &program, const trace::RunTrace &run,
 {
     const auto paths = pmu::decodePt(program, run.meta.pt_filter, run);
     const auto alignments = replay::alignTrace(program, paths, run);
-    const replay::ThreadAlignment &alignment = alignments.at(tid);
-    const auto sync_at = replay::Replayer::syncAtMap(alignment, run);
-    const auto windows = replay::Replayer::buildWindows(
-        paths.at(tid), alignment, run, sync_at);
+    const replay::Replayer::Plan plan = replay::Replayer::plan(
+        replay::ReplayMode::kForwardBackward, paths, alignments, run);
     size_t tasks = 0;
     uint64_t first_end = 0;
-    uint64_t positions = 0;
-    for (size_t i = 0; i < windows.size(); ++i) {
-        positions += windows[i].end - windows[i].start;
-        if (positions >= (uint64_t{1} << 14) || i + 1 == windows.size()) {
-            if (tasks++ == 0)
-                first_end = windows[i].end;
-            positions = 0;
-        }
+    for (const replay::Replayer::Task &t : plan.tasks) {
+        if (t.windows.empty() || t.windows.front().tid != tid)
+            continue;
+        if (tasks++ == 0)
+            first_end = t.windows.back().end;
     }
     return {tasks, first_end};
 }
@@ -348,9 +343,13 @@ analyzeByLayer(const Program &program, const trace::RunTrace &run,
     const analysis::ProgramAnalysis facts(program, options.pointsto);
     replay::ReplayConfig config = options.replay;
     config.analysis = &facts;
-    const auto paths = pmu::decodePt(program, run.meta.pt_filter, run);
-    const auto alignments =
-        replay::alignTrace(program, paths, run, nullptr, &facts);
+    // RaceZ uses no PT: basic-block mode decodes and aligns nothing.
+    std::map<uint32_t, pmu::ThreadPath> paths;
+    std::map<uint32_t, replay::ThreadAlignment> alignments;
+    if (config.mode != replay::ReplayMode::kBasicBlock) {
+        paths = pmu::decodePt(program, run.meta.pt_filter, run);
+        alignments = replay::alignTrace(program, paths, run, nullptr, &facts);
+    }
 
     LayeredResult out;
     for (int round = 0;; ++round) {
@@ -379,25 +378,33 @@ analyzeByLayer(const Program &program, const trace::RunTrace &run,
     return out;
 }
 
-/** analyze() at 0 and 2 threads must equal analyzeByLayer(). */
+/**
+ * analyze() at 0 and 2 threads must equal analyzeByLayer(), in the
+ * replay mode of @p base and in RaceZ's basic-block mode.
+ */
 void
 expectMatchesLayers(const Program &program, const trace::RunTrace &run,
                     const core::OfflineOptions &base, const char *label,
                     int *regeneration_rounds = nullptr)
 {
-    const LayeredResult ref = analyzeByLayer(program, run, base);
-    if (regeneration_rounds)
-        *regeneration_rounds = ref.regeneration_rounds;
-    for (unsigned n : {0u, 2u}) {
-        SCOPED_TRACE(std::string(label) + ", num_threads=" +
-                     std::to_string(n));
+    for (const replay::ReplayMode mode :
+         {base.replay.mode, replay::ReplayMode::kBasicBlock}) {
         core::OfflineOptions opt = base;
-        opt.num_threads = n;
-        const core::OfflineResult r =
-            core::OfflineAnalyzer(program, opt).analyze(run);
-        EXPECT_EQ(r.report.format(&program), ref.report);
-        EXPECT_EQ(r.extended_trace_events, ref.extended_trace_events);
-        EXPECT_EQ(r.regeneration_rounds, ref.regeneration_rounds);
+        opt.replay.mode = mode;
+        const LayeredResult ref = analyzeByLayer(program, run, opt);
+        if (regeneration_rounds && mode == base.replay.mode)
+            *regeneration_rounds = ref.regeneration_rounds;
+        for (unsigned n : {0u, 2u}) {
+            SCOPED_TRACE(std::string(label) + ", " +
+                         replay::replayModeName(mode) +
+                         ", num_threads=" + std::to_string(n));
+            opt.num_threads = n;
+            const core::OfflineResult r =
+                core::OfflineAnalyzer(program, opt).analyze(run);
+            EXPECT_EQ(r.report.format(&program), ref.report);
+            EXPECT_EQ(r.extended_trace_events, ref.extended_trace_events);
+            EXPECT_EQ(r.regeneration_rounds, ref.regeneration_rounds);
+        }
     }
 }
 

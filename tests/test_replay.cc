@@ -337,8 +337,8 @@ expectSameTrace(const std::vector<ReconstructedAccess> &a,
 }
 
 /**
- * The extended trace assembled the way the parallel analyzer builds it:
- * every window on its own fresh replayer, samples appended per thread.
+ * The extended trace assembled from the replay plan with every window
+ * on its own fresh replayer and the samples on one more.
  */
 std::vector<ReconstructedAccess>
 replayWindowByWindow(const asmkit::Program &program, const ReplayConfig &cfg,
@@ -347,16 +347,14 @@ replayWindowByWindow(const asmkit::Program &program, const ReplayConfig &cfg,
 {
     std::vector<ReconstructedAccess> out;
     Replayer samples(program, cfg);
-    const auto unmatched = Replayer::unmatchedSamples(fx.alignments,
-                                                      fx.trace);
-    for (const auto &[tid, path] : fx.paths) {
-        const ThreadAlignment &alignment = fx.alignments.at(tid);
-        const auto sync_at = Replayer::syncAtMap(alignment, fx.trace);
-        for (const Replayer::Window &w :
-             Replayer::buildWindows(path, alignment, fx.trace, sync_at)) {
+    const Replayer::Plan plan =
+        Replayer::plan(cfg.mode, fx.paths, fx.alignments, fx.trace);
+    for (const Replayer::Task &t : plan.tasks) {
+        for (size_t u = 0; u < t.windows.size(); ++u) {
+            const Replayer::Window &w = t.windows[u];
             Replayer fresh(program, cfg);
             const size_t first = out.size();
-            fresh.replayWindow(w, path, alignment, out);
+            fresh.replayTask(t, u, u + 1, out);
             // A window appends in position order, inside its range.
             for (size_t i = first; i < out.size(); ++i) {
                 EXPECT_GE(out[i].position, w.start);
@@ -369,10 +367,8 @@ replayWindowByWindow(const asmkit::Program &program, const ReplayConfig &cfg,
             const auto c = fresh.consumedAddresses();
             consumed.insert(c.begin(), c.end());
         }
-        if (auto u = unmatched.find(tid); u != unmatched.end())
-            samples.appendSamples(u->second, fx.trace, out);
+        samples.replayTask(t, t.windows.size(), t.units(), out);
     }
-    samples.appendPathlessSamples(fx.paths, fx.trace, out);
     Replayer::sortByTsc(out);
     stats.merge(samples.stats());
     return out;
@@ -476,6 +472,56 @@ TEST(Replayer, BlacklistHoldsAcrossReusedPasses)
                                                 fresh_stats,
                                                 fresh_consumed));
     EXPECT_EQ(consumed, fresh_consumed);
+}
+
+TEST(Replayer, PlanPlacesEverySampleOnce)
+{
+    // The plan gives every PEBS record exactly one home: a matched
+    // sample opens one window, and every other sample is a sample unit.
+    // RaceZ uses no PT, so in basic-block mode the plan has no windows,
+    // its sample units are the whole trace in record order, and
+    // replayAll ignores any paths it is handed.
+    asmkit::Program program = makeSpillProgram(600);
+    Fixture fx(program, 23);
+    ASSERT_GT(fx.trace.pebs.size(), 20u);
+
+    const Replayer::Plan pt = Replayer::plan(
+        ReplayMode::kForwardBackward, fx.paths, fx.alignments, fx.trace);
+    std::vector<int> homes(fx.trace.pebs.size());
+    size_t windows = 0;
+    for (const Replayer::Task &t : pt.tasks) {
+        ASSERT_TRUE(t.windows.empty() || t.samples.empty());
+        windows += t.windows.size();
+        for (const Replayer::Window &w : t.windows) {
+            if (w.s1)
+                ++homes[w.s1 - fx.trace.pebs.data()];
+        }
+        for (const trace::PebsRecord *rec : t.samples)
+            ++homes[rec - fx.trace.pebs.data()];
+    }
+    EXPECT_GT(windows, 20u);
+    for (size_t i = 0; i < homes.size(); ++i)
+        EXPECT_EQ(homes[i], 1) << "record " << i;
+
+    const Replayer::Plan bb = Replayer::plan(
+        ReplayMode::kBasicBlock, fx.paths, fx.alignments, fx.trace);
+    std::vector<const trace::PebsRecord *> order;
+    for (const Replayer::Task &t : bb.tasks) {
+        EXPECT_TRUE(t.windows.empty());
+        order.insert(order.end(), t.samples.begin(), t.samples.end());
+    }
+    ASSERT_EQ(order.size(), fx.trace.pebs.size());
+    for (size_t i = 0; i < order.size(); ++i)
+        EXPECT_EQ(order[i], &fx.trace.pebs[i]);
+
+    ReplayConfig cfg;
+    cfg.mode = ReplayMode::kBasicBlock;
+    Replayer with_paths(program, cfg);
+    Replayer without(program, cfg);
+    expectSameTrace(with_paths.replayAll(fx.paths, fx.alignments, fx.trace),
+                    without.replayAll({}, {}, fx.trace));
+    EXPECT_GT(with_paths.stats().totalAccesses(),
+              with_paths.stats().sampled);
 }
 
 TEST(Offline, DetectsARealRaceEndToEnd)

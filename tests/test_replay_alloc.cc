@@ -142,19 +142,13 @@ struct TracedRun {
     }
 };
 
-/** Replay every window of every aligned thread, in path order. */
+/** Replay every task of @p plan, in plan order. */
 void
-replayEveryWindow(Replayer &replayer, const TracedRun &run,
-                  const std::vector<std::vector<Replayer::Window>> &plan,
-                  std::vector<ReconstructedAccess> &out)
+replayPlan(Replayer &replayer, const Replayer::Plan &plan,
+           std::vector<ReconstructedAccess> &out)
 {
-    size_t t = 0;
-    for (const auto &[tid, path] : run.paths) {
-        const ThreadAlignment &alignment = run.alignments.at(tid);
-        for (const Replayer::Window &w : plan[t])
-            replayer.replayWindow(w, path, alignment, out);
-        ++t;
-    }
+    for (const Replayer::Task &t : plan.tasks)
+        replayer.replayTask(t, 0, t.units(), out);
 }
 
 class WarmReplay : public ::testing::TestWithParam<uint64_t>
@@ -168,26 +162,19 @@ TEST_P(WarmReplay, WindowsReplayWithoutHeapAllocation)
     ReplayConfig cfg;
     cfg.analysis = &pa;
 
-    std::vector<std::map<uint64_t, const trace::SyncRecord *>> sync_maps;
-    std::vector<std::vector<Replayer::Window>> plan;
-    sync_maps.reserve(run.paths.size());
-    for (const auto &[tid, path] : run.paths) {
-        const ThreadAlignment &alignment = run.alignments.at(tid);
-        sync_maps.push_back(Replayer::syncAtMap(alignment, run.trace));
-        plan.push_back(Replayer::buildWindows(path, alignment, run.trace,
-                                              sync_maps.back()));
-    }
+    const Replayer::Plan plan =
+        Replayer::plan(cfg.mode, run.paths, run.alignments, run.trace);
 
     Replayer replayer(*run.w.program, cfg);
     std::vector<ReconstructedAccess> first;
-    replayEveryWindow(replayer, run, plan, first);
+    replayPlan(replayer, plan, first);
     ASSERT_GT(first.size(), 100u);
     ASSERT_GT(replayer.stats().backward_rounds, 0u);
 
     std::vector<ReconstructedAccess> second;
     second.reserve(first.size());
     const uint64_t before = g_allocations.load();
-    replayEveryWindow(replayer, run, plan, second);
+    replayPlan(replayer, plan, second);
     EXPECT_EQ(g_allocations.load() - before, 0u)
         << "a warm replayer allocated while replaying "
         << replayer.stats().windows / 2 << " windows";
