@@ -659,26 +659,11 @@ OfflineAnalyzer::decode(const trace::RunTrace &run, exec::Executor *ex,
             decode_shard(core);
     }
 
-    Paths paths;
-    bool migrated = false;
-    for (Paths &shard : shards) {
-        for (auto &[tid, path] : shard) {
-            if (!paths.emplace(tid, std::move(path)).second)
-                migrated = true;
-        }
-    }
-    if (migrated) {
-        // A tid with packets in two streams needs one walker threaded
-        // across both; decodePt does that.
-        if (stats)
-            *stats = pmu::PtDecodeStats();
-        return pmu::decodePt(program_, run.meta.pt_filter, run, stats);
-    }
     if (stats) {
         for (const pmu::PtDecodeStats &s : shard_stats)
             stats->merge(s);
     }
-    return paths;
+    return pmu::mergePtShards(std::move(shards), stats);
 }
 
 std::vector<replay::ReconstructedAccess>

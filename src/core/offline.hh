@@ -304,8 +304,8 @@ class OfflineAnalyzer
 
     /**
      * Decode one shard per PT stream, on @p ex or on the calling thread
-     * when it is null, and merge them (pmu::decodePt when a thread
-     * migrated between streams).
+     * when it is null, and merge them with pmu::mergePtShards (a tid
+     * split across streams loses its path).
      */
     Paths decode(const trace::RunTrace &run, exec::Executor *ex,
                  pmu::PtDecodeStats *stats);

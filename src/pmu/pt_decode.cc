@@ -109,7 +109,7 @@ markDesynced(Walker &w, uint64_t &total_entries)
     w.desynced = true;
 }
 
-/** Apply one stream's packets to a (possibly shared) walker set. */
+/** Apply one stream's packets to the stream's own walkers. */
 void
 decodeStreamInto(const asmkit::Program &program, const PtFilter &filter,
                  const trace::PtCoreStream &stream,
@@ -123,8 +123,7 @@ decodeStreamInto(const asmkit::Program &program, const PtFilter &filter,
     Walker *current = nullptr;
     uint64_t stream_tsc = 0;
     // Walkers this stream has fed: the blast radius of a
-    // desynchronization. (Threads are core-pinned, so walkers never
-    // span streams.)
+    // desynchronization.
     std::vector<Walker *> stream_walkers;
 
     // Lose synchronization: gap every walker this stream feeds, then
@@ -292,19 +291,16 @@ std::map<uint32_t, ThreadPath>
 decodePt(const asmkit::Program &program, const PtFilter &filter,
          const trace::RunTrace &run, PtDecodeStats *stats)
 {
-    const std::map<uint32_t, uint32_t> entries = entryMap(run);
-    std::map<uint32_t, Walker> walkers;
+    std::vector<std::map<uint32_t, ThreadPath>> shards(run.pt.size());
     PtDecodeStats local_stats;
-
-    for (const trace::PtCoreStream &stream : run.pt) {
-        decodeStreamInto(program, filter, stream, entries, walkers,
-                         local_stats);
+    for (size_t core = 0; core < run.pt.size(); ++core) {
+        PtDecodeStats shard_stats;
+        shards[core] = decodePtStream(program, filter, run, core,
+                                      &shard_stats);
+        local_stats.merge(shard_stats);
     }
-
-    std::map<uint32_t, ThreadPath> paths;
-    for (auto &[tid, w] : walkers)
-        paths.emplace(tid, std::move(w.path));
-
+    std::map<uint32_t, ThreadPath> paths =
+        mergePtShards(std::move(shards), &local_stats);
     if (stats)
         *stats = local_stats;
     return paths;
@@ -328,6 +324,28 @@ decodePtStream(const asmkit::Program &program, const PtFilter &filter,
 
     if (stats)
         *stats = local_stats;
+    return paths;
+}
+
+std::map<uint32_t, ThreadPath>
+mergePtShards(std::vector<std::map<uint32_t, ThreadPath>> shards,
+              PtDecodeStats *stats)
+{
+    std::map<uint32_t, ThreadPath> paths;
+    std::vector<uint32_t> split;
+    for (std::map<uint32_t, ThreadPath> &shard : shards) {
+        for (auto &[tid, path] : shard) {
+            if (!paths.emplace(tid, std::move(path)).second)
+                split.push_back(tid);
+        }
+    }
+    // A tid seen in n streams lands here n - 1 times.
+    std::sort(split.begin(), split.end());
+    split.erase(std::unique(split.begin(), split.end()), split.end());
+    for (const uint32_t tid : split)
+        paths.erase(tid);
+    if (stats)
+        stats->split_threads += split.size();
     return paths;
 }
 

@@ -60,6 +60,8 @@ struct PtDecodeStats {
     uint64_t bits_skipped = 0;   ///< bits scanned over while resyncing
     uint64_t dropped_packets = 0;///< packets with no walker to apply to
     uint64_t truncated_streams = 0; ///< streams ending mid-packet
+    /** Tids found in more than one stream, whose paths were dropped. */
+    uint64_t split_threads = 0;
 
     /** Accumulate @p other (sharded decode merges per-core stats). */
     void
@@ -72,11 +74,13 @@ struct PtDecodeStats {
         bits_skipped += other.bits_skipped;
         dropped_packets += other.dropped_packets;
         truncated_streams += other.truncated_streams;
+        split_threads += other.split_threads;
     }
 };
 
 /**
- * Decode every core stream of @p run against @p program.
+ * Decode every core stream of @p run against @p program: one
+ * decodePtStream() shard per stream, merged by mergePtShards().
  *
  * @param program   the traced binary
  * @param filter    the PT filter the encoder ran with
@@ -89,15 +93,14 @@ decodePt(const asmkit::Program &program, const PtFilter &filter,
          const trace::RunTrace &run, PtDecodeStats *stats = nullptr);
 
 /**
- * Decode a single core's packet stream in isolation (sharded decode).
+ * Decode one core's packet stream on its own: the one PT decoder.
  *
- * The machine pins each thread to one core, so every thread's packets
- * live in exactly one stream and the per-core decodes are independent:
- * decoding all streams and merging the per-tid maps yields the same
- * paths as the serial decodePt(). The parallel offline path runs one
- * such task per stream. Callers must verify on merge that no tid appears in
- * two shards (a migrating-thread trace) and fall back to the serial
- * decoder when one does.
+ * Traces follow a pinned-thread contract: the machine runs each thread
+ * on one core, so each thread's packets live in exactly one stream and
+ * the per-stream decodes are independent. Every walker this decode
+ * starts belongs to this stream alone. The offline analyzer runs one
+ * such shard per stream (on its executor or inline) and merges them
+ * with mergePtShards(), as decodePt() does.
  *
  * @param core index into run.pt
  */
@@ -105,6 +108,17 @@ std::map<uint32_t, ThreadPath>
 decodePtStream(const asmkit::Program &program, const PtFilter &filter,
                const trace::RunTrace &run, size_t core,
                PtDecodeStats *stats = nullptr);
+
+/**
+ * Merge per-stream decodes into one per-tid map. A tid found in more
+ * than one shard breaks the pinned-thread contract, and no single
+ * stream holds its path: it counts as damage. Its path is dropped from
+ * every shard (so its samples replay as pathless samples) and counted
+ * in @p stats' split_threads.
+ */
+std::map<uint32_t, ThreadPath>
+mergePtShards(std::vector<std::map<uint32_t, ThreadPath>> shards,
+              PtDecodeStats *stats = nullptr);
 
 } // namespace prorace::pmu
 

@@ -79,7 +79,7 @@ Replayer::EmitBuffer::open(uint64_t base, uint64_t len)
         slot_.resize(2 * len);
 }
 
-bool
+void
 Replayer::EmitBuffer::add(unsigned slot, const ReconstructedAccess &acc)
 {
     PRORACE_ASSERT(slot < 2 && acc.position >= base_ &&
@@ -87,12 +87,39 @@ Replayer::EmitBuffer::add(unsigned slot, const ReconstructedAccess &acc)
                    "emit outside the open window");
     const uint64_t k = 2 * (acc.position - base_) + slot;
     if (slot_[k])
-        return false;
+        return;
     accs_.push_back(acc);
     keys_.push_back(k);
     slot_[k] = static_cast<uint32_t>(accs_.size());
     ++live_;
-    return true;
+}
+
+inline void
+Replayer::publish(const ReconstructedAccess &acc, uint64_t tsc,
+                  std::vector<ReconstructedAccess> &out)
+{
+    switch (acc.origin) {
+      case AccessOrigin::kSampled:
+        ++stats_.sampled;
+        break;
+      case AccessOrigin::kPcRelative:
+        ++stats_.recovered_pcrel;
+        ++stats_.recovered_forward;
+        break;
+      case AccessOrigin::kForward:
+        ++stats_.recovered_forward;
+        break;
+      case AccessOrigin::kBackward:
+        ++stats_.recovered_backward;
+        break;
+      case AccessOrigin::kConstant:
+        ++stats_.recovered_constant;
+        break;
+      default:
+        break;
+    }
+    out.push_back(acc);
+    out.back().tsc = tsc;
 }
 
 void
@@ -170,16 +197,9 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
         // Erase suspect reconstructions of the enclosing loop body.
         const uint64_t lo = pos > kViolationScope ? pos - kViolationScope
                                                   : 0;
-        emit_.eraseIf(lo, pos, [&](const ReconstructedAccess &acc) {
-            if (acc.origin == AccessOrigin::kForward) {
-                --stats_.recovered_forward;
-                return true;
-            }
-            if (acc.origin == AccessOrigin::kBackward) {
-                --stats_.recovered_backward;
-                return true;
-            }
-            return false;
+        emit_.eraseIf(lo, pos, [](const ReconstructedAccess &acc) {
+            return acc.origin == AccessOrigin::kForward ||
+                acc.origin == AccessOrigin::kBackward;
         });
         // Invalidate the registers behind the contradiction.
         for (unsigned r = 0; r < isa::kNumGprs; ++r) {
@@ -251,8 +271,10 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
             return tag;
         };
 
-        auto emit_access = [&](unsigned slot, uint64_t addr, uint8_t width,
-                               bool is_write, bool atomic, bool rip_rel) {
+        // The buffer keeps the first access of each (position, slot);
+        // publish() counts the survivors by origin as they leave it.
+        auto emit = [&](unsigned slot, uint64_t addr, uint8_t width,
+                        bool is_write, bool atomic, AccessOrigin origin) {
             ReconstructedAccess acc;
             acc.tid = win.tid;
             acc.position = pos;
@@ -261,26 +283,12 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
             acc.width = width;
             acc.is_write = is_write;
             acc.is_atomic = atomic;
-            acc.origin = origin_for(rip_rel);
-            if (emit_.add(slot, acc)) {
-                switch (acc.origin) {
-                  case AccessOrigin::kSampled:
-                    ++stats_.sampled;
-                    break;
-                  case AccessOrigin::kPcRelative:
-                    ++stats_.recovered_pcrel;
-                    ++stats_.recovered_forward;
-                    break;
-                  case AccessOrigin::kForward:
-                    ++stats_.recovered_forward;
-                    break;
-                  case AccessOrigin::kBackward:
-                    ++stats_.recovered_backward;
-                    break;
-                  default:
-                    break;
-                }
-            }
+            acc.origin = origin;
+            emit_.add(slot, acc);
+        };
+        auto emit_access = [&](unsigned slot, uint64_t addr, uint8_t width,
+                               bool is_write, bool atomic, bool rip_rel) {
+            emit(slot, addr, width, is_write, atomic, origin_for(rip_rel));
         };
 
         // Record forward hints at memory instructions we cannot resolve,
@@ -297,23 +305,19 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
             }
         };
 
-        // Emit a constant-derived read: its address came through
-        // tainted registers, so it may only reach the detector when its
-        // whole shadow granule is immutable (the event is then inert —
-        // nothing in any feed writes that granule).
-        auto emit_constant = [&](unsigned slot, uint64_t addr,
-                                 uint8_t width, bool atomic) {
-            ReconstructedAccess acc;
-            acc.tid = win.tid;
-            acc.position = pos;
-            acc.insn_index = idx;
-            acc.addr = addr;
-            acc.width = width;
-            acc.is_write = false;
-            acc.is_atomic = atomic;
-            acc.origin = AccessOrigin::kConstant;
-            if (emit_.add(slot, acc))
-                ++stats_.recovered_constant;
+        // The address of a store or read-modify-write: the sampled
+        // one at the opening sample, else the emulated one. An address
+        // known only through tainted registers resolves to nothing, so
+        // no write is ever emitted from constant-derived knowledge. An
+        // unresolved address records a hint.
+        auto write_addr = [&](const isa::MemOperand &mem)
+            -> std::optional<uint64_t> {
+            if (is_sample)
+                return win.s1->addr;
+            if (auto ea = try_ea(mem); ea && !mem_tainted(mem))
+                return ea;
+            note_hint();
+            return std::nullopt;
         };
 
         uint16_t taint_new = 0;
@@ -329,44 +333,30 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
           case Op::kJmpInd:
             break;
 
-          case Op::kCmpRR: {
-            auto a = src_val(insn.dst);
-            auto bv = src_val(insn.src);
-            flags_known = a && bv && !reg_tainted(insn.dst) &&
-                !reg_tainted(insn.src);
-            if (flags_known)
-                flags_value = isa::evalCmp(*a, *bv);
-            flag_src_mask = static_cast<uint16_t>(
-                (1u << gprIndex(insn.dst)) | (1u << gprIndex(insn.src)));
-            break;
-          }
-          case Op::kCmpRI: {
-            auto a = src_val(insn.dst);
-            flags_known = a.has_value() && !reg_tainted(insn.dst);
-            if (flags_known)
-                flags_value = isa::evalCmp(*a,
-                                           static_cast<uint64_t>(insn.imm));
-            flag_src_mask =
-                static_cast<uint16_t>(1u << gprIndex(insn.dst));
-            break;
-          }
+          case Op::kCmpRR:
           case Op::kTestRR: {
             auto a = src_val(insn.dst);
             auto bv = src_val(insn.src);
             flags_known = a && bv && !reg_tainted(insn.dst) &&
                 !reg_tainted(insn.src);
-            if (flags_known)
-                flags_value = isa::evalTest(*a, *bv);
+            if (flags_known) {
+                flags_value = insn.op == Op::kCmpRR
+                    ? isa::evalCmp(*a, *bv)
+                    : isa::evalTest(*a, *bv);
+            }
             flag_src_mask = static_cast<uint16_t>(
                 (1u << gprIndex(insn.dst)) | (1u << gprIndex(insn.src)));
             break;
           }
+          case Op::kCmpRI:
           case Op::kTestRI: {
             auto a = src_val(insn.dst);
             flags_known = a.has_value() && !reg_tainted(insn.dst);
-            if (flags_known)
-                flags_value = isa::evalTest(*a,
-                                            static_cast<uint64_t>(insn.imm));
+            if (flags_known) {
+                const auto imm = static_cast<uint64_t>(insn.imm);
+                flags_value = insn.op == Op::kCmpRI ? isa::evalCmp(*a, imm)
+                                                    : isa::evalTest(*a, imm);
+            }
             flag_src_mask =
                 static_cast<uint16_t>(1u << gprIndex(insn.dst));
             break;
@@ -401,22 +391,31 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
             }
             break;
 
-          case Op::kLoad: {
+          case Op::kLoad:
+          case Op::kLoadAcq: {
+            // Acquire loads never sign-extend (the VM executes them so).
+            const bool acquire = insn.op == Op::kLoadAcq;
+            const bool sign_extend = !acquire && insn.sign_extend;
             uint64_t addr;
             if (is_sample) {
                 addr = win.s1->addr;
             } else if (auto ea = try_ea(insn.mem)) {
                 addr = *ea;
                 if (mem_tainted(insn.mem)) {
-                    // The stock replay could not resolve this address.
+                    // The stock replay could not resolve this address. A
+                    // constant-derived read may reach the detector only
+                    // when its whole shadow granule is immutable (the
+                    // event is then inert: nothing in any feed writes
+                    // that granule).
                     note_hint();
                     if (granule_immutable(addr, insn.width)) {
-                        emit_constant(0, addr, insn.width, false);
+                        emit(0, addr, insn.width, false, acquire,
+                             AccessOrigin::kConstant);
                         pm.setReg(insn.dst,
                                   isa::extendFromWidth(
                                       pt_const->constantAt(addr,
                                                            insn.width),
-                                      insn.width, insn.sign_extend));
+                                      insn.width, sign_extend));
                         taint_dst(insn.dst);
                     } else {
                         pm.invalidateReg(insn.dst);
@@ -428,18 +427,19 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
                 pm.invalidateReg(insn.dst);
                 break;
             }
-            if (is_sample) {
+            // Only a plain load cross-checks its sampled address.
+            if (is_sample && !acquire) {
                 if (auto ea = try_ea(insn.mem);
                     ea && !mem_tainted(insn.mem) && *ea != addr) {
                     ++stats_.violations_sample;
                     violation(pos);
                 }
             }
-            emit_access(0, addr, insn.width, false, false,
+            emit_access(0, addr, insn.width, false, acquire,
                         insn.mem.rip_relative);
             if (auto v = pm.readMem(addr, insn.width)) {
                 pm.setReg(insn.dst, isa::extendFromWidth(*v, insn.width,
-                                                         insn.sign_extend));
+                                                         sign_extend));
             } else if (pt_const &&
                        pt_const->immutableCovers(addr, insn.width)) {
                 // The location is not emulated, but no store in the
@@ -447,7 +447,7 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
                 pm.setReg(insn.dst,
                           isa::extendFromWidth(
                               pt_const->constantAt(addr, insn.width),
-                              insn.width, insn.sign_extend));
+                              insn.width, sign_extend));
                 taint_dst(insn.dst);
             } else {
                 pm.invalidateReg(insn.dst);
@@ -456,34 +456,28 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
           }
 
           case Op::kStore:
-          case Op::kStoreI: {
-            uint64_t addr;
-            if (is_sample) {
-                addr = win.s1->addr;
-            } else if (auto ea = try_ea(insn.mem);
-                       ea && !mem_tainted(insn.mem)) {
-                addr = *ea;
-            } else {
-                // Unknown (or only tainted-known) address: never emit a
-                // write from constant-derived knowledge.
-                note_hint();
+          case Op::kStoreI:
+          case Op::kStoreRel: {
+            const auto addr = write_addr(insn.mem);
+            if (!addr) {
                 // A store to an unknown address may clobber any emulated
                 // location.
                 pm.invalidateMemory();
                 break;
             }
-            emit_access(0, addr, insn.width, true, false,
-                        insn.mem.rip_relative);
+            emit_access(0, *addr, insn.width, true,
+                        insn.op == Op::kStoreRel, insn.mem.rip_relative);
             std::optional<uint64_t> value;
             if (insn.op == Op::kStoreI)
                 value = static_cast<uint64_t>(insn.imm);
             else if (!reg_tainted(insn.src))
                 value = src_val(insn.src);
             if (value) {
-                pm.writeMem(addr, isa::truncateToWidth(*value, insn.width),
+                pm.writeMem(*addr,
+                            isa::truncateToWidth(*value, insn.width),
                             insn.width);
             } else {
-                pm.invalidateMem(addr, insn.width);
+                pm.invalidateMem(*addr, insn.width);
             }
             break;
           }
@@ -608,24 +602,19 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
             break;
           }
 
-          case Op::kAtomicRmw: {
-            uint64_t addr;
-            if (is_sample) {
-                addr = win.s1->addr;
-            } else if (auto ea = try_ea(insn.mem);
-                       ea && !mem_tainted(insn.mem)) {
-                addr = *ea;
-            } else {
-                note_hint();
+          case Op::kAtomicRmw:
+          case Op::kAtomicRmwAcqRel: {
+            const auto addr = write_addr(insn.mem);
+            if (!addr) {
                 pm.invalidateReg(insn.dst);
                 pm.invalidateMemory();
                 break;
             }
-            emit_access(0, addr, insn.width, false, true,
+            emit_access(0, *addr, insn.width, false, true,
                         insn.mem.rip_relative);
-            emit_access(1, addr, insn.width, true, true,
+            emit_access(1, *addr, insn.width, true, true,
                         insn.mem.rip_relative);
-            auto old = pm.readMem(addr, insn.width);
+            auto old = pm.readMem(*addr, insn.width);
             auto rhs = src_val(insn.src);
             if (reg_tainted(insn.src))
                 rhs = std::nullopt;
@@ -636,33 +625,27 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
                 pm.invalidateReg(insn.dst);
             }
             if (old && rhs) {
-                pm.writeMem(addr,
+                pm.writeMem(*addr,
                             isa::truncateToWidth(
                                 isa::evalAlu(insn.alu, *old, *rhs).value,
                                 insn.width),
                             insn.width);
             } else {
-                pm.invalidateMem(addr, insn.width);
+                pm.invalidateMem(*addr, insn.width);
             }
             break;
           }
 
           case Op::kCas: {
-            uint64_t addr;
-            if (is_sample) {
-                addr = win.s1->addr;
-            } else if (auto ea = try_ea(insn.mem);
-                       ea && !mem_tainted(insn.mem)) {
-                addr = *ea;
-            } else {
-                note_hint();
+            const auto addr = write_addr(insn.mem);
+            if (!addr) {
                 pm.invalidateReg(insn.dst);
                 pm.invalidateMemory();
                 break;
             }
-            emit_access(0, addr, insn.width, false, true,
+            emit_access(0, *addr, insn.width, false, true,
                         insn.mem.rip_relative);
-            auto old = pm.readMem(addr, insn.width);
+            auto old = pm.readMem(*addr, insn.width);
             auto expected = src_val(insn.dst);
             auto desired = src_val(insn.src);
             if (reg_tainted(insn.dst))
@@ -671,9 +654,9 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
                 desired = std::nullopt;
             if (old && expected && desired) {
                 if (*old == isa::truncateToWidth(*expected, insn.width)) {
-                    emit_access(1, addr, insn.width, true, true,
+                    emit_access(1, *addr, insn.width, true, true,
                                 insn.mem.rip_relative);
-                    pm.writeMem(addr,
+                    pm.writeMem(*addr,
                                 isa::truncateToWidth(*desired, insn.width),
                                 insn.width);
                 } else {
@@ -685,119 +668,9 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
                 // Outcome unknown: the destination and the location both
                 // become unavailable.
                 pm.invalidateReg(insn.dst);
-                pm.invalidateMem(addr, insn.width);
+                pm.invalidateMem(*addr, insn.width);
             }
             flags_known = false;
-            break;
-          }
-
-          case Op::kLoadAcq: {
-            uint64_t addr;
-            if (is_sample) {
-                addr = win.s1->addr;
-            } else if (auto ea = try_ea(insn.mem)) {
-                addr = *ea;
-                if (mem_tainted(insn.mem)) {
-                    note_hint();
-                    if (granule_immutable(addr, insn.width)) {
-                        emit_constant(0, addr, insn.width, true);
-                        pm.setReg(insn.dst,
-                                  isa::extendFromWidth(
-                                      pt_const->constantAt(addr,
-                                                           insn.width),
-                                      insn.width, false));
-                        taint_dst(insn.dst);
-                    } else {
-                        pm.invalidateReg(insn.dst);
-                    }
-                    break;
-                }
-            } else {
-                note_hint();
-                pm.invalidateReg(insn.dst);
-                break;
-            }
-            emit_access(0, addr, insn.width, false, true,
-                        insn.mem.rip_relative);
-            // Another thread published this location: the emulated value
-            // (if any) may be stale, so only the register is refreshed
-            // when the location is still trusted.
-            if (auto v = pm.readMem(addr, insn.width)) {
-                pm.setReg(insn.dst,
-                          isa::extendFromWidth(*v, insn.width, false));
-            } else if (pt_const &&
-                       pt_const->immutableCovers(addr, insn.width)) {
-                pm.setReg(insn.dst,
-                          isa::extendFromWidth(
-                              pt_const->constantAt(addr, insn.width),
-                              insn.width, false));
-                taint_dst(insn.dst);
-            } else {
-                pm.invalidateReg(insn.dst);
-            }
-            break;
-          }
-
-          case Op::kStoreRel: {
-            uint64_t addr;
-            if (is_sample) {
-                addr = win.s1->addr;
-            } else if (auto ea = try_ea(insn.mem);
-                       ea && !mem_tainted(insn.mem)) {
-                addr = *ea;
-            } else {
-                note_hint();
-                pm.invalidateMemory();
-                break;
-            }
-            emit_access(0, addr, insn.width, true, true,
-                        insn.mem.rip_relative);
-            if (auto value = src_val(insn.src);
-                value && !reg_tainted(insn.src)) {
-                pm.writeMem(addr, isa::truncateToWidth(*value, insn.width),
-                            insn.width);
-            } else {
-                pm.invalidateMem(addr, insn.width);
-            }
-            break;
-          }
-
-          case Op::kAtomicRmwAcqRel: {
-            uint64_t addr;
-            if (is_sample) {
-                addr = win.s1->addr;
-            } else if (auto ea = try_ea(insn.mem);
-                       ea && !mem_tainted(insn.mem)) {
-                addr = *ea;
-            } else {
-                note_hint();
-                pm.invalidateReg(insn.dst);
-                pm.invalidateMemory();
-                break;
-            }
-            emit_access(0, addr, insn.width, false, true,
-                        insn.mem.rip_relative);
-            emit_access(1, addr, insn.width, true, true,
-                        insn.mem.rip_relative);
-            auto old = pm.readMem(addr, insn.width);
-            auto rhs = src_val(insn.src);
-            if (reg_tainted(insn.src))
-                rhs = std::nullopt;
-            if (old) {
-                pm.setReg(insn.dst,
-                          isa::extendFromWidth(*old, insn.width, false));
-            } else {
-                pm.invalidateReg(insn.dst);
-            }
-            if (old && rhs) {
-                pm.writeMem(addr,
-                            isa::truncateToWidth(
-                                isa::evalAlu(insn.alu, *old, *rhs).value,
-                                insn.width),
-                            insn.width);
-            } else {
-                pm.invalidateMem(addr, insn.width);
-            }
             break;
           }
 
@@ -1119,15 +992,8 @@ Replayer::replayWindow(const Window &win, const pmu::ThreadPath &path,
           default:
             break;
         }
-        if (!keep) {
-            if (acc.origin == AccessOrigin::kForward)
-                --stats_.recovered_forward;
-            else
-                --stats_.recovered_backward;
-            return;
-        }
-        out.push_back(acc);
-        out.back().tsc = alignment.tscAt(acc.position);
+        if (keep)
+            publish(acc, alignment.tscAt(acc.position), out);
     });
 }
 
@@ -1188,8 +1054,7 @@ Replayer::replayBasicBlock(const trace::PebsRecord &rec,
         // intra-block program order.
         const int64_t delta = static_cast<int64_t>(acc.position) -
             static_cast<int64_t>(sample_pos);
-        out.push_back(acc);
-        out.back().tsc = rec.tsc + delta;
+        publish(acc, rec.tsc + delta, out);
     });
 }
 
@@ -1307,12 +1172,10 @@ Replayer::replayTask(const Task &task, size_t first, size_t last,
         acc.width = rec.width;
         acc.is_write = rec.is_write;
         acc.is_atomic = rec.is_atomic;
+        acc.origin = AccessOrigin::kSampled;
         // The path position is unknown (0); the sample's own
         // timestamp keeps the detector's same-thread ordering sane.
-        acc.tsc = rec.tsc;
-        acc.origin = AccessOrigin::kSampled;
-        ++stats_.sampled;
-        out.push_back(acc);
+        publish(acc, rec.tsc, out);
     }
 }
 

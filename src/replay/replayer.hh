@@ -307,7 +307,7 @@ class Replayer
         void open(uint64_t base, uint64_t len);
 
         /** Insert @p acc at (acc.position, @p slot) unless that is taken. */
-        bool add(unsigned slot, const ReconstructedAccess &acc);
+        void add(unsigned slot, const ReconstructedAccess &acc);
 
         /** Number of live entries. */
         size_t size() const { return live_; }
@@ -373,6 +373,16 @@ class Replayer
     void backwardScan(const Window &win, const pmu::ThreadPath &path,
                       const FactList &hints, FactList &facts_out,
                       bool *consistent_out);
+
+    /**
+     * Append @p acc to @p out, timed at @p tsc, and count it by origin.
+     * This is the one place the origin counters of ReplayStats grow:
+     * an access counts when it reaches the extended trace, never while
+     * it waits in the emission buffer, where a violation may erase it
+     * or the window's verdict may drop it.
+     */
+    void publish(const ReconstructedAccess &acc, uint64_t tsc,
+                 std::vector<ReconstructedAccess> &out);
 
     /** RaceZ reconstruction of one sample's basic block into @p out. */
     void replayBasicBlock(const trace::PebsRecord &rec,

@@ -6,12 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
+#include "analysis/analysis.hh"
 #include "baseline/racez.hh"
 #include "core/pipeline.hh"
 #include "pmu/pt_decode.hh"
 #include "replay/align.hh"
 #include "replay/replayer.hh"
 #include "workload/racybugs.hh"
+#include "workload/registry.hh"
 
 namespace prorace {
 namespace {
@@ -67,43 +71,73 @@ class SeedSweep : public ::testing::TestWithParam<uint64_t>
 
 TEST_P(SeedSweep, ReconstructedAccessesAreNeverPhantom)
 {
-    // Every reconstructed (tid, insn, addr, is_write) must have occurred
-    // in the real execution: reconstruction may be incomplete, never
-    // wrong.
-    workload::Workload w = workload::makeRacyBug("cherokee-0.9.2", 0.4);
-    vm::MachineConfig mcfg;
-    mcfg.seed = GetParam();
-    mcfg.record_memory_log = true;
-    driver::TraceConfig tcfg;
-    tcfg.pebs_period = 150;
-    tcfg.seed = GetParam() * 31;
-    tcfg.pt.filter = w.pt_filter;
+    // Every reconstructed (tid, insn, addr, width, is_write, is_atomic)
+    // must have occurred in the real execution: reconstruction may be
+    // incomplete, never wrong. The subjects cover every access shape
+    // forward replay has a rule for: plain accesses (cherokee-0.9.2),
+    // acquire loads, release stores and acq_rel RMWs (mpmc-queue,
+    // event-loop), and constant-recovered reads (ptr-dispatch, replayed
+    // with its ProgramAnalysis so constant recovery runs).
+    struct Subject {
+        workload::Workload w;
+        bool with_analysis;
+    };
+    const Subject subjects[] = {
+        {workload::makeRacyBug("cherokee-0.9.2", 0.4), false},
+        {*workload::findWorkload("mpmc-queue", 0.25), false},
+        {*workload::findWorkload("event-loop", 0.25), false},
+        {*workload::findWorkload("ptr-dispatch", 0.25), true},
+    };
+    for (const Subject &subject : subjects) {
+        const workload::Workload &w = subject.w;
+        SCOPED_TRACE(w.name);
+        vm::MachineConfig mcfg;
+        mcfg.seed = GetParam();
+        mcfg.record_memory_log = true;
+        driver::TraceConfig tcfg;
+        tcfg.pebs_period = 150;
+        tcfg.seed = GetParam() * 31;
+        tcfg.pt.filter = w.pt_filter;
 
-    vm::Machine machine(*w.program, mcfg);
-    driver::TracingSession tracing(tcfg, mcfg.num_cores);
-    machine.setObserver(&tracing);
-    w.setup(machine);
-    machine.run();
-    trace::RunTrace trace = tracing.finish();
-    for (uint32_t tid = 0; tid < machine.numThreads(); ++tid)
-        trace.meta.threads.push_back({tid, machine.thread(tid).entry_ip});
+        vm::Machine machine(*w.program, mcfg);
+        driver::TracingSession tracing(tcfg, mcfg.num_cores);
+        machine.setObserver(&tracing);
+        w.setup(machine);
+        machine.run();
+        trace::RunTrace trace = tracing.finish();
+        for (uint32_t tid = 0; tid < machine.numThreads(); ++tid) {
+            trace.meta.threads.push_back(
+                {tid, machine.thread(tid).entry_ip});
+        }
 
-    std::map<uint32_t, std::set<std::tuple<uint32_t, uint64_t, bool>>>
-        truth;
-    for (const auto &e : machine.memoryLog())
-        truth[e.tid].insert({e.insn_index, e.addr, e.is_write});
+        using Access = std::tuple<uint32_t, uint64_t, uint8_t, bool, bool>;
+        std::map<uint32_t, std::set<Access>> truth;
+        for (const auto &e : machine.memoryLog()) {
+            truth[e.tid].insert(
+                {e.insn_index, e.addr, e.width, e.is_write, e.is_atomic});
+        }
 
-    auto paths = pmu::decodePt(*w.program, trace.meta.pt_filter, trace);
-    auto aligns = replay::alignTrace(*w.program, paths, trace);
-    replay::Replayer rep(*w.program, {});
-    auto accesses = rep.replayAll(paths, aligns, trace);
-    ASSERT_GT(accesses.size(), 100u);
-    for (const auto &a : accesses) {
-        EXPECT_TRUE(truth[a.tid].count({a.insn_index, a.addr, a.is_write}))
-            << "phantom access: tid " << a.tid << " insn #"
-            << a.insn_index << " addr 0x" << std::hex << a.addr
-            << std::dec << " ("
-            << detect::accessOriginName(a.origin) << ")";
+        std::optional<analysis::ProgramAnalysis> analysis;
+        replay::ReplayConfig config;
+        if (subject.with_analysis)
+            config.analysis = &analysis.emplace(*w.program);
+        auto paths = pmu::decodePt(*w.program, trace.meta.pt_filter, trace);
+        auto aligns = replay::alignTrace(*w.program, paths, trace);
+        replay::Replayer rep(*w.program, config);
+        auto accesses = rep.replayAll(paths, aligns, trace);
+        ASSERT_GT(accesses.size(), 100u);
+        if (subject.with_analysis)
+            EXPECT_GT(rep.stats().recovered_constant, 0u);
+        for (const auto &a : accesses) {
+            EXPECT_TRUE(truth[a.tid].count(
+                {a.insn_index, a.addr, a.width, a.is_write, a.is_atomic}))
+                << "phantom access: tid " << a.tid << " insn #"
+                << a.insn_index << " addr 0x" << std::hex << a.addr
+                << std::dec << " width " << unsigned{a.width}
+                << (a.is_write ? " write" : " read")
+                << (a.is_atomic ? " atomic" : "") << " ("
+                << detect::accessOriginName(a.origin) << ")";
+        }
     }
 }
 

@@ -604,7 +604,8 @@ resultDigest(const core::OfflineResult &r, const asmkit::Program &program)
     out << r.report.format(&program) << "\nevents "
         << r.extended_trace_events << " rounds " << r.regeneration_rounds
         << "\ndecode " << r.decode_stats.packets << ' '
-        << r.decode_stats.path_entries << "\nalign "
+        << r.decode_stats.path_entries << ' '
+        << r.decode_stats.split_threads << "\nalign "
         << r.align_stats.samples_matched << ' '
         << r.align_stats.samples_unmatched << ' '
         << r.align_stats.candidates_rejected << "\nreplay " << rs.sampled
@@ -708,6 +709,80 @@ TEST(FaultTolerance, HostileSampleAddressQuarantinesOneWindow)
                   direct.report.format(&program));
         svc.shutdown();
     }
+}
+
+TEST(FaultTolerance, ThreadInTwoPtStreamsLosesItsPath)
+{
+    // Traces follow a pinned-thread contract: each thread's PT packets
+    // live in one stream. A CRC-valid trace written by the real writer
+    // whose core-1 stream is a copy of core 0's names every core-0
+    // thread in two streams, so no one stream holds its path. Such a
+    // tid counts as damage: its path is dropped and its samples replay
+    // as pathless samples, alike at every num_threads. A service
+    // session on the same bytes ends ok on its first attempt.
+    const TracedBug tb = traceBug("apache-25520", 500, 7);
+    const asmkit::Program &program = *tb.workload.program;
+    auto loaded = trace::readTrace(tb.bytes);
+    ASSERT_TRUE(loaded.ok());
+    trace::RunTrace split = loaded.value().trace;
+    ASSERT_GE(split.pt.size(), 2u);
+    split.pt[1] = split.pt[0];
+    const auto doubled =
+        pmu::decodePtStream(program, split.meta.pt_filter, split, 0);
+    ASSERT_GT(doubled.size(), 0u);
+    size_t pathless = 0;
+    for (const trace::PebsRecord &rec : split.pebs)
+        pathless += doubled.count(rec.tid);
+    ASSERT_GT(pathless, 0u);
+
+    pmu::PtDecodeStats stats;
+    const auto paths =
+        pmu::decodePt(program, split.meta.pt_filter, split, &stats);
+    EXPECT_EQ(stats.split_threads, doubled.size());
+    for (const auto &[tid, path] : doubled)
+        EXPECT_EQ(paths.count(tid), 0u) << "tid " << tid;
+
+    const std::vector<uint8_t> bytes = trace::serializeTrace(split);
+    const std::string path = "/tmp/prorace_split_tid.trace";
+    writeFile(path, bytes);
+    core::OfflineOptions opt = tb.cfg.offline;
+    core::OfflineResult direct;
+    for (const unsigned jobs : {0u, 1u, 2u, 8u}) {
+        opt.num_threads = jobs;
+        auto r = core::OfflineAnalyzer(program, opt).analyzeFile(path);
+        ASSERT_TRUE(r.ok()) << "jobs " << jobs;
+        EXPECT_EQ(r.value().decode_stats.split_threads, doubled.size())
+            << "jobs " << jobs;
+        EXPECT_GE(r.value().replay_stats.sampled, pathless)
+            << "jobs " << jobs;
+        if (jobs == 0)
+            direct = std::move(r.value());
+        else
+            EXPECT_EQ(resultDigest(r.value(), program),
+                      resultDigest(direct, program))
+                << "jobs " << jobs;
+    }
+    std::remove(path.c_str());
+
+    service::ServiceOptions options;
+    options.num_workers = 1;
+    service::AnalysisService svc(options);
+    svc.registerProgram("apache", tb.workload.program);
+    const uint64_t id = svc.openSession("tenant", "apache");
+    ASSERT_NE(id, 0u);
+    svc.submit(id, bytes);
+    svc.closeSession(id);
+    svc.drain();
+    const std::vector<service::SessionOutcome> outcomes = svc.outcomes();
+    ASSERT_EQ(outcomes.size(), 1u);
+    EXPECT_TRUE(outcomes[0].ok) << outcomes[0].error;
+    EXPECT_EQ(outcomes[0].attempts, 1u);
+    EXPECT_FALSE(outcomes[0].quarantined);
+    EXPECT_EQ(outcomes[0].extended_trace_events,
+              direct.extended_trace_events);
+    EXPECT_EQ(outcomes[0].report.format(&program),
+              direct.report.format(&program));
+    svc.shutdown();
 }
 
 } // namespace

@@ -2,7 +2,8 @@
  * @file
  * Tests for the offline pipeline's glue: program map, feed ordering,
  * racy-location regeneration, the end-to-end condvar/barrier HB
- * edges through reconstruction, and the pinned RaceZ baseline.
+ * edges through reconstruction, and the pinned replay baselines of
+ * RaceZ and of the two PT modes.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include "replay/program_map.hh"
 #include "support/crc32.hh"
 #include "workload/racybugs.hh"
+#include "workload/registry.hh"
 
 namespace prorace {
 namespace {
@@ -234,11 +236,12 @@ TEST(Offline, RecoveryRatioIsOneWithPebsOnly)
 }
 
 /**
- * A RaceZ analysis pinned as text: the CRC of the report, the extended
- * trace size and every replay counter except the paged ProgramMap's.
+ * A replay-based analysis pinned as text: the CRC of the report, the
+ * extended trace size and every replay counter except the paged
+ * ProgramMap's.
  */
 std::string
-raceZDigest(const core::OfflineResult &r, const asmkit::Program &program)
+replayDigest(const core::OfflineResult &r, const asmkit::Program &program)
 {
     const std::string report = r.report.format(&program);
     const replay::ReplayStats &s = r.replay_stats;
@@ -335,7 +338,7 @@ TEST(RaceZBaseline, Table2BugsKeepTheirReportsAndCounters)
         for (const uint64_t period : {100ull, 1000ull}) {
             const core::PipelineResult r = core::runPipeline(
                 *w.program, w.setup, baseline::raceZConfig(period, kSeed));
-            const std::string digest = raceZDigest(r.offline, *w.program);
+            const std::string digest = replayDigest(r.offline, *w.program);
             const Pinned *pin = nullptr;
             for (const Pinned &p : kPinned) {
                 if (w.name == p.bug && period == p.period)
@@ -351,6 +354,150 @@ TEST(RaceZBaseline, Table2BugsKeepTheirReportsAndCounters)
         }
     }
     EXPECT_EQ(checked, 24u);
+}
+
+TEST(ReplayBaseline, PtModesKeepTheirReportsAndCounters)
+{
+    // Forward and forward+backward replay, pinned like the RaceZ
+    // baseline above. The subjects cover every access shape replay
+    // knows: acquire loads, release stores and acq_rel RMWs
+    // (mpmc-queue-racy, event-loop), constant recovery (ptr-dispatch),
+    // rwlocks (rcu-table) and four Table 2 bugs. Each is traced once
+    // with proRaceConfig at P=16 and P=1000 (one fixed seed, scale
+    // 0.25) and analyzed in both modes.
+    struct Pinned {
+        const char *subject;
+        uint64_t period;
+        replay::ReplayMode mode;
+        const char *digest;
+    };
+    constexpr auto kFwd = replay::ReplayMode::kForwardOnly;
+    constexpr auto kFwdBwd = replay::ReplayMode::kForwardBackward;
+    static const Pinned kPinned[] = {
+        {"mpmc-queue-racy", 16, kFwd,
+         "d8c3b7d0 0 events 1411 replay 100 1311 0 80 0 100 0 0 10 0 0 10 0 0"},
+        {"mpmc-queue-racy", 16, kFwdBwd,
+         "b6e90b0a 1 events 1453 replay 100 1311 42 80 0 100 10 135 28 22 0 10 20 0"},
+        {"mpmc-queue-racy", 1000, kFwd,
+         "d8c3b7d0 0 events 162 replay 1 161 0 80 0 6 0 0 0 0 0 0 0 0"},
+        {"mpmc-queue-racy", 1000, kFwdBwd,
+         "d8c3b7d0 0 events 441 replay 1 161 279 80 0 6 0 2 0 0 0 0 0 0"},
+        {"event-loop", 16, kFwd,
+         "d8c3b7d0 0 events 938 replay 85 853 0 209 0 83 0 0 34 0 0 77 0 0"},
+        {"event-loop", 16, kFwdBwd,
+         "d8c3b7d0 0 events 1075 replay 85 850 140 209 0 83 33 137 84 122 0 88 55 0"},
+        {"event-loop", 1000, kFwd,
+         "d8c3b7d0 0 events 305 replay 1 304 0 216 0 5 0 0 0 0 0 0 0 0"},
+        {"event-loop", 1000, kFwdBwd,
+         "d8c3b7d0 0 events 571 replay 1 304 266 216 0 5 0 2 0 0 0 0 0 0"},
+        {"ptr-dispatch", 16, kFwd,
+         "d8c3b7d0 0 events 914 replay 60 823 0 35 31 60 0 0 5 0 0 6 0 0"},
+        {"ptr-dispatch", 16, kFwdBwd,
+         "d8c3b7d0 0 events 919 replay 60 818 10 35 31 60 4 61 10 10 0 6 8 0"},
+        {"ptr-dispatch", 1000, kFwd,
+         "d8c3b7d0 0 events 182 replay 1 150 0 37 31 5 0 0 0 0 0 0 0 0"},
+        {"ptr-dispatch", 1000, kFwdBwd,
+         "d8c3b7d0 0 events 436 replay 1 150 254 37 31 5 0 2 0 0 0 0 0 0"},
+        {"rcu-table", 16, kFwd,
+         "d8c3b7d0 0 events 2553 replay 196 2357 0 73 0 190 0 0 60 0 0 63 0 0"},
+        {"rcu-table", 16, kFwdBwd,
+         "d8c3b7d0 0 events 2481 replay 196 2274 11 73 0 190 60 235 163 123 0 66 119 0"},
+        {"rcu-table", 1000, kFwd,
+         "d8c3b7d0 0 events 1318 replay 2 1316 0 75 0 7 0 0 1 0 0 1 0 0"},
+        {"rcu-table", 1000, kFwdBwd,
+         "d8c3b7d0 0 events 1609 replay 2 1312 295 75 0 7 1 4 1 2 0 1 2 0"},
+        {"cherokee-0.9.2", 16, kFwd,
+         "39294ad8 2 events 35372 replay 2975 32397 0 265 0 2813 0 0 722 0 0 1694 0 0"},
+        {"cherokee-0.9.2", 16, kFwdBwd,
+         "39294ad8 2 events 38507 replay 2975 30816 4716 265 0 2813 723 4321 1943 3394 104 1827 1517 0"},
+        {"cherokee-0.9.2", 1000, kFwd,
+         "d8c3b7d0 0 events 44565 replay 48 44517 0 269 0 51 0 0 10 0 0 12 0 0"},
+        {"cherokee-0.9.2", 1000, kFwdBwd,
+         "1c90d5d7 2 events 46444 replay 48 44490 1906 269 0 51 10 61 28 22 0 14 20 0"},
+        {"pbzip2-0.9.4", 16, kFwd,
+         "2902fb87 2 events 33394 replay 2544 30850 0 248 0 1962 0 0 405 0 0 1275 0 0"},
+        {"pbzip2-0.9.4", 16, kFwdBwd,
+         "2902fb87 2 events 36447 replay 2544 30105 3798 248 0 1962 395 3007 1078 2326 0 1333 702 0"},
+        {"pbzip2-0.9.4", 1000, kFwd,
+         "d8c3b7d0 0 events 37320 replay 40 37280 0 249 0 44 0 0 9 0 0 9 0 0"},
+        {"pbzip2-0.9.4", 1000, kFwdBwd,
+         "d8c3b7d0 0 events 39178 replay 40 37256 1882 249 0 44 9 53 25 18 0 9 18 0"},
+        {"memcached", 16, kFwd,
+         "d8c3b7d0 0 events 45400 replay 3946 41454 0 69 0 3777 0 0 1000 0 0 1773 0 0"},
+        {"memcached", 16, kFwdBwd,
+         "e881e739 2 events 48783 replay 3946 40333 4504 69 0 3777 978 5235 2629 3511 1048 1901 1988 0"},
+        {"memcached", 1000, kFwd,
+         "d8c3b7d0 0 events 55529 replay 62 55467 0 70 0 51 0 0 20 0 0 20 0 0"},
+        {"memcached", 1000, kFwdBwd,
+         "d8c3b7d0 0 events 58042 replay 62 55424 2556 70 0 51 20 64 50 38 0 23 39 0"},
+        {"aget-bug2", 16, kFwd,
+         "b7bea230 2 events 36827 replay 2740 34087 0 77 0 2554 0 0 454 0 0 1203 0 0"},
+        {"aget-bug2", 16, kFwdBwd,
+         "b7bea230 2 events 38987 replay 2740 33157 3090 77 0 2554 452 3510 1238 2166 0 1253 819 0"},
+        {"aget-bug2", 1000, kFwd,
+         "69eb5c22 2 events 40253 replay 44 40209 0 77 0 47 0 0 9 0 0 9 0 0"},
+        {"aget-bug2", 1000, kFwdBwd,
+         "69eb5c22 2 events 42162 replay 44 40185 1933 77 0 47 9 54 25 18 0 9 18 0"},
+    };
+    static const char *const kSubjects[] = {
+        "mpmc-queue-racy", "event-loop",   "ptr-dispatch", "rcu-table",
+        "cherokee-0.9.2",  "pbzip2-0.9.4", "memcached",    "aget-bug2",
+    };
+    constexpr uint64_t kSeed = 5000;
+    // Each counter below is nonzero somewhere in the table, so the pin
+    // reaches every branch that feeds one.
+    replay::ReplayStats any;
+    size_t checked = 0;
+    for (const char *subject : kSubjects) {
+        const auto w = workload::findWorkload(subject, 0.25);
+        ASSERT_TRUE(w) << subject;
+        for (const uint64_t period : {16ull, 1000ull}) {
+            const core::PipelineConfig cfg =
+                core::proRaceConfig(period, kSeed);
+            const core::RunArtifacts online =
+                core::Session::run(*w->program, w->setup, cfg.session);
+            for (const replay::ReplayMode mode : {kFwd, kFwdBwd}) {
+                core::OfflineOptions options = cfg.offline;
+                options.replay.mode = mode;
+                core::OfflineAnalyzer analyzer(*w->program, options);
+                const core::OfflineResult r = analyzer.analyze(online.trace);
+                any.merge(r.replay_stats);
+                const std::string digest = replayDigest(r, *w->program);
+                const Pinned *pin = nullptr;
+                for (const Pinned &p : kPinned) {
+                    if (w->name == p.subject && period == p.period &&
+                        mode == p.mode) {
+                        pin = &p;
+                    }
+                }
+                if (!pin) {
+                    ADD_FAILURE()
+                        << "unpinned: {\"" << w->name << "\", " << period
+                        << ", " << (mode == kFwd ? "kFwd" : "kFwdBwd")
+                        << ",\n         \"" << digest << "\"},";
+                    continue;
+                }
+                EXPECT_EQ(digest, pin->digest)
+                    << w->name << " P=" << period << ' '
+                    << replay::replayModeName(mode);
+                ++checked;
+            }
+        }
+    }
+    EXPECT_EQ(checked, 32u);
+    EXPECT_GT(any.sampled, 0u);
+    EXPECT_GT(any.recovered_forward, 0u);
+    EXPECT_GT(any.recovered_backward, 0u);
+    EXPECT_GT(any.recovered_pcrel, 0u);
+    EXPECT_GT(any.recovered_constant, 0u);
+    EXPECT_GT(any.windows, 0u);
+    EXPECT_GT(any.inconsistent_windows, 0u);
+    EXPECT_GT(any.backward_rounds, 0u);
+    EXPECT_GT(any.violations_branch, 0u);
+    EXPECT_GT(any.violations_fact, 0u);
+    EXPECT_GT(any.violations_sample, 0u);
+    EXPECT_GT(any.violations_end, 0u);
+    EXPECT_GT(any.violations_backward, 0u);
 }
 
 } // namespace
