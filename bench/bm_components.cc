@@ -140,7 +140,7 @@ void
 BM_Replay(benchmark::State &state)
 {
     // Arg 1 attaches the static analysis (the analyzer's configuration:
-    // kill masks from the fact table, constant recovery); 0 is the
+    // kill masks from the fact table); 0 is the
     // analysis-free legacy path. Both replay the same windows.
     auto &run = benchRun();
     auto &w = benchApp();

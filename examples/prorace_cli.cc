@@ -92,7 +92,6 @@ struct Args {
     bool vanilla = false;
     bool stats = false;        ///< dump shadow-structure counters
     bool no_prefilter = false; ///< disable the static access prefilter
-    bool no_pointsto = false;  ///< disable the Andersen points-to layer
 
     // Fleet-service knobs (serve / submit commands).
     unsigned producers = 4;
@@ -154,35 +153,6 @@ printShadowStats(const core::OfflineResult &result)
                         pf.pruned_stack_implicit),
                     static_cast<unsigned long long>(
                         pf.pruned_stack_direct));
-        if (pf.pointsto_objects) {
-            std::printf("points-to: %llu objects, %llu constraints, "
-                        "%llu solver iterations; %llu heap-local sites"
-                        "\n",
-                        static_cast<unsigned long long>(
-                            pf.pointsto_objects),
-                        static_cast<unsigned long long>(
-                            pf.pointsto_constraints),
-                        static_cast<unsigned long long>(
-                            pf.pointsto_iterations),
-                        static_cast<unsigned long long>(
-                            pf.sites_heap_local));
-            std::printf("heap pruning: %llu events in %llu private "
-                        "[malloc,free) intervals (%llu intervals "
-                        "defeated by a cross-thread access)\n",
-                        static_cast<unsigned long long>(pf.pruned_heap),
-                        static_cast<unsigned long long>(
-                            pf.heap_intervals),
-                        static_cast<unsigned long long>(
-                            pf.heap_defeated));
-        } else {
-            std::printf("points-to: off\n");
-        }
-        if (result.replay_stats.recovered_constant) {
-            std::printf("constant recovery: %llu loads from immutable "
-                        "globals recovered in replay\n",
-                        static_cast<unsigned long long>(
-                            result.replay_stats.recovered_constant));
-        }
     } else {
         std::printf("prefilter: off (%s), %llu events seen\n",
                     pf.analysis_sound ? "disabled by flag"
@@ -232,15 +202,14 @@ usage()
                  "       prorace_cli trace <workload> <file> [--period N]"
                  " [--seed N] [--driver prorace|vanilla] [--scale X]\n"
                  "       prorace_cli analyze <workload> <file> [--racez]"
-                 " [--scale X] [--jobs N] [--stats] [--no-prefilter]"
-                 " [--no-pointsto]\n"
+                 " [--scale X] [--jobs N] [--stats] [--no-prefilter]\n"
                  "       prorace_cli run <workload> [--period N]"
                  " [--seed N] [--scale X] [--jobs N] [--stats]"
-                 " [--no-prefilter] [--no-pointsto]\n"
+                 " [--no-prefilter]\n"
                  "       prorace_cli oracle [--count K] [--period N]"
                  " [--seed N] [--jobs N] [--sync]\n"
                  "       prorace_cli static-report <workload>"
-                 " [--scale X] [--no-pointsto]\n"
+                 " [--scale X]\n"
                  "       prorace_cli serve [--producers N] [--sessions "
                  "N] [--workers N] [--slots N] [--credit BYTES] "
                  "[--shed] [--chunk BYTES] [--subjects a,b,c]"
@@ -271,11 +240,7 @@ usage()
                  "and the static-prefilter event counters\n"
                  "--no-prefilter keeps definitely-thread-local accesses "
                  "in the detector feed (the race report is identical; "
-                 "detection just costs more)\n"
-                 "--no-pointsto disables the Andersen points-to layer "
-                 "(heap-locality pruning, indirect-branch sharpening, "
-                 "replay constant recovery; the race report is identical "
-                 "either way)\n");
+                 "detection just costs more)\n");
     return 2;
 }
 
@@ -327,8 +292,6 @@ parseFlags(int argc, char **argv, int first, Args &args)
             args.stats = true;
         } else if (flag == "--no-prefilter") {
             args.no_prefilter = true;
-        } else if (flag == "--no-pointsto") {
-            args.no_pointsto = true;
         } else if (flag == "--driver") {
             const char *v = next();
             if (!v)
@@ -459,7 +422,6 @@ cmdAnalyze(const Args &args)
     core::OfflineOptions opt;
     opt.num_threads = args.jobs;
     opt.static_prefilter = !args.no_prefilter;
-    opt.pointsto = !args.no_pointsto;
     if (args.racez)
         opt.replay.mode = replay::ReplayMode::kBasicBlock;
     core::OfflineAnalyzer analyzer(*w->program, opt);
@@ -526,7 +488,6 @@ cmdRun(const Args &args)
         : core::proRaceConfig(args.period, args.seed, w->pt_filter);
     cfg.offline.num_threads = args.jobs;
     cfg.offline.static_prefilter = !args.no_prefilter;
-    cfg.offline.pointsto = !args.no_pointsto;
     core::PipelineResult result =
         core::runPipeline(*w->program, w->setup, cfg);
     if (args.stats)
@@ -589,7 +550,7 @@ cmdStaticReport(const Args &args)
                      args.workload.c_str());
         return 1;
     }
-    const analysis::ProgramAnalysis pa(*w->program, !args.no_pointsto);
+    const analysis::ProgramAnalysis pa(*w->program);
     const analysis::StaticSummary s = pa.summary();
 
     // JSONL on stdout: one summary record, one site-class record.
@@ -615,15 +576,13 @@ cmdStaticReport(const Args &args)
         s.no_stack_escape ? "true" : "false",
         s.rsp_integrity && s.no_stack_escape ? "true" : "false");
 
-    // Merged classification: escape's, upgraded to kHeapLocal where
-    // the points-to layer confined a site to private heap objects.
-    uint64_t by_class[5] = {0, 0, 0, 0, 0};
-    for (uint32_t i = 0; i < s.insns; ++i)
-        ++by_class[static_cast<unsigned>(pa.siteClass(i))];
+    uint64_t by_class[4] = {0, 0, 0, 0};
+    for (analysis::SiteClass c : pa.escape().sites())
+        ++by_class[static_cast<unsigned>(c)];
     std::printf(
         "{\"type\":\"sites\",\"workload\":\"%s\",\"no_access\":%llu,"
         "\"stack_implicit\":%llu,\"stack_direct\":%llu,"
-        "\"may_shared\":%llu,\"heap_local\":%llu}\n",
+        "\"may_shared\":%llu}\n",
         args.workload.c_str(),
         static_cast<unsigned long long>(by_class[static_cast<unsigned>(
             analysis::SiteClass::kNoAccess)]),
@@ -632,41 +591,7 @@ cmdStaticReport(const Args &args)
         static_cast<unsigned long long>(by_class[static_cast<unsigned>(
             analysis::SiteClass::kStackDirect)]),
         static_cast<unsigned long long>(by_class[static_cast<unsigned>(
-            analysis::SiteClass::kMayShared)]),
-        static_cast<unsigned long long>(by_class[static_cast<unsigned>(
-            analysis::SiteClass::kHeapLocal)]));
-
-    if (s.pointsto_enabled) {
-        const analysis::PointsToStats &pt = s.pointsto;
-        std::printf(
-            "{\"type\":\"pointsto\",\"workload\":\"%s\",\"objects\":%llu,"
-            "\"alloc_sites\":%llu,\"constraints\":%llu,"
-            "\"iterations\":%llu,\"cycles_collapsed\":%llu,"
-            "\"thread_local_allocs\":%llu,\"heap_local_sites\":%llu,"
-            "\"immutable_globals\":%llu,\"indirect_sites\":%llu,"
-            "\"resolved_indirect_sites\":%llu,\"fanout_blunt\":%llu,"
-            "\"fanout_sharp\":%llu,\"sharp_edges\":%llu,"
-            "\"sharp_reachable\":%llu,\"no_heap_forgery\":%s,"
-            "\"top_store\":%s,\"heap_sound\":%s}\n",
-            args.workload.c_str(),
-            static_cast<unsigned long long>(pt.objects),
-            static_cast<unsigned long long>(pt.alloc_sites),
-            static_cast<unsigned long long>(pt.constraints),
-            static_cast<unsigned long long>(pt.iterations),
-            static_cast<unsigned long long>(pt.cycles_collapsed),
-            static_cast<unsigned long long>(pt.thread_local_allocs),
-            static_cast<unsigned long long>(pt.heap_local_sites),
-            static_cast<unsigned long long>(pt.immutable_globals),
-            static_cast<unsigned long long>(pt.indirect_sites),
-            static_cast<unsigned long long>(pt.resolved_indirect_sites),
-            static_cast<unsigned long long>(pt.fanout_blunt),
-            static_cast<unsigned long long>(pt.fanout_sharp),
-            static_cast<unsigned long long>(s.sharp_edges),
-            static_cast<unsigned long long>(s.sharp_reachable),
-            pt.no_heap_forgery ? "true" : "false",
-            pt.top_store ? "true" : "false",
-            pt.heap_sound ? "true" : "false");
-    }
+            analysis::SiteClass::kMayShared)]));
 
     // Human digest on stderr so stdout stays machine-parseable.
     std::fprintf(stderr,
@@ -688,30 +613,6 @@ cmdStaticReport(const Args &args)
                  static_cast<unsigned long long>(s.learn_insns),
                  s.rsp_integrity ? "held" : "VIOLATED",
                  s.no_stack_escape ? "held" : "VIOLATED");
-    if (s.pointsto_enabled) {
-        const analysis::PointsToStats &pt = s.pointsto;
-        std::fprintf(stderr,
-                     "  points-to: %llu objects, %llu constraints; "
-                     "%llu/%llu allocs thread-local, %llu heap-local "
-                     "sites, %llu immutable globals, %llu/%llu indirect "
-                     "sites resolved (fan-out %llu -> %llu), heap "
-                     "soundness %s, top store %s\n",
-                     static_cast<unsigned long long>(pt.objects),
-                     static_cast<unsigned long long>(pt.constraints),
-                     static_cast<unsigned long long>(
-                         pt.thread_local_allocs),
-                     static_cast<unsigned long long>(pt.alloc_sites),
-                     static_cast<unsigned long long>(pt.heap_local_sites),
-                     static_cast<unsigned long long>(
-                         pt.immutable_globals),
-                     static_cast<unsigned long long>(
-                         pt.resolved_indirect_sites),
-                     static_cast<unsigned long long>(pt.indirect_sites),
-                     static_cast<unsigned long long>(pt.fanout_blunt),
-                     static_cast<unsigned long long>(pt.fanout_sharp),
-                     pt.heap_sound ? "held" : "degraded",
-                     pt.top_store ? "seen" : "none");
-    }
     return 0;
 }
 
@@ -741,9 +642,7 @@ printTenantRow(const std::string &name,
     if (ts.prefilter.enabled) {
         std::fprintf(stderr,
                      "  %-12s prefilter: %llu/%llu events pruned "
-                     "(%llu implicit stack, %llu direct stack, %llu "
-                     "heap-local in %llu intervals), points-to "
-                     "%llu objects / %llu constraints\n",
+                     "(%llu implicit stack, %llu direct stack)\n",
                      "",
                      static_cast<unsigned long long>(
                          ts.prefilter.pruned()),
@@ -752,15 +651,7 @@ printTenantRow(const std::string &name,
                      static_cast<unsigned long long>(
                          ts.prefilter.pruned_stack_implicit),
                      static_cast<unsigned long long>(
-                         ts.prefilter.pruned_stack_direct),
-                     static_cast<unsigned long long>(
-                         ts.prefilter.pruned_heap),
-                     static_cast<unsigned long long>(
-                         ts.prefilter.heap_intervals),
-                     static_cast<unsigned long long>(
-                         ts.prefilter.pointsto_objects),
-                     static_cast<unsigned long long>(
-                         ts.prefilter.pointsto_constraints));
+                         ts.prefilter.pruned_stack_direct));
     }
     const trace::CompressionStats &cm = ts.compression;
     if (cm.pebs_raw_bytes || cm.sync_raw_bytes) {
@@ -839,7 +730,6 @@ cmdServe(const Args &args)
     cfg.service.session_slots = args.slots;
     cfg.service.ingest.credit_bytes = args.credit;
     cfg.service.ingest.shed_on_full = args.shed;
-    cfg.service.offline.pointsto = !args.no_pointsto;
     cfg.service.state_dir = args.state_dir;
     cfg.service.supervision.session_deadline_seconds = args.deadline;
     cfg.poison_producers = args.poison;

@@ -16,21 +16,10 @@ buildFacts(const asmkit::Program &program)
 
 } // namespace
 
-ProgramAnalysis::ProgramAnalysis(const asmkit::Program &program,
-                                 bool enable_pointsto)
+ProgramAnalysis::ProgramAnalysis(const asmkit::Program &program)
     : program_(&program), facts_(buildFacts(program)), cfg_(program),
       dataflow_(cfg_, facts_), escape_(cfg_, facts_)
 {
-    if (!enable_pointsto)
-        return;
-    pointsto_ =
-        std::make_unique<PointsTo>(cfg_, dataflow_, escape_, facts_);
-    heap_escape_ =
-        std::make_unique<HeapEscapeAnalysis>(escape_, *pointsto_);
-    if (!pointsto_->indirectTargets().empty()) {
-        sharp_cfg_ = std::make_unique<Cfg>(program,
-                                           pointsto_->indirectTargets());
-    }
 }
 
 StaticSummary
@@ -52,14 +41,6 @@ ProgramAnalysis::summary() const
     }
     s.rsp_integrity = escape_.rspIntegrity();
     s.no_stack_escape = escape_.noStackEscape();
-    if (pointsto_) {
-        s.pointsto_enabled = true;
-        s.pointsto = pointsto_->stats();
-        s.heap_local_sites = heap_escape_->numHeapLocal();
-    }
-    const Cfg &sharp = sharpCfg();
-    s.sharp_edges = sharp.numEdges();
-    s.sharp_reachable = sharp.numReachable();
     return s;
 }
 

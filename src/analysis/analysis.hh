@@ -10,14 +10,12 @@
 #define PRORACE_ANALYSIS_ANALYSIS_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "analysis/cfg.hh"
 #include "analysis/dataflow.hh"
 #include "analysis/escape.hh"
 #include "analysis/insn_facts.hh"
-#include "analysis/pointsto.hh"
 
 namespace prorace::analysis {
 
@@ -30,15 +28,10 @@ struct StaticSummary {
     uint32_t address_taken = 0;
     uint32_t mem_sites = 0;          ///< instructions with memory events
     uint32_t thread_local_sites = 0; ///< provably private subset
-    uint32_t heap_local_sites = 0;   ///< confined to private heap objects
     uint32_t invertible_insns = 0;   ///< some operand reverse-executable
     uint32_t learn_insns = 0;        ///< teach an unwritten register
     bool rsp_integrity = false;
     bool no_stack_escape = false;
-    bool pointsto_enabled = false;
-    PointsToStats pointsto;          ///< zero-valued when disabled
-    uint32_t sharp_edges = 0;        ///< sharpened-CFG edge count
-    uint32_t sharp_reachable = 0;    ///< sharpened-CFG reachable blocks
 
     double
     threadLocalFraction() const
@@ -56,50 +49,18 @@ struct StaticSummary {
 class ProgramAnalysis
 {
   public:
-    /**
-     * @p enable_pointsto gates the Andersen layer (and everything built
-     * on it: heap locality, CFG sharpening, constant recovery). The
-     * blunt cfg/dataflow/escape trio is identical either way, so every
-     * report-affecting result is too — the flag only removes an extra
-     * pruning/recovery opportunity (--no-pointsto).
-     */
-    explicit ProgramAnalysis(const asmkit::Program &program,
-                             bool enable_pointsto = true);
+    explicit ProgramAnalysis(const asmkit::Program &program);
+
+    /** Ignored flag; kept only so prorace_bench/ compiles. */
+    ProgramAnalysis(const asmkit::Program &program, bool)
+        : ProgramAnalysis(program)
+    {
+    }
 
     const asmkit::Program &program() const { return *program_; }
     const Cfg &cfg() const { return cfg_; }
     const Dataflow &dataflow() const { return dataflow_; }
     const EscapeAnalysis &escape() const { return escape_; }
-
-    /** Points-to layer, or nullptr when disabled. */
-    const PointsTo *pointsTo() const { return pointsto_.get(); }
-
-    /** Merged heap/stack site classification, or nullptr when disabled. */
-    const HeapEscapeAnalysis *heapEscape() const
-    {
-        return heap_escape_.get();
-    }
-
-    /**
-     * The CFG with indirect fan-outs narrowed to resolved points-to
-     * target sets; the blunt cfg() when the layer is disabled or
-     * resolved nothing.
-     */
-    const Cfg &sharpCfg() const
-    {
-        return sharp_cfg_ ? *sharp_cfg_ : cfg_;
-    }
-
-    /**
-     * Merged site classification: escape's, with may-shared sites
-     * confined to thread-local heap objects upgraded to kHeapLocal.
-     */
-    SiteClass
-    siteClass(uint32_t index) const
-    {
-        return heap_escape_ ? heap_escape_->site(index)
-                            : escape_.site(index);
-    }
 
     /** Precomputed per-instruction facts (indexed by instruction). */
     const InsnFacts &facts(uint32_t index) const { return facts_[index]; }
@@ -127,9 +88,6 @@ class ProgramAnalysis
     Cfg cfg_;
     Dataflow dataflow_;
     EscapeAnalysis escape_;
-    std::unique_ptr<PointsTo> pointsto_;
-    std::unique_ptr<HeapEscapeAnalysis> heap_escape_;
-    std::unique_ptr<Cfg> sharp_cfg_;
 };
 
 } // namespace prorace::analysis

@@ -4,8 +4,8 @@
  * may-write register masks, register read sets, memory-event counts,
  * and the invertibility classification the replayer exploits.
  *
- * `replay/static_info.hh` forwards here; keeping every per-instruction
- * fact in one table means the aligner, the replayer, and the dataflow
+ * The aligner and the replayer call these functions directly; keeping
+ * every per-instruction fact in one table means they and the dataflow
  * passes can never drift apart on what an opcode may touch.
  */
 

@@ -535,28 +535,6 @@ getClock(support::ByteReader &r, VectorClock &clock)
 }
 
 void
-putAccess(support::ByteWriter &w, const RaceAccess &a)
-{
-    w.u32(a.tid);
-    w.u32(a.insn_index);
-    w.u8(a.is_write ? 1 : 0);
-    w.u64(a.tsc);
-    w.u8(static_cast<uint8_t>(a.origin));
-}
-
-RaceAccess
-getAccess(support::ByteReader &r)
-{
-    RaceAccess a;
-    a.tid = r.u32();
-    a.insn_index = r.u32();
-    a.is_write = r.u8() != 0;
-    a.tsc = r.u64();
-    a.origin = static_cast<AccessOrigin>(r.u8());
-    return a;
-}
-
-void
 putEpoch(support::ByteWriter &w, const Epoch &e)
 {
     w.u32(e.tid());
@@ -636,16 +614,16 @@ FastTrack::serializeState(support::ByteWriter &w) const
     for (const auto &[granule, var] : shadow) {
         w.u64(granule);
         putEpoch(w, var.write_epoch);
-        putAccess(w, var.last_write);
+        putRaceAccess(w, var.last_write);
         w.u8(var.write_atomic ? 1 : 0);
         putEpoch(w, var.read_epoch);
-        putAccess(w, var.last_read);
+        putRaceAccess(w, var.last_read);
         w.u8(var.read_atomic ? 1 : 0);
         w.u8(var.read_is_shared ? 1 : 0);
         putClock(w, var.read_vc);
-        putAccess(w, var.shared_read_sample);
+        putRaceAccess(w, var.shared_read_sample);
         putClock(w, var.plain_read_vc);
-        putAccess(w, var.shared_plain_sample);
+        putRaceAccess(w, var.shared_plain_sample);
     }
 
     const auto allocs = sortedEntries(alloc_sizes_);
@@ -658,8 +636,8 @@ FastTrack::serializeState(support::ByteWriter &w) const
     w.u32(static_cast<uint32_t>(report_.races().size()));
     for (const DataRace &race : report_.races()) {
         w.u64(race.addr);
-        putAccess(w, race.prior);
-        putAccess(w, race.current);
+        putRaceAccess(w, race.prior);
+        putRaceAccess(w, race.current);
     }
 
     w.u64(stats_.reads);
@@ -750,18 +728,20 @@ FastTrack::restoreState(support::ByteReader &r)
     for (auto &[granule, var] : shadow) {
         granule = r.u64();
         var.write_epoch = getEpoch(r);
-        var.last_write = getAccess(r);
+        if (!getRaceAccess(r, var.last_write))
+            return false;
         var.write_atomic = r.u8() != 0;
         var.read_epoch = getEpoch(r);
-        var.last_read = getAccess(r);
+        if (!getRaceAccess(r, var.last_read))
+            return false;
         var.read_atomic = r.u8() != 0;
         var.read_is_shared = r.u8() != 0;
-        if (!getClock(r, var.read_vc))
+        if (!getClock(r, var.read_vc) ||
+            !getRaceAccess(r, var.shared_read_sample) ||
+            !getClock(r, var.plain_read_vc) ||
+            !getRaceAccess(r, var.shared_plain_sample)) {
             return false;
-        var.shared_read_sample = getAccess(r);
-        if (!getClock(r, var.plain_read_vc))
-            return false;
-        var.shared_plain_sample = getAccess(r);
+        }
     }
 
     const uint32_t alloc_count = r.u32();
@@ -779,8 +759,10 @@ FastTrack::restoreState(support::ByteReader &r)
     std::vector<DataRace> races(race_count);
     for (DataRace &race : races) {
         race.addr = r.u64();
-        race.prior = getAccess(r);
-        race.current = getAccess(r);
+        if (!getRaceAccess(r, race.prior) ||
+            !getRaceAccess(r, race.current)) {
+            return false;
+        }
     }
 
     FastTrackStats stats;

@@ -5,6 +5,7 @@
 
 #include "asmkit/program.hh"
 #include "isa/disasm.hh"
+#include "support/journal.hh"
 
 namespace prorace::detect {
 
@@ -17,9 +18,32 @@ accessOriginName(AccessOrigin origin)
       case AccessOrigin::kBackward:   return "backward-replay";
       case AccessOrigin::kPcRelative: return "pc-relative";
       case AccessOrigin::kOracle:     return "oracle";
-      case AccessOrigin::kConstant:   return "constant";
     }
     return "?";
+}
+
+void
+putRaceAccess(support::ByteWriter &w, const RaceAccess &access)
+{
+    w.u32(access.tid);
+    w.u32(access.insn_index);
+    w.u8(access.is_write ? 1 : 0);
+    w.u64(access.tsc);
+    w.u8(static_cast<uint8_t>(access.origin));
+}
+
+bool
+getRaceAccess(support::ByteReader &r, RaceAccess &access)
+{
+    access.tid = r.u32();
+    access.insn_index = r.u32();
+    access.is_write = r.u8() != 0;
+    access.tsc = r.u64();
+    const uint8_t origin = r.u8();
+    if (!r.ok() || origin > static_cast<uint8_t>(AccessOrigin::kOracle))
+        return false;
+    access.origin = static_cast<AccessOrigin>(origin);
+    return true;
 }
 
 void

@@ -15,6 +15,11 @@ namespace prorace::asmkit {
 class Program;
 }
 
+namespace prorace::support {
+class ByteReader;
+class ByteWriter;
+} // namespace prorace::support
+
 namespace prorace::detect {
 
 /** How the offline phase obtained a memory access. */
@@ -24,12 +29,6 @@ enum class AccessOrigin : uint8_t {
     kBackward,    ///< reconstructed by backward replay
     kPcRelative,  ///< recovered from PC-relative addressing alone
     kOracle,      ///< ground-truth log (testing only)
-    /**
-     * Address derived through values the points-to layer proved
-     * constant (loads from immutable globals). Appended after kOracle
-     * so serialized origin bytes keep their meaning.
-     */
-    kConstant,
 };
 
 /** Printable origin name. */
@@ -43,6 +42,20 @@ struct RaceAccess {
     uint64_t tsc = 0;
     AccessOrigin origin = AccessOrigin::kSampled;
 };
+
+/**
+ * The one byte layout of a RaceAccess, shared by detector checkpoint
+ * images and report-journal records: tid u32, insn_index u32, is_write
+ * u8, tsc u64, origin u8.
+ */
+void putRaceAccess(support::ByteWriter &w, const RaceAccess &access);
+
+/**
+ * Read one access written by putRaceAccess(). False on a short read or
+ * an origin byte that names no AccessOrigin, so a damaged or foreign
+ * image is refused instead of carrying an invalid enum value.
+ */
+bool getRaceAccess(support::ByteReader &r, RaceAccess &access);
 
 /** A detected data race on one address. */
 struct DataRace {

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "analysis/analysis.hh"
-#include "replay/static_info.hh"
 #include "support/log.hh"
 
 namespace prorace::replay {
@@ -177,7 +176,7 @@ alignTrace(const asmkit::Program &program,
             memop_prefix[i + 1] = memop_prefix[i] +
                 (pi == kPathGap ? 0
                  : analysis    ? analysis->facts(pi).mem_ops
-                               : memOpCount(program.insnAt(pi)));
+                               : analysis::memOpCount(program.insnAt(pi)));
             gap_prefix[i + 1] = gap_prefix[i] + (pi == kPathGap ? 1 : 0);
         }
         const uint64_t period = run.meta.pebs_period;
@@ -256,9 +255,11 @@ alignTrace(const asmkit::Program &program,
                 if (prev_rec && mask_pos <= pos) {
                     while (mask_pos < pos) {
                         const uint32_t pi = path.insns[mask_pos];
-                        written |= (pi == kPathGap) ? kGapWriteMask
+                        written |= (pi == kPathGap)
+                            ? analysis::kGapWriteMask
                             : analysis ? analysis->facts(pi).kill
-                                       : regWriteMask(program.insnAt(pi));
+                                       : analysis::regWriteMask(
+                                             program.insnAt(pi));
                         ++mask_pos;
                     }
                 }

@@ -7,7 +7,6 @@
 
 #include "analysis/analysis.hh"
 #include "isa/semantics.hh"
-#include "replay/static_info.hh"
 #include "support/log.hh"
 
 namespace prorace::replay {
@@ -112,9 +111,6 @@ Replayer::publish(const ReconstructedAccess &acc, uint64_t tsc,
       case AccessOrigin::kBackward:
         ++stats_.recovered_backward;
         break;
-      case AccessOrigin::kConstant:
-        ++stats_.recovered_constant;
-        break;
       default:
         break;
     }
@@ -145,39 +141,6 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
     isa::Flags flags_value;
     bool flags_known = false;
 
-    // Constant recovery (points-to consumer 3): a load whose resolved
-    // address lies in a provably-immutable global yields its init-image
-    // bytes even when the location is not emulated. Registers holding
-    // such values are *tainted*: the extra knowledge must not perturb
-    // anything the stock replay does — not the hints, not the
-    // violation checks, not emulated memory (no tainted value is ever
-    // written), not the consumed set, and not any kForward/kBackward
-    // emission. A tainted-address load may emit a kConstant event only
-    // when its whole shadow granule is immutable, so the event is inert
-    // to the detector (no write anywhere in the feed can share its
-    // granule) and the race report stays byte-identical with the layer
-    // off.
-    const analysis::PointsTo *pt_const = nullptr;
-    if (config_.analysis && config_.analysis->pointsTo() &&
-        config_.analysis->pointsTo()->anyImmutable()) {
-        pt_const = config_.analysis->pointsTo();
-    }
-    uint16_t taint = 0;
-    auto reg_tainted = [&](Reg r) {
-        return isGpr(r) && ((taint >> gprIndex(r)) & 1u);
-    };
-    auto mem_tainted = [&](const isa::MemOperand &mem) {
-        return !mem.rip_relative &&
-            (reg_tainted(mem.base) || reg_tainted(mem.index));
-    };
-    auto granule_immutable = [&](uint64_t addr, uint8_t width) {
-        if (!pt_const || width == 0)
-            return false;
-        const uint64_t lo = addr & ~7ull;
-        const uint64_t hi = ((addr + width - 1) | 7ull) + 1;
-        return pt_const->immutableCovers(lo, hi - lo);
-    };
-
     // A consistency violation proves the replayed state is wrong at
     // this point (usually a sample matched to the wrong loop iteration).
     // Repair locally: discard the reconstructions of the current loop
@@ -206,7 +169,6 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
             if ((flag_src_mask >> r) & 1u)
                 pm.invalidateReg(isa::gprFromIndex(r));
         }
-        taint &= static_cast<uint16_t>(~flag_src_mask);
     };
 
     auto try_ea = [&](const isa::MemOperand &mem)
@@ -236,19 +198,13 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
                facts[fact_cursor].pos == pos) {
             const ReplayFact &fact = facts[fact_cursor];
             // Where forward and backward knowledge overlap they must
-            // agree; disagreement reveals misaligned samples. A tainted
-            // register is unavailable to the stock replay, so it takes
-            // the fact silently (and is untainted by it).
-            if (!reg_tainted(fact.reg) && pm.regAvailable(fact.reg) &&
+            // agree; disagreement reveals misaligned samples.
+            if (pm.regAvailable(fact.reg) &&
                 pm.regValue(fact.reg) != fact.val) {
                 ++stats_.violations_fact;
                 violation(pos);
             }
             pm.setReg(fact.reg, fact.val);
-            if (isGpr(fact.reg)) {
-                taint &=
-                    static_cast<uint16_t>(~(1u << gprIndex(fact.reg)));
-            }
             ++fact_cursor;
         }
         const uint32_t idx = path.insns[pos];
@@ -257,7 +213,6 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
             pm.invalidateAllRegs();
             pm.invalidateMemory();
             flags_known = false;
-            taint = 0;
             continue;
         }
         const Insn &insn = program_.insnAt(idx);
@@ -273,8 +228,8 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
 
         // The buffer keeps the first access of each (position, slot);
         // publish() counts the survivors by origin as they leave it.
-        auto emit = [&](unsigned slot, uint64_t addr, uint8_t width,
-                        bool is_write, bool atomic, AccessOrigin origin) {
+        auto emit_access = [&](unsigned slot, uint64_t addr, uint8_t width,
+                               bool is_write, bool atomic, bool rip_rel) {
             ReconstructedAccess acc;
             acc.tid = win.tid;
             acc.position = pos;
@@ -283,12 +238,8 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
             acc.width = width;
             acc.is_write = is_write;
             acc.is_atomic = atomic;
-            acc.origin = origin;
+            acc.origin = origin_for(rip_rel);
             emit_.add(slot, acc);
-        };
-        auto emit_access = [&](unsigned slot, uint64_t addr, uint8_t width,
-                               bool is_write, bool atomic, bool rip_rel) {
-            emit(slot, addr, width, is_write, atomic, origin_for(rip_rel));
         };
 
         // Record forward hints at memory instructions we cannot resolve,
@@ -298,32 +249,22 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
                 return;
             for (unsigned r = 0; r < isa::kNumGprs; ++r) {
                 const Reg reg = isa::gprFromIndex(r);
-                // Tainted registers are invisible here: the backward
-                // scan must see exactly the stock forward knowledge.
-                if (pm.regAvailable(reg) && !((taint >> r) & 1u))
+                if (pm.regAvailable(reg))
                     hints_out->push_back({pos, reg, pm.regValue(reg)});
             }
         };
 
         // The address of a store or read-modify-write: the sampled
-        // one at the opening sample, else the emulated one. An address
-        // known only through tainted registers resolves to nothing, so
-        // no write is ever emitted from constant-derived knowledge. An
+        // one at the opening sample, else the emulated one. An
         // unresolved address records a hint.
         auto write_addr = [&](const isa::MemOperand &mem)
             -> std::optional<uint64_t> {
             if (is_sample)
                 return win.s1->addr;
-            if (auto ea = try_ea(mem); ea && !mem_tainted(mem))
+            if (auto ea = try_ea(mem))
                 return ea;
             note_hint();
             return std::nullopt;
-        };
-
-        uint16_t taint_new = 0;
-        auto taint_dst = [&](Reg r) {
-            if (isGpr(r))
-                taint_new |= static_cast<uint16_t>(1u << gprIndex(r));
         };
 
         switch (insn.op) {
@@ -337,8 +278,7 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
           case Op::kTestRR: {
             auto a = src_val(insn.dst);
             auto bv = src_val(insn.src);
-            flags_known = a && bv && !reg_tainted(insn.dst) &&
-                !reg_tainted(insn.src);
+            flags_known = a && bv;
             if (flags_known) {
                 flags_value = insn.op == Op::kCmpRR
                     ? isa::evalCmp(*a, *bv)
@@ -351,7 +291,7 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
           case Op::kCmpRI:
           case Op::kTestRI: {
             auto a = src_val(insn.dst);
-            flags_known = a.has_value() && !reg_tainted(insn.dst);
+            flags_known = a.has_value();
             if (flags_known) {
                 const auto imm = static_cast<uint64_t>(insn.imm);
                 flags_value = insn.op == Op::kCmpRI ? isa::evalCmp(*a, imm)
@@ -382,13 +322,10 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
             break;
 
           case Op::kMovRR:
-            if (auto v = src_val(insn.src)) {
+            if (auto v = src_val(insn.src))
                 pm.setReg(insn.dst, *v);
-                if (reg_tainted(insn.src))
-                    taint_dst(insn.dst);
-            } else {
+            else
                 pm.invalidateReg(insn.dst);
-            }
             break;
 
           case Op::kLoad:
@@ -401,27 +338,6 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
                 addr = win.s1->addr;
             } else if (auto ea = try_ea(insn.mem)) {
                 addr = *ea;
-                if (mem_tainted(insn.mem)) {
-                    // The stock replay could not resolve this address. A
-                    // constant-derived read may reach the detector only
-                    // when its whole shadow granule is immutable (the
-                    // event is then inert: nothing in any feed writes
-                    // that granule).
-                    note_hint();
-                    if (granule_immutable(addr, insn.width)) {
-                        emit(0, addr, insn.width, false, acquire,
-                             AccessOrigin::kConstant);
-                        pm.setReg(insn.dst,
-                                  isa::extendFromWidth(
-                                      pt_const->constantAt(addr,
-                                                           insn.width),
-                                      insn.width, sign_extend));
-                        taint_dst(insn.dst);
-                    } else {
-                        pm.invalidateReg(insn.dst);
-                    }
-                    break;
-                }
             } else {
                 note_hint();
                 pm.invalidateReg(insn.dst);
@@ -429,8 +345,7 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
             }
             // Only a plain load cross-checks its sampled address.
             if (is_sample && !acquire) {
-                if (auto ea = try_ea(insn.mem);
-                    ea && !mem_tainted(insn.mem) && *ea != addr) {
+                if (auto ea = try_ea(insn.mem); ea && *ea != addr) {
                     ++stats_.violations_sample;
                     violation(pos);
                 }
@@ -440,15 +355,6 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
             if (auto v = pm.readMem(addr, insn.width)) {
                 pm.setReg(insn.dst, isa::extendFromWidth(*v, insn.width,
                                                          sign_extend));
-            } else if (pt_const &&
-                       pt_const->immutableCovers(addr, insn.width)) {
-                // The location is not emulated, but no store in the
-                // program can reach it: it still holds its init bytes.
-                pm.setReg(insn.dst,
-                          isa::extendFromWidth(
-                              pt_const->constantAt(addr, insn.width),
-                              insn.width, sign_extend));
-                taint_dst(insn.dst);
             } else {
                 pm.invalidateReg(insn.dst);
             }
@@ -470,7 +376,7 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
             std::optional<uint64_t> value;
             if (insn.op == Op::kStoreI)
                 value = static_cast<uint64_t>(insn.imm);
-            else if (!reg_tainted(insn.src))
+            else
                 value = src_val(insn.src);
             if (value) {
                 pm.writeMem(*addr,
@@ -483,13 +389,10 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
           }
 
           case Op::kLea:
-            if (auto ea = try_ea(insn.mem)) {
+            if (auto ea = try_ea(insn.mem))
                 pm.setReg(insn.dst, *ea);
-                if (mem_tainted(insn.mem))
-                    taint_dst(insn.dst);
-            } else {
+            else
                 pm.invalidateReg(insn.dst);
-            }
             break;
 
           case Op::kAluRR: {
@@ -498,18 +401,10 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
             if (a && b) {
                 const auto r = isa::evalAlu(insn.alu, *a, *b);
                 pm.setReg(insn.dst, r.value);
-                if (reg_tainted(insn.dst) || reg_tainted(insn.src)) {
-                    // A tainted input is unavailable to the stock
-                    // replay, which leaves the flags unknown here.
-                    taint_dst(insn.dst);
-                    flags_known = false;
-                } else {
-                    flags_value = r.flags;
-                    flags_known = true;
-                    flag_src_mask = static_cast<uint16_t>(
-                        (1u << gprIndex(insn.dst)) |
-                        (1u << gprIndex(insn.src)));
-                }
+                flags_value = r.flags;
+                flags_known = true;
+                flag_src_mask = static_cast<uint16_t>(
+                    (1u << gprIndex(insn.dst)) | (1u << gprIndex(insn.src)));
             } else {
                 pm.invalidateReg(insn.dst);
                 flags_known = false;
@@ -522,15 +417,10 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
                 const auto r = isa::evalAlu(
                     insn.alu, *a, static_cast<uint64_t>(insn.imm));
                 pm.setReg(insn.dst, r.value);
-                if (reg_tainted(insn.dst)) {
-                    taint_dst(insn.dst);
-                    flags_known = false;
-                } else {
-                    flags_value = r.flags;
-                    flags_known = true;
-                    flag_src_mask =
-                        static_cast<uint16_t>(1u << gprIndex(insn.dst));
-                }
+                flags_value = r.flags;
+                flags_known = true;
+                flag_src_mask =
+                    static_cast<uint16_t>(1u << gprIndex(insn.dst));
             } else {
                 pm.invalidateReg(insn.dst);
                 flags_known = false;
@@ -544,14 +434,12 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
             uint64_t value_known = insn.op != Op::kPush;
             uint64_t value = idx + 1;
             if (insn.op == Op::kPush) {
-                if (auto v = src_val(insn.src);
-                    v && !reg_tainted(insn.src)) {
+                if (auto v = src_val(insn.src)) {
                     value = *v;
                     value_known = true;
                 }
             }
-            if (auto rsp = src_val(Reg::rsp);
-                rsp && !reg_tainted(Reg::rsp)) {
+            if (auto rsp = src_val(Reg::rsp)) {
                 const uint64_t addr = *rsp - 8;
                 const bool sampled_here = is_sample;
                 emit_access(0, sampled_here ? win.s1->addr : addr, 8, true,
@@ -564,16 +452,13 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
             } else {
                 note_hint();
                 pm.invalidateMemory();
-                // A tainted rsp becomes plain-unavailable, as it is to
-                // the stock replay.
                 pm.invalidateReg(Reg::rsp);
             }
             break;
           }
 
           case Op::kRet: {
-            if (auto rsp = src_val(Reg::rsp);
-                rsp && !reg_tainted(Reg::rsp)) {
+            if (auto rsp = src_val(Reg::rsp)) {
                 emit_access(0, is_sample ? win.s1->addr : *rsp, 8, false,
                             false, false);
                 pm.setReg(Reg::rsp, *rsp + 8);
@@ -585,8 +470,7 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
           }
 
           case Op::kPop: {
-            if (auto rsp = src_val(Reg::rsp);
-                rsp && !reg_tainted(Reg::rsp)) {
+            if (auto rsp = src_val(Reg::rsp)) {
                 emit_access(0, is_sample ? win.s1->addr : *rsp, 8, false,
                             false, false);
                 if (auto v = pm.readMem(*rsp, 8))
@@ -616,8 +500,6 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
                         insn.mem.rip_relative);
             auto old = pm.readMem(*addr, insn.width);
             auto rhs = src_val(insn.src);
-            if (reg_tainted(insn.src))
-                rhs = std::nullopt;
             if (old) {
                 pm.setReg(insn.dst,
                           isa::extendFromWidth(*old, insn.width, false));
@@ -648,10 +530,6 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
             auto old = pm.readMem(*addr, insn.width);
             auto expected = src_val(insn.dst);
             auto desired = src_val(insn.src);
-            if (reg_tainted(insn.dst))
-                expected = std::nullopt;
-            if (reg_tainted(insn.src))
-                desired = std::nullopt;
             if (old && expected && desired) {
                 if (*old == isa::truncateToWidth(*expected, insn.width)) {
                     emit_access(1, *addr, insn.width, true, true,
@@ -722,10 +600,6 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
             pm.invalidateReg(Reg::rax);
             break;
         }
-        // Any register this instruction may write sheds its taint unless
-        // the case above explicitly re-tainted the destination.
-        taint = static_cast<uint16_t>(
-            (taint & static_cast<uint16_t>(~killMask(idx))) | taint_new);
     }
 
     // Consumed marks stay in the reused map's pages; only its counters
@@ -735,10 +609,6 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
     if (win.s2) {
         for (unsigned r = 0; r < isa::kNumGprs; ++r) {
             const Reg reg = isa::gprFromIndex(r);
-            // Tainted registers carry knowledge the stock replay lacks;
-            // they take no part in the closing-sample cross-check.
-            if ((taint >> r) & 1u)
-                continue;
             if (pm.regAvailable(reg) &&
                 pm.regValue(reg) != win.s2->regs.gpr[r]) {
                 ++stats_.violations_end;

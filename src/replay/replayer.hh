@@ -76,7 +76,6 @@ struct ReplayStats {
     uint64_t recovered_forward = 0;  ///< new in forward replay
     uint64_t recovered_backward = 0; ///< new only with backward replay
     uint64_t recovered_pcrel = 0;    ///< PC-relative subset (of the above)
-    uint64_t recovered_constant = 0; ///< via points-to constant values
     uint64_t windows = 0;
     uint64_t inconsistent_windows = 0;
     uint64_t backward_rounds = 0;
@@ -94,8 +93,7 @@ struct ReplayStats {
     uint64_t
     totalAccesses() const
     {
-        return sampled + recovered_forward + recovered_backward +
-            recovered_constant;
+        return sampled + recovered_forward + recovered_backward;
     }
 
     /**
@@ -110,7 +108,6 @@ struct ReplayStats {
         recovered_forward += o.recovered_forward;
         recovered_backward += o.recovered_backward;
         recovered_pcrel += o.recovered_pcrel;
-        recovered_constant += o.recovered_constant;
         windows += o.windows;
         inconsistent_windows += o.inconsistent_windows;
         backward_rounds += o.backward_rounds;

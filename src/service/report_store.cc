@@ -71,28 +71,6 @@ namespace {
 
 constexpr uint32_t kIngestRecordVersion = 1;
 
-void
-putRaceAccess(support::ByteWriter &w, const detect::RaceAccess &access)
-{
-    w.u32(access.tid);
-    w.u32(access.insn_index);
-    w.u8(access.is_write ? 1 : 0);
-    w.u64(access.tsc);
-    w.u8(static_cast<uint8_t>(access.origin));
-}
-
-detect::RaceAccess
-getRaceAccess(support::ByteReader &r)
-{
-    detect::RaceAccess access;
-    access.tid = r.u32();
-    access.insn_index = r.u32();
-    access.is_write = r.u8() != 0;
-    access.tsc = r.u64();
-    access.origin = static_cast<detect::AccessOrigin>(r.u8());
-    return access;
-}
-
 } // namespace
 
 std::vector<uint8_t>
@@ -109,8 +87,8 @@ ReportStore::encodeIngestRecord(const std::string &tenant,
     w.u32(static_cast<uint32_t>(report.races().size()));
     for (const detect::DataRace &race : report.races()) {
         w.u64(race.addr);
-        putRaceAccess(w, race.prior);
-        putRaceAccess(w, race.current);
+        detect::putRaceAccess(w, race.prior);
+        detect::putRaceAccess(w, race.current);
     }
     return w.take();
 }
@@ -132,8 +110,10 @@ ReportStore::applyIngestRecord(const std::vector<uint8_t> &payload)
     for (uint32_t i = 0; i < count; ++i) {
         detect::DataRace race;
         race.addr = r.u64();
-        race.prior = getRaceAccess(r);
-        race.current = getRaceAccess(r);
+        if (!detect::getRaceAccess(r, race.prior) ||
+            !detect::getRaceAccess(r, race.current)) {
+            return false;
+        }
         races.push_back(race);
     }
     if (!r.ok() || !r.exhausted())

@@ -580,7 +580,13 @@ decodePebsChunk(const uint8_t *data, size_t size,
             return false;
 
     // Expand run blocks: iteration k is iteration 0 advanced k strides.
-    out.reserve(out.size() + expanded);
+    // Every expanded record is checked, since a stride can carry a
+    // valid first iteration past the top of the address space. A span
+    // [addr, addr + width) whose end does not fit in 64 bits wraps (the
+    // bound replay's shadow memory enforces), so its segment is damaged
+    // and none of it is kept.
+    const size_t first = out.size();
+    out.reserve(first + expanded);
     size_t di = 0;
     for (const RunItem &item : items) {
         for (uint32_t k = 0; k < item.iters; ++k) {
@@ -593,6 +599,10 @@ decodePebsChunk(const uint8_t *data, size_t size,
                     for (unsigned g = 0; g < isa::kNumGprs; ++g)
                         if ((s.reg_mask >> g) & 1u)
                             rec.regs.gpr[g] += s.reg[g] * k;
+                }
+                if (rec.addr > UINT64_MAX - rec.width) {
+                    out.resize(first);
+                    return false;
                 }
                 out.push_back(rec);
             }

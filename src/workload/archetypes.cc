@@ -326,10 +326,9 @@ makePtrDispatch(unsigned threads, uint32_t items, double scale)
     constexpr uint32_t kBufElems = 16;
 
     ProgramBuilder b;
-    // coeff is never stored to: a provably-immutable global. coeffp is
-    // a second-level pointer whose init word is coeff's address, so a
-    // handler reaches coeff through a register-indirect load — the
-    // points-to layer's constant-recovery showcase.
+    // coeff is never stored to: an immutable global. coeffp is a
+    // second-level pointer whose init word is coeff's address, so a
+    // handler reaches coeff through a register-indirect load.
     const uint64_t coeff_addr = b.globalU64("coeff", 0x243f6a8885a308d3ull);
     b.globalU64("coeffp", coeff_addr);
     b.global("htab", kHandlers * 8);
@@ -369,8 +368,7 @@ makePtrDispatch(unsigned threads, uint32_t items, double scale)
     b.halt();
 
     // Worker: malloc a private buffer, fill it before any calls, then
-    // dispatch through the table. The buffer never escapes the thread,
-    // so every access to it is heap-local and prunable.
+    // dispatch through the table. The buffer never escapes the thread.
     b.beginFunction("worker");
     b.movrr(Reg::r14, Reg::rdi); // tid
     b.movri(Reg::rax, kBufElems * 8);

@@ -5,7 +5,7 @@
  * reader/writer table (rwlock, read-shared clocks at scale), and an
  * event-loop server (semaphore job signaling + spinlock queue) under
  * simulated load, and a pointer-dispatch server (runtime handler table,
- * private heap buffers) exercising the points-to consumers. All are
+ * indirect calls, private heap buffers). All are
  * race-free by construction except the "-racy" MPMC variant, whose
  * broken publication carries exact ground truth.
  */
@@ -59,11 +59,9 @@ Workload makeEventLoop(unsigned threads, uint32_t items,
  * Pointer-dispatch server: main installs a handler table at runtime
  * (movLabel + store) and each worker calls through it indirectly.
  * Handlers are read-only on shared state; every worker fills and reads
- * a private malloc'd buffer that never escapes its thread. Exercises
- * all three points-to consumers at once: heap-local pruning (the
- * buffers), indirect-branch sharpening (the two callind sites resolve
- * to exact target sets), and constant recovery (coeff reached through
- * the coeffp second-level pointer). Race-free by construction.
+ * a private malloc'd buffer that never escapes its thread. Handlers
+ * read an immutable global (coeff) through a second-level pointer
+ * (coeffp). Race-free by construction.
  */
 Workload makePtrDispatch(unsigned threads, uint32_t items,
                          double scale = 1.0);

@@ -20,10 +20,7 @@
 #include "oracle/scorer.hh"
 #include "replay/align.hh"
 #include "replay/replayer.hh"
-#include "replay/static_info.hh"
-#include "support/rng.hh"
 #include "testutil.hh"
-#include "workload/registry.hh"
 
 namespace prorace::analysis {
 namespace {
@@ -37,19 +34,19 @@ using isa::Reg;
 using testutil::makeBranchyProgram;
 
 // ---------------------------------------------------------------------
-// Per-instruction facts: the table must agree with the replay layer's
-// historical definitions (now forwarding wrappers) on every insn.
+// Per-instruction facts: the table must agree with the per-instruction
+// derivations the aligner and replayer fall back to, on every insn.
 // ---------------------------------------------------------------------
 
-TEST(InsnFacts, TableMatchesReplayStaticInfo)
+TEST(InsnFacts, TableMatchesPerInsnDerivation)
 {
     const Program program = makeBranchyProgram(10);
     const ProgramAnalysis pa(program);
     for (uint32_t i = 0; i < program.size(); ++i) {
         const isa::Insn &insn = program.insnAt(i);
         const InsnFacts &f = pa.facts(i);
-        EXPECT_EQ(f.kill, replay::regWriteMask(insn)) << "insn " << i;
-        EXPECT_EQ(f.mem_ops, replay::memOpCount(insn)) << "insn " << i;
+        EXPECT_EQ(f.kill, regWriteMask(insn)) << "insn " << i;
+        EXPECT_EQ(f.mem_ops, memOpCount(insn)) << "insn " << i;
         EXPECT_EQ(f.uses, regReadMask(insn)) << "insn " << i;
         // Invertible registers are written registers; learned registers
         // are, by definition, *not* written.
@@ -539,473 +536,6 @@ TEST(Prefilter, ReportsIdenticalOnOracleBattery)
             // diverge after reconstruction.
             EXPECT_EQ(r_on.extended_trace_events,
                       r_off.extended_trace_events);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Andersen solver: differential against a naive cubic reference that
-// implements the documented memory model by brute-force chaotic
-// iteration, plus fixpoint algebra (idempotence, monotonicity) and
-// cycle-collapse equivalence.
-// ---------------------------------------------------------------------
-
-/**
- * A random synthetic constraint system, replayable into both solvers
- * with identical node-id assignment: node 0 is the hidden all-values
- * node (solver ctor), nodes 1..num_objects are the contents of every
- * object (instantiated upfront, in object order), and the remaining
- * extra_nodes are plain variables.
- */
-struct SolverScript {
-    enum Kind { kSeed, kCopy, kAdjust, kLoad, kStore };
-    struct ScriptOp {
-        Kind kind;
-        uint32_t a; ///< kSeed: node; else: from / addr
-        uint32_t b; ///< kSeed: object; else: to / dst / src
-    };
-    uint32_t num_objects = 0;
-    std::vector<uint32_t> code_objs; ///< includes kObjTopCode
-    uint32_t extra_nodes = 0;
-    std::vector<ScriptOp> ops;
-
-    uint32_t numNodes() const { return 1 + num_objects + extra_nodes; }
-};
-
-SolverScript
-randomScript(Rng &rng)
-{
-    SolverScript s;
-    s.num_objects = 4 + static_cast<uint32_t>(rng.below(6));
-    s.code_objs.push_back(AndersenSolver::kObjTopCode);
-    for (uint32_t obj = 2; obj < s.num_objects; ++obj) {
-        if (rng.chance(0.25))
-            s.code_objs.push_back(obj);
-    }
-    s.extra_nodes = 3 + static_cast<uint32_t>(rng.below(8));
-    const uint32_t nodes = s.numNodes();
-    const unsigned n_ops = 8 + static_cast<unsigned>(rng.below(25));
-    for (unsigned i = 0; i < n_ops; ++i) {
-        SolverScript::ScriptOp op;
-        const uint64_t pick = rng.below(10);
-        if (pick < 3) {
-            op = {SolverScript::kSeed,
-                  static_cast<uint32_t>(rng.below(nodes)),
-                  static_cast<uint32_t>(rng.below(s.num_objects))};
-        } else {
-            op.kind = pick < 6   ? SolverScript::kCopy
-                      : pick < 7 ? SolverScript::kAdjust
-                      : pick < 8 ? SolverScript::kLoad
-                                 : SolverScript::kStore;
-            op.a = static_cast<uint32_t>(rng.below(nodes));
-            op.b = static_cast<uint32_t>(rng.below(nodes));
-        }
-        s.ops.push_back(op);
-    }
-    return s;
-}
-
-/** Replay @p s into a real solver (constructed by the caller). */
-void
-applyScript(const SolverScript &s, AndersenSolver &solver)
-{
-    ObjSet code(s.num_objects);
-    for (const uint32_t obj : s.code_objs)
-        code.set(obj);
-    solver.setCodeObjects(code);
-    for (uint32_t obj = 0; obj < s.num_objects; ++obj)
-        ASSERT_EQ(solver.contents(obj), obj + 1);
-    for (uint32_t n = 0; n < s.extra_nodes; ++n)
-        solver.addNode();
-    for (const SolverScript::ScriptOp &op : s.ops) {
-        switch (op.kind) {
-          case SolverScript::kSeed: solver.seed(op.a, op.b); break;
-          case SolverScript::kCopy: solver.copy(op.a, op.b); break;
-          case SolverScript::kAdjust: solver.copyAdjust(op.a, op.b); break;
-          case SolverScript::kLoad: solver.load(op.a, op.b); break;
-          case SolverScript::kStore: solver.store(op.a, op.b); break;
-        }
-    }
-    solver.solve();
-}
-
-/**
- * Naive cubic reference: re-applies every constraint until nothing
- * grows. Mirrors the documented built-in memory model — contents fold
- * into the all-values node, loads through ⊤/⊤code/code objects read
- * the all-values node, a store through ⊤/⊤code makes every store's
- * source escape into ⊤'s contents.
- */
-struct ReferenceSolver {
-    uint32_t num_objects;
-    ObjSet code;
-    std::vector<ObjSet> sets;
-    bool top_store = false;
-
-    explicit ReferenceSolver(const SolverScript &s)
-        : num_objects(s.num_objects), code(s.num_objects)
-    {
-        for (const uint32_t obj : s.code_objs)
-            code.set(obj);
-        for (uint32_t n = 0; n < s.numNodes(); ++n)
-            sets.emplace_back(num_objects);
-        sets[0].set(AndersenSolver::kObjTop); // the all-values node
-    }
-
-    uint32_t contentsOf(uint32_t obj) const { return obj + 1; }
-    bool
-    opaque(uint32_t obj) const
-    {
-        return obj == AndersenSolver::kObjTop ||
-            obj == AndersenSolver::kObjTopCode || code.test(obj);
-    }
-
-    void
-    solve(const SolverScript &s)
-    {
-        for (const SolverScript::ScriptOp &op : s.ops) {
-            if (op.kind == SolverScript::kSeed)
-                sets[op.a].set(op.b);
-        }
-        bool changed = true;
-        while (changed) {
-            changed = false;
-            // Contents of every object fold into all-values.
-            for (uint32_t obj = 0; obj < num_objects; ++obj)
-                changed |= sets[0].merge(sets[contentsOf(obj)]);
-            for (const SolverScript::ScriptOp &op : s.ops) {
-                switch (op.kind) {
-                  case SolverScript::kSeed:
-                    break;
-                  case SolverScript::kCopy:
-                    changed |= sets[op.b].merge(sets[op.a]);
-                    break;
-                  case SolverScript::kAdjust: {
-                    ObjSet adj = sets[op.a];
-                    if (adj.intersects(code))
-                        adj.set(AndersenSolver::kObjTopCode);
-                    changed |= sets[op.b].merge(adj);
-                    break;
-                  }
-                  case SolverScript::kLoad:
-                    for (const uint32_t obj : sets[op.a].toVector()) {
-                        changed |= sets[op.b].merge(
-                            opaque(obj) ? sets[0]
-                                        : sets[contentsOf(obj)]);
-                    }
-                    break;
-                  case SolverScript::kStore:
-                    for (const uint32_t obj : sets[op.a].toVector()) {
-                        if (obj == AndersenSolver::kObjTop ||
-                            obj == AndersenSolver::kObjTopCode) {
-                            if (!top_store) {
-                                top_store = true;
-                                changed = true;
-                            }
-                        } else {
-                            changed |= sets[contentsOf(obj)].merge(
-                                sets[op.b]);
-                        }
-                    }
-                    break;
-                }
-            }
-            if (top_store) {
-                // Retroactive escape: every store's source is
-                // reachable once any store may smear ⊤/⊤code.
-                const uint32_t top =
-                    contentsOf(AndersenSolver::kObjTop);
-                for (const SolverScript::ScriptOp &op : s.ops) {
-                    if (op.kind == SolverScript::kStore)
-                        changed |= sets[top].merge(sets[op.b]);
-                }
-            }
-        }
-    }
-};
-
-std::string
-objSetStr(const ObjSet &set)
-{
-    std::string out = "{";
-    for (const uint32_t obj : set.toVector())
-        out += std::to_string(obj) + ",";
-    out += "}";
-    return out;
-}
-
-TEST(AndersenSolverTest, RandomDifferentialVsNaiveReference)
-{
-    for (const uint64_t seed : testutil::testSeeds({101, 202})) {
-        PRORACE_SEED_TRACE(seed);
-        Rng rng(seed);
-        for (int trial = 0; trial < 20; ++trial) {
-            const SolverScript s = randomScript(rng);
-            AndersenSolver fast(s.num_objects, true);
-            applyScript(s, fast);
-            AndersenSolver plain(s.num_objects, false);
-            applyScript(s, plain);
-            ReferenceSolver ref(s);
-            ref.solve(s);
-
-            EXPECT_EQ(fast.topStoreSeen(), ref.top_store)
-                << "trial " << trial;
-            EXPECT_EQ(plain.topStoreSeen(), ref.top_store)
-                << "trial " << trial;
-            for (uint32_t n = 0; n < s.numNodes(); ++n) {
-                EXPECT_EQ(objSetStr(fast.pointsTo(n)),
-                          objSetStr(ref.sets[n]))
-                    << "trial " << trial << " node " << n
-                    << " (cycle collapse on)";
-                EXPECT_EQ(objSetStr(plain.pointsTo(n)),
-                          objSetStr(ref.sets[n]))
-                    << "trial " << trial << " node " << n
-                    << " (cycle collapse off)";
-            }
-        }
-    }
-}
-
-TEST(AndersenSolverTest, SolveIsIdempotent)
-{
-    Rng rng(testutil::testSeed(303));
-    for (int trial = 0; trial < 10; ++trial) {
-        const SolverScript s = randomScript(rng);
-        AndersenSolver solver(s.num_objects, true);
-        applyScript(s, solver);
-        std::vector<ObjSet> before;
-        for (uint32_t n = 0; n < s.numNodes(); ++n)
-            before.push_back(solver.pointsTo(n));
-        const bool top_before = solver.topStoreSeen();
-        solver.solve();
-        EXPECT_EQ(solver.topStoreSeen(), top_before);
-        for (uint32_t n = 0; n < s.numNodes(); ++n)
-            EXPECT_EQ(solver.pointsTo(n), before[n]) << "node " << n;
-    }
-}
-
-TEST(AndersenSolverTest, AddedConstraintsGrowSolutionsMonotonically)
-{
-    Rng rng(testutil::testSeed(404));
-    for (int trial = 0; trial < 10; ++trial) {
-        const SolverScript s = randomScript(rng);
-        AndersenSolver solver(s.num_objects, true);
-        applyScript(s, solver);
-        std::vector<ObjSet> before;
-        for (uint32_t n = 0; n < s.numNodes(); ++n)
-            before.push_back(solver.pointsTo(n));
-
-        // Re-open the system with a few extra constraints and re-solve:
-        // inclusion constraints only ever grow solutions.
-        const uint32_t nodes = s.numNodes();
-        for (int extra = 0; extra < 4; ++extra) {
-            const uint32_t a = static_cast<uint32_t>(rng.below(nodes));
-            const uint32_t b = static_cast<uint32_t>(rng.below(nodes));
-            if (rng.chance(0.5))
-                solver.seed(a, static_cast<uint32_t>(
-                                   rng.below(s.num_objects)));
-            else
-                solver.copy(a, b);
-        }
-        solver.solve();
-        for (uint32_t n = 0; n < nodes; ++n) {
-            ObjSet after = solver.pointsTo(n);
-            EXPECT_FALSE(after.merge(before[n]))
-                << "node " << n << " lost objects after re-solve";
-        }
-    }
-}
-
-TEST(AndersenSolverTest, CycleCollapsePreservesSolutionAndFires)
-{
-    // A copy ring with one seeded member: every node on the ring ends
-    // up with the seed, the lazy collapse actually triggers, and the
-    // collapsed solution equals the collapse-free one.
-    AndersenSolver fast(4, true);
-    AndersenSolver plain(4, false);
-    for (AndersenSolver *s : {&fast, &plain}) {
-        const uint32_t a = s->addNode();
-        const uint32_t b = s->addNode();
-        const uint32_t c = s->addNode();
-        const uint32_t d = s->addNode();
-        s->seed(a, 2);
-        s->copy(a, b);
-        s->copy(b, c);
-        s->copy(c, a); // closes the ring
-        s->copy(c, d);
-        s->solve();
-        for (const uint32_t n : {a, b, c, d})
-            EXPECT_TRUE(s->pointsToObj(n, 2)) << "node " << n;
-        EXPECT_FALSE(s->topStoreSeen());
-    }
-    EXPECT_GT(fast.cyclesCollapsed(), 0u);
-    EXPECT_EQ(plain.cyclesCollapsed(), 0u);
-    for (uint32_t n = 1; n <= 4; ++n)
-        EXPECT_EQ(fast.pointsTo(n), plain.pointsTo(n)) << "node " << n;
-}
-
-// ---------------------------------------------------------------------
-// Program-level points-to: the three consumers and their gating.
-// ---------------------------------------------------------------------
-
-TEST(PointsTo, PtrDispatchConsumersAllLive)
-{
-    // The heap-heavy dispatch workload exercises all three consumers:
-    // a thread-local allocation site, resolvable indirect calls, and
-    // immutable global tables.
-    const auto w = workload::findWorkload("ptr-dispatch", 0.05);
-    ASSERT_TRUE(w.has_value());
-    const ProgramAnalysis pa(*w->program, true);
-    const PointsTo *pt = pa.pointsTo();
-    ASSERT_NE(pt, nullptr);
-    const PointsToStats &st = pt->stats();
-
-    EXPECT_TRUE(pt->noHeapForgery());
-    EXPECT_FALSE(st.top_store);
-    EXPECT_TRUE(pt->heapSound());
-    EXPECT_GE(st.thread_local_allocs, 1u);
-    EXPECT_GE(st.heap_local_sites, 1u);
-    EXPECT_FALSE(pt->threadLocalAllocSites().empty());
-    EXPECT_GE(st.immutable_globals, 1u);
-    EXPECT_TRUE(pt->anyImmutable());
-    EXPECT_GT(st.indirect_sites, 0u);
-    EXPECT_EQ(st.resolved_indirect_sites, st.indirect_sites);
-    EXPECT_LT(st.fanout_sharp, st.fanout_blunt);
-
-    // The merged classification exposes heap-local sites, and the
-    // sharp CFG's indirect fan-out matches the resolved target sets.
-    uint32_t heap_local = 0;
-    for (uint32_t i = 0; i < w->program->size(); ++i)
-        heap_local += pa.siteClass(i) == SiteClass::kHeapLocal;
-    EXPECT_EQ(heap_local, st.heap_local_sites);
-    EXPECT_FALSE(pt->indirectTargets().empty());
-}
-
-TEST(PointsTo, UndereferencedHeapLiteralKeepsHeapSoundness)
-{
-    // A PRNG-seed-style constant that merely lands in the heap address
-    // range must not void heap soundness: nothing dereferences it.
-    ProgramBuilder b;
-    b.beginFunction("main");
-    b.movri(Reg::rax, static_cast<int64_t>(asmkit::kHeapBase + 0x100));
-    b.movri(Reg::rcx, 64);
-    b.mallocCall(Reg::rbx, Reg::rcx);
-    b.storei(MemOperand::baseDisp(Reg::rbx, 0), 7);
-    b.freeCall(Reg::rbx);
-    b.halt();
-    b.endFunction();
-    const Program program = b.build();
-
-    const ProgramAnalysis pa(program, true);
-    const PointsTo *pt = pa.pointsTo();
-    ASSERT_NE(pt, nullptr);
-    EXPECT_TRUE(pt->noHeapForgery());
-    EXPECT_TRUE(pt->heapSound());
-    EXPECT_EQ(pt->stats().thread_local_allocs, 1u);
-}
-
-TEST(PointsTo, DereferencedHeapLiteralVoidsHeapSoundness)
-{
-    // The same constant stored through: now a forged heap pointer is
-    // dereferenced, so every heap-locality conclusion must self-degrade
-    // (the store could alias any allocation).
-    ProgramBuilder b;
-    b.beginFunction("main");
-    b.movri(Reg::rax, static_cast<int64_t>(asmkit::kHeapBase + 0x100));
-    b.movri(Reg::rcx, 64);
-    b.mallocCall(Reg::rbx, Reg::rcx);
-    b.storei(MemOperand::baseDisp(Reg::rax, 0), 7);
-    b.halt();
-    b.endFunction();
-    const Program program = b.build();
-
-    const ProgramAnalysis pa(program, true);
-    const PointsTo *pt = pa.pointsTo();
-    ASSERT_NE(pt, nullptr);
-    EXPECT_FALSE(pt->noHeapForgery());
-    EXPECT_FALSE(pt->heapSound());
-    EXPECT_EQ(pt->stats().thread_local_allocs, 0u);
-    EXPECT_TRUE(pt->threadLocalAllocSites().empty());
-}
-
-TEST(PointsTo, BoundaryPoolsAvoidPhantomTopStore)
-{
-    // A helper reached only through an indirect call stores through
-    // rdi. Its entry block has no enumerable predecessors, so the old
-    // blanket-⊤ wiring would have smeared the store and killed both
-    // immutability and CFG sharpening; the per-register boundary pools
-    // constrain rdi to what the call site actually passed.
-    ProgramBuilder b;
-    const uint64_t cell_addr = b.global("cell", 8);
-    const uint64_t table_addr = b.globalU64("table", 123);
-    // main comes first: an immediate of 0 reads as a scalar zero, so a
-    // helper at instruction index 0 could not be typed as code.
-    b.beginFunction("main");
-    b.movLabel(Reg::r8, "helper");
-    b.lea(Reg::rdi, b.symRef("cell"));
-    b.movri(Reg::rsi, 5);
-    b.callind(Reg::r8);
-    b.halt();
-    b.endFunction();
-    b.beginFunction("helper");
-    b.store(MemOperand::baseDisp(Reg::rdi, 0), Reg::rsi);
-    b.ret();
-    b.endFunction();
-    const Program program = b.build();
-
-    const ProgramAnalysis pa(program, true);
-    const PointsTo *pt = pa.pointsTo();
-    ASSERT_NE(pt, nullptr);
-    EXPECT_FALSE(pt->stats().top_store);
-    // The written global is mutable, the untouched one immutable.
-    EXPECT_FALSE(pt->immutableCovers(cell_addr, 8));
-    EXPECT_TRUE(pt->immutableCovers(table_addr, 8));
-    EXPECT_EQ(pt->constantAt(table_addr, 8), 123u);
-    // The indirect call resolves to exactly the taken helper.
-    EXPECT_EQ(pt->stats().indirect_sites, 1u);
-    EXPECT_EQ(pt->stats().resolved_indirect_sites, 1u);
-    ASSERT_EQ(pt->indirectTargets().size(), 1u);
-    const auto &[site, targets] = *pt->indirectTargets().begin();
-    EXPECT_EQ(program.insnAt(site).op, isa::Op::kCallInd);
-    ASSERT_EQ(targets.size(), 1u);
-    EXPECT_EQ(targets[0], program.labelAddr("helper"));
-}
-
-TEST(PointsTo, ReportsIdenticalOnOracleBattery)
-{
-    // The end-to-end guarantee: the racy-pair set is byte-identical
-    // with the points-to layer on and off, under planted races.
-    const auto battery =
-        oracle::standardBattery(testutil::testSeed(521), 3);
-    for (const oracle::GeneratorConfig &cfg : battery) {
-        const oracle::GeneratedWorkload gw = oracle::generate(cfg);
-        core::PipelineConfig pc =
-            core::proRaceConfig(40, 19, gw.workload.pt_filter);
-        core::RunArtifacts run = core::Session::run(
-            *gw.workload.program, gw.workload.setup, pc.session);
-
-        for (const unsigned jobs : {0u, 2u}) {
-            core::OfflineOptions on = pc.offline;
-            on.num_threads = jobs;
-            on.static_prefilter = true;
-            on.pointsto = true;
-            core::OfflineOptions off = on;
-            off.pointsto = false;
-
-            core::OfflineAnalyzer a_on(*gw.workload.program, on);
-            core::OfflineResult r_on = a_on.analyze(run.trace);
-            core::OfflineAnalyzer a_off(*gw.workload.program, off);
-            core::OfflineResult r_off = a_off.analyze(run.trace);
-
-            EXPECT_EQ(oracle::reportPairs(r_on.report),
-                      oracle::reportPairs(r_off.report))
-                << gw.workload.name << " jobs=" << jobs;
-            // Points-to off must not recover constants.
-            EXPECT_EQ(r_off.replay_stats.recovered_constant, 0u);
-            // The heap layer only ever prunes more, never less.
-            EXPECT_GE(r_on.prefilter.pruned(),
-                      r_off.prefilter.pruned())
-                << gw.workload.name;
         }
     }
 }

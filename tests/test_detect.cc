@@ -554,6 +554,52 @@ TEST(FastTrack, RestoreRejectsTruncatedSemSection)
     EXPECT_EQ(b.stats().writes, 1u);
 }
 
+TEST(FastTrack, RestoreRejectsUnknownAccessOrigin)
+{
+    // Two real images that differ only in the origin of one racing
+    // write locate that access's origin bytes (its shadow copy and its
+    // copy in the race list). An origin byte past kOracle names no
+    // AccessOrigin: restore refuses the image and leaves the detector
+    // as it was, so the analysis cold-starts.
+    const auto image_with = [](AccessOrigin origin) {
+        FastTrack ft;
+        ft.fork(0, 1);
+        MemAccess w = acc(1, 0x1000, true, 7);
+        w.origin = origin;
+        ft.access(acc(0, 0x1000, true, 3));
+        ft.access(w);
+        EXPECT_EQ(ft.report().size(), 1u);
+        return stateBytes(ft);
+    };
+    const std::vector<uint8_t> sampled =
+        image_with(AccessOrigin::kSampled);
+    const std::vector<uint8_t> forward =
+        image_with(AccessOrigin::kForward);
+    ASSERT_EQ(sampled.size(), forward.size());
+    std::vector<uint8_t> forged = sampled;
+    size_t origin_bytes = 0;
+    for (size_t i = 0; i < forged.size(); ++i) {
+        if (sampled[i] != forward[i]) {
+            forged[i] = 200;
+            ++origin_bytes;
+        }
+    }
+    ASSERT_GE(origin_bytes, 2u);
+
+    FastTrack ok;
+    support::ByteReader good(forward.data(), forward.size());
+    ASSERT_TRUE(ok.restoreState(good));
+    EXPECT_EQ(ok.report().races()[0].current.origin,
+              AccessOrigin::kForward);
+
+    FastTrack b;
+    b.access(acc(0, 0x9000, true, 9));
+    support::ByteReader r(forged.data(), forged.size());
+    EXPECT_FALSE(b.restoreState(r));
+    EXPECT_EQ(b.report().size(), 0u);
+    EXPECT_EQ(b.stats().writes, 1u);
+}
+
 /**
  * One randomized event over the full sync vocabulary, by one of threads
  * 0 .. @p threads - 1.

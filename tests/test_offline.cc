@@ -249,14 +249,13 @@ replayDigest(const core::OfflineResult &r, const asmkit::Program &program)
     std::snprintf(
         buf, sizeof buf,
         "%08x %zu events %llu replay %llu %llu %llu %llu %llu %llu %llu "
-        "%llu %llu %llu %llu %llu %llu %llu",
+        "%llu %llu %llu %llu %llu %llu",
         crc32(report.data(), report.size()), r.report.size(),
         static_cast<unsigned long long>(r.extended_trace_events),
         static_cast<unsigned long long>(s.sampled),
         static_cast<unsigned long long>(s.recovered_forward),
         static_cast<unsigned long long>(s.recovered_backward),
         static_cast<unsigned long long>(s.recovered_pcrel),
-        static_cast<unsigned long long>(s.recovered_constant),
         static_cast<unsigned long long>(s.windows),
         static_cast<unsigned long long>(s.inconsistent_windows),
         static_cast<unsigned long long>(s.backward_rounds),
@@ -283,53 +282,53 @@ TEST(RaceZBaseline, Table2BugsKeepTheirReportsAndCounters)
     };
     static const Pinned kPinned[] = {
         {"apache-21287", 100,
-         "7dd95ccd 2 events 3100 replay 1276 1824 0 38 0 0 0 0 0 0 0 0 0 0"},
+         "7dd95ccd 2 events 3100 replay 1276 1824 0 38 0 0 0 0 0 0 0 0 0"},
         {"apache-21287", 1000,
-         "64bcefec 2 events 475 replay 196 279 0 11 0 0 0 0 0 0 0 0 0 0"},
+         "64bcefec 2 events 475 replay 196 279 0 11 0 0 0 0 0 0 0 0 0"},
         {"apache-25520", 100,
-         "ed9ba08b 2 events 2622 replay 1196 1426 0 1 0 0 0 0 0 0 0 0 0 0"},
+         "ed9ba08b 2 events 2622 replay 1196 1426 0 1 0 0 0 0 0 0 0 0 0"},
         {"apache-25520", 1000,
-         "d8c3b7d0 0 events 410 replay 188 222 0 0 0 0 0 0 0 0 0 0 0 0"},
+         "d8c3b7d0 0 events 410 replay 188 222 0 0 0 0 0 0 0 0 0 0 0"},
         {"apache-45605", 100,
-         "44be2fff 2 events 3012 replay 1288 1724 0 0 0 0 0 0 0 0 0 0 0 0"},
+         "44be2fff 2 events 3012 replay 1288 1724 0 0 0 0 0 0 0 0 0 0 0"},
         {"apache-45605", 1000,
-         "d8c3b7d0 0 events 465 replay 200 265 0 0 0 0 0 0 0 0 0 0 0 0"},
+         "d8c3b7d0 0 events 465 replay 200 265 0 0 0 0 0 0 0 0 0 0 0"},
         {"mysql-3596", 100,
-         "657ac755 2 events 3155 replay 1381 1774 0 32 0 0 0 0 0 0 0 0 0 0"},
+         "657ac755 2 events 3155 replay 1381 1774 0 32 0 0 0 0 0 0 0 0 0"},
         {"mysql-3596", 1000,
-         "d8c3b7d0 0 events 485 replay 208 277 0 0 0 0 0 0 0 0 0 0 0 0"},
+         "d8c3b7d0 0 events 485 replay 208 277 0 0 0 0 0 0 0 0 0 0 0"},
         {"mysql-644", 100,
-         "b4b3d617 2 events 3652 replay 1484 2168 0 26 0 0 0 0 0 0 0 0 0 0"},
+         "b4b3d617 2 events 3652 replay 1484 2168 0 26 0 0 0 0 0 0 0 0 0"},
         {"mysql-644", 1000,
-         "d8c3b7d0 0 events 530 replay 220 310 0 1 0 0 0 0 0 0 0 0 0 0"},
+         "d8c3b7d0 0 events 530 replay 220 310 0 1 0 0 0 0 0 0 0 0 0"},
         {"mysql-791", 100,
-         "7dd95ccd 2 events 3100 replay 1276 1824 0 38 0 0 0 0 0 0 0 0 0 0"},
+         "7dd95ccd 2 events 3100 replay 1276 1824 0 38 0 0 0 0 0 0 0 0 0"},
         {"mysql-791", 1000,
-         "64bcefec 2 events 475 replay 196 279 0 11 0 0 0 0 0 0 0 0 0 0"},
+         "64bcefec 2 events 475 replay 196 279 0 11 0 0 0 0 0 0 0 0 0"},
         {"cherokee-0.9.2", 100,
-         "e7b31249 2 events 2610 replay 1168 1442 0 0 0 0 0 0 0 0 0 0 0 0"},
+         "e7b31249 2 events 2610 replay 1168 1442 0 0 0 0 0 0 0 0 0 0 0"},
         {"cherokee-0.9.2", 1000,
-         "d8c3b7d0 0 events 419 replay 188 231 0 0 0 0 0 0 0 0 0 0 0 0"},
+         "d8c3b7d0 0 events 419 replay 188 231 0 0 0 0 0 0 0 0 0 0 0"},
         {"cherokee-bug326", 100,
-         "6a3c1cb6 2 events 2443 replay 1131 1312 0 0 0 0 0 0 0 0 0 0 0 0"},
+         "6a3c1cb6 2 events 2443 replay 1131 1312 0 0 0 0 0 0 0 0 0 0 0"},
         {"cherokee-bug326", 1000,
-         "73b1fc40 2 events 435 replay 184 251 0 0 0 0 0 0 0 0 0 0 0 0"},
+         "73b1fc40 2 events 435 replay 184 251 0 0 0 0 0 0 0 0 0 0 0"},
         {"pbzip2-0.9.4", 100,
-         "518ddb33 2 events 1975 replay 895 1080 0 15 0 0 0 0 0 0 0 0 0 0"},
+         "518ddb33 2 events 1975 replay 895 1080 0 15 0 0 0 0 0 0 0 0 0"},
         {"pbzip2-0.9.4", 1000,
-         "d8c3b7d0 0 events 354 replay 160 194 0 0 0 0 0 0 0 0 0 0 0 0"},
+         "d8c3b7d0 0 events 354 replay 160 194 0 0 0 0 0 0 0 0 0 0 0"},
         {"pbzip2-0.9.5", 100,
-         "84a1ff77 2 events 1985 replay 902 1083 0 6 0 0 0 0 0 0 0 0 0 0"},
+         "84a1ff77 2 events 1985 replay 902 1083 0 6 0 0 0 0 0 0 0 0 0"},
         {"pbzip2-0.9.5", 1000,
-         "d8c3b7d0 0 events 334 replay 160 174 0 0 0 0 0 0 0 0 0 0 0 0"},
+         "d8c3b7d0 0 events 334 replay 160 174 0 0 0 0 0 0 0 0 0 0 0"},
         {"pfscan", 100,
-         "08f36b2e 2 events 2755 replay 1132 1623 0 9 0 0 0 0 0 0 0 0 0 0"},
+         "08f36b2e 2 events 2755 replay 1132 1623 0 9 0 0 0 0 0 0 0 0 0"},
         {"pfscan", 1000,
-         "d8c3b7d0 0 events 435 replay 184 251 0 1 0 0 0 0 0 0 0 0 0 0"},
+         "d8c3b7d0 0 events 435 replay 184 251 0 1 0 0 0 0 0 0 0 0 0"},
         {"aget-bug2", 100,
-         "d8c3b7d0 0 events 2493 replay 1014 1479 0 0 0 0 0 0 0 0 0 0 0 0"},
+         "d8c3b7d0 0 events 2493 replay 1014 1479 0 0 0 0 0 0 0 0 0 0 0"},
         {"aget-bug2", 1000,
-         "d8c3b7d0 0 events 419 replay 172 247 0 0 0 0 0 0 0 0 0 0 0 0"},
+         "d8c3b7d0 0 events 419 replay 172 247 0 0 0 0 0 0 0 0 0 0 0"},
     };
     constexpr uint64_t kSeed = 5000; // table2's first trial
     const auto bugs = workload::racyBugWorkloads(1.0);
@@ -361,7 +360,7 @@ TEST(ReplayBaseline, PtModesKeepTheirReportsAndCounters)
     // Forward and forward+backward replay, pinned like the RaceZ
     // baseline above. The subjects cover every access shape replay
     // knows: acquire loads, release stores and acq_rel RMWs
-    // (mpmc-queue-racy, event-loop), constant recovery (ptr-dispatch),
+    // (mpmc-queue-racy, event-loop), indirect dispatch (ptr-dispatch),
     // rwlocks (rcu-table) and four Table 2 bugs. Each is traced once
     // with proRaceConfig at P=16 and P=1000 (one fixed seed, scale
     // 0.25) and analyzed in both modes.
@@ -375,69 +374,69 @@ TEST(ReplayBaseline, PtModesKeepTheirReportsAndCounters)
     constexpr auto kFwdBwd = replay::ReplayMode::kForwardBackward;
     static const Pinned kPinned[] = {
         {"mpmc-queue-racy", 16, kFwd,
-         "d8c3b7d0 0 events 1411 replay 100 1311 0 80 0 100 0 0 10 0 0 10 0 0"},
+         "d8c3b7d0 0 events 1411 replay 100 1311 0 80 100 0 0 10 0 0 10 0 0"},
         {"mpmc-queue-racy", 16, kFwdBwd,
-         "b6e90b0a 1 events 1453 replay 100 1311 42 80 0 100 10 135 28 22 0 10 20 0"},
+         "b6e90b0a 1 events 1453 replay 100 1311 42 80 100 10 135 28 22 0 10 20 0"},
         {"mpmc-queue-racy", 1000, kFwd,
-         "d8c3b7d0 0 events 162 replay 1 161 0 80 0 6 0 0 0 0 0 0 0 0"},
+         "d8c3b7d0 0 events 162 replay 1 161 0 80 6 0 0 0 0 0 0 0 0"},
         {"mpmc-queue-racy", 1000, kFwdBwd,
-         "d8c3b7d0 0 events 441 replay 1 161 279 80 0 6 0 2 0 0 0 0 0 0"},
+         "d8c3b7d0 0 events 441 replay 1 161 279 80 6 0 2 0 0 0 0 0 0"},
         {"event-loop", 16, kFwd,
-         "d8c3b7d0 0 events 938 replay 85 853 0 209 0 83 0 0 34 0 0 77 0 0"},
+         "d8c3b7d0 0 events 938 replay 85 853 0 209 83 0 0 34 0 0 77 0 0"},
         {"event-loop", 16, kFwdBwd,
-         "d8c3b7d0 0 events 1075 replay 85 850 140 209 0 83 33 137 84 122 0 88 55 0"},
+         "d8c3b7d0 0 events 1075 replay 85 850 140 209 83 33 137 84 122 0 88 55 0"},
         {"event-loop", 1000, kFwd,
-         "d8c3b7d0 0 events 305 replay 1 304 0 216 0 5 0 0 0 0 0 0 0 0"},
+         "d8c3b7d0 0 events 305 replay 1 304 0 216 5 0 0 0 0 0 0 0 0"},
         {"event-loop", 1000, kFwdBwd,
-         "d8c3b7d0 0 events 571 replay 1 304 266 216 0 5 0 2 0 0 0 0 0 0"},
+         "d8c3b7d0 0 events 571 replay 1 304 266 216 5 0 2 0 0 0 0 0 0"},
         {"ptr-dispatch", 16, kFwd,
-         "d8c3b7d0 0 events 914 replay 60 823 0 35 31 60 0 0 5 0 0 6 0 0"},
+         "d8c3b7d0 0 events 883 replay 60 823 0 35 60 0 0 5 0 0 6 0 0"},
         {"ptr-dispatch", 16, kFwdBwd,
-         "d8c3b7d0 0 events 919 replay 60 818 10 35 31 60 4 61 10 10 0 6 8 0"},
+         "d8c3b7d0 0 events 921 replay 60 818 43 35 60 4 91 14 12 0 6 8 0"},
         {"ptr-dispatch", 1000, kFwd,
-         "d8c3b7d0 0 events 182 replay 1 150 0 37 31 5 0 0 0 0 0 0 0 0"},
+         "d8c3b7d0 0 events 151 replay 1 150 0 37 5 0 0 0 0 0 0 0 0"},
         {"ptr-dispatch", 1000, kFwdBwd,
-         "d8c3b7d0 0 events 436 replay 1 150 254 37 31 5 0 2 0 0 0 0 0 0"},
+         "d8c3b7d0 0 events 406 replay 1 150 255 37 5 0 2 0 0 0 0 0 0"},
         {"rcu-table", 16, kFwd,
-         "d8c3b7d0 0 events 2553 replay 196 2357 0 73 0 190 0 0 60 0 0 63 0 0"},
+         "d8c3b7d0 0 events 2553 replay 196 2357 0 73 190 0 0 60 0 0 63 0 0"},
         {"rcu-table", 16, kFwdBwd,
-         "d8c3b7d0 0 events 2481 replay 196 2274 11 73 0 190 60 235 163 123 0 66 119 0"},
+         "d8c3b7d0 0 events 2481 replay 196 2274 11 73 190 60 235 163 123 0 66 119 0"},
         {"rcu-table", 1000, kFwd,
-         "d8c3b7d0 0 events 1318 replay 2 1316 0 75 0 7 0 0 1 0 0 1 0 0"},
+         "d8c3b7d0 0 events 1318 replay 2 1316 0 75 7 0 0 1 0 0 1 0 0"},
         {"rcu-table", 1000, kFwdBwd,
-         "d8c3b7d0 0 events 1609 replay 2 1312 295 75 0 7 1 4 1 2 0 1 2 0"},
+         "d8c3b7d0 0 events 1609 replay 2 1312 295 75 7 1 4 1 2 0 1 2 0"},
         {"cherokee-0.9.2", 16, kFwd,
-         "39294ad8 2 events 35372 replay 2975 32397 0 265 0 2813 0 0 722 0 0 1694 0 0"},
+         "39294ad8 2 events 35372 replay 2975 32397 0 265 2813 0 0 722 0 0 1694 0 0"},
         {"cherokee-0.9.2", 16, kFwdBwd,
-         "39294ad8 2 events 38507 replay 2975 30816 4716 265 0 2813 723 4321 1943 3394 104 1827 1517 0"},
+         "39294ad8 2 events 38507 replay 2975 30816 4716 265 2813 723 4321 1943 3394 104 1827 1517 0"},
         {"cherokee-0.9.2", 1000, kFwd,
-         "d8c3b7d0 0 events 44565 replay 48 44517 0 269 0 51 0 0 10 0 0 12 0 0"},
+         "d8c3b7d0 0 events 44565 replay 48 44517 0 269 51 0 0 10 0 0 12 0 0"},
         {"cherokee-0.9.2", 1000, kFwdBwd,
-         "1c90d5d7 2 events 46444 replay 48 44490 1906 269 0 51 10 61 28 22 0 14 20 0"},
+         "1c90d5d7 2 events 46444 replay 48 44490 1906 269 51 10 61 28 22 0 14 20 0"},
         {"pbzip2-0.9.4", 16, kFwd,
-         "2902fb87 2 events 33394 replay 2544 30850 0 248 0 1962 0 0 405 0 0 1275 0 0"},
+         "2902fb87 2 events 33394 replay 2544 30850 0 248 1962 0 0 405 0 0 1275 0 0"},
         {"pbzip2-0.9.4", 16, kFwdBwd,
-         "2902fb87 2 events 36447 replay 2544 30105 3798 248 0 1962 395 3007 1078 2326 0 1333 702 0"},
+         "2902fb87 2 events 36447 replay 2544 30105 3798 248 1962 395 3007 1078 2326 0 1333 702 0"},
         {"pbzip2-0.9.4", 1000, kFwd,
-         "d8c3b7d0 0 events 37320 replay 40 37280 0 249 0 44 0 0 9 0 0 9 0 0"},
+         "d8c3b7d0 0 events 37320 replay 40 37280 0 249 44 0 0 9 0 0 9 0 0"},
         {"pbzip2-0.9.4", 1000, kFwdBwd,
-         "d8c3b7d0 0 events 39178 replay 40 37256 1882 249 0 44 9 53 25 18 0 9 18 0"},
+         "d8c3b7d0 0 events 39178 replay 40 37256 1882 249 44 9 53 25 18 0 9 18 0"},
         {"memcached", 16, kFwd,
-         "d8c3b7d0 0 events 45400 replay 3946 41454 0 69 0 3777 0 0 1000 0 0 1773 0 0"},
+         "d8c3b7d0 0 events 45400 replay 3946 41454 0 69 3777 0 0 1000 0 0 1773 0 0"},
         {"memcached", 16, kFwdBwd,
-         "e881e739 2 events 48783 replay 3946 40333 4504 69 0 3777 978 5235 2629 3511 1048 1901 1988 0"},
+         "e881e739 2 events 48783 replay 3946 40333 4504 69 3777 978 5235 2629 3511 1048 1901 1988 0"},
         {"memcached", 1000, kFwd,
-         "d8c3b7d0 0 events 55529 replay 62 55467 0 70 0 51 0 0 20 0 0 20 0 0"},
+         "d8c3b7d0 0 events 55529 replay 62 55467 0 70 51 0 0 20 0 0 20 0 0"},
         {"memcached", 1000, kFwdBwd,
-         "d8c3b7d0 0 events 58042 replay 62 55424 2556 70 0 51 20 64 50 38 0 23 39 0"},
+         "d8c3b7d0 0 events 58042 replay 62 55424 2556 70 51 20 64 50 38 0 23 39 0"},
         {"aget-bug2", 16, kFwd,
-         "b7bea230 2 events 36827 replay 2740 34087 0 77 0 2554 0 0 454 0 0 1203 0 0"},
+         "b7bea230 2 events 36827 replay 2740 34087 0 77 2554 0 0 454 0 0 1203 0 0"},
         {"aget-bug2", 16, kFwdBwd,
-         "b7bea230 2 events 38987 replay 2740 33157 3090 77 0 2554 452 3510 1238 2166 0 1253 819 0"},
+         "b7bea230 2 events 38987 replay 2740 33157 3090 77 2554 452 3510 1238 2166 0 1253 819 0"},
         {"aget-bug2", 1000, kFwd,
-         "69eb5c22 2 events 40253 replay 44 40209 0 77 0 47 0 0 9 0 0 9 0 0"},
+         "69eb5c22 2 events 40253 replay 44 40209 0 77 47 0 0 9 0 0 9 0 0"},
         {"aget-bug2", 1000, kFwdBwd,
-         "69eb5c22 2 events 42162 replay 44 40185 1933 77 0 47 9 54 25 18 0 9 18 0"},
+         "69eb5c22 2 events 42162 replay 44 40185 1933 77 47 9 54 25 18 0 9 18 0"},
     };
     static const char *const kSubjects[] = {
         "mpmc-queue-racy", "event-loop",   "ptr-dispatch", "rcu-table",
@@ -489,7 +488,6 @@ TEST(ReplayBaseline, PtModesKeepTheirReportsAndCounters)
     EXPECT_GT(any.recovered_forward, 0u);
     EXPECT_GT(any.recovered_backward, 0u);
     EXPECT_GT(any.recovered_pcrel, 0u);
-    EXPECT_GT(any.recovered_constant, 0u);
     EXPECT_GT(any.windows, 0u);
     EXPECT_GT(any.inconsistent_windows, 0u);
     EXPECT_GT(any.backward_rounds, 0u);

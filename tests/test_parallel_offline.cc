@@ -340,7 +340,7 @@ LayeredResult
 analyzeByLayer(const Program &program, const trace::RunTrace &run,
                const core::OfflineOptions &options)
 {
-    const analysis::ProgramAnalysis facts(program, options.pointsto);
+    const analysis::ProgramAnalysis facts(program);
     replay::ReplayConfig config = options.replay;
     config.analysis = &facts;
     // RaceZ uses no PT: basic-block mode decodes and aligns nothing.
@@ -361,7 +361,7 @@ analyzeByLayer(const Program &program, const trace::RunTrace &run,
         core::PrefilterStats prefilter;
         core::detail::applyStaticPrefilter(accesses, &facts,
                                            options.static_prefilter,
-                                           prefilter, &run);
+                                           prefilter);
         detect::RaceReport report;
         detect::FastTrackStats stats;
         core::detail::detectRaces(run, alignments, accesses, report, stats);

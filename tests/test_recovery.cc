@@ -380,6 +380,39 @@ TEST(ReportStoreRecovery, MalformedIngestRecordIsRejectedUnchanged)
     EXPECT_EQ(store.maxSequence(), 7u);
 }
 
+TEST(ReportStoreRecovery, IngestRecordWithUnknownOriginIsRejected)
+{
+    // Two real records that differ only in one access's origin locate
+    // its origin byte. A byte past kOracle names no AccessOrigin, so
+    // the record is malformed: the store refuses it unchanged, and
+    // `prorace_cli store --verify` exits nonzero on such a journal.
+    detect::DataRace race = makeRace(1, 2, true, false, 0x40);
+    const std::vector<uint8_t> sampled =
+        service::ReportStore::encodeIngestRecord("tenant", "prog",
+                                                 reportOf({race}), 7);
+    race.current.origin = detect::AccessOrigin::kOracle;
+    const std::vector<uint8_t> oracle =
+        service::ReportStore::encodeIngestRecord("tenant", "prog",
+                                                 reportOf({race}), 7);
+    ASSERT_EQ(sampled.size(), oracle.size());
+    std::vector<uint8_t> forged = sampled;
+    size_t origin_bytes = 0;
+    for (size_t i = 0; i < forged.size(); ++i) {
+        if (sampled[i] != oracle[i]) {
+            forged[i] = 200;
+            ++origin_bytes;
+        }
+    }
+    ASSERT_EQ(origin_bytes, 1u);
+
+    service::ReportStore store;
+    ASSERT_TRUE(store.applyIngestRecord(oracle));
+    const std::string before = store.toJsonl();
+    EXPECT_FALSE(store.applyIngestRecord(forged));
+    EXPECT_EQ(store.toJsonl(), before);
+    EXPECT_EQ(store.maxSequence(), 7u);
+}
+
 /** Inverse of jsonEscape, for round-trip checking. */
 std::string
 jsonUnescape(const std::string &s)

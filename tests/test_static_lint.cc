@@ -23,7 +23,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -32,7 +31,6 @@
 #include "support/rng.hh"
 #include "testutil.hh"
 #include "vm/hooks.hh"
-#include "workload/registry.hh"
 
 namespace prorace::analysis {
 namespace {
@@ -287,180 +285,6 @@ randomProgram(Rng &rng, uint64_t data_base)
     code.push_back(halt);
     return Program(code, {{"main", 0}}, {},
                    {{"main", 0, static_cast<uint32_t>(code.size())}});
-}
-
-// ---------------------------------------------------------------------
-// Points-to lint: execute real workloads and check that every claim
-// the Andersen layer makes holds for what the machine actually did —
-//
-//  - no thread but the allocator ever touches a live block of an
-//    allocation site the solver calls thread-local (a cross-thread
-//    access into a claimed-local object would mean the heap prefilter
-//    can silently drop a racing access: hard failure);
-//  - no write ever lands in a range the solver calls immutable (replay
-//    would recover a stale constant);
-//  - every observed indirect-transfer target is inside the site's
-//    resolved target set (a missed target would de-sharpen the CFG
-//    unsoundly).
-// ---------------------------------------------------------------------
-
-/** One totally-ordered record of everything the machine did. */
-struct PtTraceEvent {
-    enum Kind { kAccess, kMalloc, kFree, kIndirect };
-    Kind kind;
-    uint32_t tid = 0;
-    uint32_t insn_index = 0;
-    uint64_t addr = 0;  ///< access address / block address / target
-    uint64_t size = 0;  ///< access width / block size
-    bool is_write = false;
-};
-
-/**
- * The VM single-steps under one global interleaving, so a plain
- * vector ordered by callback arrival is a faithful total order.
- */
-class PtLintObserver : public vm::ExecutionObserver
-{
-  public:
-    uint64_t
-    onMemOp(const vm::MemOpEvent &ev) override
-    {
-        events.push_back({PtTraceEvent::kAccess, ev.tid, ev.insn_index,
-                          ev.addr, ev.width, ev.is_write});
-        return 0;
-    }
-
-    uint64_t
-    onSync(const vm::SyncEvent &ev) override
-    {
-        if (ev.kind == vm::SyncKind::kMalloc) {
-            events.push_back({PtTraceEvent::kMalloc, ev.tid,
-                              ev.insn_index, ev.object, ev.aux, false});
-        } else if (ev.kind == vm::SyncKind::kFree) {
-            events.push_back({PtTraceEvent::kFree, ev.tid,
-                              ev.insn_index, ev.object, 0, false});
-        }
-        return 0;
-    }
-
-    uint64_t
-    onIndirectBranch(const vm::BranchEvent &ev) override
-    {
-        events.push_back({PtTraceEvent::kIndirect, ev.tid,
-                          ev.insn_index, ev.target, 0, false});
-        return 0;
-    }
-
-    std::vector<PtTraceEvent> events;
-};
-
-void
-pointsToLint(const workload::Workload &w, uint64_t seed)
-{
-    const ProgramAnalysis pa(*w.program, true);
-    const PointsTo *pt = pa.pointsTo();
-    ASSERT_NE(pt, nullptr);
-
-    vm::MachineConfig mcfg;
-    mcfg.seed = seed;
-    vm::Machine machine(*w.program, mcfg);
-    PtLintObserver observer;
-    machine.setObserver(&observer);
-    w.setup(machine);
-    machine.run();
-
-    // Replay the total order, tracking live heap blocks (the allocator
-    // reuses addresses, so a block is keyed by its [malloc, free)
-    // lifetime, not its address alone).
-    struct LiveBlock {
-        uint32_t owner_tid;
-        uint32_t site;
-        uint64_t size;
-    };
-    std::map<uint64_t, LiveBlock> live; ///< block base → block
-    uint64_t checked_local = 0, checked_indirect = 0;
-    for (const PtTraceEvent &ev : observer.events) {
-        switch (ev.kind) {
-          case PtTraceEvent::kMalloc:
-            live[ev.addr] = {ev.tid, ev.insn_index, ev.size};
-            break;
-          case PtTraceEvent::kFree:
-            live.erase(ev.addr);
-            break;
-          case PtTraceEvent::kIndirect: {
-            const auto it = pt->indirectTargets().find(ev.insn_index);
-            if (it == pt->indirectTargets().end())
-                break;
-            ++checked_indirect;
-            EXPECT_TRUE(std::find(it->second.begin(), it->second.end(),
-                                  ev.addr) != it->second.end())
-                << w.name << ": indirect transfer at insn "
-                << ev.insn_index << " reached target " << ev.addr
-                << " outside the resolved set";
-            break;
-          }
-          case PtTraceEvent::kAccess: {
-            if (ev.is_write) {
-                EXPECT_FALSE(pt->immutableCovers(ev.addr, ev.size))
-                    << w.name << ": write at insn " << ev.insn_index
-                    << " hit a claimed-immutable range @" << std::hex
-                    << ev.addr;
-            }
-            if (!pt->heapSound())
-                break;
-            // Find the live block containing the access, if any.
-            const auto it = live.upper_bound(ev.addr);
-            if (it == live.begin())
-                break;
-            const auto &[base, blk] = *std::prev(it);
-            if (ev.addr >= base + blk.size)
-                break;
-            if (pt->allocSiteThreadLocal(blk.site)) {
-                ++checked_local;
-                EXPECT_EQ(ev.tid, blk.owner_tid)
-                    << w.name << ": tid " << ev.tid << " accessed a "
-                    << "claimed-thread-local block of site " << blk.site
-                    << " owned by tid " << blk.owner_tid << " (insn "
-                    << ev.insn_index << ")";
-            }
-            break;
-          }
-        }
-    }
-
-    // The lint must actually have exercised a claim on the dispatch
-    // subject; on other workloads vacuous passes are fine.
-    if (w.name == "ptr-dispatch") {
-        EXPECT_GT(checked_local, 0u) << "no thread-local claim checked";
-        EXPECT_GT(checked_indirect, 0u) << "no indirect claim checked";
-    }
-}
-
-TEST(StaticLint, PointsToClaimsHoldOnDispatchWorkload)
-{
-    for (const uint64_t seed : testutil::testSeeds({5, 17})) {
-        PRORACE_SEED_TRACE(seed);
-        const auto w = workload::findWorkload("ptr-dispatch", 0.05);
-        ASSERT_TRUE(w.has_value());
-        pointsToLint(*w, seed);
-    }
-}
-
-TEST(StaticLint, PointsToClaimsHoldAcrossRegistry)
-{
-    // A broad sweep at small scale: heap-churning and indirect-branch
-    // subjects plus a representative mix of the sync vocabulary.
-    const char *const kSubjects[] = {"mpmc-queue", "event-loop",
-                                     "pfscan",     "apache",
-                                     "memcached",  "kvchurn"};
-    const uint64_t seed = testutil::testSeed(23);
-    PRORACE_SEED_TRACE(seed);
-    for (const char *name : kSubjects) {
-        const auto w = workload::findWorkload(name, 0.02);
-        if (!w.has_value())
-            continue;
-        pointsToLint(*w, seed);
-    }
 }
 
 TEST(StaticLint, RandomProgramCoverage)

@@ -257,6 +257,46 @@ TEST(TraceFormatV5, SampledLoopHitsCompressionFloor)
     EXPECT_GE(cs.run_iterations_folded, t.pebs.size() / 2);
 }
 
+TEST(TraceFormatV5, StrideCarriedPastTheTopDropsItsSegment)
+{
+    // One arithmetic sequence of PEBS addresses that climbs over the
+    // top of the address space inside the second segment. The writer
+    // folds it into run blocks, so the record whose span wraps is an
+    // expanded iteration, not a stored one. The reader checks every
+    // expanded record: that segment is dropped whole and its
+    // neighbours survive field-exact.
+    RunTrace t;
+    t.meta.num_cores = 1;
+    t.meta.threads.push_back({1, 0});
+    trace::PebsRecord rec;
+    rec.tid = 1;
+    rec.core = 0;
+    rec.insn_index = 4242;
+    rec.width = 8;
+    const size_t n = 2 * trace::kPebsChunkRecords + 100;
+    const size_t wrapping = trace::kPebsChunkRecords + 143;
+    for (size_t i = 0; i < n; ++i) {
+        // Record `wrapping` spans the last 8 bytes; the next starts at 0.
+        rec.addr = ~uint64_t{0} - 7 - 8 * wrapping + 8 * i;
+        rec.tsc = 1000 + 1000 * i;
+        t.pebs.push_back(rec);
+    }
+    ASSERT_EQ(t.pebs[wrapping].addr, ~uint64_t{0} - 7);
+    const std::vector<uint8_t> bytes = trace::serializeTrace(t);
+    auto loaded = trace::readTrace(bytes);
+    ASSERT_TRUE(loaded.ok());
+    const trace::SegmentLoss &loss = loaded.value().loss;
+    EXPECT_EQ(loss.segments_dropped, 1u);
+    EXPECT_EQ(loss.pebs_dropped, trace::kPebsChunkRecords);
+    EXPECT_GT(loaded.value().trace.meta.compression.run_iterations_folded,
+              n / 2);
+
+    RunTrace kept = t;
+    kept.pebs.erase(kept.pebs.begin() + trace::kPebsChunkRecords,
+                    kept.pebs.begin() + 2 * trace::kPebsChunkRecords);
+    expectTracesEqual(kept, loaded.value().trace);
+}
+
 TEST(TraceFormatV5, CursorParityAtEveryChunkSize)
 {
     for (const trace::PtFilter &filter : recordedFilters()) {
