@@ -178,7 +178,10 @@ class JsonReporter
     static std::string
     quoted(const std::string &s)
     {
-        return "\"" + escape(s) + "\"";
+        std::string out = "\"";
+        out += escape(s);
+        out += '"';
+        return out;
     }
 
     std::string path_;

@@ -142,7 +142,7 @@ main(int argc, char **argv)
                      {"false_positives",
                       static_cast<double>(out.score.false_positives)}});
 
-                // Serial/parallel identity: the work-stealing analyzer
+                // Serial/parallel identity: the parallel analyzer
                 // must not move the score.
                 if (trial == 0 && period == 100) {
                     try {

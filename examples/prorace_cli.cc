@@ -21,8 +21,8 @@
  *       positives). The quantitative health check for the whole
  *       reconstruction + detection stack.
  *   prorace_cli static-report <workload> [--scale X]
- *       Static binary analysis only: build the CFG, dataflow and
- *       escape passes over the workload binary and dump the results
+ *       Static binary analysis only: build the CFG and the escape
+ *       analysis over the workload binary and dump the results
  *       as JSONL on stdout (one summary record, one site-class
  *       record) with a human-readable digest on stderr.
  *   prorace_cli serve [--producers N] [--sessions N] [--workers N]
@@ -455,10 +455,9 @@ cmdAnalyze(const Args &args)
                 result.regeneration_rounds);
     if (args.jobs > 0) {
         const exec::ExecutorStats &es = analyzer.executorStats();
-        std::printf("executor: %llu tasks (%llu stolen), max queue %llu, "
+        std::printf("executor: %llu tasks, max queue %llu, "
                     "mean task %.1fus\n",
                     static_cast<unsigned long long>(es.executed),
-                    static_cast<unsigned long long>(es.stolen),
                     static_cast<unsigned long long>(es.max_queue_depth),
                     es.task_seconds.mean() * 1e6);
     }
@@ -559,7 +558,6 @@ cmdStaticReport(const Args &args)
         "\"blocks\":%llu,\"edges\":%llu,\"reachable_blocks\":%llu,"
         "\"address_taken\":%llu,\"mem_sites\":%llu,"
         "\"thread_local_sites\":%llu,\"thread_local_fraction\":%.4f,"
-        "\"invertible_insns\":%llu,\"learn_insns\":%llu,"
         "\"rsp_integrity\":%s,\"no_stack_escape\":%s,\"sound\":%s}\n",
         args.workload.c_str(),
         static_cast<unsigned long long>(s.insns),
@@ -570,8 +568,6 @@ cmdStaticReport(const Args &args)
         static_cast<unsigned long long>(s.mem_sites),
         static_cast<unsigned long long>(s.thread_local_sites),
         s.threadLocalFraction(),
-        static_cast<unsigned long long>(s.invertible_insns),
-        static_cast<unsigned long long>(s.learn_insns),
         s.rsp_integrity ? "true" : "false",
         s.no_stack_escape ? "true" : "false",
         s.rsp_integrity && s.no_stack_escape ? "true" : "false");
@@ -597,8 +593,7 @@ cmdStaticReport(const Args &args)
     std::fprintf(stderr,
                  "%s: %llu insns in %llu blocks (%llu reachable), "
                  "%llu edges, %llu address-taken\n"
-                 "  %llu memory sites, %llu thread-local (%.1f%%), "
-                 "%llu invertible insns, %llu learn insns\n"
+                 "  %llu memory sites, %llu thread-local (%.1f%%)\n"
                  "  rsp integrity %s, no stack escape %s\n",
                  args.workload.c_str(),
                  static_cast<unsigned long long>(s.insns),
@@ -609,8 +604,6 @@ cmdStaticReport(const Args &args)
                  static_cast<unsigned long long>(s.mem_sites),
                  static_cast<unsigned long long>(s.thread_local_sites),
                  100.0 * s.threadLocalFraction(),
-                 static_cast<unsigned long long>(s.invertible_insns),
-                 static_cast<unsigned long long>(s.learn_insns),
                  s.rsp_integrity ? "held" : "VIOLATED",
                  s.no_stack_escape ? "held" : "VIOLATED");
     return 0;

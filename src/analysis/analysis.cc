@@ -18,7 +18,7 @@ buildFacts(const asmkit::Program &program)
 
 ProgramAnalysis::ProgramAnalysis(const asmkit::Program &program)
     : program_(&program), facts_(buildFacts(program)), cfg_(program),
-      dataflow_(cfg_, facts_), escape_(cfg_, facts_)
+      escape_(cfg_, facts_)
 {
 }
 
@@ -33,12 +33,6 @@ ProgramAnalysis::summary() const
     s.address_taken = static_cast<uint32_t>(cfg_.addressTaken().size());
     s.mem_sites = escape_.numSites();
     s.thread_local_sites = escape_.numThreadLocal();
-    for (const InsnFacts &f : facts_) {
-        if (f.invertible)
-            ++s.invertible_insns;
-        if (f.learns)
-            ++s.learn_insns;
-    }
     s.rsp_integrity = escape_.rspIntegrity();
     s.no_stack_escape = escape_.noStackEscape();
     return s;

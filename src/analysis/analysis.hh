@@ -1,9 +1,9 @@
 /**
  * @file
- * Whole-program static analysis bundle: per-instruction fact tables,
- * CFG, dataflow, and escape analysis, computed once per program and
- * shared read-only by every consumer (aligner, replayer, detector
- * prefilter, CLI static-report).
+ * Whole-program static analysis bundle: the per-instruction fact table
+ * (may-write masks and memory-event counts), the CFG, and the escape
+ * analysis, computed once per program and shared read-only by every
+ * consumer (aligner, replayer, detector prefilter, CLI static-report).
  */
 
 #ifndef PRORACE_ANALYSIS_ANALYSIS_HH
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "analysis/cfg.hh"
-#include "analysis/dataflow.hh"
 #include "analysis/escape.hh"
 #include "analysis/insn_facts.hh"
 
@@ -28,8 +27,6 @@ struct StaticSummary {
     uint32_t address_taken = 0;
     uint32_t mem_sites = 0;          ///< instructions with memory events
     uint32_t thread_local_sites = 0; ///< provably private subset
-    uint32_t invertible_insns = 0;   ///< some operand reverse-executable
-    uint32_t learn_insns = 0;        ///< teach an unwritten register
     bool rsp_integrity = false;
     bool no_stack_escape = false;
 
@@ -59,19 +56,11 @@ class ProgramAnalysis
 
     const asmkit::Program &program() const { return *program_; }
     const Cfg &cfg() const { return cfg_; }
-    const Dataflow &dataflow() const { return dataflow_; }
     const EscapeAnalysis &escape() const { return escape_; }
 
     /** Precomputed per-instruction facts (indexed by instruction). */
     const InsnFacts &facts(uint32_t index) const { return facts_[index]; }
     const std::vector<InsnFacts> &factsTable() const { return facts_; }
-
-    /** May-write register mask of a whole basic block. */
-    uint16_t
-    blockKill(uint32_t block) const
-    {
-        return dataflow_.killMask(block);
-    }
 
     /** True when @p index's access provably stays on its own stack. */
     bool
@@ -86,7 +75,6 @@ class ProgramAnalysis
     const asmkit::Program *program_;
     std::vector<InsnFacts> facts_;
     Cfg cfg_;
-    Dataflow dataflow_;
     EscapeAnalysis escape_;
 };
 

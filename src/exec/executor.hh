@@ -1,20 +1,22 @@
 /**
  * @file
- * A work-stealing thread-pool executor for the offline-analysis engine.
+ * A thread-pool executor for the offline-analysis engine.
  *
- * Each worker owns a deque (task_queue.hh); submissions are distributed
- * round-robin across the workers, the owner services its deque LIFO,
- * and an idle worker steals the oldest task of the busiest victim.
- * Results travel through exec::Future, which also carries exceptions:
- * a task that throws never kills a worker thread — the error is
- * rethrown on whichever thread calls get() (panic-safe shutdown).
+ * Workers take tasks from one FIFO queue guarded by one mutex, so tasks
+ * start in submission order. Submission and the worker's sleep share
+ * that mutex: a worker tests for work and waits under the same lock a
+ * submitter holds to push, so no wakeup can fall between the test and
+ * the wait. Results travel through exec::Future, which also carries
+ * exceptions: a task that throws never kills a worker thread — the
+ * error is rethrown on whichever thread calls get() (panic-safe
+ * shutdown).
  *
- * The destructor drains nothing: it wakes every worker, waits for
- * in-flight tasks to finish, and joins. Callers that care about
- * results hold the futures.
+ * The destructor drains the queue: workers run every task already
+ * submitted, then exit and are joined. Callers that care about results
+ * hold the futures.
  *
  * Per-stage observability: ExecutorStats counts submissions,
- * executions, steals, and queue-depth high-water, and aggregates task
+ * executions and the queue-depth high-water, and aggregates task
  * latency into a support::RunningStat (steady-clock based, like every
  * timer in the offline pipeline).
  */
@@ -22,10 +24,10 @@
 #ifndef PRORACE_EXEC_EXECUTOR_HH
 #define PRORACE_EXEC_EXECUTOR_HH
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -33,17 +35,15 @@
 #include <vector>
 
 #include "exec/future.hh"
-#include "exec/task_queue.hh"
 #include "support/stats.hh"
 
 namespace prorace::exec {
 
-/** Executor counters (merged across workers on demand). */
+/** Executor counters. */
 struct ExecutorStats {
     uint64_t submitted = 0;
     uint64_t executed = 0;
-    uint64_t stolen = 0;          ///< executions that came from a steal
-    uint64_t max_queue_depth = 0; ///< high-water mark of any worker deque
+    uint64_t max_queue_depth = 0; ///< high-water mark of the task queue
     RunningStat task_seconds;     ///< per-task execution latency
 };
 
@@ -56,7 +56,7 @@ class Executor
      */
     explicit Executor(unsigned num_threads);
 
-    /** Waits for in-flight tasks, then joins every worker. */
+    /** Runs every queued task, then joins every worker. */
     ~Executor();
 
     Executor(const Executor &) = delete;
@@ -117,33 +117,21 @@ class Executor
     void parallelFor(uint64_t count,
                      const std::function<void(uint64_t)> &fn);
 
-    /** Snapshot of the counters (merges per-worker state). */
+    /** Snapshot of the counters. */
     ExecutorStats stats() const;
 
   private:
-    struct Worker {
-        TaskQueue<std::function<void()>> queue;
-        std::thread thread;
-        // Worker-local counters, merged under stats_mu_ by stats().
-        uint64_t executed = 0;
-        uint64_t stolen = 0;
-        uint64_t max_queue_depth = 0;
-    };
-
     void enqueue(std::function<void()> task);
     void workerLoop(unsigned index);
-    bool runOneTask(unsigned index);
     void recordTaskSeconds(std::chrono::steady_clock::time_point t0);
 
-    std::vector<std::unique_ptr<Worker>> workers_;
-    std::mutex wake_mu_;
+    mutable std::mutex mu_; ///< guards the four members below
     std::condition_variable wake_cv_;
-    std::atomic<bool> shutdown_{false};
-    std::atomic<uint64_t> pending_{0};   ///< queued but not yet started
-    std::atomic<uint64_t> submitted_{0};
-    std::atomic<uint64_t> next_worker_{0};
-    mutable std::mutex stats_mu_; ///< guards worker counters cross-thread
-    RunningStat task_seconds_;    ///< pool-wide, under stats_mu_
+    std::deque<std::function<void()>> tasks_;
+    bool shutdown_ = false;
+    ExecutorStats stats_;
+    // Last, after everything the workers use.
+    std::vector<std::thread> workers_;
 };
 
 } // namespace prorace::exec

@@ -8,7 +8,7 @@
  * each), stream trace-file bytes (trace/trace_file.hh) in chunks, and
  * close; the service tails each session's byte stream with a
  * trace::TraceReader cursor, and on close hands the ingested trace to
- * the offline pipeline on the work-stealing executor, with streaming
+ * the offline pipeline on the service's executor, with streaming
  * detection (detect::FastTrack with epoch GC) so detector memory stays
  * bounded on long traces. Finished reports fold into the cross-tenant
  * ReportStore.
@@ -101,7 +101,7 @@ struct SupervisionPolicy {
 
 /** Service configuration. */
 struct ServiceOptions {
-    /** Analysis pool size (work-stealing executor threads). */
+    /** Analysis pool size (executor threads). */
     unsigned num_workers = 2;
     /** Concurrent resident sessions allowed per tenant. */
     unsigned session_slots = 2;

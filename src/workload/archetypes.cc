@@ -400,7 +400,8 @@ makePtrDispatch(unsigned threads, uint32_t items, double scale)
     // coeffp indirection (register-indirect immutable load) and mixes
     // it with a slot of the calling thread's private buffer.
     for (uint32_t k = 0; k < kHandlers; ++k) {
-        const std::string name = "h" + std::to_string(k);
+        std::string name = "h";
+        name += std::to_string(k);
         b.beginFunction(name);
         b.load(Reg::r8, b.symRef("coeffp"));
         b.load(Reg::r9, MemOperand::baseDisp(Reg::r8, 0));

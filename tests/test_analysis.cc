@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the static binary-analysis subsystem (src/analysis): CFG
- * recovery edge cases, dataflow fixpoints, escape-analysis soundness
+ * recovery edge cases, escape-analysis soundness
  * gating, the detector prefilter's report-identity guarantee, and the
  * replayer's analysis-accelerated fast path producing bit-identical
  * reconstructions.
@@ -47,11 +47,6 @@ TEST(InsnFacts, TableMatchesPerInsnDerivation)
         const InsnFacts &f = pa.facts(i);
         EXPECT_EQ(f.kill, regWriteMask(insn)) << "insn " << i;
         EXPECT_EQ(f.mem_ops, memOpCount(insn)) << "insn " << i;
-        EXPECT_EQ(f.uses, regReadMask(insn)) << "insn " << i;
-        // Invertible registers are written registers; learned registers
-        // are, by definition, *not* written.
-        EXPECT_EQ(f.invertible & ~f.kill, 0) << "insn " << i;
-        EXPECT_EQ(f.learns & f.kill, 0) << "insn " << i;
     }
 }
 
@@ -91,10 +86,6 @@ TEST(Cfg, ProgramEndingWithoutRetOrHalt)
     const uint32_t last = cfg.numBlocks() - 1;
     // The trailing block has no fall-through block to go to.
     EXPECT_TRUE(cfg.block(last).succs.empty());
-    // Dataflow must treat the ragged end conservatively: everything
-    // potentially live out, so nothing is wrongly proved dead.
-    const ProgramAnalysis pa(program);
-    EXPECT_EQ(pa.dataflow().block(last).live_out, 0xffff);
 }
 
 TEST(Cfg, UnreachableBlockIsFlagged)
@@ -183,107 +174,6 @@ TEST(Cfg, EdgesAreSymmetric)
                 << "edge " << b << "->" << s << " missing back-link";
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// Dataflow
-// ---------------------------------------------------------------------
-
-TEST(Dataflow, BlockKillIsUnionOfInsnKills)
-{
-    const Program program = makeBranchyProgram(10);
-    const ProgramAnalysis pa(program);
-    for (uint32_t b = 0; b < pa.cfg().numBlocks(); ++b) {
-        uint16_t expect = 0;
-        uint32_t mem = 0;
-        for (uint32_t i = program.blockBegin(b); i < program.blockEnd(b);
-             ++i) {
-            expect |= pa.facts(i).kill;
-            mem += pa.facts(i).mem_ops;
-        }
-        EXPECT_EQ(pa.blockKill(b), expect) << "block " << b;
-        EXPECT_EQ(pa.dataflow().block(b).mem_ops, mem) << "block " << b;
-    }
-}
-
-TEST(Dataflow, LivenessOnDiamond)
-{
-    ProgramBuilder b;
-    b.global("out", 8);
-    b.label("main");
-    b.movri(Reg::rax, 1);
-    b.cmpri(Reg::rax, 0);
-    b.jcc(CondCode::kEq, "right");
-    b.movrr(Reg::rbx, Reg::rax); // left: reads rax
-    b.jmp("join");
-    b.label("right");
-    b.movri(Reg::rbx, 5); // right: rax dead here
-    b.label("join");
-    b.store(b.symRef("out"), Reg::rbx);
-    b.halt();
-    const Program program = b.build();
-    const ProgramAnalysis pa(program);
-
-    const uint16_t rax = regBit(Reg::rax);
-    const uint16_t rbx = regBit(Reg::rbx);
-    // rax is live into the left arm (movrr reads it), not the right.
-    bool saw_left = false, saw_right = false, saw_join = false;
-    for (uint32_t blk = 0; blk < pa.cfg().numBlocks(); ++blk) {
-        const isa::Insn &first = program.insnAt(program.blockBegin(blk));
-        const BlockDataflow &df = pa.dataflow().block(blk);
-        if (first.op == isa::Op::kMovRR) {
-            saw_left = true;
-            EXPECT_TRUE(df.live_in & rax);
-        } else if (first.op == isa::Op::kMovRI &&
-                   first.dst == Reg::rbx) {
-            saw_right = true;
-            EXPECT_FALSE(df.live_in & rax);
-        } else if (first.op == isa::Op::kStore) {
-            saw_join = true;
-            EXPECT_TRUE(df.live_in & rbx);
-        }
-    }
-    EXPECT_TRUE(saw_left && saw_right && saw_join);
-}
-
-TEST(Dataflow, ReachingDefsUniqueAmbiguousExternal)
-{
-    ProgramBuilder b;
-    b.global("out", 8);
-    b.label("main");
-    const uint32_t def_a = b.movri(Reg::rax, 1); // unique def of rax
-    b.movri(Reg::rcx, 0);
-    b.cmpri(Reg::rcx, 0);
-    b.jcc(CondCode::kEq, "right");
-    b.movri(Reg::rbx, 2); // def 1 of rbx
-    b.jmp("join");
-    b.label("right");
-    b.movri(Reg::rbx, 3); // def 2 of rbx
-    b.label("join");
-    b.store(b.symRef("out"), Reg::rbx);
-    b.halt();
-    const Program program = b.build();
-    const ProgramAnalysis pa(program);
-
-    // At the join block: rax has the unique entry def, rbx is
-    // ambiguous (two arms), and at the entry block everything is
-    // external (thread entry).
-    const unsigned ax = isa::gprIndex(Reg::rax);
-    const unsigned bx = isa::gprIndex(Reg::rbx);
-    const uint32_t entry = program.blockOf(0);
-    EXPECT_EQ(pa.dataflow().block(entry).reach_in[ax].kind,
-              ReachingDef::kExternal);
-    bool saw_join = false;
-    for (uint32_t blk = 0; blk < pa.cfg().numBlocks(); ++blk) {
-        if (program.insnAt(program.blockBegin(blk)).op != isa::Op::kStore)
-            continue;
-        saw_join = true;
-        const BlockDataflow &df = pa.dataflow().block(blk);
-        EXPECT_EQ(df.reach_in[ax].kind, ReachingDef::kUnique);
-        EXPECT_EQ(df.reach_in[ax].insn, def_a);
-        EXPECT_EQ(df.reach_in[bx].kind, ReachingDef::kAmbiguous);
-    }
-    EXPECT_TRUE(saw_join);
 }
 
 // ---------------------------------------------------------------------

@@ -453,8 +453,9 @@ TEST(ReportStoreRecovery, JsonlEscapingRoundTrips)
         // framing cannot be broken by hostile ids.
         for (size_t i = 0; i < escaped.size(); ++i) {
             EXPECT_NE(escaped[i], '\n');
-            if (escaped[i] == '"')
+            if (escaped[i] == '"') {
                 EXPECT_TRUE(i > 0 && escaped[i - 1] == '\\');
+            }
         }
     }
 
