@@ -10,12 +10,7 @@
  * store is byte-identical to the store at the last whole record, and
  * no record before the tear is ever lost.
  *
- * Part B — warm starts: one recorded subject is streamed into a
- * durable service twice. The first session runs cold and writes
- * detector checkpoints; the second must resume from one (warm start)
- * and still produce the byte-identical report.
- *
- * Part C — quarantine isolation: the same fleet is run clean and then
+ * Part B — quarantine isolation: the same fleet is run clean and then
  * with poison tenants streaming garbage plus a fault injector that
  * crashes every poison analysis. The healthy tenants must all still
  * complete, and their throughput must hold a generous floor of the
@@ -26,8 +21,7 @@
  *      (and, under a tear, exactly the whole-record prefix).
  *   2. Recovered stores are byte-identical to the live JSONL snapshot
  *      taken at the corresponding ingest.
- *   3. The re-streamed session warm-starts and reports identically.
- *   4. Healthy fleet completion is unaffected by poison tenants, and
+ *   3. Healthy fleet completion is unaffected by poison tenants, and
  *      healthy throughput stays above 10% of the clean run.
  *
  * `--json <path>` writes one JSONL record per configuration.
@@ -41,14 +35,11 @@
 #include <vector>
 
 #include "bench_util.hh"
-#include "core/pipeline.hh"
 #include "service/fleet.hh"
 #include "service/report_store.hh"
 #include "service/service.hh"
 #include "support/journal.hh"
 #include "support/rng.hh"
-#include "trace/trace_file.hh"
-#include "workload/registry.hh"
 
 namespace {
 
@@ -135,7 +126,7 @@ runJournalPoint(const Scratch &scratch, uint64_t records,
     {
         Journal journal;
         std::string error;
-        if (!journal.open(path, {}, nullptr, &error)) {
+        if (!journal.open(path, nullptr, &error)) {
             check(false, "journal opens for writing");
             return;
         }
@@ -166,7 +157,7 @@ runJournalPoint(const Scratch &scratch, uint64_t records,
     std::string error;
     const double t0 = now();
     const bool opened = journal.open(
-        path, {},
+        path,
         [&](const JournalRecord &r) {
             recovered.applyIngestRecord(r.payload);
         },
@@ -234,70 +225,6 @@ runJournalPoint(const Scratch &scratch, uint64_t records,
                   static_cast<double>(recovered.distinctRaces())}});
 }
 
-/** Part B: cold session, then warm-started re-stream. */
-void
-runWarmStart(const Scratch &scratch, bench::JsonReporter &json)
-{
-    auto w = workload::findWorkload("aget-bug2", 0.4);
-    if (!w) {
-        check(false, "warm-start subject exists");
-        return;
-    }
-    core::PipelineConfig cfg = core::proRaceConfig(8, 19, w->pt_filter);
-    cfg.session.run_baseline = false;
-    core::RunArtifacts run =
-        core::Session::run(*w->program, w->setup, cfg.session);
-    const std::vector<uint8_t> bytes = trace::serializeTrace(run.trace);
-
-    service::ServiceOptions options;
-    options.offline.incremental.batch_events = 1024;
-    options.offline.incremental.gc_min_events = 256;
-    options.state_dir = scratch.path + "/warm";
-    service::AnalysisService svc(options);
-    svc.registerProgram("aget-bug2", w->program);
-
-    auto stream = [&] {
-        const uint64_t id = svc.openSession("warm-tenant", "aget-bug2");
-        check(id != 0, "warm-start session opens");
-        for (size_t off = 0; off < bytes.size(); off += 4096) {
-            const size_t len = std::min<size_t>(4096,
-                                                bytes.size() - off);
-            svc.submit(id, bytes.data() + off, len);
-        }
-        svc.closeSession(id);
-        svc.drain();
-    };
-    stream(); // cold: writes the checkpoint
-    stream(); // warm: must resume from it
-
-    const auto outcomes = svc.outcomes();
-    check(outcomes.size() == 2, "both sessions completed");
-    if (outcomes.size() == 2) {
-        check(outcomes[0].ok && outcomes[1].ok, "sessions analyzed ok");
-        check(outcomes[0].checkpoints_written > 0,
-              "cold session wrote checkpoints");
-        check(!outcomes[0].warm_started, "first session ran cold");
-        check(outcomes[1].warm_started,
-              "re-streamed session warm-started");
-        check(outcomes[0].report.format(w->program.get()) ==
-                  outcomes[1].report.format(w->program.get()),
-              "warm-start report byte-identical to cold");
-        std::printf("warm start: cold %.1f ms (%llu checkpoints), warm "
-                    "%.1f ms, reports identical\n",
-                    outcomes[0].ingest_to_report_seconds * 1e3,
-                    static_cast<unsigned long long>(
-                        outcomes[0].checkpoints_written),
-                    outcomes[1].ingest_to_report_seconds * 1e3);
-        json.record(
-            "fig18_warm_start", {{"subject", "aget-bug2"}},
-            {{"cold_s", outcomes[0].ingest_to_report_seconds},
-             {"warm_s", outcomes[1].ingest_to_report_seconds},
-             {"checkpoints",
-              static_cast<double>(outcomes[0].checkpoints_written)}});
-    }
-    svc.shutdown();
-}
-
 /** One fleet run; returns healthy events/second. */
 double
 runFleetOnce(unsigned poison, bench::JsonReporter &json)
@@ -361,10 +288,7 @@ main(int argc, char **argv)
     for (const uint64_t records : {1000ull, 4000ull, 16000ull})
         runJournalPoint(scratch, records, json);
 
-    std::printf("\n=== fig18 part B: checkpoint warm start ===\n");
-    runWarmStart(scratch, json);
-
-    std::printf("\n=== fig18 part C: quarantine isolation ===\n");
+    std::printf("\n=== fig18 part B: quarantine isolation ===\n");
     const double clean = runFleetOnce(0, json);
     const double poisoned = runFleetOnce(2, json);
     // Generous floor: quarantine bounds the damage, it does not make

@@ -40,8 +40,7 @@
  *       an existing trace file into an in-process service session in
  *       chunks and print the analysis outcome — what a production
  *       machine's uploader does against a real service endpoint.
- *       With --state-dir, resubmitting the identical trace warm-starts
- *       from the saved detector checkpoint.
+ *       With --state-dir, the report joins the journaled store in DIR.
  *   prorace_cli store <state-dir> [--verify]
  *       Replay the report journal in <state-dir> offline and dump the
  *       rebuilt store as JSONL — the crash-recovery inspection tool.
@@ -222,9 +221,9 @@ usage()
                  "       prorace_cli store <state-dir> [--verify]\n"
                  "\n"
                  "--state-dir DIR makes the service durable: the report "
-                 "store rides a write-ahead journal in DIR and detector "
-                 "checkpoints enable warm starts; `store` replays that "
-                 "journal offline (--verify checks every record)\n"
+                 "store rides a write-ahead journal in DIR; `store` "
+                 "replays that journal offline (--verify checks every "
+                 "record)\n"
                  "--poison N adds N garbage-streaming tenants to the "
                  "fleet (chaos soak; their failures are expected and "
                  "exempt from the health gate)\n"
@@ -688,24 +687,19 @@ printTenantRow(const std::string &name,
                      static_cast<unsigned long long>(
                          ts.truncated_streams));
     }
-    // Supervision: retries, deadline kills, quarantine, warm starts.
+    // Supervision: retries, deadline kills, quarantine.
     if (ts.sessions_quarantined || ts.analysis_retries ||
-        ts.deadline_timeouts || ts.warm_starts ||
-        ts.checkpoints_written || ts.quarantined) {
+        ts.deadline_timeouts || ts.quarantined) {
         std::fprintf(stderr,
                      "  %-12s supervision: %llu quarantined%s, %llu "
-                     "retries, %llu deadline timeouts, %llu warm "
-                     "starts, %llu checkpoints\n",
+                     "retries, %llu deadline timeouts\n",
                      "",
                      static_cast<unsigned long long>(
                          ts.sessions_quarantined),
                      ts.quarantined ? " (TENANT QUARANTINED)" : "",
                      static_cast<unsigned long long>(ts.analysis_retries),
                      static_cast<unsigned long long>(
-                         ts.deadline_timeouts),
-                     static_cast<unsigned long long>(ts.warm_starts),
-                     static_cast<unsigned long long>(
-                         ts.checkpoints_written));
+                         ts.deadline_timeouts));
     }
 }
 
@@ -781,17 +775,14 @@ cmdServe(const Args &args)
         std::fprintf(
             stderr,
             "durability: %llu reports recovered at boot, %llu journal "
-            "records appended (%llu bytes, %llu syncs), %llu "
-            "checkpoints, %llu warm starts\n",
+            "records appended (%llu bytes, %llu syncs)\n",
             static_cast<unsigned long long>(
                 result.stats.recovered_reports),
             static_cast<unsigned long long>(
                 result.stats.journal.appended_records),
             static_cast<unsigned long long>(
                 result.stats.journal.appended_bytes),
-            static_cast<unsigned long long>(result.stats.journal.syncs),
-            static_cast<unsigned long long>(roll.checkpoints_written),
-            static_cast<unsigned long long>(roll.warm_starts));
+            static_cast<unsigned long long>(result.stats.journal.syncs));
     }
     if (result.stats.tenants_quarantined ||
         result.stats.quarantine_rejected_opens || result.poison_sessions) {
@@ -926,12 +917,6 @@ cmdSubmit(const Args &args)
     if (outcome.loss.hasLoss()) {
         std::printf("trace damaged; analyzed what survives (%s)\n",
                     outcome.loss.summary().c_str());
-    }
-    if (outcome.warm_started) {
-        std::printf("warm start: resumed from a saved detector "
-                    "checkpoint (%llu checkpoints written)\n",
-                    static_cast<unsigned long long>(
-                        outcome.checkpoints_written));
     }
     std::printf("session %llu (%s): %llu events, %llu batches, "
                 "%llu gc sweeps, %.1fms ingest-to-report\n",

@@ -60,7 +60,6 @@ class ProgramAnalysis
 
     /** Precomputed per-instruction facts (indexed by instruction). */
     const InsnFacts &facts(uint32_t index) const { return facts_[index]; }
-    const std::vector<InsnFacts> &factsTable() const { return facts_; }
 
     /** True when @p index's access provably stays on its own stack. */
     bool

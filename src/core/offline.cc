@@ -244,66 +244,36 @@ detectRacesIncremental(
     const trace::RunTrace &run,
     const std::map<uint32_t, replay::ThreadAlignment> &alignments,
     const std::vector<replay::ReconstructedAccess> &accesses,
-    detect::FastTrack &detector, const CheckpointHooks *hooks,
-    bool allow_checkpoint)
+    detect::FastTrack &detector, const CheckpointHooks *hooks)
 {
     const std::vector<FeedEvent> feed =
         buildFeed(run, alignments, accesses);
 
-    // Batch boundaries, GC and the hooks belong to streaming detection;
+    // Batch boundaries, GC and the tick belong to streaming detection;
     // one-shot detection dispatches the feed straight through.
     const detect::IncrementalOptions &options = detector.options();
-    if (!options.enabled)
-        hooks = nullptr;
+    const bool ticking = options.enabled && hooks && hooks->tick;
 
-    // Checkpoint warm start: the saved image is only valid against the
-    // exact feed it was cut from, so the feed size must match and the
-    // image must deserialize cleanly; anything else cold-starts.
-    size_t i = 0;
-    if (hooks && allow_checkpoint && hooks->restore &&
-        hooks->resume_feed_total == feed.size() &&
-        hooks->resume_events <= feed.size()) {
-        support::ByteReader reader(*hooks->restore);
-        if (detector.restoreState(reader)) {
-            i = static_cast<size_t>(hooks->resume_events);
-            if (hooks->resumed)
-                *hooks->resumed = true;
-        }
-    }
-
-    // Batches close on event counts, so a saved cursor names exactly
-    // the events an uninterrupted run would have dispatched before it.
     uint64_t batch = UINT64_MAX; // one-shot: no boundaries
     if (options.enabled)
         batch = std::max<uint64_t>(options.batch_events, 1);
     uint64_t in_batch = 0;
-    while (i < feed.size()) {
+    for (size_t i = 0; i < feed.size(); ++i) {
         dispatchEvent(detector, feed[i], run, accesses);
-        ++i;
         if (++in_batch < batch)
             continue;
         // Every later event has tsc >= this one (the feed is sorted), so
         // this event's TSC is a valid retirement frontier.
-        detector.batchBoundary(feed[i - 1].tsc);
+        detector.batchBoundary(feed[i].tsc);
         in_batch = 0;
-        if (hooks) {
-            if (hooks->tick)
-                hooks->tick();
-            if (allow_checkpoint && hooks->on_boundary)
-                hooks->on_boundary(i, feed.size(), detector);
-        }
+        if (ticking)
+            hooks->tick();
     }
     if (!options.enabled)
         return;
     detector.finish();
-    if (hooks) {
-        if (hooks->tick)
-            hooks->tick();
-        // A final image at end-of-feed lets a tenant that re-streams
-        // the identical trace warm-start past the whole detect stage.
-        if (allow_checkpoint && hooks->on_boundary)
-            hooks->on_boundary(feed.size(), feed.size(), detector);
-    }
+    if (ticking)
+        hooks->tick();
 }
 
 void
@@ -609,7 +579,7 @@ OfflineAnalyzer::detectAccesses(
     const trace::RunTrace &run, const Alignments &alignments,
     const detect::IncrementalOptions &incremental,
     std::vector<replay::ReconstructedAccess> &accesses,
-    OfflineResult &result, bool first_round)
+    OfflineResult &result)
 {
     detail::applyStaticPrefilter(accesses, analysis_.get(),
                                  options_.static_prefilter,
@@ -620,7 +590,7 @@ OfflineAnalyzer::detectAccesses(
     for (const trace::ThreadMeta &tm : run.meta.threads)
         detector.requireThread(tm.tid);
     detail::detectRacesIncremental(run, alignments, accesses, detector,
-                                   &options_.checkpoint, first_round);
+                                   &options_.checkpoint);
     result.report = std::move(detector.report());
     result.detect_stats = detector.stats();
     result.incremental.merge(detector.incrementalStats());
@@ -686,8 +656,7 @@ OfflineAnalyzer::analyzeRun(const trace::RunTrace &run,
                         consumed);
         pass.reconstruct_seconds += timer.lap();
         // The prefilter cost counts as detection cost.
-        detectAccesses(run, alignments, incremental, accesses, pass,
-                       round == 0);
+        detectAccesses(run, alignments, incremental, accesses, pass);
         pass.detect_seconds += timer.lap();
         result = pass;
 

@@ -29,52 +29,20 @@
 namespace prorace::core {
 
 /**
- * Checkpoint/resume and supervision hooks into the streaming analysis
- * (detect::FastTrack with batch boundaries). The analysis service uses
- * these for crash recovery: at every epoch-GC batch boundary it can
- * serialize the detector plus the feed cursor, and a later analysis of
- * the same byte stream warm-starts from that image instead of
- * re-running the detector from event zero. Hooks fire only in streaming
- * mode (OfflineOptions::incremental.enabled), for any num_threads;
- * checkpointing and restore apply to regeneration round 0 only — later
- * rounds re-run against a different blacklist, so a round-0 image
- * would be stale for them.
+ * Supervision hook into the analysis: the service's deadline tick. The
+ * type and its OfflineOptions::checkpoint field keep their names only
+ * so prorace_bench/ compiles (it passes &options.checkpoint).
  */
 struct CheckpointHooks {
     /**
      * Fired on the calling thread after every committed replay task,
-     * at every detection batch boundary, and once after the final
-     * event, in every round. Decode and alignment run without a tick.
-     * May throw to abort the analysis — this is how the service
+     * at every streaming-detection batch boundary, and once after the
+     * final event, in every round. Decode and alignment run without a
+     * tick. May throw to abort the analysis — this is how the service
      * enforces per-session deadlines cooperatively; the exception
      * propagates out of analyze() once no replay task is running.
      */
     std::function<void()> tick;
-
-    /**
-     * Fired (round 0 only) at every batch boundary and once at
-     * end-of-feed, after the boundary's retirement/GC ran:
-     * @p feed_cursor events of the @p feed_total -event merged feed are
-     * fully dispatched and @p detector holds exactly the state an
-     * uninterrupted run has at this point. The hook may serialize it.
-     */
-    std::function<void(uint64_t feed_cursor, uint64_t feed_total,
-                       detect::FastTrack &detector)>
-        on_boundary;
-
-    /**
-     * When set, round 0 restores this serialized detector image and
-     * resumes dispatch at feed event @p resume_events instead of 0.
-     * Applied only when @p resume_feed_total matches the rebuilt feed
-     * size exactly and the image deserializes cleanly; otherwise the
-     * analysis cold-starts (correct, just slower).
-     */
-    const std::vector<uint8_t> *restore = nullptr;
-    uint64_t resume_events = 0;
-    uint64_t resume_feed_total = 0;
-
-    /** Out-param: set true when the restore was actually applied. */
-    bool *resumed = nullptr;
 };
 
 /**
@@ -114,7 +82,7 @@ struct OfflineOptions {
      * every session this way.
      */
     detect::IncrementalOptions incremental;
-    /** Detector checkpoint/resume + deadline hooks (service tier). */
+    /** The deadline tick (service tier). */
     CheckpointHooks checkpoint;
 
     // --- prorace_bench/ compatibility shims (see the detail:: block
@@ -234,7 +202,7 @@ struct OfflineResult {
  * shards and tasks run: on the calling thread at 0, on a per-call
  * N-worker executor at N > 0. Basic-block (RaceZ) mode skips decode
  * and alignment; its plan is sample tasks only. Prefiltering,
- * detection and the CheckpointHooks run on the calling thread
+ * detection and the deadline tick run on the calling thread
  * (DESIGN.md §8).
  */
 class OfflineAnalyzer
@@ -306,7 +274,7 @@ class OfflineAnalyzer
                         const Alignments &alignments,
                         const detect::IncrementalOptions &incremental,
                         std::vector<replay::ReconstructedAccess> &accesses,
-                        OfflineResult &result, bool first_round);
+                        OfflineResult &result);
 
     const asmkit::Program &program_;
     OfflineOptions options_;
@@ -336,18 +304,17 @@ void detectRaces(const trace::RunTrace &run,
  *
  * When the detector's IncrementalOptions::enabled is set, the feed is
  * dispatched in batches of batch_events events with a batchBoundary()
- * (thread retirement + epoch GC) between batches, @p hooks fire, and
- * the stream ends with finish(). The caller pre-seeds @p detector with
- * requireThread() for every expected thread. Otherwise the feed runs
- * straight through and @p hooks are ignored. The race report is the
- * same in both modes.
+ * (thread retirement + epoch GC) between batches, the @p hooks tick
+ * fires after each boundary, and the stream ends with finish(). The
+ * caller pre-seeds @p detector with requireThread() for every expected
+ * thread. Otherwise the feed runs straight through and @p hooks are
+ * ignored. The race report is the same in both modes.
  */
 void detectRacesIncremental(
     const trace::RunTrace &run,
     const std::map<uint32_t, replay::ThreadAlignment> &alignments,
     const std::vector<replay::ReconstructedAccess> &accesses,
-    detect::FastTrack &detector, const CheckpointHooks *hooks = nullptr,
-    bool allow_checkpoint = true);
+    detect::FastTrack &detector, const CheckpointHooks *hooks = nullptr);
 
 /**
  * The static access prefilter: removes extended-trace events at
@@ -387,17 +354,19 @@ detectRaces(const trace::RunTrace &run,
     detectRaces(run, alignments, accesses, report, stats);
 }
 
-/** Ignores @p run_summary; kept only so prorace_bench/ compiles. */
+/**
+ * Ignores @p run_summary and the trailing bool (it once gated detector
+ * checkpoints); kept only so prorace_bench/ compiles.
+ */
 inline void
 detectRacesIncremental(
     const trace::RunTrace &run,
     const std::map<uint32_t, replay::ThreadAlignment> &alignments,
     const std::vector<replay::ReconstructedAccess> &accesses,
     detect::FastTrack &detector, bool /*run_summary*/,
-    const CheckpointHooks *hooks = nullptr, bool allow_checkpoint = true)
+    const CheckpointHooks *hooks = nullptr, bool /*unused*/ = true)
 {
-    detectRacesIncremental(run, alignments, accesses, detector, hooks,
-                           allow_checkpoint);
+    detectRacesIncremental(run, alignments, accesses, detector, hooks);
 }
 
 // --- end of prorace_bench/ compatibility shims ----------------------

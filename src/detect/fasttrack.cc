@@ -229,8 +229,8 @@ void
 FastTrack::requireThread(uint32_t tid)
 {
     // A tid past the epoch limit can never produce an event (threadState
-    // rejects it), so it cannot gate anything. Ignoring it keeps the
-    // bitmap within the size restoreState() accepts.
+    // rejects it), so it cannot gate anything. Ignoring it also bounds
+    // the bitmap by the epoch limit, whatever a thread table names.
     if (tid >= Epoch::kMaxThreads)
         return;
     if (tid >= required_.size())
@@ -504,331 +504,6 @@ FastTrack::checkWrite(VarState &var, const MemAccess &ma, ThreadState &th)
     var.write_epoch = Epoch(ma.tid, th.epochClock());
     var.last_write = {ma.tid, ma.insn_index, true, ma.tsc, ma.origin};
     var.write_atomic = ma.is_atomic;
-}
-
-namespace {
-
-/**
- * Detector checkpoint layout version (bump on any format change). An
- * image of any other version fails to restore; the caller cold-starts.
- */
-constexpr uint32_t kFastTrackStateVersion = 4;
-
-void
-putClock(support::ByteWriter &w, const VectorClock &clock)
-{
-    w.u32(static_cast<uint32_t>(clock.size()));
-    for (uint32_t t = 0; t < clock.size(); ++t)
-        w.u64(clock.get(t));
-}
-
-bool
-getClock(support::ByteReader &r, VectorClock &clock)
-{
-    clock.clear();
-    const uint32_t n = r.u32();
-    if (n > Epoch::kMaxThreads)
-        return false;
-    for (uint32_t t = 0; t < n; ++t)
-        clock.set(t, r.u64());
-    return r.ok();
-}
-
-void
-putEpoch(support::ByteWriter &w, const Epoch &e)
-{
-    w.u32(e.tid());
-    w.u64(e.clock());
-}
-
-Epoch
-getEpoch(support::ByteReader &r)
-{
-    const uint32_t tid = r.u32();
-    const uint64_t clock = r.u64();
-    return Epoch(tid, clock);
-}
-
-/** Key-sorted snapshot of a FlatMap so serialization is order-stable. */
-template <typename Value>
-std::vector<std::pair<uint64_t, Value>>
-sortedEntries(const prorace::FlatMap<Value> &map)
-{
-    std::vector<std::pair<uint64_t, Value>> entries;
-    entries.reserve(map.size());
-    map.forEach([&](uint64_t key, const Value &value) {
-        entries.emplace_back(key, value);
-    });
-    std::sort(entries.begin(), entries.end(),
-              [](const auto &a, const auto &b) {
-                  return a.first < b.first;
-              });
-    return entries;
-}
-
-} // namespace
-
-void
-FastTrack::serializeState(support::ByteWriter &w) const
-{
-    w.u32(kFastTrackStateVersion);
-
-    uint32_t live_threads = 0;
-    for (const auto &th : threads_)
-        live_threads += th ? 1 : 0;
-    w.u32(live_threads);
-    for (const auto &th : threads_) {
-        if (!th)
-            continue;
-        w.u32(th->tid);
-        putClock(w, th->clock);
-        w.u8(th->exited ? 1 : 0);
-        w.u64(th->exit_tsc);
-        w.u8(th->retired ? 1 : 0);
-    }
-
-    for (const auto *map : {&locks_, &exited_, &rw_read_}) {
-        const auto entries = sortedEntries(*map);
-        w.u32(static_cast<uint32_t>(entries.size()));
-        for (const auto &[key, clock] : entries) {
-            w.u64(key);
-            putClock(w, clock);
-        }
-    }
-
-    const auto sems = sortedEntries(sem_posts_);
-    w.u32(static_cast<uint32_t>(sems.size()));
-    for (const auto &[key, queue] : sems) {
-        w.u64(key);
-        w.u32(static_cast<uint32_t>(queue.posts.size()));
-        for (const VectorClock &clock : queue.posts)
-            putClock(w, clock);
-    }
-
-    w.u32(static_cast<uint32_t>(exit_reclaimed_.size()));
-    for (const bool reclaimed : exit_reclaimed_)
-        w.u8(reclaimed ? 1 : 0);
-
-    const auto shadow = sortedEntries(shadow_);
-    w.u32(static_cast<uint32_t>(shadow.size()));
-    for (const auto &[granule, var] : shadow) {
-        w.u64(granule);
-        putEpoch(w, var.write_epoch);
-        putRaceAccess(w, var.last_write);
-        w.u8(var.write_atomic ? 1 : 0);
-        putEpoch(w, var.read_epoch);
-        putRaceAccess(w, var.last_read);
-        w.u8(var.read_atomic ? 1 : 0);
-        w.u8(var.read_is_shared ? 1 : 0);
-        putClock(w, var.read_vc);
-        putRaceAccess(w, var.shared_read_sample);
-        putClock(w, var.plain_read_vc);
-        putRaceAccess(w, var.shared_plain_sample);
-    }
-
-    const auto allocs = sortedEntries(alloc_sizes_);
-    w.u32(static_cast<uint32_t>(allocs.size()));
-    for (const auto &[addr, size] : allocs) {
-        w.u64(addr);
-        w.u64(size);
-    }
-
-    w.u32(static_cast<uint32_t>(report_.races().size()));
-    for (const DataRace &race : report_.races()) {
-        w.u64(race.addr);
-        putRaceAccess(w, race.prior);
-        putRaceAccess(w, race.current);
-    }
-
-    w.u64(stats_.reads);
-    w.u64(stats_.writes);
-    w.u64(stats_.sync_ops);
-    w.u64(stats_.epoch_fast_path);
-    w.u64(stats_.read_shares);
-    w.u64(stats_.vc_spills);
-
-    w.u32(static_cast<uint32_t>(required_.size()));
-    for (const bool required : required_)
-        w.u8(required ? 1 : 0);
-    w.u64(inc_.batches);
-    w.u64(inc_.gc_sweeps);
-    w.u64(inc_.gc_gated);
-    w.u64(inc_.granules_reclaimed);
-    w.u64(inc_.clocks_reclaimed);
-    w.u64(inc_.peak_live_granules);
-    w.u64(inc_.peak_live_clocks);
-    w.u64(events_at_last_gc_);
-}
-
-bool
-FastTrack::restoreState(support::ByteReader &r)
-{
-    // Parse the whole image into locals first; the live state is only
-    // replaced once every byte checked out, so a malformed or truncated
-    // checkpoint leaves the detector exactly as it was.
-    if (r.u32() != kFastTrackStateVersion)
-        return false;
-
-    const uint32_t thread_count = r.u32();
-    if (thread_count > Epoch::kMaxThreads)
-        return false;
-    std::vector<ThreadState> threads;
-    threads.reserve(thread_count);
-    for (uint32_t i = 0; i < thread_count; ++i) {
-        const uint32_t tid = r.u32();
-        if (tid >= Epoch::kMaxThreads)
-            return false;
-        ThreadState &th = threads.emplace_back(tid);
-        if (!getClock(r, th.clock))
-            return false;
-        th.exited = r.u8() != 0;
-        th.exit_tsc = r.u64();
-        th.retired = r.u8() != 0;
-    }
-
-    std::vector<std::pair<uint64_t, VectorClock>> locks, exited, rw_read;
-    for (auto *out : {&locks, &exited, &rw_read}) {
-        const uint32_t n = r.u32();
-        if (!r.ok())
-            return false;
-        out->resize(n);
-        for (auto &[key, clock] : *out) {
-            key = r.u64();
-            if (!getClock(r, clock))
-                return false;
-        }
-    }
-
-    const uint32_t sem_count = r.u32();
-    if (!r.ok())
-        return false;
-    std::vector<std::pair<uint64_t, SemQueue>> sems(sem_count);
-    for (auto &[key, queue] : sems) {
-        key = r.u64();
-        const uint32_t depth = r.u32();
-        if (!r.ok())
-            return false;
-        queue.posts.resize(depth);
-        for (VectorClock &clock : queue.posts)
-            if (!getClock(r, clock))
-                return false;
-    }
-
-    const uint32_t reclaimed_count = r.u32();
-    if (reclaimed_count > Epoch::kMaxThreads)
-        return false;
-    std::vector<bool> reclaimed(reclaimed_count);
-    for (uint32_t i = 0; i < reclaimed_count; ++i)
-        reclaimed[i] = r.u8() != 0;
-
-    const uint32_t shadow_count = r.u32();
-    if (!r.ok())
-        return false;
-    std::vector<std::pair<uint64_t, VarState>> shadow(shadow_count);
-    for (auto &[granule, var] : shadow) {
-        granule = r.u64();
-        var.write_epoch = getEpoch(r);
-        if (!getRaceAccess(r, var.last_write))
-            return false;
-        var.write_atomic = r.u8() != 0;
-        var.read_epoch = getEpoch(r);
-        if (!getRaceAccess(r, var.last_read))
-            return false;
-        var.read_atomic = r.u8() != 0;
-        var.read_is_shared = r.u8() != 0;
-        if (!getClock(r, var.read_vc) ||
-            !getRaceAccess(r, var.shared_read_sample) ||
-            !getClock(r, var.plain_read_vc) ||
-            !getRaceAccess(r, var.shared_plain_sample)) {
-            return false;
-        }
-    }
-
-    const uint32_t alloc_count = r.u32();
-    if (!r.ok())
-        return false;
-    std::vector<std::pair<uint64_t, uint64_t>> allocs(alloc_count);
-    for (auto &[addr, size] : allocs) {
-        addr = r.u64();
-        size = r.u64();
-    }
-
-    const uint32_t race_count = r.u32();
-    if (!r.ok())
-        return false;
-    std::vector<DataRace> races(race_count);
-    for (DataRace &race : races) {
-        race.addr = r.u64();
-        if (!getRaceAccess(r, race.prior) ||
-            !getRaceAccess(r, race.current)) {
-            return false;
-        }
-    }
-
-    FastTrackStats stats;
-    stats.reads = r.u64();
-    stats.writes = r.u64();
-    stats.sync_ops = r.u64();
-    stats.epoch_fast_path = r.u64();
-    stats.read_shares = r.u64();
-    stats.vc_spills = r.u64();
-
-    const uint32_t required_count = r.u32();
-    if (required_count > Epoch::kMaxThreads)
-        return false;
-    std::vector<bool> required(required_count);
-    for (uint32_t i = 0; i < required_count; ++i)
-        required[i] = r.u8() != 0;
-    IncrementalStats inc;
-    inc.batches = r.u64();
-    inc.gc_sweeps = r.u64();
-    inc.gc_gated = r.u64();
-    inc.granules_reclaimed = r.u64();
-    inc.clocks_reclaimed = r.u64();
-    inc.peak_live_granules = r.u64();
-    inc.peak_live_clocks = r.u64();
-    const uint64_t events_at_last_gc = r.u64();
-    if (!r.ok())
-        return false;
-
-    // The gate is rebuilt, not stored: threads first with no required
-    // set, then requireThread() counts the required tids not yet seen.
-    threads_.clear();
-    required_.clear();
-    required_unseen_ = 0;
-    for (ThreadState &th : threads)
-        threadState(th.tid) = std::move(th);
-    for (uint32_t tid = 0; tid < required.size(); ++tid)
-        if (required[tid])
-            requireThread(tid);
-    locks_ = {};
-    for (auto &[key, clock] : locks)
-        locks_[key] = std::move(clock);
-    exited_ = {};
-    for (auto &[tid, clock] : exited)
-        exited_[tid] = std::move(clock);
-    rw_read_ = {};
-    for (auto &[key, clock] : rw_read)
-        rw_read_[key] = std::move(clock);
-    sem_posts_ = {};
-    for (auto &[key, queue] : sems)
-        sem_posts_[key] = std::move(queue);
-    exit_reclaimed_ = std::move(reclaimed);
-    shadow_ = {};
-    for (auto &[granule, var] : shadow)
-        shadow_[granule] = std::move(var);
-    alloc_sizes_ = {};
-    for (const auto &[addr, size] : allocs)
-        alloc_sizes_[addr] = size;
-    // Re-adding through add() rebuilds the dedup pair set exactly as
-    // the original insertions did.
-    report_ = RaceReport();
-    for (const DataRace &race : races)
-        report_.add(race);
-    stats_ = stats;
-    inc_ = inc;
-    events_at_last_gc_ = events_at_last_gc;
-    return true;
 }
 
 void

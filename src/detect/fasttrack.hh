@@ -54,7 +54,6 @@
 #include "detect/report.hh"
 #include "detect/vector_clock.hh"
 #include "support/flat_map.hh"
-#include "support/journal.hh"
 
 namespace prorace::detect {
 
@@ -115,7 +114,7 @@ struct FastTrackStats {
 struct IncrementalOptions {
     /**
      * Detect in streaming mode in the offline pipeline: batch
-     * boundaries, epoch GC and the checkpoint hooks run only when set.
+     * boundaries, epoch GC and the deadline tick run only when set.
      */
     bool enabled = false;
 
@@ -305,30 +304,6 @@ class FastTrack
 
     /** All required initial threads have appeared; GC may run. */
     bool gcUngated() const { return required_unseen_ == 0; }
-
-    // --- checkpoint serialization (service warm-start) ---
-    //
-    // The complete behavioral state — thread clocks and exit/retirement
-    // marks, the GC gate, lock/exit clocks, reclaim tombstones, shadow
-    // granules, allocation lifetimes, the report so far, and the
-    // behavior-neutral counters — round-trips through one versioned
-    // byte image. A restored detector fed the remainder of the original
-    // event feed produces a report byte-identical to one that ran
-    // uninterrupted (asserted in tests/test_recovery.cc). Tables are
-    // written key-sorted so the same state always serializes to the
-    // same bytes regardless of probe order. Options are not part of the
-    // state: the restoring instance keeps its own configuration (batch
-    // pacing may then differ, which only moves GC boundaries).
-
-    /** Append the full detector state to @p w. */
-    void serializeState(support::ByteWriter &w) const;
-
-    /**
-     * Replace this detector's state with one previously serialized.
-     * Returns false — leaving the detector unchanged — when the bytes
-     * are malformed or of an incompatible state version.
-     */
-    bool restoreState(support::ByteReader &r);
 
   private:
     /** Shadow state of one 8-byte granule, stored inline in the table. */

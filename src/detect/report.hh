@@ -44,16 +44,16 @@ struct RaceAccess {
 };
 
 /**
- * The one byte layout of a RaceAccess, shared by detector checkpoint
- * images and report-journal records: tid u32, insn_index u32, is_write
- * u8, tsc u64, origin u8.
+ * The byte layout of a RaceAccess in report-journal records
+ * (service/report_store.hh): tid u32, insn_index u32, is_write u8,
+ * tsc u64, origin u8.
  */
 void putRaceAccess(support::ByteWriter &w, const RaceAccess &access);
 
 /**
  * Read one access written by putRaceAccess(). False on a short read or
  * an origin byte that names no AccessOrigin, so a damaged or foreign
- * image is refused instead of carrying an invalid enum value.
+ * record is refused instead of carrying an invalid enum value.
  */
 bool getRaceAccess(support::ByteReader &r, RaceAccess &access);
 

@@ -1,12 +1,9 @@
 #include "service/service.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <stdexcept>
 
-#include "support/crc32.hh"
 #include "support/log.hh"
 
 namespace prorace::service {
@@ -20,95 +17,8 @@ struct DeadlineExceeded : std::runtime_error {
     }
 };
 
-constexpr uint32_t kCheckpointMagic = 0x4B435250; // "PRCK"
-constexpr uint32_t kCheckpointVersion = 1;
-
-/** A detector checkpoint file, parsed. */
-struct CheckpointImage {
-    uint64_t feed_cursor = 0;
-    uint64_t feed_total = 0;
-    std::vector<uint8_t> detector;
-};
-
-/**
- * Checkpoint file layout: magic, version, the stream identity it was
- * taken under (tenant, program, stream bytes + CRC), the feed cursor,
- * and the serialized detector, with a trailing CRC-32 over everything
- * before it. Written to a temp file and renamed into place, so a crash
- * mid-write leaves either the old checkpoint or none — never a torn
- * one (the trailing CRC catches torn temp files that got renamed by a
- * dying filesystem anyway).
- */
-bool
-writeCheckpointFile(const std::string &path, const std::string &tenant,
-                    const std::string &program_id, uint64_t stream_bytes,
-                    uint32_t stream_crc, uint64_t feed_cursor,
-                    uint64_t feed_total,
-                    const std::vector<uint8_t> &detector)
-{
-    support::ByteWriter w;
-    w.u32(kCheckpointMagic);
-    w.u32(kCheckpointVersion);
-    w.str(tenant);
-    w.str(program_id);
-    w.u64(stream_bytes);
-    w.u32(stream_crc);
-    w.u64(feed_cursor);
-    w.u64(feed_total);
-    w.blob(detector);
-    const uint32_t crc =
-        crc32(w.bytes().data(), w.bytes().size());
-    w.u32(crc);
-
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            return false;
-        out.write(reinterpret_cast<const char *>(w.bytes().data()),
-                  static_cast<std::streamsize>(w.bytes().size()));
-        if (!out)
-            return false;
-    }
-    return std::rename(tmp.c_str(), path.c_str()) == 0;
-}
-
-/**
- * Load and validate a checkpoint against the expected stream identity.
- * Any mismatch or damage means "no checkpoint" — the analysis cold-
- * starts, which is always correct.
- */
-bool
-loadCheckpointFile(const std::string &path, const std::string &tenant,
-                   const std::string &program_id, uint64_t stream_bytes,
-                   uint32_t stream_crc, CheckpointImage &image)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    std::vector<uint8_t> bytes(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
-    if (bytes.size() < 4)
-        return false;
-    const size_t body = bytes.size() - 4;
-    uint32_t stored_crc = 0;
-    for (int i = 0; i < 4; ++i)
-        stored_crc |= static_cast<uint32_t>(bytes[body + i]) << (8 * i);
-    if (crc32(bytes.data(), body) != stored_crc)
-        return false;
-    support::ByteReader r(bytes.data(), body);
-    if (r.u32() != kCheckpointMagic || r.u32() != kCheckpointVersion)
-        return false;
-    if (r.str() != tenant || r.str() != program_id)
-        return false;
-    if (r.u64() != stream_bytes || r.u32() != stream_crc)
-        return false;
-    image.feed_cursor = r.u64();
-    image.feed_total = r.u64();
-    image.detector = r.blob();
-    return r.ok();
-}
+/** Each retry waits this many times longer than the one before. */
+constexpr double kBackoffMultiplier = 2.0;
 
 } // namespace
 
@@ -121,8 +31,7 @@ AnalysisService::AnalysisService(const ServiceOptions &options)
 
     if (!options_.state_dir.empty()) {
         std::error_code ec;
-        std::filesystem::create_directories(
-            options_.state_dir + "/checkpoints", ec);
+        std::filesystem::create_directories(options_.state_dir, ec);
         if (ec) {
             warn("service: cannot create state dir '", options_.state_dir,
                  "': ", ec.message(), "; running without durability");
@@ -133,7 +42,7 @@ AnalysisService::AnalysisService(const ServiceOptions &options)
         journal_ = std::make_unique<support::Journal>();
         std::string error;
         const bool ok = journal_->open(
-            options_.state_dir + "/reports.jrnl", options_.journal,
+            options_.state_dir + "/reports.jrnl",
             [this](const support::JournalRecord &record) {
                 if (record.type == kReportIngestRecord &&
                     store_.applyIngestRecord(record.payload))
@@ -299,35 +208,6 @@ AnalysisService::pumpLoop()
     }
 }
 
-std::string
-AnalysisService::checkpointPath(const std::string &tenant,
-                                const std::string &program_id,
-                                uint64_t stream_bytes,
-                                uint32_t stream_crc) const
-{
-    if (options_.state_dir.empty())
-        return {};
-    // FNV-1a over the full stream identity; the stream CRC+length make
-    // accidental collisions across different byte streams irrelevant.
-    uint64_t h = 0xcbf29ce484222325ull;
-    auto mix = [&h](const void *data, size_t size) {
-        const auto *p = static_cast<const uint8_t *>(data);
-        for (size_t i = 0; i < size; ++i) {
-            h ^= p[i];
-            h *= 0x100000001b3ull;
-        }
-    };
-    mix(tenant.data(), tenant.size());
-    mix("\0", 1);
-    mix(program_id.data(), program_id.size());
-    mix(&stream_bytes, sizeof(stream_bytes));
-    mix(&stream_crc, sizeof(stream_crc));
-    char name[32];
-    std::snprintf(name, sizeof(name), "%016llx.ckpt",
-                  static_cast<unsigned long long>(h));
-    return options_.state_dir + "/checkpoints/" + name;
-}
-
 void
 AnalysisService::analyzeSession(std::shared_ptr<SessionState> session)
 {
@@ -335,11 +215,6 @@ AnalysisService::analyzeSession(std::shared_ptr<SessionState> session)
     outcome.session_id = session->id;
     outcome.tenant = session->tenant;
     outcome.program_id = session->program_id;
-
-    // Stream identity for checkpoint matching; finish() below does not
-    // change what feed() already accumulated.
-    const uint64_t stream_bytes = session->reader.streamBytes();
-    const uint32_t stream_crc = session->reader.streamCrc();
 
     auto finished = session->reader.finish();
     if (!finished.ok()) {
@@ -360,9 +235,9 @@ AnalysisService::analyzeSession(std::shared_ptr<SessionState> session)
     // service already parallelises across sessions on its own pool, and
     // executors must not nest there.
     opts.num_threads = 0;
+    // The service owns the tick: it is the session deadline, if any.
+    opts.checkpoint = core::CheckpointHooks{};
 
-    const std::string ckpt_path = checkpointPath(
-        session->tenant, session->program_id, stream_bytes, stream_crc);
     const SupervisionPolicy &sup = options_.supervision;
     double backoff = sup.backoff_initial_seconds;
     std::string last_error;
@@ -374,9 +249,7 @@ AnalysisService::analyzeSession(std::shared_ptr<SessionState> session)
                 options_.analysis_fault_injector(session->tenant,
                                                  session->id, attempt);
 
-            // Fresh hooks per attempt: the previous attempt's lambdas
-            // captured locals that are gone.
-            opts.checkpoint = core::CheckpointHooks{};
+            // Each attempt gets the whole deadline, from event zero.
             const auto deadline_start = std::chrono::steady_clock::now();
             if (sup.session_deadline_seconds > 0) {
                 const double limit = sup.session_deadline_seconds;
@@ -391,36 +264,9 @@ AnalysisService::analyzeSession(std::shared_ptr<SessionState> session)
                 };
             }
 
-            CheckpointImage image;
-            bool resumed = false;
-            uint64_t checkpoints_written = 0;
-            if (!ckpt_path.empty()) {
-                if (loadCheckpointFile(ckpt_path, session->tenant,
-                                       session->program_id, stream_bytes,
-                                       stream_crc, image)) {
-                    opts.checkpoint.restore = &image.detector;
-                    opts.checkpoint.resume_events = image.feed_cursor;
-                    opts.checkpoint.resume_feed_total = image.feed_total;
-                    opts.checkpoint.resumed = &resumed;
-                }
-                opts.checkpoint.on_boundary =
-                    [&](uint64_t cursor, uint64_t total,
-                        detect::FastTrack &detector) {
-                        support::ByteWriter w;
-                        detector.serializeState(w);
-                        if (writeCheckpointFile(
-                                ckpt_path, session->tenant,
-                                session->program_id, stream_bytes,
-                                stream_crc, cursor, total, w.bytes()))
-                            ++checkpoints_written;
-                    };
-            }
-
             core::OfflineAnalyzer analyzer(*session->program, opts);
             core::OfflineResult result = analyzer.analyze(loaded);
             outcome.ok = true;
-            outcome.warm_started = resumed;
-            outcome.checkpoints_written = checkpoints_written;
             outcome.report = std::move(result.report);
             outcome.detect_stats = result.detect_stats;
             outcome.incremental = result.incremental;
@@ -451,7 +297,7 @@ AnalysisService::analyzeSession(std::shared_ptr<SessionState> session)
         }
         std::this_thread::sleep_for(
             std::chrono::duration<double>(backoff));
-        backoff *= sup.backoff_multiplier;
+        backoff *= kBackoffMultiplier;
     }
     completeSession(session, std::move(outcome));
 }
@@ -496,9 +342,6 @@ AnalysisService::completeSession(
         ++ts.truncated_streams;
     ts.analysis_retries += outcome.attempts - 1;
     ts.deadline_timeouts += outcome.deadline_timeouts;
-    if (outcome.warm_started)
-        ++ts.warm_starts;
-    ts.checkpoints_written += outcome.checkpoints_written;
     if (outcome.quarantined) {
         ++ts.sessions_quarantined;
         const unsigned strikes =

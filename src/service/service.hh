@@ -29,15 +29,14 @@
  * and service-wide (the --stats rollup), not just kept from the last
  * run.
  *
- * With a state_dir configured the service is additionally crash-safe
- * and self-healing (DESIGN.md §15): the report store rides a
- * write-ahead journal (support/journal.hh) and recovers byte-
- * identically on restart; session analyses checkpoint the streaming
- * detector at epoch-GC boundaries and warm-start when the same byte
- * stream is analyzed again; and a SupervisionPolicy retries faulting
- * analyses with exponential backoff before quarantining the session —
- * and eventually the tenant — so a poisoned producer degrades into a
- * statistic instead of an outage.
+ * With a state_dir configured the report store rides a write-ahead
+ * journal (support/journal.hh) and recovers byte-identically on
+ * restart (DESIGN.md §15). With or without one, a SupervisionPolicy
+ * retries faulting analyses with exponential backoff before
+ * quarantining the session — and eventually the tenant — so a poisoned
+ * producer degrades into a statistic instead of an outage. A session's
+ * analysis keeps no state on disk: a re-streamed or retried session
+ * runs again from event zero and reports the same races.
  */
 
 #ifndef PRORACE_SERVICE_SERVICE_HH
@@ -81,17 +80,16 @@ namespace prorace::service {
 struct SupervisionPolicy {
     /**
      * Per-attempt analysis deadline in seconds; 0 disables. Enforced
-     * cooperatively at every streaming-detection batch boundary, so
-     * granularity is one batch. With checkpointing on (state_dir), a
-     * retried attempt warm-starts from the last checkpoint, so repeated
-     * timeouts still make forward progress.
+     * cooperatively by the deadline tick (core::CheckpointHooks), after
+     * every replay task and at every streaming-detection batch
+     * boundary. Every attempt starts again from event zero with the
+     * whole deadline.
      */
     double session_deadline_seconds = 0;
     /** Analysis attempts after the first before quarantining. */
     unsigned max_retries = 2;
-    /** Sleep before the first retry; doubles (multiplier) per retry. */
+    /** Sleep before the first retry; doubles per retry. */
     double backoff_initial_seconds = 0.05;
-    double backoff_multiplier = 2.0;
     /**
      * Quarantined sessions before the whole tenant is quarantined;
      * 0 = never quarantine tenants.
@@ -119,18 +117,13 @@ struct ServiceOptions {
      */
     core::OfflineOptions offline;
     /**
-     * Durable-state directory; empty = fully in-memory (the pre-crash-
-     * safety behavior). When set, the report store is backed by a
-     * write-ahead journal at <state_dir>/reports.jrnl — restart replays
-     * it and recovers the store byte-identically up to the last synced
-     * record — and session analyses checkpoint the streaming detector
-     * to <state_dir>/checkpoints/ at epoch-GC boundaries, so a
-     * re-streamed session (same tenant, program, and byte stream)
-     * warm-starts instead of re-detecting from event zero.
+     * Durable-state directory; empty = fully in-memory. When set, the
+     * report store is backed by a write-ahead journal at
+     * <state_dir>/reports.jrnl (the only file the service writes
+     * there): restart replays it and recovers the store
+     * byte-identically up to the last synced record.
      */
     std::string state_dir;
-    /** Journal durability knobs (sync cadence). */
-    support::Journal::Options journal;
     SupervisionPolicy supervision;
     /**
      * Test hook: called at the start of every analysis attempt
@@ -167,10 +160,6 @@ struct SessionOutcome {
     uint64_t deadline_timeouts = 0;
     /** Session quarantined (retries exhausted); implies !ok. */
     bool quarantined = false;
-    /** Analysis resumed from a detector checkpoint (warm start). */
-    bool warm_started = false;
-    /** Detector checkpoints written during this session's analysis. */
-    uint64_t checkpoints_written = 0;
 };
 
 /** Aggregated analysis counters (per tenant, and merged service-wide). */
@@ -199,8 +188,6 @@ struct TenantServiceStats {
     uint64_t sessions_quarantined = 0;
     uint64_t analysis_retries = 0;   ///< extra attempts beyond the first
     uint64_t deadline_timeouts = 0;  ///< attempts killed by the deadline
-    uint64_t warm_starts = 0;        ///< sessions resumed from checkpoint
-    uint64_t checkpoints_written = 0;
     bool quarantined = false;        ///< whole tenant quarantined
     RunningStat latency_seconds; ///< ingest-to-report per session
 
@@ -227,8 +214,6 @@ struct TenantServiceStats {
         sessions_quarantined += other.sessions_quarantined;
         analysis_retries += other.analysis_retries;
         deadline_timeouts += other.deadline_timeouts;
-        warm_starts += other.warm_starts;
-        checkpoints_written += other.checkpoints_written;
         quarantined = quarantined || other.quarantined;
         latency_seconds.merge(other.latency_seconds);
     }
@@ -342,11 +327,6 @@ class AnalysisService
     void analyzeSession(std::shared_ptr<SessionState> session);
     void completeSession(const std::shared_ptr<SessionState> &session,
                          SessionOutcome outcome);
-    /** Checkpoint file path of one stream identity ("" = disabled). */
-    std::string checkpointPath(const std::string &tenant,
-                               const std::string &program_id,
-                               uint64_t stream_bytes,
-                               uint32_t stream_crc) const;
     /** Abort every open (not yet closed) session of @p tenant. */
     void abortTenantSessionsLocked(const std::string &tenant);
 

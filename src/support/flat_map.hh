@@ -33,14 +33,6 @@ struct FlatMapStats {
     uint64_t lookups = 0;     ///< find/insert operations
     uint64_t probe_steps = 0; ///< slots inspected across all lookups
     uint64_t rehashes = 0;
-
-    double
-    meanProbe() const
-    {
-        return lookups ? static_cast<double>(probe_steps) /
-                static_cast<double>(lookups)
-                       : 0.0;
-    }
 };
 
 /** Open-addressing uint64_t -> Value table with inline storage. */

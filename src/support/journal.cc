@@ -95,12 +95,11 @@ Journal::~Journal()
 }
 
 bool
-Journal::open(const std::string &path, const Options &options,
+Journal::open(const std::string &path,
               const std::function<void(const JournalRecord &)> &replay,
               std::string *error)
 {
     close();
-    options_ = options;
     stats_ = JournalStats{};
 
     // Recover first from a plain read of the current image, then open
@@ -168,8 +167,7 @@ Journal::append(uint32_t type, const std::vector<uint8_t> &payload)
     size_bytes_ += frame.size();
     ++stats_.appended_records;
     stats_.appended_bytes += frame.size();
-    if (options_.sync_every_records &&
-        ++appends_since_sync_ >= options_.sync_every_records)
+    if (++appends_since_sync_ >= kSyncEveryRecords)
         sync();
     return true;
 }

@@ -22,16 +22,16 @@
  * recoverable iff every record before it is.
  *
  * Appends write() the framed record immediately and fsync() in batches
- * (every sync_every_records appends, configurable; sync() forces one).
+ * (every Journal::kSyncEveryRecords appends; sync() forces one).
  * A crash can lose at most the unsynced suffix; it can never corrupt
  * the synced prefix, because records are strictly appended and the
  * header of record N+1 lands after the last byte of record N.
  *
- * ByteWriter/ByteReader are the little-endian payload codec shared by
- * every journal payload (report-store ingest records, detector
- * checkpoints): length-prefixed strings, fixed-width integers, nested
- * blobs. ByteReader never reads out of bounds; any malformed payload
- * turns every subsequent read into zero/empty and latches ok() false.
+ * ByteWriter/ByteReader are the little-endian codec of journal payloads
+ * (report-store ingest records): length-prefixed strings and
+ * fixed-width integers. ByteReader never reads out of bounds; any
+ * malformed payload turns every subsequent read into zero/empty and
+ * latches ok() false.
  */
 
 #ifndef PRORACE_SUPPORT_JOURNAL_HH
@@ -44,7 +44,7 @@
 
 namespace prorace::support {
 
-/** Little-endian payload encoder for journal records and checkpoints. */
+/** Little-endian payload encoder for journal records. */
 class ByteWriter
 {
   public:
@@ -74,14 +74,6 @@ class ByteWriter
     {
         u32(static_cast<uint32_t>(s.size()));
         bytes_.insert(bytes_.end(), s.begin(), s.end());
-    }
-
-    /** Length-prefixed nested blob. */
-    void
-    blob(const std::vector<uint8_t> &b)
-    {
-        u32(static_cast<uint32_t>(b.size()));
-        bytes_.insert(bytes_.end(), b.begin(), b.end());
     }
 
     const std::vector<uint8_t> &bytes() const { return bytes_; }
@@ -144,17 +136,6 @@ class ByteReader
         std::string s(reinterpret_cast<const char *>(data_ + pos_), n);
         pos_ += n;
         return s;
-    }
-
-    std::vector<uint8_t>
-    blob()
-    {
-        const uint32_t n = u32();
-        if (!need(n))
-            return {};
-        std::vector<uint8_t> b(data_ + pos_, data_ + pos_ + n);
-        pos_ += n;
-        return b;
     }
 
     /** No read ran out of bounds so far. */
@@ -230,11 +211,8 @@ JournalScan scanJournalFile(const std::string &path);
 class Journal
 {
   public:
-    struct Options {
-        /** fsync after every Nth append (1 = every append, 0 = only on
-         *  sync()/close()). */
-        uint32_t sync_every_records = 8;
-    };
+    /** append() fsyncs after every this many appends. */
+    static constexpr uint32_t kSyncEveryRecords = 8;
 
     Journal() = default;
     ~Journal();
@@ -250,11 +228,9 @@ class Journal
      * be opened or truncated — a damaged tail is recovery, not an
      * error.
      */
-    bool open(const std::string &path, const Options &options,
+    bool open(const std::string &path,
               const std::function<void(const JournalRecord &)> &replay,
               std::string *error);
-
-    bool isOpen() const { return fd_ >= 0; }
 
     /**
      * Append one record. Returns false when the write failed (disk
@@ -278,7 +254,6 @@ class Journal
     int fd_ = -1;
     uint64_t size_bytes_ = 0;
     uint32_t appends_since_sync_ = 0;
-    Options options_;
     JournalStats stats_;
 };
 

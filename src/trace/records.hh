@@ -29,6 +29,14 @@ namespace prorace::trace {
 constexpr uint32_t kMaxThreads = 1024;
 
 /**
+ * Cores a trace may name. The writer records one PT stream per core or
+ * none, and the decoder sizes its per-stream tables by the stream
+ * count, so a meta naming more cores than this, or more PT streams
+ * than cores, is corrupt.
+ */
+constexpr uint32_t kMaxCores = 1024;
+
+/**
  * PT code-region filter: up to four [begin, end) instruction-index
  * ranges, matching the four address-range filter pairs of the PT
  * hardware. The online phase traces with it and records it in

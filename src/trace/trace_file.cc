@@ -833,6 +833,7 @@ parsePtFilter(Reader &r, PtFilter &filter)
 /**
  * Parse a meta payload. Returns false (leaving the outputs partially
  * filled) when the payload is short, its counts point past its end,
+ * it names more than kMaxCores cores or more PT streams than cores,
  * its thread table names a tid of kMaxThreads or more, or its PT
  * filter table is one the hardware cannot produce.
  */
@@ -843,6 +844,8 @@ parseMeta(const std::vector<uint8_t> &payload, TraceMeta &m,
 {
     Reader r(payload);
     m.num_cores = r.u32();
+    if (m.num_cores > kMaxCores)
+        return false;
     m.wall_cycles = r.u64();
     m.baseline_cycles = r.u64();
     m.total_insns = r.u64();
@@ -872,6 +875,8 @@ parseMeta(const std::vector<uint8_t> &payload, TraceMeta &m,
     expected_pebs = r.u64();
     expected_sync = r.u64();
     expected_pt = r.u32();
+    if (expected_pt > m.num_cores)
+        return false;
     m.compression.pebs_raw_bytes = r.u64();
     m.compression.pebs_encoded_bytes = r.u64();
     m.compression.sync_raw_bytes = r.u64();
@@ -977,11 +982,6 @@ TraceReader::feed(const uint8_t *data, size_t size)
     // would only grow memory without ever parsing anything.
     if (error_ || finished_)
         return;
-    // Stream identity for checkpoint validation: a reconnecting tenant
-    // re-streaming the same bytes must hash to the same (length, CRC)
-    // pair regardless of chunking.
-    stream_crc_ = crc32(data, size, stream_crc_);
-    stream_bytes_ += size;
     buf_.insert(buf_.end(), data, data + size);
 }
 

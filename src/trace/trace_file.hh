@@ -133,41 +133,17 @@ class TraceReader
     size_t poll();
 
     /**
-     * The stream is uninterpretable (bad magic, bad version, destroyed
-     * meta). Once set, further bytes are ignored and finish() returns
-     * this error.
+     * The latched hard error, if any: the stream is uninterpretable
+     * (bad magic, bad version, destroyed meta). Once set, further bytes
+     * are ignored and finish() returns this error.
      */
-    bool hardFailed() const { return error_.has_value(); }
-
-    /** The latched hard error, if any. */
     const TraceError *error() const
     {
         return error_ ? &*error_ : nullptr;
     }
 
-    /** True once the end-marker segment has been parsed. */
-    bool sawEnd() const { return saw_end_; }
-
     /** Segments consumed so far (parsed or skipped as damaged). */
     uint64_t segmentsParsed() const { return loaded_.loss.segments_seen; }
-
-    /** Total stream bytes the cursor has advanced past. */
-    uint64_t bytesConsumed() const { return origin_ + pos_; }
-
-    /**
-     * Total bytes accepted by feed() so far: the stream-identity
-     * length. Unlike bytesConsumed(), this includes buffered bytes the
-     * cursor has not parsed yet.
-     */
-    uint64_t streamBytes() const { return stream_bytes_; }
-
-    /**
-     * Running CRC-32 over every byte accepted by feed(), independent
-     * of chunking. Together with streamBytes() this identifies the
-     * byte stream, which is how the analysis service matches a
-     * re-streamed session against a saved detector checkpoint.
-     */
-    uint32_t streamCrc() const { return stream_crc_; }
 
     /** Bytes buffered but not yet consumed (in-flight segment tail). */
     size_t bytesBuffered() const { return buf_.size() - pos_; }
@@ -199,8 +175,6 @@ class TraceReader
     std::vector<uint8_t> buf_;
     size_t pos_ = 0;       ///< cursor into buf_
     uint64_t origin_ = 0;  ///< stream offset of buf_[0] (compaction)
-    uint64_t stream_bytes_ = 0; ///< bytes accepted by feed()
-    uint32_t stream_crc_ = 0;   ///< running CRC of the fed stream
     bool header_done_ = false;
     bool resyncing_ = false;
     bool have_meta_ = false;

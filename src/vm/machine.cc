@@ -507,7 +507,6 @@ Machine::executeInsn(ThreadContext &t, Core &core)
         const bool taken = isa::condHolds(insn.cond, t.flags);
         if (taken)
             next_ip = insn.target;
-        ++total_branches_;
         if (observer_) {
             BranchEvent ev{t.core, t.tid, index, taken, next_ip,
                            core.clock};
@@ -522,7 +521,6 @@ Machine::executeInsn(ThreadContext &t, Core &core)
 
       case Op::kJmpInd: {
         next_ip = static_cast<uint32_t>(readReg(t, insn.src));
-        ++total_branches_;
         if (observer_) {
             BranchEvent ev{t.core, t.tid, index, true, next_ip, core.clock};
             cost += observer_->onIndirectBranch(ev);
@@ -546,7 +544,6 @@ Machine::executeInsn(ThreadContext &t, Core &core)
         memory_.write(sp, index + 1, 8);
         t.regs.set(Reg::rsp, sp);
         next_ip = target;
-        ++total_branches_;
         if (observer_) {
             BranchEvent ev{t.core, t.tid, index, true, target, core.clock};
             cost += observer_->onIndirectBranch(ev);
@@ -559,7 +556,6 @@ Machine::executeInsn(ThreadContext &t, Core &core)
         cost += reportLoad(t, core, index, sp, 8, false);
         next_ip = static_cast<uint32_t>(memory_.read(sp, 8));
         t.regs.set(Reg::rsp, sp + 8);
-        ++total_branches_;
         if (observer_) {
             BranchEvent ev{t.core, t.tid, index, true, next_ip, core.clock};
             cost += observer_->onIndirectBranch(ev);

@@ -89,9 +89,6 @@ class Machine
     /** Total retired loads+stores across all threads. */
     uint64_t totalMemOps() const { return total_mem_ops_; }
 
-    /** Total retired conditional + indirect branches. */
-    uint64_t totalBranches() const { return total_branches_; }
-
     /** The oracle access log (empty unless record_memory_log). */
     const std::vector<MemoryLogEntry> &memoryLog() const { return mem_log_; }
 
@@ -211,7 +208,6 @@ class Machine
 
     uint64_t total_insns_ = 0;
     uint64_t total_mem_ops_ = 0;
-    uint64_t total_branches_ = 0;
     uint32_t live_threads_ = 0;
     std::vector<MemoryLogEntry> mem_log_;
     std::vector<std::pair<uint32_t, uint32_t>> path_log_; ///< (tid, insn)

@@ -34,9 +34,6 @@ class Memory
     /** Bulk copy @p bytes into memory at @p addr. */
     void writeBytes(uint64_t addr, const std::vector<uint8_t> &bytes);
 
-    /** Number of pages materialized so far. */
-    size_t pageCount() const { return pages_.size(); }
-
   private:
     using Page = std::array<uint8_t, kPageSize>;
 

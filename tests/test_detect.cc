@@ -12,7 +12,6 @@
 #include "detect/fasttrack_ref.hh"
 #include "detect/report.hh"
 #include "detect/vector_clock.hh"
-#include "support/journal.hh"
 
 #include "testutil.hh"
 
@@ -481,123 +480,6 @@ TEST(FastTrack, SharedAllAtomicReadersSuppressAtomicWriteOnly)
         ft.access(acc(0, 0x1000, true, 3, false)); // plain write races
         EXPECT_EQ(ft.report().size(), 1u);
     }
-}
-
-/** Serialized detector image, for byte-identity comparisons. */
-std::vector<uint8_t>
-stateBytes(const FastTrack &ft)
-{
-    support::ByteWriter w;
-    ft.serializeState(w);
-    return w.take();
-}
-
-TEST(FastTrack, SerializeRestoreRoundTripsRwAndSemState)
-{
-    // Checkpoint with live rwlock read-clocks, a non-empty semaphore
-    // post queue, and a read-shared granule; the restored detector must
-    // behave identically on the rest of the stream.
-    FastTrack a;
-    const uint64_t rw = 0xa000, sem = 0x5000;
-    a.fork(0, 1);
-    a.fork(0, 2);
-    a.readLock(1, rw);
-    a.access(acc(1, 0x1000, false, 1));
-    a.readUnlock(1, rw);
-    a.access(acc(2, 0x1000, false, 2)); // inflates to read-shared
-    a.access(acc(1, 0x2000, true, 3));
-    a.semPost(1, sem);
-    a.semPost(1, sem);
-
-    support::ByteWriter w;
-    a.serializeState(w);
-    const std::vector<uint8_t> image = w.take();
-    FastTrack b;
-    support::ByteReader r(image.data(), image.size());
-    ASSERT_TRUE(b.restoreState(r));
-
-    const auto replay_suffix = [&](FastTrack &ft) {
-        ft.semWait(0, sem);
-        ft.access(acc(0, 0x2000, false, 4)); // ordered by the post
-        ft.writeLock(0, rw);
-        // Ordered with t1's read via readUnlock, but t2 never
-        // unlocked: its shared read still races.
-        ft.access(acc(0, 0x1000, true, 5));
-        ft.writeUnlock(0, rw);
-        ft.access(acc(1, 0x3000, true, 6));
-        ft.access(acc(2, 0x3000, true, 7)); // unordered: races
-    };
-    replay_suffix(a);
-    replay_suffix(b);
-
-    EXPECT_EQ(a.report().size(), 2u);
-    EXPECT_TRUE(a.report().containsPair(2, 5));
-    EXPECT_TRUE(a.report().containsPair(6, 7));
-    EXPECT_EQ(stateBytes(a), stateBytes(b));
-}
-
-TEST(FastTrack, RestoreRejectsTruncatedSemSection)
-{
-    FastTrack a;
-    a.fork(0, 1);
-    a.semPost(1, 0x5000);
-    support::ByteWriter w;
-    a.serializeState(w);
-    std::vector<uint8_t> image = w.take();
-    image.resize(image.size() / 2);
-    FastTrack b;
-    b.access(acc(0, 0x9000, true, 9));
-    support::ByteReader r(image.data(), image.size());
-    EXPECT_FALSE(b.restoreState(r));
-    // The failed restore must leave b exactly as it was.
-    EXPECT_EQ(b.report().size(), 0u);
-    EXPECT_EQ(b.stats().writes, 1u);
-}
-
-TEST(FastTrack, RestoreRejectsUnknownAccessOrigin)
-{
-    // Two real images that differ only in the origin of one racing
-    // write locate that access's origin bytes (its shadow copy and its
-    // copy in the race list). An origin byte past kOracle names no
-    // AccessOrigin: restore refuses the image and leaves the detector
-    // as it was, so the analysis cold-starts.
-    const auto image_with = [](AccessOrigin origin) {
-        FastTrack ft;
-        ft.fork(0, 1);
-        MemAccess w = acc(1, 0x1000, true, 7);
-        w.origin = origin;
-        ft.access(acc(0, 0x1000, true, 3));
-        ft.access(w);
-        EXPECT_EQ(ft.report().size(), 1u);
-        return stateBytes(ft);
-    };
-    const std::vector<uint8_t> sampled =
-        image_with(AccessOrigin::kSampled);
-    const std::vector<uint8_t> forward =
-        image_with(AccessOrigin::kForward);
-    ASSERT_EQ(sampled.size(), forward.size());
-    std::vector<uint8_t> forged = sampled;
-    size_t origin_bytes = 0;
-    for (size_t i = 0; i < forged.size(); ++i) {
-        if (sampled[i] != forward[i]) {
-            forged[i] = 200;
-            ++origin_bytes;
-        }
-    }
-    ASSERT_GE(origin_bytes, 2u);
-
-    FastTrack ok;
-    support::ByteReader good(forward.data(), forward.size());
-    ASSERT_TRUE(ok.restoreState(good));
-    EXPECT_EQ(ok.report().races()[0].current.origin,
-              AccessOrigin::kForward);
-
-    FastTrack b;
-    b.access(acc(0, 0x9000, true, 9));
-    support::ByteReader r(forged.data(), forged.size());
-    EXPECT_FALSE(b.restoreState(r));
-    EXPECT_EQ(b.report().size(), 0u);
-    EXPECT_EQ(b.stats().writes, 1u);
 }
 
 /**

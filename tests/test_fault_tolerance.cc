@@ -398,11 +398,29 @@ TEST(FaultTolerance, HostileThreadIdsNeverReachTheDetector)
     bad_records[2].sync.push_back(sync);
 
     // Bad meta segments, each rejected whole: a thread table naming a
-    // huge tid, and PT filter tables the hardware cannot produce (five
-    // ranges, an inverted range). The writer cannot express those
-    // filters, so they are planted into its meta payload and re-CRC'd.
+    // huge tid, PT filter tables the hardware cannot produce (five
+    // ranges, an inverted range), more PT streams than cores, and more
+    // cores than trace::kMaxCores. The writer can express only the
+    // first, so the others are planted into its meta payload and
+    // re-CRC'd.
     trace::RunTrace bad_table = clean;
     bad_table.meta.threads.push_back({0xFFFFFFF0u, 0});
+    // Payload offset of the PT stream count: num_cores, ten u64
+    // counters, the first-period and thread tables, the PEBS and sync
+    // record counts.
+    const size_t pt_count_at = 4 + 10 * 8 + 4 +
+        8 * clean.meta.first_periods.size() + 4 +
+        8 * clean.meta.threads.size() + 2 * 8;
+    const auto withMetaU32 = [&](size_t at, uint32_t value) {
+        std::vector<uint8_t> bytes = tb.bytes;
+        const fault::SegmentSpan meta = fault::mapSegments(bytes)[0];
+        std::vector<uint8_t> payload = fault::segmentPayload(bytes, meta);
+        for (int i = 0; i < 4; ++i)
+            payload[at + i] = static_cast<uint8_t>(value >> (8 * i));
+        fault::rewriteSegmentPayload(bytes, meta, payload);
+        return bytes;
+    };
+    ASSERT_EQ(clean.pt.size(), clean.meta.num_cores);
     using Ranges = std::vector<std::pair<uint32_t, uint32_t>>;
     const auto withFilterTable = [&](const Ranges &ranges) {
         std::vector<uint8_t> bytes = tb.bytes;
@@ -432,6 +450,9 @@ TEST(FaultTolerance, HostileThreadIdsNeverReachTheDetector)
         trace::serializeTrace(bad_table),
         withFilterTable({{0, 10}, {20, 30}, {40, 50}, {60, 70}, {80, 90}}),
         withFilterTable({{0, 4096}, {200, 100}}),
+        withMetaU32(pt_count_at, clean.meta.num_cores + 3),
+        withMetaU32(pt_count_at, 0xFFFFFFFFu),
+        withMetaU32(0, trace::kMaxCores + 1), // num_cores
     };
 
     const std::string path = "/tmp/prorace_hostile_tid.trace";

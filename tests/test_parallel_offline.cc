@@ -6,8 +6,8 @@
  * For every workload, seed, and thread count, the executor placement
  * must produce a byte-identical race report, identical pipeline
  * statistics (everything except the wall-clock timers and the paged
- * ProgramMap counters), identical replay quarantine and identical
- * checkpoint-hook traffic to the calling-thread placement on the same
+ * ProgramMap counters), identical replay quarantine and the same
+ * number of deadline ticks as the calling-thread placement on the same
  * trace. The layered reference check also runs every subject in
  * RaceZ's basic-block mode, whose plan holds sample tasks only.
  */
@@ -19,7 +19,6 @@
 #include "analysis/analysis.hh"
 #include "asmkit/builder.hh"
 #include "core/pipeline.hh"
-#include "support/journal.hh"
 #include "workload/racybugs.hh"
 #include "workload/registry.hh"
 
@@ -440,14 +439,10 @@ TEST(ReferenceComposition, RegenerationRoundsMatchAnalyze)
         << "no seed exercised the regeneration loop";
 }
 
-/** What the checkpoint hooks saw during one analyze() call. */
+/** What the deadline tick saw during one analyze() call. */
 struct HookTrace {
     std::string report;
     uint64_t ticks = 0;
-    /** (feed cursor, feed total) of every on_boundary call, in order. */
-    std::vector<std::pair<uint64_t, uint64_t>> boundaries;
-    /** The detector image serialized at each boundary. */
-    std::vector<std::vector<uint8_t>> images;
 };
 
 HookTrace
@@ -456,23 +451,15 @@ analyzeWithHooks(const Program &program, const trace::RunTrace &run,
 {
     HookTrace seen;
     opt.checkpoint.tick = [&seen] { ++seen.ticks; };
-    opt.checkpoint.on_boundary =
-        [&seen](uint64_t cursor, uint64_t total,
-                 detect::FastTrack &detector) {
-            support::ByteWriter writer;
-            detector.serializeState(writer);
-            seen.boundaries.emplace_back(cursor, total);
-            seen.images.push_back(writer.take());
-        };
     core::OfflineAnalyzer analyzer(program, opt);
     seen.report = analyzer.analyze(run).report.format(&program);
     return seen;
 }
 
-TEST(ParallelOffline, CheckpointHooksFireAsInSerialRun)
+TEST(ParallelOffline, DeadlineTickFiresAsInSerialRun)
 {
-    // The deadline tick, the boundary cursor sequence and warm-start
-    // restore must behave identically however the stages before
+    // The deadline tick (after every replay task and at every detection
+    // batch boundary) must fire identically however the stages before
     // detection ran.
     workload::Workload w = workload::makeRacyBug("pbzip2-0.9.5", 0.4);
     auto cfg = core::proRaceConfig(8, 1, w.pt_filter);
@@ -484,9 +471,7 @@ TEST(ParallelOffline, CheckpointHooksFireAsInSerialRun)
     streaming.num_threads = 0;
     const HookTrace serial =
         analyzeWithHooks(*w.program, run.trace, streaming);
-    ASSERT_GT(serial.boundaries.size(), 2u);
     ASSERT_GT(serial.ticks, 0u);
-    const size_t mid = serial.boundaries.size() / 2;
 
     for (unsigned n : kThreadCounts) {
         SCOPED_TRACE("num_threads=" + std::to_string(n));
@@ -495,20 +480,6 @@ TEST(ParallelOffline, CheckpointHooksFireAsInSerialRun)
             analyzeWithHooks(*w.program, run.trace, streaming);
         EXPECT_EQ(par.report, serial.report);
         EXPECT_EQ(par.ticks, serial.ticks);
-        EXPECT_EQ(par.boundaries, serial.boundaries);
-
-        // Warm-start from the serial run's mid-feed image.
-        core::OfflineOptions resume = streaming;
-        bool resumed = false;
-        resume.checkpoint.restore = &serial.images[mid];
-        resume.checkpoint.resume_events = serial.boundaries[mid].first;
-        resume.checkpoint.resume_feed_total =
-            serial.boundaries[mid].second;
-        resume.checkpoint.resumed = &resumed;
-        core::OfflineAnalyzer analyzer(*w.program, resume);
-        const core::OfflineResult restored = analyzer.analyze(run.trace);
-        EXPECT_TRUE(resumed);
-        EXPECT_EQ(restored.report.format(w.program.get()), serial.report);
     }
 }
 
@@ -549,8 +520,8 @@ TEST(ParallelOffline, DeadlineTickFiresAfterEveryReplayTask)
 TEST(ParallelOffline, ThrowingTickAbortsBeforeDetection)
 {
     // A deadline that expires at the first tick stops the analysis in
-    // the replay stage: analyze() throws, detection never reaches a
-    // batch boundary, and no replay task outlives the call.
+    // the replay stage: analyze() throws after exactly one tick, so
+    // detection never ran, and no replay task outlives the call.
     Program p = globalRaceProgram(12000);
     auto cfg = core::proRaceConfig(25, 1);
     auto run = core::Session::run(
@@ -561,19 +532,13 @@ TEST(ParallelOffline, ThrowingTickAbortsBeforeDetection)
         opt.num_threads = n;
         opt.incremental.enabled = true;
         uint64_t ticks = 0;
-        uint64_t boundaries = 0;
         opt.checkpoint.tick = [&ticks] {
             ++ticks;
             throw std::runtime_error("deadline");
         };
-        opt.checkpoint.on_boundary = [&boundaries](uint64_t, uint64_t,
-                                                   detect::FastTrack &) {
-            ++boundaries;
-        };
         core::OfflineAnalyzer analyzer(p, opt);
         EXPECT_THROW(analyzer.analyze(run.trace), std::runtime_error);
         EXPECT_EQ(ticks, 1u);
-        EXPECT_EQ(boundaries, 0u);
     }
 }
 

@@ -2,10 +2,9 @@
  * @file
  * Tests for the crash-safety and self-healing layer: the write-ahead
  * journal's prefix-validity and torn-tail recovery, byte-identical
- * report-store reconstruction at every journal prefix, detector
- * checkpoint/restore identity with uninterrupted analysis, service
- * restart recovery and warm starts, and the supervision machinery
- * (retry, deadline, session and tenant quarantine).
+ * report-store reconstruction at every journal prefix, service restart
+ * recovery, and the supervision machinery (retry, deadline, session and
+ * tenant quarantine).
  */
 
 #include <gtest/gtest.h>
@@ -19,13 +18,10 @@
 #include <vector>
 
 #include "core/pipeline.hh"
-#include "detect/fasttrack.hh"
 #include "fault_injection.hh"
-#include "oracle/generator.hh"
 #include "service/fleet.hh"
 #include "service/report_store.hh"
 #include "service/service.hh"
-#include "support/crc32.hh"
 #include "support/journal.hh"
 #include "support/rng.hh"
 #include "testutil.hh"
@@ -35,8 +31,6 @@
 namespace prorace {
 namespace {
 
-using support::ByteReader;
-using support::ByteWriter;
 using support::Journal;
 using support::JournalRecord;
 using support::JournalScan;
@@ -174,7 +168,7 @@ TEST(Journal, AppendSyncReplayRoundTrip)
     {
         Journal j;
         std::string error;
-        ASSERT_TRUE(j.open(path, {}, nullptr, &error)) << error;
+        ASSERT_TRUE(j.open(path, nullptr, &error)) << error;
         for (const auto &[type, payload] : records)
             ASSERT_TRUE(j.append(type, payload));
         j.close();
@@ -184,7 +178,7 @@ TEST(Journal, AppendSyncReplayRoundTrip)
     std::string error;
     std::vector<JournalRecord> replayed;
     ASSERT_TRUE(j.open(
-        path, {},
+        path,
         [&](const JournalRecord &r) { replayed.push_back(r); }, &error))
         << error;
     ASSERT_EQ(replayed.size(), records.size());
@@ -212,7 +206,7 @@ TEST(Journal, TornTailTruncationSweep)
     {
         Journal j;
         std::string error;
-        ASSERT_TRUE(j.open(path, {}, nullptr, &error)) << error;
+        ASSERT_TRUE(j.open(path, nullptr, &error)) << error;
         for (uint32_t i = 0; i < 5; ++i)
             ASSERT_TRUE(j.append(i + 1, payloadOf(std::string(
                                              7 * i + 3, 'a' + char(i)))));
@@ -253,7 +247,7 @@ TEST(Journal, TornTailTruncationSweep)
     std::string error;
     size_t replayed = 0;
     ASSERT_TRUE(j.open(
-        torn_path, {}, [&](const JournalRecord &) { ++replayed; },
+        torn_path, [&](const JournalRecord &) { ++replayed; },
         &error))
         << error;
     EXPECT_EQ(replayed, 3u);
@@ -274,7 +268,7 @@ TEST(Journal, CorruptionInvalidatesRecordAndSuffix)
     {
         Journal j;
         std::string error;
-        ASSERT_TRUE(j.open(path, {}, nullptr, &error)) << error;
+        ASSERT_TRUE(j.open(path, nullptr, &error)) << error;
         for (uint32_t i = 0; i < 4; ++i)
             ASSERT_TRUE(j.append(i + 1, payloadOf("payload-" +
                                                   std::to_string(i))));
@@ -317,7 +311,7 @@ TEST(ReportStoreRecovery, EveryJournalPrefixReconstructsExactly)
     {
         Journal j;
         std::string error;
-        ASSERT_TRUE(j.open(path, {}, nullptr, &error)) << error;
+        ASSERT_TRUE(j.open(path, nullptr, &error)) << error;
         service::ReportStore store;
         store.bindJournal(&j);
         const detect::RaceReport r1 =
@@ -481,443 +475,7 @@ TEST(ReportStoreRecovery, JsonlEscapingRoundTrips)
 }
 
 // ---------------------------------------------------------------------
-// Detector checkpoint/restore identity (satellite: every subject)
-// ---------------------------------------------------------------------
-
-struct CapturedCheckpoint {
-    uint64_t cursor = 0;
-    uint64_t total = 0;
-    std::vector<uint8_t> image;
-};
-
-/**
- * Run streaming analysis capturing a checkpoint at every batch
- * boundary, then re-run restored from randomized checkpoints and
- * demand the byte-identical report.
- */
-void
-expectCheckpointIdentity(const asmkit::Program &program,
-                         const trace::RunTrace &trace, uint64_t seed,
-                         const std::string &label)
-{
-    core::OfflineOptions streaming;
-    streaming.incremental.enabled = true;
-    streaming.incremental.batch_events = 256; // many boundaries
-    streaming.incremental.gc_min_events = 64;
-
-    std::vector<CapturedCheckpoint> checkpoints;
-    core::OfflineOptions capture = streaming;
-    capture.checkpoint.on_boundary =
-        [&](uint64_t cursor, uint64_t total,
-            detect::FastTrack &detector) {
-            ByteWriter w;
-            detector.serializeState(w);
-            checkpoints.push_back({cursor, total, w.take()});
-        };
-    core::OfflineAnalyzer base_analyzer(program, capture);
-    const core::OfflineResult base = base_analyzer.analyze(trace);
-    const std::string expected = base.report.format(&program);
-    ASSERT_FALSE(checkpoints.empty()) << label;
-
-    // Randomized restore positions: the first boundary, the end-of-feed
-    // checkpoint, and a seeded-random interior one.
-    Rng rng(seed);
-    std::vector<size_t> picks = {0, checkpoints.size() - 1};
-    if (checkpoints.size() > 2)
-        picks.push_back(1 +
-                        static_cast<size_t>(
-                            rng.below(checkpoints.size() - 2)));
-    for (const size_t pick : picks) {
-        const CapturedCheckpoint &ckpt = checkpoints[pick];
-        core::OfflineOptions resume = streaming;
-        bool resumed = false;
-        resume.checkpoint.restore = &ckpt.image;
-        resume.checkpoint.resume_events = ckpt.cursor;
-        resume.checkpoint.resume_feed_total = ckpt.total;
-        resume.checkpoint.resumed = &resumed;
-        core::OfflineAnalyzer analyzer(program, resume);
-        const core::OfflineResult restored = analyzer.analyze(trace);
-        EXPECT_TRUE(resumed)
-            << label << ": checkpoint " << pick << " not applied";
-        EXPECT_EQ(restored.report.format(&program), expected)
-            << label << ": restore at feed cursor " << ckpt.cursor
-            << "/" << ckpt.total << " diverged from uninterrupted run";
-    }
-
-    // An identity mismatch (wrong feed size) must cold-start, not
-    // corrupt: resumed stays false and the report is still identical.
-    const CapturedCheckpoint &last = checkpoints.back();
-    core::OfflineOptions mismatch = streaming;
-    bool resumed = false;
-    mismatch.checkpoint.restore = &last.image;
-    mismatch.checkpoint.resume_events = last.cursor;
-    mismatch.checkpoint.resume_feed_total = last.total + 1;
-    mismatch.checkpoint.resumed = &resumed;
-    core::OfflineAnalyzer analyzer(program, mismatch);
-    const core::OfflineResult cold = analyzer.analyze(trace);
-    EXPECT_FALSE(resumed) << label;
-    EXPECT_EQ(cold.report.format(&program), expected) << label;
-
-    // A corrupt image likewise degrades to a cold start.
-    if (!last.image.empty()) {
-        std::vector<uint8_t> damaged = last.image;
-        damaged.resize(damaged.size() / 2);
-        core::OfflineOptions corrupt = streaming;
-        bool resumed_corrupt = false;
-        corrupt.checkpoint.restore = &damaged;
-        corrupt.checkpoint.resume_events = last.cursor;
-        corrupt.checkpoint.resume_feed_total = last.total;
-        corrupt.checkpoint.resumed = &resumed_corrupt;
-        core::OfflineAnalyzer c(program, corrupt);
-        const core::OfflineResult cold2 = c.analyze(trace);
-        EXPECT_FALSE(resumed_corrupt) << label;
-        EXPECT_EQ(cold2.report.format(&program), expected) << label;
-    }
-}
-
-TEST(CheckpointRestore, EveryRegistrySubject)
-{
-    const uint64_t seed = testutil::testSeed(71);
-    PRORACE_SEED_TRACE(seed);
-    for (const std::string &name : workload::allWorkloadNames()) {
-        auto w = workload::findWorkload(name, 0.1);
-        ASSERT_TRUE(w.has_value()) << name;
-        core::PipelineConfig cfg =
-            core::proRaceConfig(8, seed, w->pt_filter);
-        cfg.session.run_baseline = false;
-        core::RunArtifacts run =
-            core::Session::run(*w->program, w->setup, cfg.session);
-        expectCheckpointIdentity(*w->program, run.trace, seed + 1, name);
-    }
-}
-
-TEST(CheckpointRestore, OracleBattery)
-{
-    const uint64_t seed = testutil::testSeed(73);
-    PRORACE_SEED_TRACE(seed);
-    for (const oracle::GeneratorConfig &cfg :
-         oracle::standardBattery(seed, 3)) {
-        const oracle::GeneratedWorkload gw = oracle::generate(cfg);
-        core::PipelineConfig pc =
-            core::proRaceConfig(6, seed + 7, gw.workload.pt_filter);
-        pc.session.run_baseline = false;
-        core::RunArtifacts run = core::Session::run(
-            *gw.workload.program, gw.workload.setup, pc.session);
-        expectCheckpointIdentity(*gw.workload.program, run.trace,
-                                 seed + 13, gw.workload.name);
-    }
-}
-
-TEST(CheckpointRestore, SyncVocabularyOracles)
-{
-    // The new sync families exercise rwlock read-clocks, semaphore
-    // post queues, spinlock clocks, and atomic release chains; each
-    // must survive checkpoint/restore at randomized boundaries with a
-    // byte-identical report — racy and clean variants both.
-    const uint64_t seed = testutil::testSeed(107);
-    PRORACE_SEED_TRACE(seed);
-    oracle::GeneratorConfig racy;
-    racy.seed = seed;
-    racy.threads = 4;
-    racy.items = 40;
-    racy.racy_sites = 0;
-    racy.rw_racy_sites = 1;
-    racy.sem_racy_sites = 1;
-    racy.spin_racy_sites = 1;
-    racy.relaxed_racy_sites = 1;
-    oracle::GeneratorConfig clean = racy;
-    clean.seed = seed + 1;
-    clean.rw_racy_sites = clean.sem_racy_sites = 0;
-    clean.spin_racy_sites = clean.relaxed_racy_sites = 0;
-    clean.rw_locked_sites = 1;
-    clean.sem_signal_sites = 1;
-    clean.spin_locked_sites = 1;
-    clean.relacq_sites = 1;
-    for (const oracle::GeneratorConfig &cfg : {racy, clean}) {
-        const oracle::GeneratedWorkload gw = oracle::generate(cfg);
-        core::PipelineConfig pc =
-            core::proRaceConfig(6, seed + 3, gw.workload.pt_filter);
-        pc.session.run_baseline = false;
-        core::RunArtifacts run = core::Session::run(
-            *gw.workload.program, gw.workload.setup, pc.session);
-        expectCheckpointIdentity(*gw.workload.program, run.trace,
-                                 seed + 17, gw.workload.name);
-    }
-}
-
-TEST(CheckpointRestore, RwSharedAndSemStateSurviveGcBoundary)
-{
-    // Checkpoint taken at a GC-enabled batch boundary while a granule
-    // is rwlock read-shared and a semaphore has undelivered posts; the
-    // restored detector must agree with the original on any seeded
-    // continuation — same races AND byte-identical final state.
-    detect::IncrementalOptions options;
-    options.enabled = true;
-    options.enable_gc = true;
-    options.gc_min_events = 0; // sweep at every boundary
-    for (uint64_t seed : testutil::testSeeds({401ull, 409ull, 419ull})) {
-        PRORACE_SEED_TRACE(seed);
-        detect::FastTrack a(options);
-        for (uint32_t t = 0; t < 4; ++t)
-            a.requireThread(t);
-        for (uint32_t t = 1; t < 4; ++t)
-            a.fork(0, t);
-        // Live read-shared state: three rwlock readers, no writer yet.
-        for (uint32_t t = 1; t < 4; ++t) {
-            a.readLock(t, 0xa000);
-            detect::MemAccess ma;
-            ma.tid = t;
-            ma.addr = 0x1000;
-            ma.is_write = false;
-            ma.insn_index = t;
-            ma.tsc = 10 + t;
-            a.access(ma);
-            a.readUnlock(t, 0xa000);
-        }
-        // Live semaphore state: two posts queued, none consumed.
-        a.semInit(0, 0xb000, 0);
-        a.semPost(1, 0xb000);
-        a.semPost(2, 0xb000);
-        a.batchBoundary(100); // GC sweeps here with both structures live
-
-        ByteWriter w;
-        a.serializeState(w);
-        detect::FastTrack b(options);
-        ByteReader r(w.bytes());
-        ASSERT_TRUE(b.restoreState(r)) << "seed " << seed;
-
-        // Identical seeded continuation over both detectors, mixing
-        // the new primitives with plain accesses.
-        Rng rng(seed);
-        for (uint64_t i = 0; i < 600; ++i) {
-            const uint32_t tid = static_cast<uint32_t>(rng.below(4));
-            const uint64_t op = rng.below(10);
-            const uint64_t obj = 0xa000 + 0x100 * rng.below(2);
-            const uint64_t addr = 0x1000 + 8 * rng.below(4);
-            const uint32_t insn =
-                8 + static_cast<uint32_t>(rng.below(48));
-            const bool is_write = rng.below(2) == 0;
-            for (detect::FastTrack *ft : {&a, &b}) {
-                switch (op) {
-                  case 0: ft->readLock(tid, obj); break;
-                  case 1: ft->readUnlock(tid, obj); break;
-                  case 2: ft->writeLock(tid, obj); break;
-                  case 3: ft->writeUnlock(tid, obj); break;
-                  case 4: ft->semWait(tid, 0xb000); break;
-                  case 5: ft->semPost(tid, 0xb000); break;
-                  case 6: ft->acquireRelease(tid, 0xc000); break;
-                  default: {
-                      detect::MemAccess ma;
-                      ma.tid = tid;
-                      ma.addr = addr;
-                      ma.is_write = is_write;
-                      ma.insn_index = insn;
-                      ma.tsc = 200 + i;
-                      ft->access(ma);
-                      break;
-                  }
-                }
-            }
-            if (i % 128 == 127) {
-                a.batchBoundary(200 + i);
-                b.batchBoundary(200 + i);
-            }
-        }
-        a.finish();
-        b.finish();
-        EXPECT_EQ(a.report().format(nullptr), b.report().format(nullptr))
-            << "seed " << seed;
-        ByteWriter wa, wb;
-        a.serializeState(wa);
-        b.serializeState(wb);
-        EXPECT_EQ(wa.bytes(), wb.bytes()) << "seed " << seed;
-    }
-}
-
-TEST(CheckpointRestore, SerializedStateRoundTripsByteIdentically)
-{
-    detect::IncrementalOptions options;
-    options.enabled = true;
-    options.gc_min_events = 0;
-    detect::FastTrack a(options);
-    a.requireThread(0);
-    a.requireThread(1);
-    a.fork(0, 1);
-    detect::MemAccess ma;
-    ma.tid = 1;
-    ma.addr = 0x2000;
-    ma.is_write = true;
-    ma.insn_index = 2;
-    ma.tsc = 11;
-    a.access(ma);
-    a.release(1, 0x9000);
-    a.acquire(0, 0x9000);
-    a.batchBoundary(50);
-
-    ByteWriter w1;
-    a.serializeState(w1);
-
-    detect::FastTrack b(options);
-    ByteReader r(w1.bytes());
-    ASSERT_TRUE(b.restoreState(r));
-    ByteWriter w2;
-    b.serializeState(w2);
-    EXPECT_EQ(w1.bytes(), w2.bytes());
-
-    // Garbage never restores — and leaves the detector untouched.
-    std::vector<uint8_t> garbage = fault::poisonStream(64, 5);
-    ByteReader bad(garbage);
-    EXPECT_FALSE(b.restoreState(bad));
-    ByteWriter w3;
-    b.serializeState(w3);
-    EXPECT_EQ(w1.bytes(), w3.bytes());
-
-    // Both detectors see the same continuation and report identically.
-    for (detect::FastTrack *ft : {&a, &b}) {
-        detect::MemAccess racy;
-        racy.tid = 0;
-        racy.addr = 0x3000;
-        racy.is_write = true;
-        racy.insn_index = 5;
-        racy.tsc = 60;
-        ft->access(racy);
-        racy.tid = 1;
-        racy.insn_index = 6;
-        racy.tsc = 61;
-        ft->access(racy);
-        ft->finish();
-    }
-    EXPECT_EQ(a.report().format(nullptr), b.report().format(nullptr));
-}
-
-/**
- * A detector image in the layout used before the streaming bookkeeping
- * moved into FastTrack: a version-1 wrapper header (GC counters; seen,
- * required and retired bitmaps; exit TSCs; gate counters) in front of a
- * version-2 core image, here of an empty detector that requires
- * thread 0 and has seen it. Sets @p core_offset to where the core
- * image starts.
- */
-std::vector<uint8_t>
-legacyWrapperImage(size_t &core_offset)
-{
-    ByteWriter w;
-    w.u32(1); // wrapper layout version
-    for (int i = 0; i < 8; ++i)
-        w.u64(0); // events, batches, sweeps, gated, reclaimed x2, peaks
-    for (int i = 0; i < 3; ++i) {
-        w.u32(1); // seen, required, retired: one tid each
-        w.u8(i < 2 ? 1 : 0);
-    }
-    w.u32(0); // exit TSCs
-    w.u64(0); // required_unseen
-    w.u64(0); // events_at_last_gc
-    w.u8(0);  // exited_pending
-    core_offset = w.bytes().size();
-    w.u32(2); // core layout version
-    // Threads, lock/exit/rwlock-read clocks, semaphores, reclaim marks,
-    // shadow, allocations, races: all empty.
-    for (int i = 0; i < 9; ++i)
-        w.u32(0);
-    for (int i = 0; i < 10; ++i)
-        w.u64(0); // detector counters
-    return w.take();
-}
-
-/**
- * A version-3 detector image, the layout that still carried the two
- * run-folding counters after the six detector counters: an empty
- * detector that requires thread 0.
- */
-std::vector<uint8_t>
-version3Image()
-{
-    ByteWriter w;
-    w.u32(3); // layout version
-    // Threads, lock/exit/rwlock-read clocks, semaphores, reclaim marks,
-    // shadow, allocations, races: all empty.
-    for (int i = 0; i < 9; ++i)
-        w.u32(0);
-    for (int i = 0; i < 8; ++i)
-        w.u64(0); // detector counters, the two fold counters included
-    w.u32(1); // required: thread 0
-    w.u8(1);
-    for (int i = 0; i < 8; ++i)
-        w.u64(0); // GC counters, peaks, events at last sweep
-    return w.take();
-}
-
-TEST(CheckpointRestore, PreviousLayoutImageIsRejectedUnchanged)
-{
-    detect::IncrementalOptions options;
-    options.enabled = true;
-    options.gc_min_events = 0;
-    detect::FastTrack ft(options);
-    ft.requireThread(0);
-    ft.requireThread(1);
-    ft.fork(0, 1);
-    detect::MemAccess ma;
-    ma.tid = 1;
-    ma.addr = 0x2000;
-    ma.is_write = true;
-    ma.insn_index = 2;
-    ma.tsc = 11;
-    ft.access(ma);
-    ft.threadExit(1, 12);
-    ft.batchBoundary(50);
-    ByteWriter before;
-    ft.serializeState(before);
-
-    // Neither the old wrapper image, the old core image inside it, nor
-    // a version-3 image restores, and a failed restore changes nothing.
-    size_t core_offset = 0;
-    const std::vector<uint8_t> legacy = legacyWrapperImage(core_offset);
-    ByteReader wrapper(legacy);
-    EXPECT_FALSE(ft.restoreState(wrapper));
-    ByteReader core(legacy.data() + core_offset,
-                    legacy.size() - core_offset);
-    EXPECT_FALSE(ft.restoreState(core));
-    const std::vector<uint8_t> v3 = version3Image();
-    ByteReader v3_reader(v3);
-    EXPECT_FALSE(ft.restoreState(v3_reader));
-    ByteWriter after;
-    ft.serializeState(after);
-    EXPECT_EQ(before.bytes(), after.bytes());
-}
-
-// ---------------------------------------------------------------------
-// Stream identity (checkpoint matching key)
-// ---------------------------------------------------------------------
-
-TEST(StreamIdentity, IndependentOfChunking)
-{
-    const uint64_t seed = testutil::testSeed(79);
-    const std::vector<uint8_t> bytes = fault::poisonStream(10000, seed);
-
-    trace::TraceReader whole("whole");
-    whole.feed(bytes);
-    trace::TraceReader chunked("chunked");
-    Rng rng(seed + 1);
-    for (size_t off = 0; off < bytes.size();) {
-        const size_t len = std::min<size_t>(
-            1 + static_cast<size_t>(rng.below(777)), bytes.size() - off);
-        chunked.feed(bytes.data() + off, len);
-        off += len;
-    }
-    EXPECT_EQ(whole.streamBytes(), bytes.size());
-    EXPECT_EQ(whole.streamBytes(), chunked.streamBytes());
-    EXPECT_EQ(whole.streamCrc(), chunked.streamCrc());
-
-    // One flipped bit changes the identity.
-    std::vector<uint8_t> other = bytes;
-    fault::flipBitAt(other, bytes.size() / 2, 3);
-    trace::TraceReader different("different");
-    different.feed(other);
-    EXPECT_NE(whole.streamCrc(), different.streamCrc());
-}
-
-// ---------------------------------------------------------------------
-// Service: restart recovery, warm starts, supervision, quarantine
+// Service: restart recovery, supervision, quarantine
 // ---------------------------------------------------------------------
 
 service::ServiceOptions
@@ -932,7 +490,7 @@ durableOptions(const std::string &state_dir)
     return options;
 }
 
-TEST(ServiceRecovery, RestartRecoversStoreAndWarmStartsResubmission)
+TEST(ServiceRecovery, RestartRecoversStoreAndResubmission)
 {
     const uint64_t seed = testutil::testSeed(83);
     PRORACE_SEED_TRACE(seed);
@@ -953,8 +511,6 @@ TEST(ServiceRecovery, RestartRecoversStoreAndWarmStartsResubmission)
         const auto outcomes = svc.outcomes();
         ASSERT_EQ(outcomes.size(), 1u);
         EXPECT_TRUE(outcomes[0].ok) << outcomes[0].error;
-        EXPECT_FALSE(outcomes[0].warm_started); // nothing to resume yet
-        EXPECT_GT(outcomes[0].checkpoints_written, 0u);
         expected_report = outcomes[0].report.format(rec.program.get());
         sequence_before = outcomes[0].sequence;
 
@@ -979,9 +535,9 @@ TEST(ServiceRecovery, RestartRecoversStoreAndWarmStartsResubmission)
     EXPECT_EQ(svc.store().toJsonl(), jsonl_before);
     EXPECT_EQ(svc.store().maxSequence(), sequence_before);
 
-    // The same tenant re-streams the same bytes: the analysis
-    // warm-starts from the checkpoint the first process wrote, and the
-    // report is still byte-identical.
+    // The same tenant re-streams the same bytes: the analysis runs
+    // again from event zero and reports exactly what the first process
+    // did.
     const uint64_t id = svc.openSession("tenant-a", "aget-bug2");
     ASSERT_NE(id, 0u);
     streamSession(svc, id, rec.bytes);
@@ -989,86 +545,20 @@ TEST(ServiceRecovery, RestartRecoversStoreAndWarmStartsResubmission)
     const auto outcomes = svc.outcomes();
     ASSERT_EQ(outcomes.size(), 1u);
     EXPECT_TRUE(outcomes[0].ok) << outcomes[0].error;
-    EXPECT_TRUE(outcomes[0].warm_started);
     EXPECT_GT(outcomes[0].sequence, sequence_before);
     EXPECT_EQ(outcomes[0].report.format(rec.program.get()),
               expected_report);
-    EXPECT_EQ(svc.tenantStats().at("tenant-a").warm_starts, 1u);
 
     // Both observations of every race are now in the recovered store.
     for (const service::StoredRace &row : svc.store().query())
         EXPECT_EQ(row.observations, 2u);
     svc.shutdown();
-}
 
-TEST(ServiceRecovery, PreviousLayoutCheckpointColdStarts)
-{
-    // A checkpoint file written before the detector image changed
-    // layout: the file frame and stream identity still match, but the
-    // detector image inside is the old wrapper layout. The resubmitted
-    // session must cold-start and report exactly what a cold run does.
-    const uint64_t seed = testutil::testSeed(85);
-    PRORACE_SEED_TRACE(seed);
-    TempDir dir("svc-legacy-ckpt");
-    const Recorded rec = recordWorkload("aget-bug2", 0.3, 8, seed);
-
-    std::string expected_report;
-    {
-        service::AnalysisService svc(durableOptions(dir.path));
-        svc.registerProgram("aget-bug2", rec.program);
-        const uint64_t id = svc.openSession("tenant-a", "aget-bug2");
-        ASSERT_NE(id, 0u);
-        streamSession(svc, id, rec.bytes);
-        svc.drain();
-        const auto outcomes = svc.outcomes();
-        ASSERT_EQ(outcomes.size(), 1u);
-        ASSERT_TRUE(outcomes[0].ok) << outcomes[0].error;
-        ASSERT_GT(outcomes[0].checkpoints_written, 0u);
-        expected_report = outcomes[0].report.format(rec.program.get());
-        svc.shutdown();
-    }
-
-    // Swap the detector image for the old layout, keeping the rest of
-    // the file (magic, version, stream identity, cursor) and a valid
-    // trailing CRC.
+    // The journal is the only durable state the service keeps.
     std::vector<std::string> files;
-    for (const auto &entry : std::filesystem::directory_iterator(
-             dir.path + "/checkpoints"))
-        files.push_back(entry.path().string());
-    ASSERT_EQ(files.size(), 1u);
-    const std::vector<uint8_t> file = readFile(files[0]);
-    ASSERT_GT(file.size(), 4u);
-    ByteReader r(file.data(), file.size() - 4);
-    ByteWriter w;
-    w.u32(r.u32()); // magic
-    w.u32(r.u32()); // file version
-    w.str(r.str()); // tenant
-    w.str(r.str()); // program
-    w.u64(r.u64()); // stream bytes
-    w.u32(r.u32()); // stream CRC
-    w.u64(r.u64()); // feed cursor
-    w.u64(r.u64()); // feed total
-    r.blob();
-    ASSERT_TRUE(r.ok());
-    size_t core_offset = 0;
-    w.blob(legacyWrapperImage(core_offset));
-    w.u32(crc32(w.bytes().data(), w.bytes().size()));
-    writeFile(files[0], w.bytes());
-
-    service::AnalysisService svc(durableOptions(dir.path));
-    svc.registerProgram("aget-bug2", rec.program);
-    const uint64_t id = svc.openSession("tenant-a", "aget-bug2");
-    ASSERT_NE(id, 0u);
-    streamSession(svc, id, rec.bytes);
-    svc.drain();
-    const auto outcomes = svc.outcomes();
-    ASSERT_EQ(outcomes.size(), 1u);
-    EXPECT_TRUE(outcomes[0].ok) << outcomes[0].error;
-    EXPECT_FALSE(outcomes[0].warm_started);
-    EXPECT_EQ(outcomes[0].report.format(rec.program.get()),
-              expected_report);
-    EXPECT_EQ(svc.tenantStats().at("tenant-a").warm_starts, 0u);
-    svc.shutdown();
+    for (const auto &entry : std::filesystem::directory_iterator(dir.path))
+        files.push_back(entry.path().filename().string());
+    EXPECT_EQ(files, std::vector<std::string>{"reports.jrnl"});
 }
 
 TEST(ServiceRecovery, TornJournalTailRecoversValidPrefix)
@@ -1081,7 +571,7 @@ TEST(ServiceRecovery, TornJournalTailRecoversValidPrefix)
     {
         Journal j;
         std::string error;
-        ASSERT_TRUE(j.open(path, {}, nullptr, &error)) << error;
+        ASSERT_TRUE(j.open(path, nullptr, &error)) << error;
         service::ReportStore store;
         store.bindJournal(&j);
         store.ingest("a", "p", reportOf({makeRace(1, 2, true, true, 8)}),
