@@ -109,13 +109,21 @@ struct Args {
 };
 
 /**
- * `--stats` dump: the paged-ProgramMap and FastTrack shadow counters
- * behind one offline analysis, for eyeballing structure behavior on
- * real workloads without a profiler.
+ * `--stats` dump: the alignment work counters and the paged-ProgramMap
+ * and FastTrack shadow counters behind one offline analysis, for
+ * eyeballing structure behavior on real workloads without a profiler.
  */
 void
 printShadowStats(const core::OfflineResult &result)
 {
+    const replay::AlignStats &al = result.align_stats;
+    std::printf("align: %llu samples matched, %llu unmatched, "
+                "%llu candidates examined, %llu rejected\n",
+                static_cast<unsigned long long>(al.samples_matched),
+                static_cast<unsigned long long>(al.samples_unmatched),
+                static_cast<unsigned long long>(al.candidates_examined),
+                static_cast<unsigned long long>(al.candidates_rejected));
+
     const replay::ProgramMapStats &pm = result.replay_stats.program_map;
     const double hit_rate = pm.page_lookups
         ? 100.0 * static_cast<double>(pm.cache_hits) /

@@ -417,17 +417,18 @@ class Lane
 };
 
 /**
- * Tasks submitted to the executor whose results the commit has not
- * taken yet. Destruction waits for every one of them: they replay on
- * lanes and read tasks of the frame that holds this, so an exception
- * must not unwind that frame under a running task.
+ * Tasks submitted to the executor whose results the caller has not
+ * taken yet. Destruction waits for every one of them: they read and
+ * write state of the frame that holds this (replay lanes, decode
+ * shards, alignments), so an exception must not unwind that frame
+ * under a running task.
  */
-struct InFlight {
-    std::deque<exec::Future<TaskResult>> futures;
+template <typename T> struct InFlight {
+    std::deque<exec::Future<T>> futures;
 
     ~InFlight()
     {
-        for (exec::Future<TaskResult> &f : futures) {
+        for (exec::Future<T> &f : futures) {
             try {
                 f.get();
             } catch (...) {
@@ -435,6 +436,34 @@ struct InFlight {
         }
     }
 };
+
+/**
+ * Run fn(0) .. fn(count - 1) on @p ex, or in order on the calling
+ * thread when it is null, and call @p done (when set) on the calling
+ * thread once per task, in index order, as each one finishes. A task's
+ * exception is rethrown in its turn.
+ */
+void
+runInOrder(exec::Executor *ex, size_t count,
+           const std::function<void(size_t)> &fn,
+           const std::function<void()> &done)
+{
+    InFlight<void> in_flight;
+    if (ex) {
+        for (size_t i = 0; i < count; ++i)
+            in_flight.futures.push_back(ex->submit([&fn, i] { fn(i); }));
+    }
+    for (size_t i = 0; i < count; ++i) {
+        if (ex) {
+            in_flight.futures.front().get();
+            in_flight.futures.pop_front();
+        } else {
+            fn(i);
+        }
+        if (done)
+            done();
+    }
+}
 
 } // namespace
 
@@ -455,22 +484,57 @@ OfflineAnalyzer::decode(const trace::RunTrace &run, exec::Executor *ex,
     // One shard per PT stream, on the executor or on the calling thread.
     std::vector<Paths> shards(run.pt.size());
     std::vector<pmu::PtDecodeStats> shard_stats(run.pt.size());
-    const auto decode_shard = [&](uint64_t core) {
-        shards[core] = pmu::decodePtStream(program_, run.meta.pt_filter, run,
-                                           core, &shard_stats[core]);
-    };
-    if (ex) {
-        ex->parallelFor(run.pt.size(), decode_shard);
-    } else {
-        for (size_t core = 0; core < run.pt.size(); ++core)
-            decode_shard(core);
-    }
+    runInOrder(
+        ex, run.pt.size(),
+        [&](size_t core) {
+            shards[core] = pmu::decodePtStream(program_, run.meta.pt_filter,
+                                               run, core, &shard_stats[core]);
+        },
+        deadlineTick());
 
     if (stats) {
         for (const pmu::PtDecodeStats &s : shard_stats)
             stats->merge(s);
     }
     return pmu::mergePtShards(std::move(shards), stats);
+}
+
+OfflineAnalyzer::Alignments
+OfflineAnalyzer::align(const trace::RunTrace &run, const Paths &paths,
+                       exec::Executor *ex, replay::AlignStats *stats)
+{
+    // Threads align independently over one read-only index; each task
+    // keeps its own counters, which fold as sums in tid order.
+    const replay::AlignIndex index(run);
+    std::vector<Paths::const_iterator> threads;
+    for (auto it = paths.begin(); it != paths.end(); ++it)
+        threads.push_back(it);
+    std::vector<replay::ThreadAlignment> aligned(threads.size());
+    std::vector<replay::AlignStats> thread_stats(threads.size());
+    runInOrder(
+        ex, threads.size(),
+        [&](size_t i) {
+            aligned[i] = replay::alignThread(
+                program_, threads[i]->first, threads[i]->second, run, index,
+                &thread_stats[i], analysis_.get());
+        },
+        deadlineTick());
+
+    Alignments out;
+    for (size_t i = 0; i < threads.size(); ++i) {
+        if (stats)
+            stats->merge(thread_stats[i]);
+        out.emplace_hint(out.end(), threads[i]->first, std::move(aligned[i]));
+    }
+    return out;
+}
+
+std::function<void()>
+OfflineAnalyzer::deadlineTick() const
+{
+    if (!options_.incremental.enabled)
+        return {};
+    return options_.checkpoint.tick;
 }
 
 std::vector<replay::ReconstructedAccess>
@@ -492,7 +556,7 @@ OfflineAnalyzer::reconstruct(const trace::RunTrace &run, const Paths &paths,
     // workers never wait for the commit.
     Lane caller(program_, replay_config);
     std::deque<Lane> worker_lanes;
-    InFlight in_flight;
+    InFlight<TaskResult> in_flight;
     size_t next_submit = 0;
     size_t max_in_flight = 0;
     if (ex) {
@@ -539,8 +603,7 @@ OfflineAnalyzer::reconstruct(const trace::RunTrace &run, const Paths &paths,
 
     // The deadline tick fires after every committed task, in streaming
     // mode like every hook.
-    const std::function<void()> &tick = options_.checkpoint.tick;
-    const bool ticking = options_.incremental.enabled && tick;
+    const std::function<void()> tick = deadlineTick();
     refill(); // nothing to submit at num_threads 0
     for (const Replayer::Task &t : plan.tasks) {
         if (!run_task(t)) {
@@ -560,7 +623,7 @@ OfflineAnalyzer::reconstruct(const trace::RunTrace &run, const Paths &paths,
                     ++result.quarantine.windows_quarantined;
             }
         }
-        if (ticking)
+        if (tick)
             tick();
     }
     Replayer::sortByTsc(accesses);
@@ -637,9 +700,7 @@ OfflineAnalyzer::analyzeRun(const trace::RunTrace &run,
         paths = decode(run, ex, &result.decode_stats);
         result.decode_seconds = timer.lap();
 
-        alignments = replay::alignTrace(program_, paths, run,
-                                        &result.align_stats,
-                                        analysis_.get());
+        alignments = align(run, paths, ex, &result.align_stats);
         result.reconstruct_seconds += timer.lap();
     }
 

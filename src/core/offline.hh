@@ -35,12 +35,14 @@ namespace prorace::core {
  */
 struct CheckpointHooks {
     /**
-     * Fired on the calling thread after every committed replay task,
-     * at every streaming-detection batch boundary, and once after the
-     * final event, in every round. Decode and alignment run without a
-     * tick. May throw to abort the analysis — this is how the service
-     * enforces per-session deadlines cooperatively; the exception
-     * propagates out of analyze() once no replay task is running.
+     * Fired on the calling thread after every decoded PT stream and
+     * every aligned thread, after every committed replay task, at
+     * every streaming-detection batch boundary, and once after the
+     * final event, in every round; the count is the same at every
+     * num_threads. May throw to abort the analysis — this is how the
+     * service enforces per-session deadlines cooperatively; the
+     * exception propagates out of analyze() once no task of the call
+     * is running.
      */
     std::function<void()> tick;
 };
@@ -198,12 +200,12 @@ struct OfflineResult {
  * There is one decode routine (per-core PT decode shards, merged) and
  * one reconstruction routine (the tasks of replay::Replayer::plan,
  * committed in plan order, failed tasks retried per unit and
- * quarantined). OfflineOptions::num_threads only picks where the
- * shards and tasks run: on the calling thread at 0, on a per-call
- * N-worker executor at N > 0. Basic-block (RaceZ) mode skips decode
- * and alignment; its plan is sample tasks only. Prefiltering,
- * detection and the deadline tick run on the calling thread
- * (DESIGN.md §8).
+ * quarantined). Alignment runs one task per thread.
+ * OfflineOptions::num_threads only picks where the shards and tasks
+ * run: on the calling thread at 0, on a per-call N-worker executor at
+ * N > 0. Basic-block (RaceZ) mode skips decode and alignment; its plan
+ * is sample tasks only. Prefiltering, detection and the deadline tick
+ * run on the calling thread (DESIGN.md §8).
  */
 class OfflineAnalyzer
 {
@@ -256,6 +258,18 @@ class OfflineAnalyzer
      */
     Paths decode(const trace::RunTrace &run, exec::Executor *ex,
                  pmu::PtDecodeStats *stats);
+
+    /**
+     * Align every thread of @p paths (replay::alignThread over one
+     * shared replay::AlignIndex), one task per thread on @p ex or on
+     * the calling thread when it is null; the per-thread counters add
+     * up into @p stats.
+     */
+    Alignments align(const trace::RunTrace &run, const Paths &paths,
+                     exec::Executor *ex, replay::AlignStats *stats);
+
+    /** The deadline tick in streaming mode, else an empty function. */
+    std::function<void()> deadlineTick() const;
 
     /**
      * One replay pass with the given blacklist, its tasks on the

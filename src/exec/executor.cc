@@ -92,27 +92,6 @@ Executor::workerLoop(unsigned index)
     }
 }
 
-void
-Executor::parallelFor(uint64_t count,
-                      const std::function<void(uint64_t)> &fn)
-{
-    std::vector<Future<void>> futures;
-    futures.reserve(count);
-    for (uint64_t i = 0; i < count; ++i)
-        futures.push_back(submit([&fn, i] { fn(i); }));
-    std::exception_ptr first_error;
-    for (auto &f : futures) {
-        try {
-            f.get();
-        } catch (...) {
-            if (!first_error)
-                first_error = std::current_exception();
-        }
-    }
-    if (first_error)
-        std::rethrow_exception(first_error);
-}
-
 ExecutorStats
 Executor::stats() const
 {

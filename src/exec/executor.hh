@@ -110,13 +110,6 @@ class Executor
         return future;
     }
 
-    /**
-     * Run fn(i) for i in [0, count) across the pool and wait for all;
-     * the first captured exception is rethrown.
-     */
-    void parallelFor(uint64_t count,
-                     const std::function<void(uint64_t)> &fn);
-
     /** Snapshot of the counters. */
     ExecutorStats stats() const;
 

@@ -153,9 +153,14 @@ runFleet(const FleetConfig &config)
             std::max(result.session_peak_granules,
                      outcome.incremental.peak_live_granules);
     result.tenants = service.tenantStats();
-    result.stats = service.stats();
     result.report_jsonl = service.store().toJsonl();
+    // Snapshot after shutdown, so the journal's close-time sync is
+    // counted. Shutdown retires the worker pool; its counters come from
+    // the drained service.
+    const exec::ExecutorStats executor = service.stats().executor;
     service.shutdown();
+    result.stats = service.stats();
+    result.stats.executor = executor;
     return result;
 }
 

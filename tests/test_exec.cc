@@ -98,17 +98,6 @@ TEST(Executor, NestedSubmissionFromWorkers)
     EXPECT_EQ(leaves.load(), 64);
 }
 
-TEST(Executor, ParallelForCoversRange)
-{
-    Executor ex(4);
-    std::vector<std::atomic<int>> touched(257);
-    ex.parallelFor(touched.size(), [&](uint64_t i) {
-        touched[i].fetch_add(1, std::memory_order_relaxed);
-    });
-    for (const auto &t : touched)
-        EXPECT_EQ(t.load(), 1);
-}
-
 TEST(Executor, OneWorkerRunsTasksInSubmissionOrder)
 {
     // The plan-order commit waits on the oldest outstanding task, so

@@ -629,6 +629,7 @@ resultDigest(const core::OfflineResult &r, const asmkit::Program &program)
         << r.decode_stats.split_threads << "\nalign "
         << r.align_stats.samples_matched << ' '
         << r.align_stats.samples_unmatched << ' '
+        << r.align_stats.candidates_examined << ' '
         << r.align_stats.candidates_rejected << "\nreplay " << rs.sampled
         << ' ' << rs.recovered_forward << ' ' << rs.recovered_backward << ' '
         << rs.recovered_pcrel << ' '

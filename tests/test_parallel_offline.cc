@@ -73,6 +73,8 @@ expectEquivalent(const Program &program, const trace::RunTrace &run,
               p.align_stats.samples_matched);
     EXPECT_EQ(s.align_stats.samples_unmatched,
               p.align_stats.samples_unmatched);
+    EXPECT_EQ(s.align_stats.candidates_examined,
+              p.align_stats.candidates_examined);
     EXPECT_EQ(s.align_stats.candidates_rejected,
               p.align_stats.candidates_rejected);
 
@@ -486,10 +488,10 @@ TEST(ParallelOffline, DeadlineTickFiresAsInSerialRun)
 TEST(ParallelOffline, DeadlineTickFiresAfterEveryReplayTask)
 {
     // With one batch spanning the whole feed, detection ticks once (at
-    // end of feed); every other tick follows a committed replay task, so
-    // a round ticks tasks + 1 times at every num_threads. At N > 0 the
-    // executor ran one task per PT stream (decode) plus one per replay
-    // task.
+    // end of feed); every other tick follows a decoded PT stream, an
+    // aligned thread or a committed replay task. At N > 0 each of those
+    // is one executor task, so the run ticks submitted + 1 times, and
+    // the same count at every num_threads.
     Program p = globalRaceProgram(12000);
     auto cfg = core::proRaceConfig(25, 1);
     auto run = core::Session::run(
@@ -510,9 +512,7 @@ TEST(ParallelOffline, DeadlineTickFiresAfterEveryReplayTask)
         core::OfflineAnalyzer analyzer(p, opt);
         EXPECT_EQ(analyzer.analyze(run.trace).report.format(&p),
                   serial.report);
-        const uint64_t tasks =
-            analyzer.executorStats().submitted - run.trace.pt.size();
-        EXPECT_EQ(ticks, tasks + 1);
+        EXPECT_EQ(ticks, analyzer.executorStats().submitted + 1);
         EXPECT_EQ(ticks, serial.ticks);
     }
 }
@@ -520,8 +520,9 @@ TEST(ParallelOffline, DeadlineTickFiresAfterEveryReplayTask)
 TEST(ParallelOffline, ThrowingTickAbortsBeforeDetection)
 {
     // A deadline that expires at the first tick stops the analysis in
-    // the replay stage: analyze() throws after exactly one tick, so
-    // detection never ran, and no replay task outlives the call.
+    // the decode stage: analyze() throws after exactly one tick, after
+    // the first PT stream, so alignment, replay and detection never
+    // ran, and no task outlives the call.
     Program p = globalRaceProgram(12000);
     auto cfg = core::proRaceConfig(25, 1);
     auto run = core::Session::run(

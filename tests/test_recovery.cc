@@ -789,5 +789,28 @@ TEST(FleetSimulator, PoisonTenantsDegradeIntoStatistics)
     EXPECT_EQ(result.stats.rollup.sessions_completed, 4u);
 }
 
+TEST(FleetSimulator, DurableFleetCountsTheCloseTimeSync)
+{
+    // The journal syncs every few records and once more when shutdown
+    // closes it; the fleet's stats are taken after shutdown, so a run
+    // that appended anything reports at least that last sync.
+    TempDir dir("fleet-durable");
+    service::FleetConfig cfg;
+    cfg.producers = 1;
+    cfg.sessions_per_producer = 2;
+    cfg.subjects = {"aget-bug2"};
+    cfg.scale = 0.3;
+    cfg.period = 8;
+    cfg.seed = testutil::testSeed(53); // samples the aget race
+    cfg.service.num_workers = 1;
+    cfg.service.state_dir = dir.path;
+    const service::FleetResult result = service::runFleet(cfg);
+
+    EXPECT_TRUE(result.stats.durable);
+    ASSERT_GT(result.stats.journal.appended_records, 0u);
+    EXPECT_GE(result.stats.journal.syncs, 1u);
+    EXPECT_EQ(result.stats.rollup.sessions_completed, 2u);
+}
+
 } // namespace
 } // namespace prorace
