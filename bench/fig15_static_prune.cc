@@ -2,9 +2,10 @@
  * @file
  * Figure 15 (beyond the paper): what the static access prefilter buys
  * the offline phase — extended-trace events pruned before FastTrack
- * and the resulting detection-stage speedup — measured on real
- * registry workloads, plus an oracle cell proving the pruning is
- * report-neutral.
+ * and the resulting speedup of replay plus detection (the prefilter
+ * runs on the replay lanes, so its cost is charged to reconstruction)
+ * — measured on real registry workloads, plus an oracle cell proving
+ * the pruning is report-neutral.
  *
  * For each subject workload the online phase runs once; the same trace
  * is then analyzed twice per trial, prefilter on and off. Self-asserted
@@ -13,8 +14,8 @@
  *     off, on every subject and every planted-race oracle workload
  *     (recall and precision exactly equal by construction);
  *   - at least one subject prunes a nonzero fraction of events;
- *   - at least one subject's median detection stage (prefilter cost
- *     included) is no slower with the prefilter on.
+ *   - at least one subject's median replay plus detection (prefilter
+ *     cost included) is no slower with the prefilter on.
  *
  * `--json <path>` writes per-trial JSONL rows; `--jobs N` sets the
  * analysis thread count (default 2).
@@ -60,14 +61,13 @@ main(int argc, char **argv)
 
     bench::banner("Figure 15",
                   "Static escape-analysis prefilter: events pruned "
-                  "before FastTrack and detection-stage speedup, with "
+                  "before FastTrack and replay+detection speedup, with "
                   "report identity asserted.");
     std::printf("jobs = %u, trials = %d, period = %llu\n\n", jobs,
                 trials,
                 static_cast<unsigned long long>(kPeriod));
     std::printf("%-14s %10s %10s %8s %10s %10s %8s\n", "workload",
-                "events", "pruned", "frac", "detect_on", "detect_off",
-                "speedup");
+                "events", "pruned", "frac", "rd_on", "rd_off", "speedup");
 
     bool ok = true;
     double best_frac = 0.0;
@@ -91,7 +91,8 @@ main(int argc, char **argv)
         core::OfflineOptions off = on;
         off.static_prefilter = false;
 
-        std::vector<double> detect_on, detect_off;
+        // Replay plus detection: the stages the prefilter changes.
+        std::vector<double> rd_on, rd_off;
         uint64_t events = 0, pruned = 0;
         oracle::RacePairSet pairs_on, pairs_off;
         for (int trial = 0; trial < trials; ++trial) {
@@ -100,8 +101,9 @@ main(int argc, char **argv)
             core::OfflineAnalyzer a_off(*w->program, off);
             core::OfflineResult r_off = a_off.analyze(run.trace);
 
-            detect_on.push_back(r_on.detect_seconds);
-            detect_off.push_back(r_off.detect_seconds);
+            rd_on.push_back(r_on.reconstruct_seconds + r_on.detect_seconds);
+            rd_off.push_back(r_off.reconstruct_seconds +
+                             r_off.detect_seconds);
             events = r_on.prefilter.events_seen;
             pruned = r_on.prefilter.pruned();
             pairs_on = oracle::reportPairs(r_on.report);
@@ -133,13 +135,15 @@ main(int argc, char **argv)
                   static_cast<double>(r_on.prefilter.sites_total)},
                  {"detect_on_s", r_on.detect_seconds},
                  {"detect_off_s", r_off.detect_seconds},
+                 {"reconstruct_on_s", r_on.reconstruct_seconds},
+                 {"reconstruct_off_s", r_off.reconstruct_seconds},
                  {"total_on_s", r_on.totalSeconds()},
                  {"total_off_s", r_off.totalSeconds()},
                  {"pairs", static_cast<double>(pairs_on.size())}});
         }
 
-        const double mon = median(detect_on);
-        const double moff = median(detect_off);
+        const double mon = median(rd_on);
+        const double moff = median(rd_off);
         const double frac = events
             ? static_cast<double>(pruned) / static_cast<double>(events)
             : 0.0;
@@ -216,12 +220,12 @@ main(int argc, char **argv)
     }
     if (best_speedup < 1.0) {
         std::fprintf(stderr,
-                     "FAIL: detection was slower with the prefilter on "
-                     "for every subject (best %.2fx)\n",
+                     "FAIL: replay plus detection was slower with the "
+                     "prefilter on for every subject (best %.2fx)\n",
                      best_speedup);
         ok = false;
     }
-    std::printf("\nbest pruned fraction %.1f%%, best detect speedup "
+    std::printf("\nbest pruned fraction %.1f%%, best replay+detect speedup "
                 "%.2fx\n%s\n",
                 100.0 * best_frac, best_speedup,
                 ok ? "floors OK" : "FLOOR VIOLATION");

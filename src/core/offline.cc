@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 #include <optional>
-#include <unordered_map>
 
 #include "support/log.hh"
 #include "support/timer.hh"
@@ -70,10 +69,10 @@ syncSubrank(SyncKind kind)
 }
 
 /**
- * Merge the reconstructed accesses and the sync trace into the
- * TSC-ordered detector feed with the release < access < acquire
- * tie-break. One-shot and streaming detection consume the identical
- * feed, which is what makes their reports byte-identical.
+ * Merge the reconstructed accesses (in any order) and the sync trace
+ * into the TSC-ordered detector feed with the release < access <
+ * acquire tie-break. One-shot and streaming detection consume the
+ * identical feed, which is what makes their reports byte-identical.
  */
 std::vector<FeedEvent>
 buildFeed(const trace::RunTrace &run,
@@ -81,11 +80,14 @@ buildFeed(const trace::RunTrace &run,
           const std::vector<replay::ReconstructedAccess> &accesses)
 {
     // Per-thread positions of sync records (exact program order) let the
-    // merge tie-break same-TSC events correctly.
-    std::unordered_map<size_t, uint64_t> sync_positions;
+    // merge tie-break same-TSC events correctly; an unaligned record
+    // keeps position 0.
+    std::vector<uint64_t> sync_positions(run.sync.size(), 0);
     for (const auto &[tid, align] : alignments) {
-        for (const auto &s : align.syncs)
-            sync_positions[s.record_index] = s.position;
+        for (const auto &s : align.syncs) {
+            if (s.record_index < sync_positions.size())
+                sync_positions[s.record_index] = s.position;
+        }
     }
 
     std::vector<FeedEvent> feed;
@@ -95,12 +97,13 @@ buildFeed(const trace::RunTrace &run,
                         accesses[i].position, false, i});
     }
     for (size_t i = 0; i < run.sync.size(); ++i) {
-        uint64_t pos = 0;
-        if (auto it = sync_positions.find(i); it != sync_positions.end())
-            pos = it->second;
         feed.push_back({run.sync[i].tsc, syncSubrank(run.sync[i].kind),
-                        run.sync[i].tid, pos, true, i});
+                        run.sync[i].tid, sync_positions[i], true, i});
     }
+    // The run's one ordering pass. The accesses may come in replay-plan
+    // order: every access has subrank 1 and the sort is stable, so the
+    // feed is the one that replayAll's TSC-sorted output would give
+    // (DESIGN.md §8.2).
     std::stable_sort(feed.begin(), feed.end(),
                      [](const FeedEvent &a, const FeedEvent &b) {
                          if (a.tsc != b.tsc)
@@ -223,6 +226,53 @@ dispatchEvent(detect::FastTrack &ft, const FeedEvent &ev,
     }
 }
 
+/**
+ * Erase the accesses of @p accesses from index @p from on whose site
+ * @p analysis proves thread-local, keeping the rest in order, and count
+ * the erased ones by site class in @p stats.
+ */
+void
+pruneThreadLocal(const analysis::ProgramAnalysis &analysis,
+                 std::vector<replay::ReconstructedAccess> &accesses,
+                 size_t from, PrefilterStats &stats)
+{
+    auto keep = std::remove_if(
+        accesses.begin() + static_cast<std::ptrdiff_t>(from), accesses.end(),
+        [&](const replay::ReconstructedAccess &a) {
+            if (!analysis.siteThreadLocal(a.insn_index))
+                return false;
+            using analysis::SiteClass;
+            if (analysis.escape().site(a.insn_index) ==
+                SiteClass::kStackImplicit) {
+                ++stats.pruned_stack_implicit;
+            } else {
+                ++stats.pruned_stack_direct;
+            }
+            return true;
+        });
+    accesses.erase(keep, accesses.end());
+}
+
+/**
+ * The prefilter's per-program fields of @p stats (enabled, soundness,
+ * site counts); the site fields are left alone when @p analysis is
+ * null.
+ */
+void
+setPrefilterFacts(const analysis::ProgramAnalysis *analysis, bool enabled,
+                  PrefilterStats &stats)
+{
+    if (analysis) {
+        const analysis::StaticSummary sum = analysis->summary();
+        stats.analysis_sound = sum.rsp_integrity && sum.no_stack_escape;
+        stats.sites_total = sum.mem_sites;
+        stats.sites_thread_local = sum.thread_local_sites;
+    }
+    // An unsound analysis classifies every site may-shared, so the scan
+    // could never prune anything; skip it outright.
+    stats.enabled = enabled && analysis != nullptr && stats.analysis_sound;
+}
+
 } // namespace
 
 namespace detail {
@@ -282,33 +332,9 @@ applyStaticPrefilter(std::vector<replay::ReconstructedAccess> &accesses,
                      bool enabled, PrefilterStats &stats)
 {
     stats.events_seen += accesses.size();
-    if (analysis) {
-        const analysis::StaticSummary sum = analysis->summary();
-        stats.analysis_sound = sum.rsp_integrity && sum.no_stack_escape;
-        stats.sites_total = sum.mem_sites;
-        stats.sites_thread_local = sum.thread_local_sites;
-    }
-    // An unsound analysis classifies every site may-shared, so the scan
-    // below could never prune anything; skip it outright.
-    stats.enabled = enabled && analysis != nullptr &&
-        stats.analysis_sound;
-    if (!stats.enabled)
-        return;
-    auto keep = std::remove_if(
-        accesses.begin(), accesses.end(),
-        [&](const replay::ReconstructedAccess &a) {
-            if (!analysis->siteThreadLocal(a.insn_index))
-                return false;
-            using analysis::SiteClass;
-            if (analysis->escape().site(a.insn_index) ==
-                SiteClass::kStackImplicit) {
-                ++stats.pruned_stack_implicit;
-            } else {
-                ++stats.pruned_stack_direct;
-            }
-            return true;
-        });
-    accesses.erase(keep, accesses.end());
+    setPrefilterFacts(analysis, enabled, stats);
+    if (stats.enabled)
+        pruneThreadLocal(*analysis, accesses, 0, stats);
 }
 
 std::vector<std::pair<uint64_t, uint64_t>>
@@ -345,46 +371,57 @@ namespace {
 
 /** What a worker hands to the ordered commit. */
 struct TaskResult {
-    std::vector<replay::ReconstructedAccess> accesses;
+    std::vector<replay::ReconstructedAccess> accesses; ///< prefiltered
+    PrefilterStats prefilter; ///< the task's events seen and pruned
     bool ok = false;
 };
 
 /**
  * The Replayer one thread reuses for every task it runs, plus the
- * counters and consumed marks of the Replayers it retired.
+ * counters and consumed marks of the Replayers it retired. A lane also
+ * applies the static prefilter to what each successful attempt
+ * produced, so pruning runs where the replay ran.
  */
 class Lane
 {
   public:
-    Lane(const asmkit::Program &program, const replay::ReplayConfig &config)
-        : program_(program), config_(config),
+    /** @p prune is the analysis to prefilter with, or null for none. */
+    Lane(const asmkit::Program &program, const replay::ReplayConfig &config,
+         const analysis::ProgramAnalysis *prune)
+        : program_(program), config_(config), prune_(prune),
           replayer_(std::in_place, program, config)
     {
     }
 
     /**
-     * Replay units [first, last) of @p t into @p out. A failed attempt
-     * leaves @p out and the counters as they were before it, but keeps
-     * its consumed-address marks (a larger consumed set only makes §5.1
+     * Replay units [first, last) of @p t, append the accesses the
+     * prefilter keeps to @p out, and count the accesses produced and
+     * pruned in @p prefilter. A failed attempt leaves @p out, @p
+     * prefilter and the counters as they were before it, but keeps its
+     * consumed-address marks (a larger consumed set only makes §5.1
      * regeneration more conservative), and the lane goes on with a
      * fresh Replayer, since a throw may leave scratch state
      * half-updated.
      */
     bool
     run(const Replayer::Task &t, size_t first, size_t last,
-        std::vector<replay::ReconstructedAccess> &out)
+        std::vector<replay::ReconstructedAccess> &out,
+        PrefilterStats &prefilter)
     {
         const size_t mark = out.size();
         const replay::ReplayStats before = replayer_->stats();
         try {
             replayer_->replayTask(t, first, last, out);
-            return true;
         } catch (...) {
             out.resize(mark);
             retire(before);
             replayer_.emplace(program_, config_);
             return false;
         }
+        prefilter.events_seen += out.size() - mark;
+        if (prune_)
+            pruneThreadLocal(*prune_, out, mark, prefilter);
+        return true;
     }
 
     /**
@@ -411,6 +448,7 @@ class Lane
 
     const asmkit::Program &program_;
     const replay::ReplayConfig &config_;
+    const analysis::ProgramAnalysis *prune_;
     std::optional<Replayer> replayer_;
     replay::ReplayStats retired_stats_;
     std::unordered_set<uint64_t> retired_consumed_;
@@ -475,6 +513,8 @@ OfflineAnalyzer::OfflineAnalyzer(const asmkit::Program &program,
     // Hand the precomputed fact tables to the replay layer; replay and
     // alignment results are bit-identical with or without them.
     options_.replay.analysis = analysis_.get();
+    setPrefilterFacts(analysis_.get(), options_.static_prefilter,
+                      prefilter_facts_);
 }
 
 OfflineAnalyzer::Paths
@@ -546,6 +586,8 @@ OfflineAnalyzer::reconstruct(const trace::RunTrace &run, const Paths &paths,
 {
     const Replayer::Plan plan =
         Replayer::plan(replay_config.mode, paths, alignments, run);
+    const analysis::ProgramAnalysis *prune =
+        prefilter_facts_.enabled ? analysis_.get() : nullptr;
 
     // --- placement: where tasks run, never what they compute ---
     // Every replay attempt runs on a lane: worker i's tasks on
@@ -554,14 +596,14 @@ OfflineAnalyzer::reconstruct(const trace::RunTrace &run, const Paths &paths,
     // executor the calling thread keeps up to max(2N, 16) tasks in
     // flight and takes their results in plan order from the futures;
     // workers never wait for the commit.
-    Lane caller(program_, replay_config);
+    Lane caller(program_, replay_config, prune);
     std::deque<Lane> worker_lanes;
     InFlight<TaskResult> in_flight;
     size_t next_submit = 0;
     size_t max_in_flight = 0;
     if (ex) {
         for (unsigned i = 0; i < ex->numThreads(); ++i)
-            worker_lanes.emplace_back(program_, replay_config);
+            worker_lanes.emplace_back(program_, replay_config, prune);
         max_in_flight = std::max<size_t>(2 * ex->numThreads(), 16);
     }
     auto refill = [&] {
@@ -574,18 +616,20 @@ OfflineAnalyzer::reconstruct(const trace::RunTrace &run, const Paths &paths,
                                "replay task off its executor");
                 TaskResult res;
                 res.ok = worker_lanes[worker].run(*t, 0, t->units(),
-                                                  res.accesses);
+                                                  res.accesses, res.prefilter);
                 return res;
             }));
         }
     };
 
-    // The commit re-assembles the access sequence in plan order. A
-    // failed task contributes no accesses and no counters.
+    // The commit re-assembles the prefiltered access sequence in plan
+    // order; detection's feed sort is its only ordering (DESIGN.md
+    // §8.2). A failed task contributes no accesses and no counters.
     std::vector<replay::ReconstructedAccess> accesses;
+    PrefilterStats counts;
     auto run_task = [&](const Replayer::Task &t) {
         if (!ex)
-            return caller.run(t, 0, t.units(), accesses);
+            return caller.run(t, 0, t.units(), accesses, counts);
         TaskResult res;
         try {
             res = in_flight.futures.front().get();
@@ -597,6 +641,7 @@ OfflineAnalyzer::reconstruct(const trace::RunTrace &run, const Paths &paths,
         if (res.ok) {
             accesses.insert(accesses.end(), res.accesses.begin(),
                             res.accesses.end());
+            counts.merge(res.prefilter);
         }
         return res.ok;
     };
@@ -619,21 +664,21 @@ OfflineAnalyzer::reconstruct(const trace::RunTrace &run, const Paths &paths,
             // retry is unnecessary by construction.
             for (size_t u = 0; u < t.units(); ++u) {
                 ++result.quarantine.window_retries;
-                if (!caller.run(t, u, u + 1, accesses))
+                if (!caller.run(t, u, u + 1, accesses, counts))
                     ++result.quarantine.windows_quarantined;
             }
         }
         if (tick)
             tick();
     }
-    Replayer::sortByTsc(accesses);
 
     replay::ReplayStats replay_stats;
     caller.fold(replay_stats, consumed);
     for (Lane &lane : worker_lanes)
         lane.fold(replay_stats, consumed);
     result.replay_stats = replay_stats;
-    result.extended_trace_events = accesses.size();
+    result.extended_trace_events = counts.events_seen;
+    result.prefilter.merge(counts);
     return accesses;
 }
 
@@ -641,12 +686,9 @@ void
 OfflineAnalyzer::detectAccesses(
     const trace::RunTrace &run, const Alignments &alignments,
     const detect::IncrementalOptions &incremental,
-    std::vector<replay::ReconstructedAccess> &accesses,
+    const std::vector<replay::ReconstructedAccess> &accesses,
     OfflineResult &result)
 {
-    detail::applyStaticPrefilter(accesses, analysis_.get(),
-                                 options_.static_prefilter,
-                                 result.prefilter);
     detect::FastTrack detector(incremental);
     // Streaming GC is gated until every thread of the run has appeared
     // in the feed; the meta thread table is the authoritative population.
@@ -686,6 +728,7 @@ OfflineAnalyzer::analyzeRun(const trace::RunTrace &run,
 {
     exec_stats_ = exec::ExecutorStats();
     OfflineResult result;
+    result.prefilter = prefilter_facts_;
 
     std::optional<exec::Executor> executor;
     if (options_.num_threads > 0)
@@ -712,11 +755,12 @@ OfflineAnalyzer::analyzeRun(const trace::RunTrace &run,
         pass.report = detect::RaceReport();
 
         Stopwatch timer;
-        std::vector<replay::ReconstructedAccess> accesses =
+        // Reconstruction time includes the prefilter, which runs on the
+        // replay lanes.
+        const std::vector<replay::ReconstructedAccess> accesses =
             reconstruct(run, paths, alignments, replay_config, ex, pass,
                         consumed);
         pass.reconstruct_seconds += timer.lap();
-        // The prefilter cost counts as detection cost.
         detectAccesses(run, alignments, incremental, accesses, pass);
         pass.detect_seconds += timer.lap();
         result = pass;

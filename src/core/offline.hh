@@ -104,7 +104,9 @@ struct OfflineOptions {
 
 /**
  * Counters of the static access prefilter, accumulated over every
- * detection pass (regeneration rounds included) of one analyze() call.
+ * replay pass (regeneration rounds included) of one analyze() call. The
+ * analyzer counts committed replay attempts only: a failed attempt,
+ * retried per unit, counts once, through its retries.
  */
 struct PrefilterStats {
     bool enabled = false;        ///< option on and analysis available
@@ -178,12 +180,14 @@ struct OfflineResult {
     trace::CompressionStats compression;
     QuarantineStats quarantine;
     PrefilterStats prefilter;
-    uint64_t extended_trace_events = 0; ///< counted before the prefilter
+    /** Reconstructed accesses of the last pass, counted before the
+     *  prefilter (Replayer::replayAll's size on the same plan). */
+    uint64_t extended_trace_events = 0;
     int regeneration_rounds = 0;
 
     // Wall-clock cost split of the offline pipeline (paper §7.6).
     double decode_seconds = 0;
-    double reconstruct_seconds = 0; ///< alignment + replay
+    double reconstruct_seconds = 0; ///< alignment + replay + prefilter
     double detect_seconds = 0;
 
     double
@@ -200,12 +204,15 @@ struct OfflineResult {
  * There is one decode routine (per-core PT decode shards, merged) and
  * one reconstruction routine (the tasks of replay::Replayer::plan,
  * committed in plan order, failed tasks retried per unit and
- * quarantined). Alignment runs one task per thread.
+ * quarantined). Alignment runs one task per thread. Each replay
+ * attempt prefilters its own output where it ran, and the commit keeps
+ * the survivors in plan order; the detector feed's stable sort is the
+ * run's one ordering pass.
  * OfflineOptions::num_threads only picks where the shards and tasks
  * run: on the calling thread at 0, on a per-call N-worker executor at
  * N > 0. Basic-block (RaceZ) mode skips decode and alignment; its plan
- * is sample tasks only. Prefiltering, detection and the deadline tick
- * run on the calling thread (DESIGN.md §8).
+ * is sample tasks only. Detection and the deadline tick run on the
+ * calling thread (DESIGN.md §8).
  */
 class OfflineAnalyzer
 {
@@ -274,7 +281,11 @@ class OfflineAnalyzer
     /**
      * One replay pass with the given blacklist, its tasks on the
      * per-worker replayers of @p ex or on the calling thread's when it
-     * is null; returns the TSC-sorted extended trace.
+     * is null; returns the prefiltered extended trace in plan order
+     * (not sorted by TSC: the detector feed orders it). Sets
+     * OfflineResult::extended_trace_events to the accesses the
+     * committed attempts produced and adds them, and the pruned ones,
+     * to OfflineResult::prefilter.
      */
     std::vector<replay::ReconstructedAccess>
     reconstruct(const trace::RunTrace &run, const Paths &paths,
@@ -283,17 +294,19 @@ class OfflineAnalyzer
                 exec::Executor *ex, OfflineResult &result,
                 std::unordered_set<uint64_t> &consumed);
 
-    /** Prefilter plus one-shot or streaming detection. */
-    void detectAccesses(const trace::RunTrace &run,
-                        const Alignments &alignments,
-                        const detect::IncrementalOptions &incremental,
-                        std::vector<replay::ReconstructedAccess> &accesses,
-                        OfflineResult &result);
+    /** One-shot or streaming detection of the prefiltered accesses. */
+    void
+    detectAccesses(const trace::RunTrace &run, const Alignments &alignments,
+                   const detect::IncrementalOptions &incremental,
+                   const std::vector<replay::ReconstructedAccess> &accesses,
+                   OfflineResult &result);
 
     const asmkit::Program &program_;
     OfflineOptions options_;
     /** Static facts shared by the aligner, replayer and prefilter. */
     std::unique_ptr<analysis::ProgramAnalysis> analysis_;
+    /** The prefilter's per-program fields, counters zero. */
+    PrefilterStats prefilter_facts_;
     exec::ExecutorStats exec_stats_;
 };
 
@@ -311,10 +324,10 @@ void detectRaces(const trace::RunTrace &run,
                  detect::FastTrackStats &stats);
 
 /**
- * The detection stage: merge the reconstructed accesses and the sync
- * trace into one TSC-ordered feed (with the release < access < acquire
- * tie-break at equal timestamps) and dispatch each event into
- * @p detector exactly once.
+ * The detection stage: merge the reconstructed accesses, in any order,
+ * and the sync trace into one TSC-ordered feed (with the release <
+ * access < acquire tie-break at equal timestamps) and dispatch each
+ * event into @p detector exactly once.
  *
  * When the detector's IncrementalOptions::enabled is set, the feed is
  * dispatched in batches of batch_events events with a batchBoundary()

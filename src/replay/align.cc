@@ -13,36 +13,69 @@ using pmu::kPathGap;
 using pmu::PathAnchor;
 using vm::SyncKind;
 
+namespace {
+
+/**
+ * The TSC interpolated at @p position, where @p i is the index of the
+ * first of the non-empty @p anchors at or after it.
+ */
 uint64_t
-ThreadAlignment::tscAt(uint64_t position) const
+interpolateTsc(const std::vector<PathAnchor> &anchors, size_t i,
+               uint64_t position)
 {
-    if (anchors.empty())
-        return 0;
-    // First anchor at or after the position.
-    auto it = std::lower_bound(anchors.begin(), anchors.end(), position,
-                               [](const PathAnchor &a, uint64_t pos) {
-                                   return a.position < pos;
-                               });
-    if (it == anchors.begin())
-        return it->tsc;
-    if (it == anchors.end())
+    if (i == 0)
+        return anchors.front().tsc;
+    if (i == anchors.size())
         return anchors.back().tsc;
-    const PathAnchor &hi = *it;
-    const PathAnchor &lo = *(it - 1);
-    if (hi.position == lo.position)
+    const PathAnchor &hi = anchors[i];
+    const PathAnchor &lo = anchors[i - 1];
+    if (hi.position == lo.position || hi.tsc <= lo.tsc)
         return lo.tsc;
     const double frac =
         static_cast<double>(position - lo.position) /
         static_cast<double>(hi.position - lo.position);
+    // The double product is exact in range while the bracket's TSC span
+    // is below 2^53; past that it can round beyond the span (or past
+    // 2^64), so clamp it before the cast and the add.
+    const uint64_t span = hi.tsc - lo.tsc;
+    const double offset = frac * static_cast<double>(span);
     uint64_t t = lo.tsc +
-        static_cast<uint64_t>(frac * static_cast<double>(hi.tsc - lo.tsc));
+        (offset < static_cast<double>(span) ? static_cast<uint64_t>(offset)
+                                            : span);
     // Keep strictly inside the bracket where possible, so interpolated
     // events never tie with (exactly-timestamped) anchor events.
-    if (t == lo.tsc && position > lo.position && hi.tsc > lo.tsc)
+    if (t == lo.tsc && position > lo.position)
         ++t;
     if (t == hi.tsc && position < hi.position && t > lo.tsc + 1)
         --t;
     return t;
+}
+
+} // namespace
+
+uint64_t
+ThreadAlignment::tscAt(uint64_t position) const
+{
+    size_t cursor = SIZE_MAX;
+    return tscAt(position, cursor);
+}
+
+uint64_t
+ThreadAlignment::tscAt(uint64_t position, size_t &cursor) const
+{
+    if (anchors.empty())
+        return 0;
+    if (cursor > anchors.size()) {
+        // First anchor at or after the position.
+        auto it = std::lower_bound(anchors.begin(), anchors.end(), position,
+                                   [](const PathAnchor &a, uint64_t pos) {
+                                       return a.position < pos;
+                                   });
+        cursor = static_cast<size_t>(it - anchors.begin());
+    }
+    while (cursor < anchors.size() && anchors[cursor].position < position)
+        ++cursor;
+    return interpolateTsc(anchors, cursor, position);
 }
 
 namespace {
@@ -229,6 +262,7 @@ class SampleMatcher
 
         bool have_best = false;
         std::pair<uint64_t, uint64_t> best;
+        size_t anchor = SIZE_MAX; // tscAt's cursor: pos only rises
         for (uint64_t pos = lo; pos < hi; ++pos) {
             if (walking)
                 advance(w, pos);
@@ -236,7 +270,7 @@ class SampleMatcher
                 continue;
             if (stats_)
                 ++stats_->candidates_examined;
-            const uint64_t est = align_.tscAt(pos);
+            const uint64_t est = align_.tscAt(pos, anchor);
             const bool late = monotone_ && est >= rec.tsc;
             if (want == Want::kBest && have_best && late &&
                 est - rec.tsc >= best.first) {

@@ -48,8 +48,20 @@ struct ThreadAlignment {
     std::vector<AlignedSync> syncs;     ///< ascending by position
     std::vector<pmu::PathAnchor> anchors; ///< merged, ascending by position
 
-    /** Estimated TSC of a path position (anchor interpolation). */
+    /**
+     * Estimated TSC of a path position (anchor interpolation). Over
+     * anchors ascending in TSC, the result never leaves the TSCs of the
+     * two anchors that bracket @p position.
+     */
     uint64_t tscAt(uint64_t position) const;
+
+    /**
+     * tscAt(@p position) for a run of calls at non-decreasing positions:
+     * @p cursor starts above anchors.size() (e.g. SIZE_MAX), and each
+     * call moves it forward from where the previous one left it instead
+     * of searching all anchors again.
+     */
+    uint64_t tscAt(uint64_t position, size_t &cursor) const;
 };
 
 /**

@@ -847,6 +847,8 @@ Replayer::replayWindow(const Window &win, const pmu::ThreadPath &path,
     if (!fwd_ok || !bwd_ok)
         ++stats_.inconsistent_windows;
 
+    // forEach visits the accesses in position order.
+    size_t anchor = SIZE_MAX;
     emit_.forEach([&](const ReconstructedAccess &acc) {
         // PC-relative addresses derive from the PT path alone and
         // sampled accesses from the hardware record; both always
@@ -863,7 +865,7 @@ Replayer::replayWindow(const Window &win, const pmu::ThreadPath &path,
             break;
         }
         if (keep)
-            publish(acc, alignment.tscAt(acc.position), out);
+            publish(acc, alignment.tscAt(acc.position, anchor), out);
     });
 }
 

@@ -224,9 +224,11 @@ class Replayer
 
     /**
      * Replay the run's plan inline and return the extended memory trace
-     * sorted by estimated TSC. This is the public layer call; the
-     * offline analyzer runs the same plan's tasks on its lanes and
-     * commits them in the same order.
+     * sorted by estimated TSC (sortByTsc). This is the public layer
+     * call; the offline analyzer runs the same plan's tasks on its
+     * lanes and commits them in the same order, but leaves them in plan
+     * order: its detector feed's stable sort yields the same event
+     * order either way (DESIGN.md §8.2).
      */
     std::vector<ReconstructedAccess>
     replayAll(const std::map<uint32_t, pmu::ThreadPath> &paths,
@@ -275,9 +277,9 @@ class Replayer
                       std::vector<ReconstructedAccess> &out);
 
     /**
-     * The final deterministic ordering of the extended trace. A stable
-     * sort: any caller that builds the same pre-sort sequence gets a
-     * bit-identical extended trace.
+     * The ordering replayAll gives the extended trace: by (tsc, tid,
+     * position), stable, so any caller that builds the same pre-sort
+     * sequence gets a bit-identical extended trace.
      */
     static void sortByTsc(std::vector<ReconstructedAccess> &out);
 

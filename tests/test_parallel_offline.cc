@@ -12,6 +12,9 @@
  * RaceZ's basic-block mode, whose plan holds sample tasks only.
  */
 
+#include <algorithm>
+#include <map>
+#include <set>
 #include <stdexcept>
 
 #include <gtest/gtest.h>
@@ -31,6 +34,40 @@ using isa::CondCode;
 using isa::Reg;
 
 const unsigned kThreadCounts[] = {1, 2, 8};
+
+/** Every PrefilterStats field. */
+void
+expectSamePrefilter(const core::PrefilterStats &a,
+                    const core::PrefilterStats &b)
+{
+    EXPECT_EQ(a.enabled, b.enabled);
+    EXPECT_EQ(a.analysis_sound, b.analysis_sound);
+    EXPECT_EQ(a.sites_total, b.sites_total);
+    EXPECT_EQ(a.sites_thread_local, b.sites_thread_local);
+    EXPECT_EQ(a.events_seen, b.events_seen);
+    EXPECT_EQ(a.pruned_stack_implicit, b.pruned_stack_implicit);
+    EXPECT_EQ(a.pruned_stack_direct, b.pruned_stack_direct);
+}
+
+/**
+ * Every FastTrackStats counter. The epoch, share and probe counters
+ * depend on the order of the feed, not only on its contents.
+ */
+void
+expectSameDetection(const detect::FastTrackStats &a,
+                    const detect::FastTrackStats &b)
+{
+    EXPECT_EQ(a.reads, b.reads);
+    EXPECT_EQ(a.writes, b.writes);
+    EXPECT_EQ(a.sync_ops, b.sync_ops);
+    EXPECT_EQ(a.epoch_fast_path, b.epoch_fast_path);
+    EXPECT_EQ(a.read_shares, b.read_shares);
+    EXPECT_EQ(a.vc_spills, b.vc_spills);
+    EXPECT_EQ(a.shadow_slots, b.shadow_slots);
+    EXPECT_EQ(a.shadow_capacity, b.shadow_capacity);
+    EXPECT_EQ(a.shadow_lookups, b.shadow_lookups);
+    EXPECT_EQ(a.shadow_probe_steps, b.shadow_probe_steps);
+}
 
 /**
  * Analyze @p run on the calling thread and with @p num_threads workers;
@@ -102,13 +139,10 @@ expectEquivalent(const Program &program, const trace::RunTrace &run,
     EXPECT_EQ(s.replay_stats.violations_backward,
               p.replay_stats.violations_backward);
 
-    // Detection stats (identical feed => identical FastTrack path mix).
-    EXPECT_EQ(s.detect_stats.reads, p.detect_stats.reads);
-    EXPECT_EQ(s.detect_stats.writes, p.detect_stats.writes);
-    EXPECT_EQ(s.detect_stats.sync_ops, p.detect_stats.sync_ops);
-    EXPECT_EQ(s.detect_stats.epoch_fast_path,
-              p.detect_stats.epoch_fast_path);
-    EXPECT_EQ(s.detect_stats.read_shares, p.detect_stats.read_shares);
+    // Prefilter and detection stats (pruning runs on the replay lanes;
+    // identical feed => identical FastTrack path mix).
+    expectSamePrefilter(s.prefilter, p.prefilter);
+    expectSameDetection(s.detect_stats, p.detect_stats);
 
     // Window quarantine.
     EXPECT_EQ(s.quarantine.window_retries, p.quarantine.window_retries);
@@ -328,6 +362,8 @@ struct LayeredResult {
     std::string report;
     uint64_t extended_trace_events = 0;
     int regeneration_rounds = 0;
+    core::PrefilterStats prefilter; ///< summed over the rounds
+    detect::FastTrackStats detect_stats; ///< of the last round
 };
 
 /**
@@ -335,7 +371,8 @@ struct LayeredResult {
  * the paper's §5.1 regeneration loop included: pmu::decodePt,
  * replay::alignTrace, Replayer::replayAll, the static prefilter and
  * detectRaces. The analyzer runs its own decode shards and window tasks
- * instead, so this is the reference it must reproduce.
+ * instead, prefilters on its replay lanes and never sorts the extended
+ * trace by TSC, so this is the reference it must reproduce.
  */
 LayeredResult
 analyzeByLayer(const Program &program, const trace::RunTrace &run,
@@ -359,13 +396,12 @@ analyzeByLayer(const Program &program, const trace::RunTrace &run,
         std::vector<replay::ReconstructedAccess> accesses =
             replayer.replayAll(paths, alignments, run);
         out.extended_trace_events = accesses.size();
-        core::PrefilterStats prefilter;
         core::detail::applyStaticPrefilter(accesses, &facts,
                                            options.static_prefilter,
-                                           prefilter);
+                                           out.prefilter);
         detect::RaceReport report;
-        detect::FastTrackStats stats;
-        core::detail::detectRaces(run, alignments, accesses, report, stats);
+        core::detail::detectRaces(run, alignments, accesses, report,
+                                  out.detect_stats);
         out.report = report.format(&program);
         if (round >= options.max_regeneration_rounds)
             break;
@@ -380,8 +416,10 @@ analyzeByLayer(const Program &program, const trace::RunTrace &run,
 }
 
 /**
- * analyze() at 0 and 2 threads must equal analyzeByLayer(), in the
- * replay mode of @p base and in RaceZ's basic-block mode.
+ * analyze() at 0 and 2 threads must equal analyzeByLayer() in the
+ * report, the extended-trace size, the rounds and every prefilter and
+ * detector counter, in the replay mode of @p base and in RaceZ's
+ * basic-block mode.
  */
 void
 expectMatchesLayers(const Program &program, const trace::RunTrace &run,
@@ -405,6 +443,8 @@ expectMatchesLayers(const Program &program, const trace::RunTrace &run,
             EXPECT_EQ(r.report.format(&program), ref.report);
             EXPECT_EQ(r.extended_trace_events, ref.extended_trace_events);
             EXPECT_EQ(r.regeneration_rounds, ref.regeneration_rounds);
+            expectSamePrefilter(r.prefilter, ref.prefilter);
+            expectSameDetection(r.detect_stats, ref.detect_stats);
         }
     }
 }
@@ -439,6 +479,162 @@ TEST(ReferenceComposition, RegenerationRoundsMatchAnalyze)
     }
     EXPECT_TRUE(saw_regeneration)
         << "no seed exercised the regeneration loop";
+}
+
+/**
+ * Two workers that each push and pop a loop counter (stack accesses the
+ * prefilter prunes), add to a shared counter with an atomic RMW (its
+ * read and write halves share one path position) and store to a shared
+ * flag unprotected. @p main_load is set to a load only main executes,
+ * @p flag_store to the workers' store.
+ */
+Program
+orderingProgram(uint32_t &main_load, uint32_t &flag_store)
+{
+    ProgramBuilder b;
+    b.globalU64("counter", 0);
+    b.globalU64("flag", 0);
+    b.label("main");
+    b.movri(Reg::r12, 0);
+    main_load = b.load(Reg::rax, b.symRef("flag"));
+    b.spawn(Reg::r8, "worker", Reg::r12);
+    b.spawn(Reg::r9, "worker", Reg::r12);
+    b.join(Reg::r8);
+    b.join(Reg::r9);
+    b.halt();
+    b.beginFunction("worker");
+    b.movri(Reg::rcx, 0);
+    b.movri(Reg::rbx, 1);
+    b.label("loop");
+    b.push(Reg::rcx);
+    b.atomicRmw(isa::AluOp::kAdd, Reg::rax, b.symRef("counter"), Reg::rbx);
+    flag_store = b.store(b.symRef("flag"), Reg::rcx);
+    b.pop(Reg::rcx);
+    b.addri(Reg::rcx, 1);
+    b.cmpri(Reg::rcx, 400);
+    b.jcc(CondCode::kLt, "loop");
+    b.halt();
+    return b.build();
+}
+
+/** (tsc, tid, position): the order Replayer::sortByTsc establishes. */
+bool
+tscBefore(const replay::ReconstructedAccess &a,
+          const replay::ReconstructedAccess &b)
+{
+    if (a.tsc != b.tsc)
+        return a.tsc < b.tsc;
+    if (a.tid != b.tid)
+        return a.tid < b.tid;
+    return a.position < b.position;
+}
+
+TEST(ReferenceComposition, UnsortedPlanOrderMatchesSortedLayers)
+{
+    // The analyzer hands detection its accesses in plan order; the
+    // layered reference sorts them by TSC first. Here the plan order is
+    // far from sorted: one sample of each worker is made unmatchable
+    // (it names main's load) and dated before every window access, so
+    // its task, which follows its thread's window tasks, carries the
+    // oldest accesses of the run, and the two share one TSC. A second
+    // unmatchable sample of the first worker copies the TSC and the
+    // access of one of its matched flag-store samples, so at one TSC
+    // that thread's plan order puts a window access (position > 0)
+    // before the sample (position 0); the first of the two in the feed
+    // is the one FastTrack keeps as the thread's last write.
+    uint32_t main_load = 0;
+    uint32_t flag_store = 0;
+    const Program p = orderingProgram(main_load, flag_store);
+    auto cfg = core::proRaceConfig(16, 3);
+    auto run = core::Session::run(
+        p, [](vm::Machine &m) { m.addThread("main"); }, cfg.session);
+    trace::RunTrace &trace = run.trace;
+    ASSERT_FALSE(trace.sync.empty());
+    uint64_t oldest = trace.sync.front().tsc;
+    for (const trace::SyncRecord &s : trace.sync)
+        oldest = std::min(oldest, s.tsc);
+    std::map<uint32_t, std::vector<size_t>> records;
+    for (size_t i = 0; i < trace.pebs.size(); ++i)
+        records[trace.pebs[i].tid].push_back(i);
+    size_t moved = 0;
+    uint64_t tie = 0;
+    for (const auto &[tid, indices] : records) {
+        if (tid == 0 || indices.size() < 8)
+            continue;
+        trace::PebsRecord &rec = trace.pebs[indices[indices.size() / 2]];
+        rec.insn_index = main_load;
+        rec.tsc = oldest;
+        if (moved++ > 0)
+            continue;
+        auto store = std::find_if(
+            indices.begin(), indices.begin() + indices.size() / 2,
+            [&](size_t i) { return trace.pebs[i].insn_index == flag_store; });
+        ASSERT_NE(store, indices.begin() + indices.size() / 2);
+        const trace::PebsRecord matched = trace.pebs[*store];
+        trace::PebsRecord &late = trace.pebs[indices[indices.size() - 2]];
+        late.insn_index = main_load;
+        late.tsc = tie = matched.tsc;
+        late.addr = matched.addr;
+        late.width = matched.width;
+        late.is_write = matched.is_write;
+    }
+    ASSERT_EQ(moved, 2u);
+
+    // Check the premises on the plan-order sequence.
+    const analysis::ProgramAnalysis facts(p);
+    const auto paths = pmu::decodePt(p, trace.meta.pt_filter, trace);
+    const auto alignments =
+        replay::alignTrace(p, paths, trace, nullptr, &facts);
+    const replay::Replayer::Plan plan = replay::Replayer::plan(
+        replay::ReplayMode::kForwardBackward, paths, alignments, trace);
+    replay::ReplayConfig config = cfg.offline.replay;
+    config.analysis = &facts;
+    replay::Replayer replayer(p, config);
+    std::vector<replay::ReconstructedAccess> accesses;
+    for (const replay::Replayer::Task &t : plan.tasks)
+        replayer.replayTask(t, 0, t.units(), accesses);
+    EXPECT_FALSE(std::is_sorted(accesses.begin(), accesses.end(), tscBefore));
+
+    uint64_t oldest_window = UINT64_MAX;
+    std::set<uint32_t> unmatched_tids;
+    std::set<uint32_t> tie_windows; ///< tids with a window access at tie
+    bool position_tie = false;
+    bool rmw_halves = false;
+    for (size_t i = 0; i < accesses.size(); ++i) {
+        const replay::ReconstructedAccess &a = accesses[i];
+        if (a.insn_index == main_load && a.tid != 0) {
+            if (a.tsc == oldest)
+                unmatched_tids.insert(a.tid);
+            else
+                position_tie = a.tsc == tie && tie_windows.count(a.tid);
+            continue;
+        }
+        if (a.tsc == tie && a.position > 0)
+            tie_windows.insert(a.tid);
+        oldest_window = std::min(oldest_window, a.tsc);
+        if (i > 0) {
+            const replay::ReconstructedAccess &prev = accesses[i - 1];
+            rmw_halves = rmw_halves ||
+                (a.is_atomic && prev.is_atomic && a.tid == prev.tid &&
+                 a.position == prev.position && a.tsc == prev.tsc &&
+                 !prev.is_write && a.is_write);
+        }
+    }
+    EXPECT_EQ(unmatched_tids.size(), 2u);
+    EXPECT_LT(oldest, oldest_window);
+    EXPECT_TRUE(position_tie);
+    EXPECT_TRUE(rmw_halves);
+
+    for (const bool prefilter : {true, false}) {
+        SCOPED_TRACE(prefilter ? "prefilter on" : "prefilter off");
+        core::OfflineOptions opt = cfg.offline;
+        opt.static_prefilter = prefilter;
+        const core::OfflineResult r = core::OfflineAnalyzer(p, opt).analyze(
+            trace);
+        EXPECT_FALSE(r.report.empty());
+        EXPECT_EQ(r.prefilter.pruned() > 0, prefilter);
+        expectMatchesLayers(p, trace, opt, "ordering");
+    }
 }
 
 /** What the deadline tick saw during one analyze() call. */

@@ -135,6 +135,57 @@ TEST(Align, TscInterpolationIsMonotone)
     }
 }
 
+TEST(Align, TscInterpolationStaysInItsBracket)
+{
+    // Brackets whose TSC spans reach past 2^53, up to the whole 64-bit
+    // range, where the double product can round beyond the span or past
+    // 2^64: every interpolated TSC stays within its bracket's anchors.
+    const uint64_t kMax = ~uint64_t{0};
+    const std::pair<uint64_t, uint64_t> brackets[] = {
+        {0, kMax},
+        {kMax - (uint64_t{1} << 62), kMax},
+        {1, kMax - 1},
+        {3, (uint64_t{1} << 60) + 1}, // the span rounds up as a double
+        {kMax - (uint64_t{1} << 54) - 3, kMax - 2},
+    };
+    for (const auto &[lo, hi] : brackets) {
+        ThreadAlignment align;
+        align.anchors = {{0, lo}, {1000, hi}, {1001, hi}};
+        for (uint64_t pos = 0; pos <= 1001; ++pos) {
+            const uint64_t t = align.tscAt(pos);
+            ASSERT_GE(t, lo) << "bracket " << lo << ".." << hi << " pos "
+                             << pos;
+            ASSERT_LE(t, hi) << "bracket " << lo << ".." << hi << " pos "
+                             << pos;
+        }
+        EXPECT_EQ(align.tscAt(0), lo);
+        EXPECT_EQ(align.tscAt(1000), hi);
+    }
+    // Below 2^53 the interpolation is exact: the midpoint of an even
+    // span lands on it, however high the anchors sit.
+    ThreadAlignment small;
+    const uint64_t base = kMax - (uint64_t{1} << 52);
+    small.anchors = {{0, base}, {2, base + (uint64_t{1} << 50)}};
+    EXPECT_EQ(small.tscAt(1), base + (uint64_t{1} << 49));
+}
+
+TEST(Align, TscCursorMatchesTheSearch)
+{
+    // Runs of ascending positions, each with a fresh cursor, starting
+    // before, on, between and after anchors (two share a position, two
+    // a TSC): the cursor walk gives what the binary search gives.
+    ThreadAlignment align;
+    align.anchors = {{4, 100}, {10, 160}, {10, 170}, {25, 170}, {40, 400}};
+    for (uint64_t start = 0; start <= 45; ++start) {
+        size_t cursor = SIZE_MAX;
+        for (uint64_t pos = start; pos <= 45; pos += 1 + pos % 3)
+            ASSERT_EQ(align.tscAt(pos, cursor), align.tscAt(pos))
+                << "start " << start << " pos " << pos;
+    }
+    size_t cursor = SIZE_MAX;
+    EXPECT_EQ(ThreadAlignment().tscAt(7, cursor), 0u);
+}
+
 TEST(Replayer, ReconstructionMatchesOracleExactly)
 {
     asmkit::Program program = makeBranchyProgram(150);
