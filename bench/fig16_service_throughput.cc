@@ -25,8 +25,12 @@
  *      below the GC-off peak by a real margin, and grows by less than
  *      half the events growth across the sweep (flat ceiling, not
  *      linear).
- *   4. Fleet ingest memory: the queue's high-water never exceeds the
- *      per-tenant credit budget times the tenant count.
+ *   4. Fleet ingest memory: producers parse their own chunks, so the
+ *      only raw bytes the service holds are its session readers'
+ *      unparsed tails. Their high-water never exceeds tenants x
+ *      session slots x the largest serialized subject trace: a reader
+ *      holds no more than the bytes fed to it (the chunk being parsed
+ *      included), and a tenant has at most session_slots sessions.
  *
  * `--json <path>` writes one JSONL record per configuration.
  */
@@ -94,11 +98,13 @@ runFleetConfig(unsigned producers, unsigned sessions, double scale,
     // analysis ever held. Total service residency is bounded by
     // num_workers times this (only that many analyses coexist).
     const uint64_t session_peak = r.session_peak_granules;
+    const uint64_t ingest_bound = static_cast<uint64_t>(producers) *
+        cfg.service.session_slots * r.largest_trace_bytes;
 
     std::printf("%2u tenants x %u sessions: %7llu events in %6.2fs "
                 "(%7.0f ev/s), latency p50 %6.1fms p99 %6.1fms, "
                 "session peak %5llu granules, gc reclaimed %llu, "
-                "ingest peak %llu KB\n",
+                "ingest peak %llu KB (bound %llu KB)\n",
                 producers, sessions,
                 static_cast<unsigned long long>(roll.incremental.events),
                 r.wall_seconds, events_per_s, p50 * 1e3, p99 * 1e3,
@@ -106,15 +112,15 @@ runFleetConfig(unsigned producers, unsigned sessions, double scale,
                 static_cast<unsigned long long>(
                     roll.incremental.granules_reclaimed),
                 static_cast<unsigned long long>(
-                    r.stats.ingest.peak_buffered_bytes >> 10));
+                    r.stats.ingest.peak_buffered_bytes >> 10),
+                static_cast<unsigned long long>(ingest_bound >> 10));
 
     check(r.stats.rollup.sessions_failed == 0, "no failed sessions");
     check(r.stats.rollup.sessions_completed ==
               static_cast<uint64_t>(producers) * sessions,
           "every opened session completed");
-    check(r.stats.ingest.peak_buffered_bytes <=
-              cfg.service.ingest.credit_bytes * producers,
-          "ingest memory bounded by credit x tenants");
+    check(r.stats.ingest.peak_buffered_bytes <= ingest_bound,
+          "ingest memory bounded by tenants x slots x largest trace");
     check(r.stats.distinct_races > 0, "fleet finds the planted races");
 
     json.record("fig16_fleet",

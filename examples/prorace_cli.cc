@@ -26,7 +26,7 @@
  *       as JSONL on stdout (one summary record, one site-class
  *       record) with a human-readable digest on stderr.
  *   prorace_cli serve [--producers N] [--sessions N] [--workers N]
- *               [--slots N] [--credit BYTES] [--shed] [--chunk BYTES]
+ *               [--slots N] [--shed] [--chunk BYTES]
  *               [--subjects a,b,c] [--scale X] [--period N] [--seed N]
  *               [--stats]
  *       Fleet-service mode (also spelled --serve): run the streaming
@@ -97,9 +97,8 @@ struct Args {
     unsigned sessions = 2;     ///< sessions per producer
     unsigned workers = 2;      ///< analysis pool threads
     unsigned slots = 2;        ///< resident sessions per tenant
-    uint64_t credit = 1u << 20;///< ingest credit bytes per tenant
     size_t chunk = 4096;       ///< submission chunk size
-    bool shed = false;         ///< shed instead of stalling producers
+    bool shed = false;         ///< shed opens instead of stalling them
     std::string subjects;      ///< comma-separated workload names
     std::string tenant = "cli";
     std::string state_dir;     ///< durable-state dir (serve / submit)
@@ -218,8 +217,8 @@ usage()
                  "       prorace_cli static-report <workload>"
                  " [--scale X]\n"
                  "       prorace_cli serve [--producers N] [--sessions "
-                 "N] [--workers N] [--slots N] [--credit BYTES] "
-                 "[--shed] [--chunk BYTES] [--subjects a,b,c]"
+                 "N] [--workers N] [--slots N] [--shed] "
+                 "[--chunk BYTES] [--subjects a,b,c]"
                  " [--scale X] [--period N] [--seed N] [--stats]"
                  " [--state-dir DIR] [--poison N]"
                  " [--deadline SECS]\n"
@@ -235,6 +234,8 @@ usage()
                  "--poison N adds N garbage-streaming tenants to the "
                  "fleet (chaos soak; their failures are expected and "
                  "exempt from the health gate)\n"
+                 "--shed makes serve reject an open while the tenant "
+                 "is out of session slots, instead of waiting for one\n"
                  "--sync draws the oracle battery from the rich-sync-"
                  "vocabulary families (rwlock upgrade, semaphore "
                  "misuse, spinlock publication, relaxed atomics) "
@@ -328,11 +329,6 @@ parseFlags(int argc, char **argv, int first, Args &args)
                 return false;
             args.slots =
                 static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-        } else if (flag == "--credit") {
-            const char *v = next();
-            if (!v)
-                return false;
-            args.credit = std::strtoull(v, nullptr, 10);
         } else if (flag == "--chunk") {
             const char *v = next();
             if (!v)
@@ -723,8 +719,7 @@ cmdServe(const Args &args)
     cfg.chunk_bytes = args.chunk;
     cfg.service.num_workers = args.workers;
     cfg.service.session_slots = args.slots;
-    cfg.service.ingest.credit_bytes = args.credit;
-    cfg.service.ingest.shed_on_full = args.shed;
+    cfg.service.shed_on_full = args.shed;
     cfg.service.state_dir = args.state_dir;
     cfg.service.supervision.session_deadline_seconds = args.deadline;
     cfg.poison_producers = args.poison;
@@ -758,16 +753,9 @@ cmdServe(const Args &args)
                          result.wall_seconds
                      : 0.0);
     std::fprintf(stderr,
-                 "ingest: peak buffered %.1f KB (credit %.1f KB/tenant),"
-                 " %llu stalls, %llu chunks shed, open stalls %llu\n",
+                 "ingest: peak unparsed %.1f KB, open stalls %llu\n",
                  static_cast<double>(
                      result.stats.ingest.peak_buffered_bytes) / 1024.0,
-                 static_cast<double>(cfg.service.ingest.credit_bytes) /
-                     1024.0,
-                 static_cast<unsigned long long>(
-                     result.stats.ingest.total().stalls),
-                 static_cast<unsigned long long>(
-                     result.stats.ingest.total().shed_chunks),
                  static_cast<unsigned long long>(
                      result.stats.open_stalls));
     std::fprintf(stderr,

@@ -56,19 +56,23 @@ const char *replayModeName(ReplayMode mode);
 
 /** One entry of the extended memory trace. */
 struct ReconstructedAccess {
+    // Field order packs the struct into 40 bytes: the two 32-bit
+    // fields share a word and the four one-byte fields share the tail.
     uint32_t tid = 0;
+    uint32_t insn_index = 0;
     /** Path position. A bare sample with no path position has 0; the
      *  accesses of a sample's basic block (kBasicBlock) have their
      *  index within that block. */
     uint64_t position = 0;
-    uint32_t insn_index = 0;
     uint64_t addr = 0;
+    uint64_t tsc = 0;      ///< interpolated retirement time
     uint8_t width = 8;
     bool is_write = false;
     bool is_atomic = false;
-    uint64_t tsc = 0;      ///< interpolated retirement time
     detect::AccessOrigin origin = detect::AccessOrigin::kSampled;
 };
+static_assert(sizeof(ReconstructedAccess) == 40,
+              "ReconstructedAccess is copied per replayed access");
 
 /** Reconstruction statistics (drives Fig 11). */
 struct ReplayStats {

@@ -1,5 +1,6 @@
 #include "service/fleet.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -58,7 +59,8 @@ runFleet(const FleetConfig &config)
 
     FleetResult result;
     for (const RecordedSubject &subject : subjects)
-        result.trace_bytes_per_session += subject.bytes.size();
+        result.largest_trace_bytes = std::max<uint64_t>(
+            result.largest_trace_bytes, subject.bytes.size());
 
     // Phase 2 (timed): producers flood the service.
     AnalysisService service(config.service);

@@ -6,9 +6,10 @@
  * producer is a tenant that records its subject once up front
  * (core::Session), then streams the serialized trace into the service
  * in fixed-size chunks for a number of sessions, closing each so the
- * backend analyzes it. Recording happens before the clock starts; the
- * measured region is pure service work (ingest, parse, replay, detect,
- * fold), which is what fig16 wants to characterize.
+ * backend analyzes it. Each producer thread parses its own chunks
+ * inside AnalysisService::submit. Recording happens before the clock
+ * starts; the measured region is pure service work (parse, replay,
+ * detect, fold), which is what fig16 wants to characterize.
  */
 
 #ifndef PRORACE_SERVICE_FLEET_HH
@@ -61,7 +62,7 @@ struct FleetResult {
     uint64_t sessions_rejected = 0; ///< openSession returned 0 (shed)
     uint64_t poison_sessions = 0;   ///< garbage sessions opened
     uint64_t bytes_submitted = 0;
-    uint64_t trace_bytes_per_session = 0; ///< summed over subjects
+    uint64_t largest_trace_bytes = 0; ///< largest serialized subject
     double wall_seconds = 0; ///< streaming + drain (recording excluded)
     /**
      * Largest shadow table any single session analysis held. Total

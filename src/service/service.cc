@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <stdexcept>
+#include <thread>
 
 #include "support/log.hh"
 
@@ -23,7 +24,7 @@ constexpr double kBackoffMultiplier = 2.0;
 } // namespace
 
 AnalysisService::AnalysisService(const ServiceOptions &options)
-    : options_(options), queue_(options.ingest)
+    : options_(options)
 {
     // The whole point of the service tier is bounded-memory streaming
     // detection; the one-shot detector is not an option here.
@@ -62,7 +63,6 @@ AnalysisService::AnalysisService(const ServiceOptions &options)
     }
 
     executor_ = std::make_unique<exec::Executor>(options_.num_workers);
-    pump_ = std::thread([this] { pumpLoop(); });
 }
 
 AnalysisService::~AnalysisService()
@@ -102,7 +102,7 @@ AnalysisService::openSession(const std::string &tenant,
         return active_per_tenant_[tenant] < options_.session_slots;
     };
     if (!slot_free()) {
-        if (options_.ingest.shed_on_full) {
+        if (options_.shed_on_full) {
             ++sessions_shed_;
             return 0;
         }
@@ -141,70 +141,66 @@ bool
 AnalysisService::submit(uint64_t session_id, const uint8_t *data,
                         size_t size)
 {
-    IngestQueue::Chunk chunk;
+    std::shared_ptr<SessionState> session;
     {
         std::lock_guard<std::mutex> lock(mu_);
         auto it = sessions_.find(session_id);
-        if (it == sessions_.end() || it->second->close_submitted)
+        if (shut_down_ || it == sessions_.end())
             return false;
-        chunk.tenant = it->second->tenant;
+        session = it->second;
     }
-    chunk.session = session_id;
-    chunk.bytes.assign(data, data + size);
-    // push() may block for credit; never under mu_.
-    return queue_.push(std::move(chunk)) ==
-        IngestQueue::PushResult::kAccepted;
+    // The producer parses its own bytes under its session's lock only,
+    // so one tenant's stream never waits behind another's parse.
+    std::lock_guard<std::mutex> lock(session->mu);
+    if (session->closed)
+        return false;
+    trace::TraceReader &reader = session->reader;
+    const size_t before = reader.bytesBuffered();
+    reader.feed(data, size);
+    const size_t fed = reader.bytesBuffered();
+    trackUnparsed(before, fed);
+    reader.poll();
+    trackUnparsed(fed, reader.bytesBuffered());
+    return true;
 }
 
 void
 AnalysisService::closeSession(uint64_t session_id)
 {
-    IngestQueue::Chunk chunk;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = sessions_.find(session_id);
-        if (it == sessions_.end() || it->second->close_submitted)
-            return;
-        it->second->close_submitted = true;
-        chunk.tenant = it->second->tenant;
-        ++closed_pending_;
-    }
-    chunk.session = session_id;
-    chunk.close = true;
-    queue_.push(std::move(chunk));
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = sessions_.find(session_id);
+    if (shut_down_ || it == sessions_.end())
+        return;
+    std::shared_ptr<SessionState> session = std::move(it->second);
+    sessions_.erase(it);
+    endIntakeLocked(*session);
+    ++closed_pending_;
+    // Dispatched under mu_: shutdown() sets shut_down_ under mu_ before
+    // it retires the executor.
+    executor_->submit([this, session] { analyzeSession(session); });
 }
 
 void
-AnalysisService::pumpLoop()
+AnalysisService::endIntakeLocked(SessionState &session)
 {
-    IngestQueue::Chunk chunk;
-    while (queue_.pop(chunk)) {
-        std::shared_ptr<SessionState> session;
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            auto it = sessions_.find(chunk.session);
-            if (it != sessions_.end())
-                session = it->second;
-        }
-        if (!session) {
-            // Session already dispatched (late chunk); just return the
-            // credit so the producer is not charged for a lost chunk.
-            if (!chunk.bytes.empty())
-                queue_.credit(chunk.tenant, chunk.bytes.size());
-            continue;
-        }
-        if (!chunk.close) {
-            session->reader.feed(chunk.bytes);
-            session->reader.poll();
-            queue_.credit(chunk.tenant, chunk.bytes.size());
-            continue;
-        }
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            sessions_.erase(chunk.session);
-        }
-        executor_->submit(
-            [this, session] { analyzeSession(session); });
+    // Waits out a submit still parsing on another thread; after this,
+    // submits of the session return false without touching the reader.
+    std::lock_guard<std::mutex> lock(session.mu);
+    session.closed = true;
+    trackUnparsed(session.reader.bytesBuffered(), 0);
+}
+
+void
+AnalysisService::trackUnparsed(uint64_t before, uint64_t after)
+{
+    // Unsigned wrap-around turns a shrinking tail into a subtraction;
+    // every session adds its bytes before it releases them, so the
+    // running total never goes below zero.
+    const uint64_t delta = after - before;
+    const uint64_t now = unparsed_bytes_.fetch_add(delta) + delta;
+    uint64_t peak = peak_unparsed_bytes_.load();
+    while (now > peak &&
+           !peak_unparsed_bytes_.compare_exchange_weak(peak, now)) {
     }
 }
 
@@ -372,17 +368,17 @@ AnalysisService::completeSession(
 void
 AnalysisService::abortTenantSessionsLocked(const std::string &tenant)
 {
-    // Drop the tenant's still-streaming sessions. Sessions whose close
-    // is already in flight keep their closed_pending_ accounting and
-    // run to completion; in-flight chunks of the dropped ones hit the
-    // pump's late-chunk path, which refunds their credits. Slots free
-    // here so a quarantine can never wedge openSession waiters.
+    // Drop the tenant's still-streaming sessions; closed ones already
+    // left sessions_ and run to completion, so drain accounting stays
+    // exact. Slots free here so a quarantine can never wedge
+    // openSession waiters.
     for (auto it = sessions_.begin(); it != sessions_.end();) {
-        const SessionState &s = *it->second;
-        if (s.tenant != tenant || s.close_submitted) {
+        SessionState &s = *it->second;
+        if (s.tenant != tenant) {
             ++it;
             continue;
         }
+        endIntakeLocked(s);
         it = sessions_.erase(it);
         ++quarantine_aborted_sessions_;
         auto ait = active_per_tenant_.find(tenant);
@@ -413,11 +409,8 @@ AnalysisService::shutdown()
         shut_down_ = true;
         slot_cv_.notify_all();
     }
-    queue_.close();
-    if (pump_.joinable())
-        pump_.join();
     // Sessions never closed by their producer can't complete; wait only
-    // for the analyses the pump actually dispatched.
+    // for the analyses closeSession dispatched.
     executor_.reset(); // waits for in-flight tasks
     // Journal closes after the last completion folded in: close()
     // syncs, so a clean shutdown loses nothing.
@@ -468,7 +461,7 @@ AnalysisService::stats() const
     }
     stats.distinct_races = store_.distinctRaces();
     stats.report_observations = store_.totalObservations();
-    stats.ingest = queue_.stats();
+    stats.ingest.peak_buffered_bytes = peak_unparsed_bytes_.load();
     if (executor_)
         stats.executor = executor_->stats();
     return stats;

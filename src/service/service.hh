@@ -6,24 +6,23 @@
  * the heavyweight analysis to dedicated machines; this is that backend
  * tier as one process. Producers open *sessions* (one recorded run
  * each), stream trace-file bytes (trace/trace_file.hh) in chunks, and
- * close; the service tails each session's byte stream with a
- * trace::TraceReader cursor, and on close hands the ingested trace to
- * the offline pipeline on the service's executor, with streaming
- * detection (detect::FastTrack with epoch GC) so detector memory stays
- * bounded on long traces. Finished reports fold into the cross-tenant
- * ReportStore.
+ * close. submit() feeds each chunk to the session's own
+ * trace::TraceReader cursor and parses every segment the chunk
+ * completes, on the producer's thread under the session's lock: a
+ * producer pays for parsing its own bytes, and no tenant's stream waits
+ * behind another's. closeSession() hands the ingested trace to the
+ * offline pipeline on the service's executor, with streaming detection
+ * (detect::FastTrack with epoch GC) so detector memory stays bounded on
+ * long traces. Finished reports fold into the cross-tenant ReportStore.
  *
- * Two mechanisms bound resident memory regardless of producer count or
- * stream length (DESIGN.md §13.4):
- *
- *   1. Chunk credits (service/ingest.hh): raw queued bytes per tenant
- *      never exceed the credit budget; producers stall or shed.
- *   2. Session slots: a tenant may have at most session_slots sessions
- *      resident (ingesting or awaiting/under analysis). A saturated
- *      analysis pool delays completions, which exhausts slots, which
- *      stalls (or sheds) producers at openSession — backpressure
- *      propagates from the pool to the fleet instead of accumulating
- *      unbounded parsed traces.
+ * Session slots bound resident memory regardless of producer count or
+ * stream length (DESIGN.md §13.1): a tenant may have at most
+ * session_slots sessions resident (ingesting or awaiting/under
+ * analysis), and an ingesting session holds no raw bytes beyond its
+ * reader's unparsed tail. A saturated analysis pool delays
+ * completions, which exhausts slots, which stalls (or sheds) producers
+ * at openSession — backpressure propagates from the pool to the fleet
+ * instead of accumulating unbounded parsed traces.
  *
  * Every per-session OfflineResult's counters are aggregated per tenant
  * and service-wide (the --stats rollup), not just kept from the last
@@ -42,6 +41,7 @@
 #ifndef PRORACE_SERVICE_SERVICE_HH
 #define PRORACE_SERVICE_SERVICE_HH
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -51,13 +51,11 @@
 #include <mutex>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "asmkit/program.hh"
 #include "core/offline.hh"
 #include "exec/executor.hh"
-#include "service/ingest.hh"
 #include "service/report_store.hh"
 #include "support/stats.hh"
 #include "trace/trace_file.hh"
@@ -68,8 +66,8 @@ namespace prorace::service {
  * Self-healing policy: what the service does when a session's analysis
  * misbehaves (throws, or overruns its deadline). Failed attempts are
  * retried with exponential backoff; a session that exhausts its retries
- * is *quarantined* — it completes as failed, releases its slot and
- * credits, and counts a strike against its tenant. A tenant collecting
+ * is *quarantined* — it completes as failed, releases its slot, and
+ * counts a strike against its tenant. A tenant collecting
  * tenant_quarantine_strikes quarantined sessions is itself quarantined:
  * its open sessions are aborted and further opens are rejected, so one
  * poisoned producer cannot take the pool down or starve the fleet.
@@ -103,7 +101,8 @@ struct ServiceOptions {
     unsigned num_workers = 2;
     /** Concurrent resident sessions allowed per tenant. */
     unsigned session_slots = 2;
-    IngestPolicy ingest;
+    /** Out of session slots: true = openSession sheds, false = waits. */
+    bool shed_on_full = false;
     /**
      * Offline-pipeline configuration applied to every session.
      * incremental.enabled is forced on, and num_threads to 0: sessions
@@ -219,6 +218,12 @@ struct TenantServiceStats {
     }
 };
 
+/** Ingest accounting. Producers parse their own chunks in submit(). */
+struct IngestStats {
+    /** High-water mark of unparsed bytes held by session readers. */
+    uint64_t peak_buffered_bytes = 0;
+};
+
 /** Service-wide snapshot: the rollup plus frontend/pool counters. */
 struct ServiceStats {
     TenantServiceStats rollup; ///< every tenant merged
@@ -259,18 +264,18 @@ class AnalysisService
 
     /**
      * Open a session. Blocks while the tenant is out of session slots
-     * (or returns 0 immediately under the shedding policy, and for
-     * unknown program ids / after shutdown). Returns the session id.
+     * (or returns 0 immediately with shed_on_full, and for unknown
+     * program ids / after shutdown). Returns the session id.
      */
     uint64_t openSession(const std::string &tenant,
                          const std::string &program_id);
 
     /**
-     * Stream trace bytes into the session. Chunking is arbitrary —
-     * segment boundaries need not be respected. Returns false when the
-     * chunk was shed (credit exhausted under the shedding policy) or
-     * the session is unknown/closed; shed bytes degrade into segment
-     * loss, which ingestion tolerates.
+     * Stream trace bytes into the session and parse every segment they
+     * complete, on the caller's thread. Chunking is arbitrary — segment
+     * boundaries need not be respected. Returns false, feeding nothing,
+     * when the session is unknown, closed or aborted (its tenant was
+     * quarantined), or the service is shut down.
      */
     bool submit(uint64_t session_id, const uint8_t *data, size_t size);
 
@@ -280,15 +285,18 @@ class AnalysisService
         return submit(session_id, bytes.data(), bytes.size());
     }
 
-    /** End of stream: triggers analysis of everything ingested. */
+    /**
+     * End of stream: later submits fail, and the analysis of everything
+     * ingested goes to the executor.
+     */
     void closeSession(uint64_t session_id);
 
     /** Block until every closed session's analysis has completed. */
     void drain();
 
     /**
-     * Stop intake, drain, and join the pump and pool. Idempotent;
-     * further opens/submits fail.
+     * Stop intake, drain, and join the pool. Idempotent; further
+     * opens/submits fail.
      */
     void shutdown();
 
@@ -318,12 +326,17 @@ class AnalysisService
         std::string tenant;
         std::string program_id;
         std::shared_ptr<const asmkit::Program> program;
-        trace::TraceReader reader;
         std::chrono::steady_clock::time_point opened;
-        bool close_submitted = false;
+        /** Guards reader and closed while producers submit. */
+        std::mutex mu;
+        trace::TraceReader reader;
+        bool closed = false; ///< intake over; the reader is analysis's
     };
 
-    void pumpLoop();
+    /** Mark @p session closed to submits. Caller holds mu_. */
+    void endIntakeLocked(SessionState &session);
+    /** Account a reader's unparsed bytes moving from @p before to @p after. */
+    void trackUnparsed(uint64_t before, uint64_t after);
     void analyzeSession(std::shared_ptr<SessionState> session);
     void completeSession(const std::shared_ptr<SessionState> &session,
                          SessionOutcome outcome);
@@ -331,7 +344,6 @@ class AnalysisService
     void abortTenantSessionsLocked(const std::string &tenant);
 
     ServiceOptions options_;
-    IngestQueue queue_;
     ReportStore store_;
     std::unique_ptr<support::Journal> journal_;
     uint64_t recovered_reports_ = 0;
@@ -341,6 +353,7 @@ class AnalysisService
     std::condition_variable drain_cv_; ///< active count hit zero
     std::map<std::string,
              std::shared_ptr<const asmkit::Program>> programs_;
+    /** Open sessions; closing or aborting one removes it. */
     std::map<uint64_t, std::shared_ptr<SessionState>> sessions_;
     std::map<std::string, unsigned> active_per_tenant_;
     std::map<std::string, TenantServiceStats> tenant_stats_;
@@ -357,11 +370,13 @@ class AnalysisService
     uint64_t quarantine_rejected_opens_ = 0;
     uint64_t quarantine_aborted_sessions_ = 0;
     bool shut_down_ = false;
+    /** Unparsed bytes held by open sessions' readers, and its peak. */
+    std::atomic<uint64_t> unparsed_bytes_{0};
+    std::atomic<uint64_t> peak_unparsed_bytes_{0};
 
-    // Constructed last, destroyed first: the pump and pool reference
-    // everything above.
+    // Constructed last, destroyed first: the pool references everything
+    // above.
     std::unique_ptr<exec::Executor> executor_;
-    std::thread pump_;
 };
 
 } // namespace prorace::service

@@ -3,20 +3,21 @@
  * Tests for the streaming multi-tenant analysis service: the
  * incremental detector's report identity with the one-shot detector,
  * epoch-GC soundness (nothing swept ever resurrects as a spurious
- * race), ingest backpressure bounds, the resumable trace cursor, and
- * the service's aggregation/deduplication layers.
+ * race), the resumable trace cursor, producers parsing their own
+ * chunks, and the service's aggregation/deduplication layers.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <iterator>
+#include <stdexcept>
 #include <thread>
 
 #include "core/pipeline.hh"
 #include "detect/fasttrack.hh"
 #include "oracle/generator.hh"
 #include "service/fleet.hh"
-#include "service/ingest.hh"
 #include "service/report_store.hh"
 #include "service/service.hh"
 #include "testutil.hh"
@@ -239,127 +240,6 @@ TEST(EpochGc, ExitTiesAtFrontierStayLive)
 }
 
 // ---------------------------------------------------------------------
-// Ingest backpressure
-// ---------------------------------------------------------------------
-
-service::IngestQueue::Chunk
-chunk(const std::string &tenant, uint64_t session, size_t bytes)
-{
-    service::IngestQueue::Chunk c;
-    c.tenant = tenant;
-    c.session = session;
-    c.bytes.assign(bytes, 0xab);
-    return c;
-}
-
-TEST(Backpressure, StallingProducerNeverExceedsCredit)
-{
-    service::IngestPolicy policy;
-    policy.credit_bytes = 1024;
-    policy.shed_on_full = false;
-    service::IngestQueue queue(policy);
-
-    // A flooding producer: 64 chunks of 256 bytes = 16x the credit.
-    std::thread producer([&] {
-        for (int i = 0; i < 64; ++i)
-            queue.push(chunk("t", 1, 256));
-        queue.push([] {
-            service::IngestQueue::Chunk c;
-            c.tenant = "t";
-            c.session = 1;
-            c.close = true;
-            return c;
-        }());
-    });
-
-    size_t popped = 0;
-    uint64_t max_buffered = 0;
-    service::IngestQueue::Chunk c;
-    while (queue.pop(c)) {
-        max_buffered = std::max(max_buffered, queue.bufferedBytes() +
-                                                  c.bytes.size());
-        if (c.close)
-            break;
-        ++popped;
-        // Simulate slow parsing before the credit returns.
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-        queue.credit(c.tenant, c.bytes.size());
-    }
-    producer.join();
-
-    EXPECT_EQ(popped, 64u);
-    EXPECT_LE(max_buffered, policy.credit_bytes);
-    const service::IngestStats stats = queue.stats();
-    EXPECT_LE(stats.peak_buffered_bytes, policy.credit_bytes);
-    EXPECT_LE(stats.tenants.at("t").peak_outstanding,
-              policy.credit_bytes);
-    EXPECT_GT(stats.tenants.at("t").stalls, 0u);
-    EXPECT_EQ(stats.tenants.at("t").bytes, 64u * 256u);
-}
-
-TEST(Backpressure, SheddingPolicyDropsInsteadOfBlocking)
-{
-    service::IngestPolicy policy;
-    policy.credit_bytes = 1024;
-    policy.shed_on_full = true;
-    service::IngestQueue queue(policy);
-
-    // No consumer crediting: only the first credit's worth is accepted.
-    size_t accepted = 0, shed = 0;
-    for (int i = 0; i < 64; ++i) {
-        switch (queue.push(chunk("t", 1, 256))) {
-        case service::IngestQueue::PushResult::kAccepted:
-            ++accepted;
-            break;
-        case service::IngestQueue::PushResult::kShed:
-            ++shed;
-            break;
-        default:
-            FAIL();
-        }
-    }
-    EXPECT_EQ(accepted, 4u); // 1024 / 256
-    EXPECT_EQ(shed, 60u);
-    const service::IngestStats stats = queue.stats();
-    EXPECT_EQ(stats.tenants.at("t").shed_chunks, 60u);
-    EXPECT_LE(queue.bufferedBytes(), policy.credit_bytes);
-}
-
-TEST(Backpressure, OversizedChunkAdmittedWhenIdle)
-{
-    service::IngestPolicy policy;
-    policy.credit_bytes = 100;
-    policy.shed_on_full = true;
-    service::IngestQueue queue(policy);
-
-    // Larger than the whole budget, but the tenant is idle: admitted.
-    EXPECT_EQ(queue.push(chunk("t", 1, 500)),
-              service::IngestQueue::PushResult::kAccepted);
-    // Not idle anymore: shed.
-    EXPECT_EQ(queue.push(chunk("t", 1, 500)),
-              service::IngestQueue::PushResult::kShed);
-    queue.credit("t", 500);
-    EXPECT_EQ(queue.push(chunk("t", 1, 500)),
-              service::IngestQueue::PushResult::kAccepted);
-}
-
-TEST(Backpressure, TenantsAreIsolated)
-{
-    service::IngestPolicy policy;
-    policy.credit_bytes = 256;
-    policy.shed_on_full = true;
-    service::IngestQueue queue(policy);
-
-    // Exhaust tenant a's credit; tenant b is unaffected.
-    EXPECT_EQ(queue.push(chunk("a", 1, 256)),
-              service::IngestQueue::PushResult::kAccepted);
-    EXPECT_EQ(queue.push(chunk("a", 1, 1)),
-              service::IngestQueue::PushResult::kShed);
-    EXPECT_EQ(queue.push(chunk("b", 2, 256)),
-              service::IngestQueue::PushResult::kAccepted);
-}
-
-// ---------------------------------------------------------------------
 // Resumable trace cursor
 // ---------------------------------------------------------------------
 
@@ -557,7 +437,7 @@ TEST(AnalysisService, SessionSlotsThrottleAndShed)
     service::ServiceOptions options;
     options.num_workers = 1;
     options.session_slots = 1;
-    options.ingest.shed_on_full = true;
+    options.shed_on_full = true;
     service::AnalysisService svc(options);
 
     auto w = workload::findWorkload("aget-bug2", 0.1);
@@ -600,6 +480,221 @@ TEST(AnalysisService, DamagedStreamFailsSessionOnly)
     EXPECT_FALSE(outcomes[0].error.empty());
     EXPECT_EQ(svc.tenantStats().at("t").sessions_failed, 1u);
     EXPECT_EQ(svc.stats().distinct_races, 0u);
+}
+
+/** One recorded subject: its trace bytes and their direct report. */
+struct StreamedSubject {
+    std::string name;
+    std::shared_ptr<const asmkit::Program> program;
+    std::vector<uint8_t> bytes;
+    std::string expected; ///< direct OfflineAnalyzer report
+};
+
+void
+recordStreamed(const std::string &name, double scale, uint64_t seed,
+               StreamedSubject &out)
+{
+    auto w = workload::findWorkload(name, scale);
+    ASSERT_TRUE(w.has_value()) << name;
+    core::PipelineConfig cfg = core::proRaceConfig(8, seed, w->pt_filter);
+    cfg.session.run_baseline = false;
+    core::RunArtifacts run =
+        core::Session::run(*w->program, w->setup, cfg.session);
+    out.name = name;
+    out.program = w->program;
+    out.bytes = trace::serializeTrace(run.trace);
+    core::OfflineAnalyzer analyzer(*w->program, core::OfflineOptions{});
+    out.expected =
+        analyzer.analyze(run.trace).report.format(w->program.get());
+}
+
+TEST(AnalysisService, ProducersParseOddChunksConcurrently)
+{
+    // Several producer threads per tenant parse their own chunks, at
+    // sizes that split segment headers (1, 7) and that span segments
+    // (4096), while other tenants' threads parse theirs. Every session
+    // must still reproduce the direct analysis of its bytes.
+    const uint64_t seed = testutil::testSeed(43);
+    PRORACE_SEED_TRACE(seed);
+    std::vector<StreamedSubject> subjects(2);
+    ASSERT_NO_FATAL_FAILURE(
+        recordStreamed("aget-bug2", 0.3, seed, subjects[0]));
+    ASSERT_NO_FATAL_FAILURE(
+        recordStreamed("pbzip2-0.9.4", 0.2, seed + 1, subjects[1]));
+    size_t largest = 0;
+    for (const StreamedSubject &subject : subjects) {
+        ASSERT_FALSE(subject.expected.empty()) << subject.name;
+        largest = std::max(largest, subject.bytes.size());
+    }
+
+    service::ServiceOptions options;
+    options.num_workers = 2;
+    options.session_slots = 2;
+    service::AnalysisService svc(options);
+    for (const StreamedSubject &subject : subjects)
+        svc.registerProgram(subject.name, subject.program);
+
+    constexpr unsigned kTenants = 3, kThreadsPerTenant = 2;
+    constexpr size_t kChunks[] = {1, 7, 4096};
+    constexpr size_t kSessionsPerThread = std::size(kChunks);
+    std::vector<std::thread> producers;
+    for (unsigned t = 0; t < kTenants; ++t) {
+        for (unsigned p = 0; p < kThreadsPerTenant; ++p) {
+            producers.emplace_back([&, t, p] {
+                const std::string tenant = "tenant-" + std::to_string(t);
+                for (size_t k = 0; k < kSessionsPerThread; ++k) {
+                    const StreamedSubject &subject =
+                        subjects[(t + p + k) % subjects.size()];
+                    const size_t chunk = kChunks[(p + k) % kSessionsPerThread];
+                    const uint64_t id =
+                        svc.openSession(tenant, subject.name);
+                    ASSERT_NE(id, 0u);
+                    const std::vector<uint8_t> &bytes = subject.bytes;
+                    for (size_t off = 0; off < bytes.size(); off += chunk) {
+                        const size_t len =
+                            std::min(chunk, bytes.size() - off);
+                        EXPECT_TRUE(svc.submit(id, bytes.data() + off, len));
+                    }
+                    svc.closeSession(id);
+                }
+            });
+        }
+    }
+    for (std::thread &p : producers)
+        p.join();
+    svc.drain();
+
+    const std::vector<service::SessionOutcome> outcomes = svc.outcomes();
+    ASSERT_EQ(outcomes.size(),
+              kTenants * kThreadsPerTenant * kSessionsPerThread);
+    for (const service::SessionOutcome &outcome : outcomes) {
+        EXPECT_TRUE(outcome.ok) << outcome.error;
+        for (const StreamedSubject &subject : subjects) {
+            if (subject.name != outcome.program_id)
+                continue;
+            EXPECT_EQ(outcome.report.format(subject.program.get()),
+                      subject.expected)
+                << outcome.tenant << " session " << outcome.session_id;
+        }
+    }
+
+    // The only raw bytes the service held were its readers' unparsed
+    // tails: at most session_slots sessions per tenant, each holding
+    // no more than its stream.
+    const uint64_t peak = svc.stats().ingest.peak_buffered_bytes;
+    EXPECT_GT(peak, 0u);
+    EXPECT_LE(peak, kTenants * options.session_slots * largest);
+}
+
+TEST(AnalysisService, RejectedSubmitFeedsNoReader)
+{
+    // A submit that returns false must reach no reader. The rejected
+    // chunk is larger than every stream, so had it been fed, the
+    // ingest high-water mark would exceed the stream size.
+    const uint64_t seed = testutil::testSeed(47);
+    PRORACE_SEED_TRACE(seed);
+    StreamedSubject subject;
+    ASSERT_NO_FATAL_FAILURE(recordStreamed("aget-bug2", 0.2, seed, subject));
+    const std::vector<uint8_t> oversized(4 * subject.bytes.size(), 0xee);
+    constexpr size_t kPrefix = 64;
+
+    service::ServiceOptions options;
+    options.num_workers = 1;
+    options.supervision.max_retries = 0;
+    options.supervision.tenant_quarantine_strikes = 1;
+    options.analysis_fault_injector = [](const std::string &tenant,
+                                         uint64_t, unsigned) {
+        if (tenant == "poisoned")
+            throw std::runtime_error("injected fault");
+    };
+    service::AnalysisService svc(options);
+    svc.registerProgram(subject.name, subject.program);
+    auto peak = [&] { return svc.stats().ingest.peak_buffered_bytes; };
+
+    // An unknown session id.
+    EXPECT_FALSE(svc.submit(12345, oversized));
+    EXPECT_EQ(peak(), 0u);
+
+    // After closeSession: the analysis sees the bytes before the close.
+    // Each 4 KiB chunk is parsed as it arrives, so the reader never
+    // holds the whole stream.
+    const uint64_t closed = svc.openSession("healthy", subject.name);
+    ASSERT_NE(closed, 0u);
+    const std::vector<uint8_t> &bytes = subject.bytes;
+    for (size_t off = 0; off < bytes.size(); off += 4096) {
+        const size_t len = std::min<size_t>(4096, bytes.size() - off);
+        EXPECT_TRUE(svc.submit(closed, bytes.data() + off, len));
+    }
+    EXPECT_LT(peak(), bytes.size());
+    svc.closeSession(closed);
+    EXPECT_FALSE(svc.submit(closed, oversized));
+    svc.drain();
+
+    // After the tenant is quarantined: its one strike aborts the
+    // session it still had open.
+    const uint64_t open = svc.openSession("poisoned", subject.name);
+    const uint64_t striker = svc.openSession("poisoned", subject.name);
+    ASSERT_NE(open, 0u);
+    ASSERT_NE(striker, 0u);
+    EXPECT_TRUE(svc.submit(open, subject.bytes.data(), kPrefix));
+    EXPECT_TRUE(svc.submit(striker, subject.bytes));
+    svc.closeSession(striker);
+    svc.drain();
+    ASSERT_TRUE(svc.tenantQuarantined("poisoned"));
+    EXPECT_FALSE(svc.submit(open, oversized));
+    svc.closeSession(open); // already ended by the abort: a no-op
+    svc.drain();
+
+    EXPECT_LE(peak(), subject.bytes.size() + kPrefix);
+    const service::ServiceStats stats = svc.stats();
+    EXPECT_EQ(stats.quarantine_aborted_sessions, 1u);
+    const std::vector<service::SessionOutcome> outcomes = svc.outcomes();
+    ASSERT_EQ(outcomes.size(), 2u);
+    EXPECT_TRUE(outcomes[0].ok) << outcomes[0].error;
+    EXPECT_EQ(outcomes[0].report.format(subject.program.get()),
+              subject.expected);
+    EXPECT_TRUE(outcomes[1].quarantined);
+
+    // And after shutdown.
+    const uint64_t late = svc.openSession("healthy", subject.name);
+    ASSERT_NE(late, 0u);
+    svc.shutdown();
+    EXPECT_FALSE(svc.submit(late, oversized));
+    EXPECT_LE(peak(), subject.bytes.size() + kPrefix);
+}
+
+TEST(AnalysisService, SubmitRacingCloseLeavesTheReaderAlone)
+{
+    // A producer streams 1-byte chunks until a submit fails while
+    // another thread closes the session midway. Once closed, the reader
+    // belongs to the analysis: no submit may touch it (run under TSan
+    // to check the locking), and the session completes exactly once.
+    const uint64_t seed = testutil::testSeed(53);
+    PRORACE_SEED_TRACE(seed);
+    StreamedSubject subject;
+    ASSERT_NO_FATAL_FAILURE(recordStreamed("aget-bug2", 0.2, seed, subject));
+    const std::vector<uint8_t> &bytes = subject.bytes;
+
+    service::AnalysisService svc{service::ServiceOptions()};
+    svc.registerProgram(subject.name, subject.program);
+    const uint64_t id = svc.openSession("t", subject.name);
+    ASSERT_NE(id, 0u);
+    std::atomic<size_t> accepted{0};
+    std::thread producer([&] {
+        for (size_t off = 0; off < bytes.size(); ++off) {
+            if (!svc.submit(id, bytes.data() + off, 1))
+                return;
+            ++accepted;
+        }
+    });
+    while (accepted < bytes.size() / 2)
+        std::this_thread::yield();
+    svc.closeSession(id);
+    producer.join();
+    svc.drain();
+
+    EXPECT_EQ(svc.outcomes().size(), 1u);
+    EXPECT_FALSE(svc.submit(id, bytes.data(), 1));
 }
 
 TEST(AnalysisService, SubjectFilteredStreamsMatchDirectAnalysis)
