@@ -46,19 +46,28 @@ benchApp()
     return w;
 }
 
-core::RunArtifacts &
-benchRun()
+core::RunArtifacts
+traceBenchApp(uint64_t period)
 {
-    static core::RunArtifacts run = [] {
-        auto &w = benchApp();
-        core::SessionOptions opt;
-        opt.machine.seed = 9;
-        opt.run_baseline = false;
-        opt.tracing.pebs_period = 200;
-        opt.tracing.pt.filter = w.pt_filter;
-        return core::Session::run(*w.program, w.setup, opt);
-    }();
-    return run;
+    auto &w = benchApp();
+    core::SessionOptions opt;
+    opt.machine.seed = 9;
+    opt.run_baseline = false;
+    opt.tracing.pebs_period = period;
+    opt.tracing.pt.filter = w.pt_filter;
+    return core::Session::run(*w.program, w.setup, opt);
+}
+
+/** The bench app traced at period 200, or at 10000 when asked. */
+core::RunArtifacts &
+benchRun(uint64_t period = 200)
+{
+    if (period == 10000) {
+        static core::RunArtifacts sparse = traceBenchApp(10000);
+        return sparse;
+    }
+    static core::RunArtifacts dense = traceBenchApp(200);
+    return dense;
 }
 
 void
@@ -140,9 +149,11 @@ void
 BM_Replay(benchmark::State &state)
 {
     // Arg 1 attaches the static analysis (the analyzer's configuration:
-    // kill masks from the fact table); 0 is the
-    // analysis-free legacy path. Both replay the same windows.
-    auto &run = benchRun();
+    // facts from the flat table); 0 is the analysis-free path. Both
+    // replay the same windows. Period 10000 is the paper's deployment
+    // regime: long windows where most forward steps find an operand
+    // unknown.
+    auto &run = benchRun(static_cast<uint64_t>(state.range(1)));
     auto &w = benchApp();
     auto paths =
         pmu::decodePt(*w.program, run.trace.meta.pt_filter, run.trace);
@@ -166,8 +177,8 @@ BM_Replay(benchmark::State &state)
         static_cast<double>(windows), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_Replay)
-    ->Arg(0)->Arg(1)
-    ->ArgNames({"analysis"})
+    ->ArgsProduct({{0, 1}, {200, 10000}})
+    ->ArgNames({"analysis", "period"})
     ->Unit(benchmark::kMillisecond);
 
 void

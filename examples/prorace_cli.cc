@@ -108,8 +108,8 @@ struct Args {
 };
 
 /**
- * `--stats` dump: the alignment work counters and the paged-ProgramMap
- * and FastTrack shadow counters behind one offline analysis, for
+ * `--stats` dump: the alignment and replay work counters and the
+ * paged-ProgramMap and FastTrack shadow counters behind one offline analysis, for
  * eyeballing structure behavior on real workloads without a profiler.
  */
 void
@@ -123,7 +123,15 @@ printShadowStats(const core::OfflineResult &result)
                 static_cast<unsigned long long>(al.candidates_examined),
                 static_cast<unsigned long long>(al.candidates_rejected));
 
-    const replay::ProgramMapStats &pm = result.replay_stats.program_map;
+    const replay::ReplayStats &rs = result.replay_stats;
+    std::printf("replay: %llu forward steps (%llu settled unresolved), "
+                "%llu backward steps\n",
+                static_cast<unsigned long long>(rs.forward_steps),
+                static_cast<unsigned long long>(
+                    rs.forward_unresolved_steps),
+                static_cast<unsigned long long>(rs.backward_steps));
+
+    const replay::ProgramMapStats &pm = rs.program_map;
     const double hit_rate = pm.page_lookups
         ? 100.0 * static_cast<double>(pm.cache_hits) /
             static_cast<double>(pm.page_lookups)
@@ -243,8 +251,9 @@ usage()
                  "--jobs N runs the offline analysis on N worker threads"
                  " (0 = on the calling thread; results are identical"
                  " either way)\n"
-                 "--stats dumps the shadow-structure counters (program-"
-                 "map pages and probes, FastTrack table and clocks)\n"
+                 "--stats dumps the alignment and replay step counters, "
+                 "the shadow-structure counters (program-map pages and "
+                 "probes, FastTrack table and clocks)\n"
                  "and the static-prefilter event counters\n"
                  "--no-prefilter keeps definitely-thread-local accesses "
                  "in the detector feed (the race report is identical; "

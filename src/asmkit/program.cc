@@ -34,14 +34,6 @@ Program::Program(std::vector<Insn> code,
     computeBlocks();
 }
 
-const Insn &
-Program::insnAt(uint32_t index) const
-{
-    PRORACE_ASSERT(index < code_.size(), "instruction index out of range: ",
-                   index);
-    return code_[index];
-}
-
 uint32_t
 Program::labelAddr(const std::string &label) const
 {

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "isa/insn.hh"
+#include "support/log.hh"
 
 namespace prorace::asmkit {
 
@@ -53,7 +54,13 @@ class Program
     const std::vector<isa::Insn> &code() const { return code_; }
 
     /** Instruction at @p index. */
-    const isa::Insn &insnAt(uint32_t index) const;
+    const isa::Insn &
+    insnAt(uint32_t index) const
+    {
+        PRORACE_ASSERT(index < code_.size(),
+                       "instruction index out of range: ", index);
+        return code_[index];
+    }
 
     /** Number of instructions. */
     uint32_t size() const { return static_cast<uint32_t>(code_.size()); }

@@ -106,8 +106,18 @@ class ProgramMap
         avail_mask_ &= static_cast<uint16_t>(~(1u << gprIndex(reg)));
     }
 
+    /** Mark the registers of @p mask (bit i = gpr i) unavailable. */
+    void
+    invalidateRegs(uint16_t mask)
+    {
+        avail_mask_ &= static_cast<uint16_t>(~mask);
+    }
+
     /** Mark every register unavailable (library-code gaps). */
     void invalidateAllRegs() { avail_mask_ = 0; }
+
+    /** The available registers (bit i = gpr i). */
+    uint16_t availMask() const { return avail_mask_; }
 
     /** Emulate a store of a known value (marks bytes available). */
     void writeMem(uint64_t addr, uint64_t value, uint8_t width);

@@ -57,11 +57,11 @@ Replayer::Replayer(const asmkit::Program &program,
     stats_.program_map = pm_.memStats();
 }
 
-uint16_t
-Replayer::killMask(uint32_t idx) const
+analysis::InsnFacts
+Replayer::insnFacts(uint32_t idx) const
 {
-    return config_.analysis ? config_.analysis->facts(idx).kill
-                            : analysis::regWriteMask(program_.insnAt(idx));
+    return config_.analysis ? config_.analysis->facts(idx)
+                            : analysis::classifyInsn(program_.insnAt(idx));
 }
 
 void
@@ -165,34 +165,19 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
                 acc.origin == AccessOrigin::kBackward;
         });
         // Invalidate the registers behind the contradiction.
-        for (unsigned r = 0; r < isa::kNumGprs; ++r) {
-            if ((flag_src_mask >> r) & 1u)
-                pm.invalidateReg(isa::gprFromIndex(r));
-        }
+        pm.invalidateRegs(flag_src_mask);
     };
 
-    auto try_ea = [&](const isa::MemOperand &mem)
-        -> std::optional<uint64_t> {
-        if (mem.rip_relative)
-            return static_cast<uint64_t>(mem.disp);
-        if (mem.base != Reg::none && !pm.regAvailable(mem.base))
-            return std::nullopt;
-        if (mem.index != Reg::none && !pm.regAvailable(mem.index))
-            return std::nullopt;
-        uint64_t addr = static_cast<uint64_t>(mem.disp);
-        if (mem.base != Reg::none)
-            addr += pm.regValue(mem.base);
-        if (mem.index != Reg::none)
-            addr += pm.regValue(mem.index) * mem.scale;
-        return addr;
-    };
-
+    // A register operand that is not in the step's uses mask, and so
+    // may be unknown even on a resolved step.
     auto src_val = [&](Reg r) -> std::optional<uint64_t> {
         if (!isGpr(r) || !pm.regAvailable(r))
             return std::nullopt;
         return pm.regValue(r);
     };
 
+    stats_.forward_steps += win.end - win.start;
+    uint64_t unresolved_steps = 0;
     for (uint64_t pos = win.start; pos < win.end; ++pos) {
         while (fact_cursor < facts.size() &&
                facts[fact_cursor].pos == pos) {
@@ -215,8 +200,59 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
             flags_known = false;
             continue;
         }
-        const Insn &insn = program_.insnAt(idx);
         const bool is_sample = pos == win.start && win.s1;
+        const analysis::InsnFacts f = insnFacts(idx);
+
+        // An operand the step needs is unknown: the outcome is the
+        // shape's rule, and the instruction itself is never read.
+        if (f.uses & ~uint32_t{pm.availMask()}) {
+            PRORACE_ASSERT(!is_sample,
+                           "unresolved step at a restored register file");
+            ++unresolved_steps;
+            switch (f.unresolved) {
+              case analysis::UnresolvedRule::kCompare:
+                flags_known = false;
+                flag_src_mask = static_cast<uint16_t>(f.uses);
+                break;
+              case analysis::UnresolvedRule::kAlu:
+                flags_known = false;
+                break;
+              case analysis::UnresolvedRule::kRead:
+              case analysis::UnresolvedRule::kWrite:
+                // Hints at unresolved memory instructions let the next
+                // backward round extend its knowledge.
+                if (hints_out) {
+                    for (uint16_t m = pm.availMask(); m;
+                         m &= static_cast<uint16_t>(m - 1)) {
+                        const Reg reg = isa::gprFromIndex(
+                            static_cast<unsigned>(std::countr_zero(m)));
+                        hints_out->push_back({pos, reg, pm.regValue(reg)});
+                    }
+                }
+                // A write to an unknown address may clobber any
+                // emulated location.
+                if (f.unresolved == analysis::UnresolvedRule::kWrite)
+                    pm.invalidateMemory();
+                break;
+              case analysis::UnresolvedRule::kKill:
+              case analysis::UnresolvedRule::kNone:
+                break;
+            }
+            pm.invalidateRegs(f.kill);
+            continue;
+        }
+
+        // Every register in f.uses is known from here on.
+        const Insn &insn = program_.insnAt(idx);
+        auto ea = [&](const isa::MemOperand &mem) {
+            return isa::effectiveAddress(
+                mem, [&](Reg r) { return pm.regValue(r); });
+        };
+        // The sampled address at the opening sample, else the emulated
+        // one.
+        auto access_addr = [&](uint64_t emulated) {
+            return is_sample ? win.s1->addr : emulated;
+        };
 
         auto origin_for = [&](bool rip_rel) {
             if (is_sample)
@@ -242,31 +278,6 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
             emit_.add(slot, acc);
         };
 
-        // Record forward hints at memory instructions we cannot resolve,
-        // so the next backward round can extend its knowledge.
-        auto note_hint = [&]() {
-            if (!hints_out)
-                return;
-            for (unsigned r = 0; r < isa::kNumGprs; ++r) {
-                const Reg reg = isa::gprFromIndex(r);
-                if (pm.regAvailable(reg))
-                    hints_out->push_back({pos, reg, pm.regValue(reg)});
-            }
-        };
-
-        // The address of a store or read-modify-write: the sampled
-        // one at the opening sample, else the emulated one. An
-        // unresolved address records a hint.
-        auto write_addr = [&](const isa::MemOperand &mem)
-            -> std::optional<uint64_t> {
-            if (is_sample)
-                return win.s1->addr;
-            if (auto ea = try_ea(mem))
-                return ea;
-            note_hint();
-            return std::nullopt;
-        };
-
         switch (insn.op) {
           case Op::kNop:
           case Op::kHalt:
@@ -276,29 +287,22 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
 
           case Op::kCmpRR:
           case Op::kTestRR: {
-            auto a = src_val(insn.dst);
-            auto bv = src_val(insn.src);
-            flags_known = a && bv;
-            if (flags_known) {
-                flags_value = insn.op == Op::kCmpRR
-                    ? isa::evalCmp(*a, *bv)
-                    : isa::evalTest(*a, *bv);
-            }
-            flag_src_mask = static_cast<uint16_t>(
-                (1u << gprIndex(insn.dst)) | (1u << gprIndex(insn.src)));
+            const uint64_t a = pm.regValue(insn.dst);
+            const uint64_t b = pm.regValue(insn.src);
+            flags_value = insn.op == Op::kCmpRR ? isa::evalCmp(a, b)
+                                                : isa::evalTest(a, b);
+            flags_known = true;
+            flag_src_mask = static_cast<uint16_t>(f.uses);
             break;
           }
           case Op::kCmpRI:
           case Op::kTestRI: {
-            auto a = src_val(insn.dst);
-            flags_known = a.has_value();
-            if (flags_known) {
-                const auto imm = static_cast<uint64_t>(insn.imm);
-                flags_value = insn.op == Op::kCmpRI ? isa::evalCmp(*a, imm)
-                                                    : isa::evalTest(*a, imm);
-            }
-            flag_src_mask =
-                static_cast<uint16_t>(1u << gprIndex(insn.dst));
+            const uint64_t a = pm.regValue(insn.dst);
+            const auto imm = static_cast<uint64_t>(insn.imm);
+            flags_value = insn.op == Op::kCmpRI ? isa::evalCmp(a, imm)
+                                                : isa::evalTest(a, imm);
+            flags_known = true;
+            flag_src_mask = static_cast<uint16_t>(f.uses);
             break;
           }
           case Op::kJcc: {
@@ -322,10 +326,7 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
             break;
 
           case Op::kMovRR:
-            if (auto v = src_val(insn.src))
-                pm.setReg(insn.dst, *v);
-            else
-                pm.invalidateReg(insn.dst);
+            pm.setReg(insn.dst, pm.regValue(insn.src));
             break;
 
           case Op::kLoad:
@@ -333,22 +334,11 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
             // Acquire loads never sign-extend (the VM executes them so).
             const bool acquire = insn.op == Op::kLoadAcq;
             const bool sign_extend = !acquire && insn.sign_extend;
-            uint64_t addr;
-            if (is_sample) {
-                addr = win.s1->addr;
-            } else if (auto ea = try_ea(insn.mem)) {
-                addr = *ea;
-            } else {
-                note_hint();
-                pm.invalidateReg(insn.dst);
-                break;
-            }
+            const uint64_t addr = access_addr(ea(insn.mem));
             // Only a plain load cross-checks its sampled address.
-            if (is_sample && !acquire) {
-                if (auto ea = try_ea(insn.mem); ea && *ea != addr) {
-                    ++stats_.violations_sample;
-                    violation(pos);
-                }
+            if (is_sample && !acquire && ea(insn.mem) != addr) {
+                ++stats_.violations_sample;
+                violation(pos);
             }
             emit_access(0, addr, insn.width, false, acquire,
                         insn.mem.rip_relative);
@@ -364,14 +354,8 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
           case Op::kStore:
           case Op::kStoreI:
           case Op::kStoreRel: {
-            const auto addr = write_addr(insn.mem);
-            if (!addr) {
-                // A store to an unknown address may clobber any emulated
-                // location.
-                pm.invalidateMemory();
-                break;
-            }
-            emit_access(0, *addr, insn.width, true,
+            const uint64_t addr = access_addr(ea(insn.mem));
+            emit_access(0, addr, insn.width, true,
                         insn.op == Op::kStoreRel, insn.mem.rip_relative);
             std::optional<uint64_t> value;
             if (insn.op == Op::kStoreI)
@@ -379,126 +363,69 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
             else
                 value = src_val(insn.src);
             if (value) {
-                pm.writeMem(*addr,
-                            isa::truncateToWidth(*value, insn.width),
+                pm.writeMem(addr, isa::truncateToWidth(*value, insn.width),
                             insn.width);
             } else {
-                pm.invalidateMem(*addr, insn.width);
+                pm.invalidateMem(addr, insn.width);
             }
             break;
           }
 
           case Op::kLea:
-            if (auto ea = try_ea(insn.mem))
-                pm.setReg(insn.dst, *ea);
-            else
-                pm.invalidateReg(insn.dst);
+            pm.setReg(insn.dst, ea(insn.mem));
             break;
 
-          case Op::kAluRR: {
-            auto a = src_val(insn.dst);
-            auto b = src_val(insn.src);
-            if (a && b) {
-                const auto r = isa::evalAlu(insn.alu, *a, *b);
-                pm.setReg(insn.dst, r.value);
-                flags_value = r.flags;
-                flags_known = true;
-                flag_src_mask = static_cast<uint16_t>(
-                    (1u << gprIndex(insn.dst)) | (1u << gprIndex(insn.src)));
-            } else {
-                pm.invalidateReg(insn.dst);
-                flags_known = false;
-            }
-            break;
-          }
-
+          case Op::kAluRR:
           case Op::kAluRI: {
-            if (auto a = src_val(insn.dst)) {
-                const auto r = isa::evalAlu(
-                    insn.alu, *a, static_cast<uint64_t>(insn.imm));
-                pm.setReg(insn.dst, r.value);
-                flags_value = r.flags;
-                flags_known = true;
-                flag_src_mask =
-                    static_cast<uint16_t>(1u << gprIndex(insn.dst));
-            } else {
-                pm.invalidateReg(insn.dst);
-                flags_known = false;
-            }
+            const uint64_t b = insn.op == Op::kAluRR
+                ? pm.regValue(insn.src)
+                : static_cast<uint64_t>(insn.imm);
+            const auto r = isa::evalAlu(insn.alu, pm.regValue(insn.dst), b);
+            pm.setReg(insn.dst, r.value);
+            flags_value = r.flags;
+            flags_known = true;
+            flag_src_mask = static_cast<uint16_t>(f.uses);
             break;
           }
 
           case Op::kCall:
           case Op::kCallInd:
           case Op::kPush: {
-            uint64_t value_known = insn.op != Op::kPush;
-            uint64_t value = idx + 1;
-            if (insn.op == Op::kPush) {
-                if (auto v = src_val(insn.src)) {
-                    value = *v;
-                    value_known = true;
-                }
-            }
-            if (auto rsp = src_val(Reg::rsp)) {
-                const uint64_t addr = *rsp - 8;
-                const bool sampled_here = is_sample;
-                emit_access(0, sampled_here ? win.s1->addr : addr, 8, true,
-                            false, false);
-                if (value_known)
-                    pm.writeMem(addr, value, 8);
-                else
-                    pm.invalidateMem(addr, 8);
-                pm.setReg(Reg::rsp, addr);
-            } else {
-                note_hint();
-                pm.invalidateMemory();
-                pm.invalidateReg(Reg::rsp);
-            }
+            std::optional<uint64_t> value = uint64_t{idx} + 1;
+            if (insn.op == Op::kPush)
+                value = src_val(insn.src);
+            const uint64_t addr = pm.regValue(Reg::rsp) - 8;
+            emit_access(0, access_addr(addr), 8, true, false, false);
+            if (value)
+                pm.writeMem(addr, *value, 8);
+            else
+                pm.invalidateMem(addr, 8);
+            pm.setReg(Reg::rsp, addr);
             break;
           }
 
-          case Op::kRet: {
-            if (auto rsp = src_val(Reg::rsp)) {
-                emit_access(0, is_sample ? win.s1->addr : *rsp, 8, false,
-                            false, false);
-                pm.setReg(Reg::rsp, *rsp + 8);
-            } else {
-                note_hint();
-                pm.invalidateReg(Reg::rsp);
-            }
-            break;
-          }
-
+          case Op::kRet:
           case Op::kPop: {
-            if (auto rsp = src_val(Reg::rsp)) {
-                emit_access(0, is_sample ? win.s1->addr : *rsp, 8, false,
-                            false, false);
-                if (auto v = pm.readMem(*rsp, 8))
+            const uint64_t rsp = pm.regValue(Reg::rsp);
+            emit_access(0, access_addr(rsp), 8, false, false, false);
+            if (insn.op == Op::kPop) {
+                if (auto v = pm.readMem(rsp, 8))
                     pm.setReg(insn.dst, *v);
                 else
                     pm.invalidateReg(insn.dst);
-                pm.setReg(Reg::rsp, *rsp + 8);
-            } else {
-                note_hint();
-                pm.invalidateReg(insn.dst);
-                pm.invalidateReg(Reg::rsp);
             }
+            pm.setReg(Reg::rsp, rsp + 8);
             break;
           }
 
           case Op::kAtomicRmw:
           case Op::kAtomicRmwAcqRel: {
-            const auto addr = write_addr(insn.mem);
-            if (!addr) {
-                pm.invalidateReg(insn.dst);
-                pm.invalidateMemory();
-                break;
-            }
-            emit_access(0, *addr, insn.width, false, true,
+            const uint64_t addr = access_addr(ea(insn.mem));
+            emit_access(0, addr, insn.width, false, true,
                         insn.mem.rip_relative);
-            emit_access(1, *addr, insn.width, true, true,
+            emit_access(1, addr, insn.width, true, true,
                         insn.mem.rip_relative);
-            auto old = pm.readMem(*addr, insn.width);
+            auto old = pm.readMem(addr, insn.width);
             auto rhs = src_val(insn.src);
             if (old) {
                 pm.setReg(insn.dst,
@@ -507,34 +434,29 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
                 pm.invalidateReg(insn.dst);
             }
             if (old && rhs) {
-                pm.writeMem(*addr,
+                pm.writeMem(addr,
                             isa::truncateToWidth(
                                 isa::evalAlu(insn.alu, *old, *rhs).value,
                                 insn.width),
                             insn.width);
             } else {
-                pm.invalidateMem(*addr, insn.width);
+                pm.invalidateMem(addr, insn.width);
             }
             break;
           }
 
           case Op::kCas: {
-            const auto addr = write_addr(insn.mem);
-            if (!addr) {
-                pm.invalidateReg(insn.dst);
-                pm.invalidateMemory();
-                break;
-            }
-            emit_access(0, *addr, insn.width, false, true,
+            const uint64_t addr = access_addr(ea(insn.mem));
+            emit_access(0, addr, insn.width, false, true,
                         insn.mem.rip_relative);
-            auto old = pm.readMem(*addr, insn.width);
+            auto old = pm.readMem(addr, insn.width);
             auto expected = src_val(insn.dst);
             auto desired = src_val(insn.src);
             if (old && expected && desired) {
                 if (*old == isa::truncateToWidth(*expected, insn.width)) {
-                    emit_access(1, *addr, insn.width, true, true,
+                    emit_access(1, addr, insn.width, true, true,
                                 insn.mem.rip_relative);
-                    pm.writeMem(*addr,
+                    pm.writeMem(addr,
                                 isa::truncateToWidth(*desired, insn.width),
                                 insn.width);
                 } else {
@@ -546,7 +468,7 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
                 // Outcome unknown: the destination and the location both
                 // become unavailable.
                 pm.invalidateReg(insn.dst);
-                pm.invalidateMem(*addr, insn.width);
+                pm.invalidateMem(addr, insn.width);
             }
             flags_known = false;
             break;
@@ -602,6 +524,7 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
         }
     }
 
+    stats_.forward_unresolved_steps += unresolved_steps;
     // Consumed marks stay in the reused map's pages; only its counters
     // are published here.
     stats_.program_map = pm.memStats();
@@ -651,6 +574,7 @@ Replayer::backwardScan(const Window &win, const pmu::ThreadPath &path,
 
     // Registers that survive all the way to the window end are injected
     // wherever their validity begins; writes terminate validity.
+    stats_.backward_steps += win.end - win.start;
     for (uint64_t pp = win.end; pp-- > win.start;) {
         const uint32_t idx = path.insns[pp];
         if (idx == kPathGap) {
@@ -664,7 +588,7 @@ Replayer::backwardScan(const Window &win, const pmu::ThreadPath &path,
         // register the instruction writes. When no known register is
         // written, the instruction records, inverts, learns and
         // contradicts nothing, so only the hint merge remains.
-        const uint16_t wmask = killMask(idx);
+        const uint16_t wmask = insnFacts(idx).kill;
         if (known & wmask) {
             const Insn &insn = program_.insnAt(idx);
             const uint16_t post = known; // known set after the insn
@@ -905,7 +829,7 @@ Replayer::replayBasicBlock(const trace::PebsRecord &rec,
         facts_.clear();
         uint16_t written = 0;
         for (uint64_t p = sample_pos; p-- > 0;) {
-            written |= killMask(bb_path_.insns[p]);
+            written |= insnFacts(bb_path_.insns[p]).kill;
             for (unsigned r = isa::kNumGprs; r-- > 0;) {
                 if (!((written >> r) & 1u))
                     facts_.push_back({p, isa::gprFromIndex(r),
@@ -1029,7 +953,10 @@ Replayer::replayTask(const Task &task, size_t first, size_t last,
             continue;
         }
         const trace::PebsRecord &rec = *task.samples[u - task.windows.size()];
-        if (rec.insn_index >= program_.size()) {
+        // A record naming no instruction, or one that retires no
+        // memory event, is hostile: no access can be built from it.
+        if (rec.insn_index >= program_.size() ||
+            insnFacts(rec.insn_index).mem_ops == 0) {
             ++stats_.samples_out_of_program;
             continue;
         }

@@ -31,6 +31,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "analysis/insn_facts.hh"
 #include "asmkit/program.hh"
 #include "detect/report.hh"
 #include "pmu/pt_decode.hh"
@@ -88,8 +89,18 @@ struct ReplayStats {
     uint64_t violations_sample = 0;   ///< sampled-address EA mismatches
     uint64_t violations_end = 0;      ///< closing-sample register mismatches
     uint64_t violations_backward = 0; ///< backward immediate contradictions
-    /** PEBS samples dropped: insn_index outside the program. */
+    /**
+     * PEBS samples dropped: insn_index outside the program, or naming
+     * an instruction that retires no memory event (InsnFacts::mem_ops
+     * == 0), which no genuine trace samples.
+     */
     uint64_t samples_out_of_program = 0;
+    /** Path positions visited by forward passes (gaps included). */
+    uint64_t forward_steps = 0;
+    /** Forward steps settled by the unresolved rule (an unknown use). */
+    uint64_t forward_unresolved_steps = 0;
+    /** Path positions visited by backward scans (gaps included). */
+    uint64_t backward_steps = 0;
 
     /** Paged-ProgramMap shadow counters, summed over all replay passes. */
     ProgramMapStats program_map;
@@ -121,6 +132,9 @@ struct ReplayStats {
         violations_end += o.violations_end;
         violations_backward += o.violations_backward;
         samples_out_of_program += o.samples_out_of_program;
+        forward_steps += o.forward_steps;
+        forward_unresolved_steps += o.forward_unresolved_steps;
+        backward_steps += o.backward_steps;
         program_map.merge(o.program_map);
     }
 
@@ -154,7 +168,7 @@ struct ReplayConfig {
     /**
      * Precomputed static analysis of the program being replayed, or
      * nullptr to fall back to per-instruction fact derivation. When
-     * set, the replayer reads kill masks from the flat fact table and
+     * set, the replayer reads InsnFacts from the flat fact table and
      * the aligner indexes it too; results are bit-identical either
      * way. The analysis (owned by the offline analyzer) must outlive
      * every replayer holding this config.
@@ -260,8 +274,9 @@ class Replayer
     /**
      * Replay units [first, last) of @p task and append their accesses
      * to @p out: each window as replayWindow does, then each sample.
-     * A sample whose insn_index lies outside the program names no
-     * instruction and is dropped (ReplayStats::samples_out_of_program).
+     * A sample whose insn_index lies outside the program, or names an
+     * instruction that retires no memory event, is dropped
+     * (ReplayStats::samples_out_of_program).
      * Otherwise, in basic-block mode it is reconstructed within its
      * basic block, timed at its TSC plus the intra-block distance (the
      * RaceZ rule); in the PT modes it stays the exact sampled access at
@@ -391,8 +406,11 @@ class Replayer
     void replayBasicBlock(const trace::PebsRecord &rec,
                           std::vector<ReconstructedAccess> &out);
 
-    /** May-write register mask of instruction @p idx. */
-    uint16_t killMask(uint32_t idx) const;
+    /**
+     * Static facts of instruction @p idx: from the analysis's table when
+     * one is attached, else derived on the spot (identical either way).
+     */
+    analysis::InsnFacts insnFacts(uint32_t idx) const;
 
     const asmkit::Program &program_;
     ReplayConfig config_;

@@ -50,6 +50,76 @@ TEST(InsnFacts, TableMatchesPerInsnDerivation)
     }
 }
 
+TEST(InsnFacts, UnresolvedRuleKillsWhatEachShapeWrites)
+{
+    // One instruction per access shape: the registers whose
+    // unavailability leaves forward replay unresolved, the rule it then
+    // applies, and the registers that rule clears (the kill mask).
+    const auto bit = [](Reg r) { return operandBit(r); };
+    const MemOperand mem = MemOperand::baseIndex(Reg::rsi, Reg::rcx, 8, 16);
+    const uint32_t addr = bit(Reg::rsi) | bit(Reg::rcx);
+    const uint16_t rsp = regBit(Reg::rsp);
+    struct Shape {
+        isa::Op op;
+        uint32_t uses;
+        UnresolvedRule rule;
+        uint16_t kill; ///< dst is rax, src rbx, where present
+    };
+    using R = UnresolvedRule;
+    using isa::Op;
+    const uint16_t rax = regBit(Reg::rax);
+    const Shape kShapes[] = {
+        {Op::kMovRR, bit(Reg::rbx), R::kKill, rax},
+        {Op::kLea, addr, R::kKill, rax},
+        {Op::kAluRR, bit(Reg::rax) | bit(Reg::rbx), R::kAlu, rax},
+        {Op::kAluRI, bit(Reg::rax), R::kAlu, rax},
+        {Op::kCmpRR, bit(Reg::rax) | bit(Reg::rbx), R::kCompare, 0},
+        {Op::kTestRI, bit(Reg::rax), R::kCompare, 0},
+        {Op::kLoad, addr, R::kRead, rax},
+        {Op::kLoadAcq, addr, R::kRead, rax},
+        {Op::kPop, bit(Reg::rsp), R::kRead, static_cast<uint16_t>(rax | rsp)},
+        {Op::kRet, bit(Reg::rsp), R::kRead, rsp},
+        {Op::kStore, addr, R::kWrite, 0},
+        {Op::kStoreI, addr, R::kWrite, 0},
+        {Op::kStoreRel, addr, R::kWrite, 0},
+        {Op::kAtomicRmw, addr, R::kWrite, rax},
+        {Op::kAtomicRmwAcqRel, addr, R::kWrite, rax},
+        {Op::kCas, addr, R::kWrite, rax},
+        {Op::kPush, bit(Reg::rsp), R::kWrite, rsp},
+        {Op::kCall, bit(Reg::rsp), R::kWrite, rsp},
+        {Op::kCallInd, bit(Reg::rsp), R::kWrite, rsp},
+        {Op::kJmp, 0, R::kNone, 0},
+        {Op::kMovRI, 0, R::kNone, rax},
+        {Op::kLock, 0, R::kNone, 0},
+        {Op::kSyscall, 0, R::kNone, regBit(Reg::rax)},
+    };
+    for (const Shape &shape : kShapes) {
+        isa::Insn insn;
+        insn.op = shape.op;
+        insn.dst = Reg::rax;
+        insn.src = Reg::rbx;
+        insn.mem = mem;
+        const InsnFacts f = classifyInsn(insn);
+        EXPECT_EQ(f.uses, shape.uses) << isa::opName(shape.op);
+        EXPECT_EQ(f.unresolved, shape.rule) << isa::opName(shape.op);
+        EXPECT_EQ(f.kill, shape.kill) << isa::opName(shape.op);
+    }
+
+    // A PC-relative operand depends on no register.
+    isa::Insn load;
+    load.op = isa::Op::kLoad;
+    load.dst = Reg::rax;
+    load.mem = MemOperand::ripRel(0x1000);
+    EXPECT_EQ(classifyInsn(load).uses, 0u);
+
+    // A non-GPR operand is never available, so the step never resolves.
+    isa::Insn mov;
+    mov.op = isa::Op::kMovRR;
+    mov.dst = Reg::rax;
+    mov.src = Reg::rip;
+    EXPECT_NE(classifyInsn(mov).uses & ~uint32_t{0xffff}, 0u);
+}
+
 // ---------------------------------------------------------------------
 // CFG edge cases
 // ---------------------------------------------------------------------
@@ -354,6 +424,14 @@ expectIdenticalReplay(const Program &program, const Fixture &fx)
     EXPECT_EQ(plain.stats().recovered_backward,
               fast.stats().recovered_backward);
     EXPECT_EQ(plain.stats().backward_rounds, fast.stats().backward_rounds);
+    EXPECT_EQ(plain.stats().forward_steps, fast.stats().forward_steps);
+    EXPECT_EQ(plain.stats().forward_unresolved_steps,
+              fast.stats().forward_unresolved_steps);
+    EXPECT_EQ(plain.stats().backward_steps, fast.stats().backward_steps);
+    EXPECT_EQ(plain.stats().program_map.mem_invalidations,
+              fast.stats().program_map.mem_invalidations);
+    EXPECT_EQ(plain.stats().program_map.page_lookups,
+              fast.stats().program_map.page_lookups);
 }
 
 TEST(ReplayFastPath, FullTraceIsBitIdentical)

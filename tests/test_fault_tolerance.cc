@@ -12,17 +12,20 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "analysis/insn_facts.hh"
 #include "core/offline.hh"
 #include "core/pipeline.hh"
 #include "fault_injection.hh"
 #include "pmu/pt_decode.hh"
 #include "replay/align.hh"
+#include "replay/replayer.hh"
 #include "service/service.hh"
 #include "trace/trace_file.hh"
 #include "workload/racybugs.hh"
@@ -559,6 +562,96 @@ TEST(FaultTolerance, HostileInsnIndexIsDroppedNotDereferenced)
     svc.shutdown();
 }
 
+TEST(FaultTolerance, SampleAtNonMemoryInsnNeverBecomesAnAccess)
+{
+    // A CRC-valid trace whose PEBS record names an instruction that
+    // retires no memory event, one its thread never executes. No
+    // genuine trace holds such a record (the VM samples only memory
+    // instructions), so it matches no path position; it must be
+    // dropped and counted, not fed to the detector as a sampled access
+    // at an address no instruction there computes.
+    const TracedBug &tb = smallTrace();
+    const asmkit::Program &program = *tb.workload.program;
+    auto loaded = trace::readTrace(tb.bytes);
+    ASSERT_TRUE(loaded.ok());
+    trace::RunTrace hostile = loaded.value().trace;
+    ASSERT_FALSE(hostile.pebs.empty());
+    trace::PebsRecord &rec = hostile.pebs[hostile.pebs.size() / 2];
+    const auto clean_paths =
+        pmu::decodePt(program, hostile.meta.pt_filter, hostile);
+    const auto path = clean_paths.find(rec.tid);
+    ASSERT_NE(path, clean_paths.end());
+    const std::set<uint32_t> executed(path->second.insns.begin(),
+                                      path->second.insns.end());
+    uint32_t victim = program.size();
+    for (uint32_t i = 0; i < program.size() && victim == program.size();
+         ++i) {
+        if (analysis::memOpCount(program.insnAt(i)) == 0 &&
+            !executed.count(i)) {
+            victim = i;
+        }
+    }
+    ASSERT_LT(victim, program.size()) << "every non-memory insn executed";
+    rec.insn_index = victim;
+    const std::vector<uint8_t> bytes = trace::serializeTrace(hostile);
+    auto forged = trace::readTrace(bytes);
+    ASSERT_TRUE(forged.ok());
+    ASSERT_FALSE(forged.value().loss.hasLoss());
+    const trace::RunTrace &run = forged.value().trace;
+
+    // The replay layer, in both PT modes and basic-block mode: the
+    // record yields no access.
+    const auto paths = pmu::decodePt(program, run.meta.pt_filter, run);
+    const auto alignments = replay::alignTrace(program, paths, run);
+    for (const replay::ReplayMode mode :
+         {replay::ReplayMode::kForwardOnly,
+          replay::ReplayMode::kForwardBackward,
+          replay::ReplayMode::kBasicBlock}) {
+        replay::ReplayConfig cfg;
+        cfg.mode = mode;
+        replay::Replayer replayer(program, cfg);
+        const auto accesses = replayer.replayAll(paths, alignments, run);
+        EXPECT_EQ(replayer.stats().samples_out_of_program, 1u)
+            << replay::replayModeName(mode);
+        for (const replay::ReconstructedAccess &acc : accesses) {
+            EXPECT_NE(acc.insn_index, victim)
+                << replay::replayModeName(mode) << " position "
+                << acc.position;
+        }
+    }
+
+    // The analyzer, serial and on two workers, and a service session.
+    core::OfflineResult serial;
+    for (const unsigned jobs : {0u, 2u}) {
+        core::OfflineOptions opt = tb.cfg.offline;
+        opt.num_threads = jobs;
+        core::OfflineAnalyzer analyzer(program, opt);
+        const core::OfflineResult result = analyzer.analyze(run);
+        EXPECT_EQ(result.replay_stats.samples_out_of_program, 1u)
+            << "jobs " << jobs;
+        if (jobs == 0)
+            serial = result;
+        else
+            EXPECT_EQ(result.extended_trace_events,
+                      serial.extended_trace_events);
+    }
+    service::ServiceOptions options;
+    options.num_workers = 1;
+    service::AnalysisService svc(options);
+    svc.registerProgram("pfscan", tb.workload.program);
+    const uint64_t id = svc.openSession("tenant", "pfscan");
+    ASSERT_NE(id, 0u);
+    svc.submit(id, bytes);
+    svc.closeSession(id);
+    svc.drain();
+    const std::vector<service::SessionOutcome> outcomes = svc.outcomes();
+    ASSERT_EQ(outcomes.size(), 1u);
+    EXPECT_TRUE(outcomes[0].ok) << outcomes[0].error;
+    EXPECT_EQ(outcomes[0].extended_trace_events,
+              serial.extended_trace_events);
+    svc.shutdown();
+}
+
 TEST(FaultTolerance, HostilePebsWidthDropsItsSegment)
 {
     // A CRC-valid trace written by the real writer whose PEBS record
@@ -637,7 +730,9 @@ resultDigest(const core::OfflineResult &r, const asmkit::Program &program)
         << rs.backward_rounds << ' ' << rs.violations_branch << ' '
         << rs.violations_fact << ' ' << rs.violations_sample << ' '
         << rs.violations_end << ' ' << rs.violations_backward << ' '
-        << rs.samples_out_of_program << "\nprefilter "
+        << rs.samples_out_of_program << ' ' << rs.forward_steps << ' '
+        << rs.forward_unresolved_steps << ' ' << rs.backward_steps
+        << "\nprefilter "
         << r.prefilter.events_seen << ' ' << r.prefilter.pruned()
         << "\ndetect " << ds.reads << ' ' << ds.writes << ' ' << ds.sync_ops
         << ' ' << ds.epoch_fast_path << ' ' << ds.read_shares

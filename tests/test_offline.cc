@@ -362,8 +362,12 @@ TEST(ReplayBaseline, PtModesKeepTheirReportsAndCounters)
     // knows: acquire loads, release stores and acq_rel RMWs
     // (mpmc-queue-racy, event-loop), indirect dispatch (ptr-dispatch),
     // rwlocks (rcu-table) and four Table 2 bugs. Each is traced once
-    // with proRaceConfig at P=16 and P=1000 (one fixed seed, scale
-    // 0.25) and analyzed in both modes.
+    // with proRaceConfig at P=16, P=1000 and P=10000 (one fixed seed,
+    // scale 0.25) and analyzed in both modes. At P=10000, the paper's
+    // deployment period, most forward steps find an operand unknown,
+    // so those rows also pin the two ProgramMap counters the
+    // unresolved rule drives: invalidateMemory() epoch bumps and page
+    // lookups.
     struct Pinned {
         const char *subject;
         uint64_t period;
@@ -437,6 +441,38 @@ TEST(ReplayBaseline, PtModesKeepTheirReportsAndCounters)
          "69eb5c22 2 events 40253 replay 44 40209 0 77 47 0 0 9 0 0 9 0 0"},
         {"aget-bug2", 1000, kFwdBwd,
          "69eb5c22 2 events 42162 replay 44 40185 1933 77 47 9 54 25 18 0 9 18 0"},
+        {"mpmc-queue-racy", 10000, kFwd,
+         "d8c3b7d0 0 events 80 replay 0 80 0 80 5 0 0 0 0 0 0 0 0 pm 532 80"},
+        {"mpmc-queue-racy", 10000, kFwdBwd,
+         "d8c3b7d0 0 events 80 replay 0 80 0 80 5 0 0 0 0 0 0 0 0 pm 532 80"},
+        {"event-loop", 10000, kFwd,
+         "d8c3b7d0 0 events 216 replay 0 216 0 216 4 0 0 0 0 0 0 0 0 pm 796 216"},
+        {"event-loop", 10000, kFwdBwd,
+         "d8c3b7d0 0 events 216 replay 0 216 0 216 4 0 0 0 0 0 0 0 0 pm 796 216"},
+        {"ptr-dispatch", 10000, kFwd,
+         "d8c3b7d0 0 events 145 replay 0 145 0 37 4 0 0 0 0 0 0 0 0 pm 286 145"},
+        {"ptr-dispatch", 10000, kFwdBwd,
+         "d8c3b7d0 0 events 145 replay 0 145 0 37 4 0 0 0 0 0 0 0 0 pm 286 145"},
+        {"rcu-table", 10000, kFwd,
+         "d8c3b7d0 0 events 450 replay 0 450 0 75 5 0 0 0 0 0 0 0 0 pm 1032 450"},
+        {"rcu-table", 10000, kFwdBwd,
+         "d8c3b7d0 0 events 450 replay 0 450 0 75 5 0 0 0 0 0 0 0 0 pm 1032 450"},
+        {"cherokee-0.9.2", 10000, kFwd,
+         "d8c3b7d0 0 events 26907 replay 5 26902 0 269 10 0 0 2 0 0 2 0 0 pm 8528 26783"},
+        {"cherokee-0.9.2", 10000, kFwdBwd,
+         "d8c3b7d0 0 events 45543 replay 5 26899 18639 269 10 2 10 4 4 0 2 4 0 pm 8862 86875"},
+        {"pbzip2-0.9.4", 10000, kFwd,
+         "d8c3b7d0 0 events 19892 replay 4 19888 0 249 9 0 0 1 0 0 1 0 0 pm 8958 19787"},
+        {"pbzip2-0.9.4", 10000, kFwdBwd,
+         "d8c3b7d0 0 events 38303 replay 4 19888 18411 249 9 1 8 1 2 0 1 2 0 pm 9204 59685"},
+        {"memcached", 10000, kFwd,
+         "d8c3b7d0 0 events 28593 replay 6 28587 0 70 10 0 0 2 0 0 2 0 0 pm 11362 28454"},
+        {"memcached", 10000, kFwdBwd,
+         "d8c3b7d0 0 events 37759 replay 6 28587 9166 70 10 2 8 2 4 0 4 6 0 pm 11798 68168"},
+        {"aget-bug2", 10000, kFwd,
+         "2d4f5f7f 2 events 23359 replay 4 23355 0 77 9 0 0 1 0 0 1 0 0 pm 8106 23245"},
+        {"aget-bug2", 10000, kFwdBwd,
+         "2d4f5f7f 2 events 42268 replay 4 23355 18909 77 9 1 8 1 2 0 1 2 0 pm 8122 64045"},
     };
     static const char *const kSubjects[] = {
         "mpmc-queue-racy", "event-loop",   "ptr-dispatch", "rcu-table",
@@ -450,7 +486,7 @@ TEST(ReplayBaseline, PtModesKeepTheirReportsAndCounters)
     for (const char *subject : kSubjects) {
         const auto w = workload::findWorkload(subject, 0.25);
         ASSERT_TRUE(w) << subject;
-        for (const uint64_t period : {16ull, 1000ull}) {
+        for (const uint64_t period : {16ull, 1000ull, 10000ull}) {
             const core::PipelineConfig cfg =
                 core::proRaceConfig(period, kSeed);
             const core::RunArtifacts online =
@@ -461,7 +497,13 @@ TEST(ReplayBaseline, PtModesKeepTheirReportsAndCounters)
                 core::OfflineAnalyzer analyzer(*w->program, options);
                 const core::OfflineResult r = analyzer.analyze(online.trace);
                 any.merge(r.replay_stats);
-                const std::string digest = replayDigest(r, *w->program);
+                std::string digest = replayDigest(r, *w->program);
+                if (period == 10000) {
+                    const replay::ProgramMapStats &pm =
+                        r.replay_stats.program_map;
+                    digest += " pm " + std::to_string(pm.mem_invalidations) +
+                        " " + std::to_string(pm.page_lookups);
+                }
                 const Pinned *pin = nullptr;
                 for (const Pinned &p : kPinned) {
                     if (w->name == p.subject && period == p.period &&
@@ -483,7 +525,7 @@ TEST(ReplayBaseline, PtModesKeepTheirReportsAndCounters)
             }
         }
     }
-    EXPECT_EQ(checked, 32u);
+    EXPECT_EQ(checked, 48u);
     EXPECT_GT(any.sampled, 0u);
     EXPECT_GT(any.recovered_forward, 0u);
     EXPECT_GT(any.recovered_backward, 0u);

@@ -138,6 +138,12 @@ expectEquivalent(const Program &program, const trace::RunTrace &run,
               p.replay_stats.violations_end);
     EXPECT_EQ(s.replay_stats.violations_backward,
               p.replay_stats.violations_backward);
+    EXPECT_EQ(s.replay_stats.samples_out_of_program,
+              p.replay_stats.samples_out_of_program);
+    EXPECT_EQ(s.replay_stats.forward_steps, p.replay_stats.forward_steps);
+    EXPECT_EQ(s.replay_stats.forward_unresolved_steps,
+              p.replay_stats.forward_unresolved_steps);
+    EXPECT_EQ(s.replay_stats.backward_steps, p.replay_stats.backward_steps);
 
     // Prefilter and detection stats (pruning runs on the replay lanes;
     // identical feed => identical FastTrack path mix).
