@@ -511,8 +511,9 @@ FastTrack::access(const MemAccess &ma)
 {
     ThreadState &th = threadState(ma.tid);
     // An access may straddle a granule boundary; check every granule it
-    // touches. Note shadow_[g] may rehash the table, so the reference
-    // is re-fetched per granule and never held across iterations.
+    // touches. Note shadow_[g] may grow the table's value slab, so the
+    // reference is re-fetched per granule and never held across
+    // iterations.
     const uint64_t first = granuleOf(ma.addr);
     const uint64_t last = granuleOf(ma.addr + (ma.width ? ma.width - 1 : 0));
     for (uint64_t g = first; g <= last; ++g) {

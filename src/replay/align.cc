@@ -202,6 +202,14 @@ class SampleMatcher
     {
         found.clear();
         const trace::PebsRecord &rec = run_.pebs[sample_ids_[si]];
+        // The VM samples only instructions that retire a memory event.
+        // A record naming any other (or no instruction, or a gap) is
+        // hostile: placed, it would open a replay window on a forged
+        // register file. Unmatched, replay drops it.
+        if (rec.insn_index >= program_.size() ||
+            memOps(rec.insn_index) == 0) {
+            return;
+        }
         const trace::PebsRecord *prev_rec =
             prev_si >= 0 ? &run_.pebs[sample_ids_[prev_si]] : nullptr;
         const std::vector<uint32_t> &insns = path_.insns;
@@ -338,6 +346,14 @@ class SampleMatcher
         return true;
     }
 
+    /** Memory events instruction @p idx retires. */
+    uint32_t
+    memOps(uint32_t idx) const
+    {
+        return analysis_ ? analysis_->facts(idx).mem_ops
+                         : analysis::memOpCount(program_.insnAt(idx));
+    }
+
     /** Add path position @p pos's memory events or gap to @p w. */
     void
     count(Walk &w, uint64_t pos) const
@@ -346,8 +362,7 @@ class SampleMatcher
         if (pi == kPathGap)
             ++w.gaps;
         else
-            w.mem_ops += analysis_ ? analysis_->facts(pi).mem_ops
-                                   : analysis::memOpCount(program_.insnAt(pi));
+            w.mem_ops += memOps(pi);
     }
 
     /** The walk from the path start: its counts include position 0. */

@@ -746,12 +746,20 @@ Replayer::replayWindow(const Window &win, const pmu::ThreadPath &path,
         forwardPass(win, path, {}, AccessOrigin::kForward, &hints_,
                     &fwd_ok, &fwd_bad_pos);
 
+        // A round whose inputs repeat the previous round's repeats its
+        // pass exactly: same facts, same violations, same emissions
+        // into slots the previous pass already settled. It would emit
+        // nothing, so the fixed point stops before it (DESIGN §12.4).
         size_t emitted = emit_.size();
         for (int round = 0; round < config_.max_backward_rounds; ++round) {
+            if (round > 0 && hints_ == prev_hints_)
+                break;
             ++stats_.backward_rounds;
             backwardScan(win, path, hints_, facts_, &bwd_ok);
-            if (facts_.empty())
+            if (facts_.empty() || (round > 0 && facts_ == prev_facts_))
                 break;
+            prev_hints_ = hints_;
+            prev_facts_ = facts_;
             hints_.clear();
             bool mixed_ok = true;
             uint64_t mixed_bad_pos = ~0ull;

@@ -154,6 +154,8 @@ struct ReplayFact {
     uint64_t pos = 0;
     isa::Reg reg = isa::Reg::none;
     uint64_t val = 0;
+
+    bool operator==(const ReplayFact &) const = default;
 };
 
 /** A position-sorted flat list of facts. */
@@ -419,6 +421,8 @@ class Replayer
     EmitBuffer emit_;
     FactList hints_;
     FactList facts_;
+    FactList prev_hints_; ///< hints the last backward scan consumed
+    FactList prev_facts_; ///< facts the last mixed pass consumed
     pmu::ThreadPath bb_path_; ///< basic-block mode's synthetic path
 };
 

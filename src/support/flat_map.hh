@@ -5,17 +5,24 @@
  * The offline hot loops (FastTrack shadow lookups, lock/exit clocks,
  * allocation lifetimes) are dominated by metadata-table probes; node
  * containers (std::map, std::unordered_map) pay a pointer chase and an
- * allocation per entry on exactly those paths. FlatMap stores values
- * inline in a power-of-two slot array with linear probing, a one-byte
- * control word per slot, and tombstone deletion, so the common lookup
- * is one hash, one control-byte load, and one key compare in the same
- * cache line neighborhood.
+ * allocation per entry on exactly those paths. FlatMap probes a
+ * power-of-two slot array with linear probing, a one-byte control word
+ * per slot, and tombstone deletion, so the common lookup is one hash,
+ * one control-byte load, and one key compare in the same cache line
+ * neighborhood, then one indexed load of the value.
+ *
+ * Values live out of the table, in a slab: each full slot holds a
+ * 32-bit index into a vector of values with a free list. A rehash
+ * moves only keys and indices, never a value; an erase resets its
+ * value to Value() and frees the entry for the next insert. The slab
+ * layout is invisible to callers: capacity, probe order, counters and
+ * forEach order are those of the table alone (DESIGN.md §9.2).
  *
  * Not a general-purpose container: keys are uint64_t, values must be
  * default-constructible and movable, and references returned by
- * operator[]/find are invalidated by any later insertion (rehash).
- * Iteration order is capacity-dependent and must never influence
- * report output (see DESIGN.md §9.3).
+ * operator[]/find are invalidated by any later insertion (the slab may
+ * grow). Iteration order is capacity-dependent and must never
+ * influence report output (see DESIGN.md §9.3).
  */
 
 #ifndef PRORACE_SUPPORT_FLAT_MAP_HH
@@ -35,7 +42,7 @@ struct FlatMapStats {
     uint64_t rehashes = 0;
 };
 
-/** Open-addressing uint64_t -> Value table with inline storage. */
+/** Open-addressing uint64_t -> Value table with slab value storage. */
 template <typename Value>
 class FlatMap
 {
@@ -58,16 +65,17 @@ class FlatMap
                 const size_t slot = tomb != kNoSlot ? tomb : i;
                 ctrl_[slot] = kFull;
                 keys_[slot] = key;
+                vals_[slot] = allocValue();
                 if (tomb == kNoSlot)
                     ++used_;
                 ++size_;
-                return vals_[slot];
+                return slab_[vals_[slot]];
             }
             if (c == kTomb) {
                 if (tomb == kNoSlot)
                     tomb = i;
             } else if (keys_[i] == key) {
-                return vals_[i];
+                return slab_[vals_[i]];
             }
             i = (i + 1) & mask;
         }
@@ -95,7 +103,7 @@ class FlatMap
             if (c == kEmpty)
                 return nullptr;
             if (c == kFull && keys_[i] == key)
-                return &vals_[i];
+                return &slab_[vals_[i]];
             i = (i + 1) & mask;
         }
     }
@@ -116,7 +124,8 @@ class FlatMap
                 return false;
             if (c == kFull && keys_[i] == key) {
                 ctrl_[i] = kTomb;
-                vals_[i] = Value(); // release any owned resources
+                slab_[vals_[i]] = Value(); // release any owned resources
+                free_.push_back(vals_[i]);
                 --size_;
                 return true;
             }
@@ -134,6 +143,8 @@ class FlatMap
         ctrl_.clear();
         keys_.clear();
         vals_.clear();
+        slab_.clear();
+        free_.clear();
         size_ = used_ = 0;
     }
 
@@ -144,7 +155,7 @@ class FlatMap
     {
         for (size_t i = 0; i < ctrl_.size(); ++i) {
             if (ctrl_[i] == kFull)
-                fn(keys_[i], vals_[i]);
+                fn(keys_[i], slab_[vals_[i]]);
         }
     }
 
@@ -183,17 +194,30 @@ class FlatMap
         }
     }
 
+    /** A slab entry holding Value(): a freed one, else a new one. */
+    uint32_t
+    allocValue()
+    {
+        if (!free_.empty()) {
+            const uint32_t v = free_.back();
+            free_.pop_back();
+            return v;
+        }
+        slab_.emplace_back();
+        return static_cast<uint32_t>(slab_.size() - 1);
+    }
+
+    /** Re-place every key at @p new_cap slots; values stay put. */
     void
     rehash(size_t new_cap)
     {
         ++stats_.rehashes;
         std::vector<uint8_t> old_ctrl = std::move(ctrl_);
         std::vector<uint64_t> old_keys = std::move(keys_);
-        std::vector<Value> old_vals = std::move(vals_);
+        std::vector<uint32_t> old_vals = std::move(vals_);
         ctrl_.assign(new_cap, kEmpty);
         keys_.assign(new_cap, 0);
-        vals_.clear();
-        vals_.resize(new_cap);
+        vals_.assign(new_cap, 0);
         size_ = used_ = 0;
         const size_t mask = new_cap - 1;
         for (size_t i = 0; i < old_ctrl.size(); ++i) {
@@ -204,7 +228,7 @@ class FlatMap
                 j = (j + 1) & mask;
             ctrl_[j] = kFull;
             keys_[j] = old_keys[i];
-            vals_[j] = std::move(old_vals[i]);
+            vals_[j] = old_vals[i];
             ++size_;
             ++used_;
         }
@@ -212,7 +236,9 @@ class FlatMap
 
     std::vector<uint8_t> ctrl_;
     std::vector<uint64_t> keys_;
-    std::vector<Value> vals_;
+    std::vector<uint32_t> vals_; ///< slab index of each full slot
+    std::vector<Value> slab_;
+    std::vector<uint32_t> free_; ///< slab entries holding Value()
     size_t size_ = 0; ///< live entries
     size_t used_ = 0; ///< live entries + tombstones
     mutable FlatMapStats stats_;

@@ -652,6 +652,92 @@ TEST(FaultTolerance, SampleAtNonMemoryInsnNeverBecomesAnAccess)
     svc.shutdown();
 }
 
+TEST(FaultTolerance, SampleAtExecutedNonMemoryInsnIsNeverPlaced)
+{
+    // A CRC-valid trace whose PEBS record names the non-memory
+    // instruction its thread retired right after the sampled one. The
+    // memory-event distance and the register check cannot tell the two
+    // positions apart (the next one retires no event and writes at most
+    // more registers), so only the instruction's shape can. Placing it
+    // would open a replay window at an instruction no genuine sample
+    // names; it must stay unmatched and be dropped by replay instead.
+    const TracedBug &tb = smallTrace();
+    const asmkit::Program &program = *tb.workload.program;
+    auto loaded = trace::readTrace(tb.bytes);
+    ASSERT_TRUE(loaded.ok());
+    trace::RunTrace hostile = loaded.value().trace;
+    const auto clean_paths =
+        pmu::decodePt(program, hostile.meta.pt_filter, hostile);
+    const auto clean = replay::alignTrace(program, clean_paths, hostile);
+
+    // The first matched sample, past the first of its chain, whose next
+    // path position is a traced instruction without memory events.
+    size_t victim = hostile.pebs.size();
+    uint32_t forged_insn = 0;
+    for (const auto &[tid, alignment] : clean) {
+        const pmu::ThreadPath &path = clean_paths.at(tid);
+        for (size_t k = 1; k < alignment.samples.size(); ++k) {
+            const replay::AlignedSample &s = alignment.samples[k];
+            if (s.position + 1 >= path.insns.size())
+                continue;
+            const uint32_t next = path.insns[s.position + 1];
+            if (next == pmu::kPathGap ||
+                analysis::memOpCount(program.insnAt(next)) != 0) {
+                continue;
+            }
+            if (s.record_index < victim) {
+                victim = s.record_index;
+                forged_insn = next;
+            }
+            break;
+        }
+    }
+    ASSERT_LT(victim, hostile.pebs.size()) << "no sample to forge";
+    hostile.pebs[victim].insn_index = forged_insn;
+    const std::vector<uint8_t> bytes = trace::serializeTrace(hostile);
+    auto forged = trace::readTrace(bytes);
+    ASSERT_TRUE(forged.ok());
+    ASSERT_FALSE(forged.value().loss.hasLoss());
+    const trace::RunTrace &run = forged.value().trace;
+
+    // No aligned sample sits at an instruction without memory events.
+    const auto paths = pmu::decodePt(program, run.meta.pt_filter, run);
+    replay::AlignStats stats;
+    const auto alignments = replay::alignTrace(program, paths, run, &stats);
+    for (const auto &[tid, alignment] : alignments) {
+        for (const replay::AlignedSample &s : alignment.samples) {
+            EXPECT_NE(s.record_index, victim) << "position " << s.position;
+            EXPECT_NE(analysis::memOpCount(
+                          program.insnAt(paths.at(tid).insns[s.position])),
+                      0u)
+                << "record " << s.record_index << " position "
+                << s.position;
+        }
+    }
+    EXPECT_GE(stats.samples_unmatched, 1u);
+
+    // Replay drops it as a record naming no memory instruction, in both
+    // PT modes, and the analyzer counts it at every placement.
+    for (const replay::ReplayMode mode :
+         {replay::ReplayMode::kForwardOnly,
+          replay::ReplayMode::kForwardBackward}) {
+        replay::ReplayConfig cfg;
+        cfg.mode = mode;
+        replay::Replayer replayer(program, cfg);
+        replayer.replayAll(paths, alignments, run);
+        EXPECT_EQ(replayer.stats().samples_out_of_program, 1u)
+            << replay::replayModeName(mode);
+    }
+    for (const unsigned jobs : {0u, 2u}) {
+        core::OfflineOptions opt = tb.cfg.offline;
+        opt.num_threads = jobs;
+        const core::OfflineResult r =
+            core::OfflineAnalyzer(program, opt).analyze(run);
+        EXPECT_EQ(r.replay_stats.samples_out_of_program, 1u)
+            << "jobs " << jobs;
+    }
+}
+
 TEST(FaultTolerance, HostilePebsWidthDropsItsSegment)
 {
     // A CRC-valid trace written by the real writer whose PEBS record

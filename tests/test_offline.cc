@@ -3,7 +3,7 @@
  * Tests for the offline pipeline's glue: program map, feed ordering,
  * racy-location regeneration, the end-to-end condvar/barrier HB
  * edges through reconstruction, and the pinned replay baselines of
- * RaceZ and of the two PT modes.
+ * RaceZ and of the two PT modes, report and extended trace.
  */
 
 #include <gtest/gtest.h>
@@ -11,10 +11,14 @@
 #include <cstdio>
 #include <string>
 
+#include "analysis/analysis.hh"
 #include "asmkit/builder.hh"
 #include "baseline/racez.hh"
 #include "core/pipeline.hh"
+#include "pmu/pt_decode.hh"
+#include "replay/align.hh"
 #include "replay/program_map.hh"
+#include "replay/replayer.hh"
 #include "support/crc32.hh"
 #include "workload/racybugs.hh"
 #include "workload/registry.hh"
@@ -355,6 +359,12 @@ TEST(RaceZBaseline, Table2BugsKeepTheirReportsAndCounters)
     EXPECT_EQ(checked, 24u);
 }
 
+/** The subjects of the PT-mode replay pins. */
+constexpr const char *kReplaySubjects[] = {
+    "mpmc-queue-racy", "event-loop",   "ptr-dispatch", "rcu-table",
+    "cherokee-0.9.2",  "pbzip2-0.9.4", "memcached",    "aget-bug2",
+};
+
 TEST(ReplayBaseline, PtModesKeepTheirReportsAndCounters)
 {
     // Forward and forward+backward replay, pinned like the RaceZ
@@ -380,7 +390,7 @@ TEST(ReplayBaseline, PtModesKeepTheirReportsAndCounters)
         {"mpmc-queue-racy", 16, kFwd,
          "d8c3b7d0 0 events 1411 replay 100 1311 0 80 100 0 0 10 0 0 10 0 0"},
         {"mpmc-queue-racy", 16, kFwdBwd,
-         "b6e90b0a 1 events 1453 replay 100 1311 42 80 100 10 135 28 22 0 10 20 0"},
+         "b6e90b0a 1 events 1453 replay 100 1311 42 80 100 10 135 19 12 0 10 20 0"},
         {"mpmc-queue-racy", 1000, kFwd,
          "d8c3b7d0 0 events 162 replay 1 161 0 80 6 0 0 0 0 0 0 0 0"},
         {"mpmc-queue-racy", 1000, kFwdBwd,
@@ -388,7 +398,7 @@ TEST(ReplayBaseline, PtModesKeepTheirReportsAndCounters)
         {"event-loop", 16, kFwd,
          "d8c3b7d0 0 events 938 replay 85 853 0 209 83 0 0 34 0 0 77 0 0"},
         {"event-loop", 16, kFwdBwd,
-         "d8c3b7d0 0 events 1075 replay 85 850 140 209 83 33 137 84 122 0 88 55 0"},
+         "d8c3b7d0 0 events 1075 replay 85 850 140 209 83 33 108 76 87 0 87 51 0"},
         {"event-loop", 1000, kFwd,
          "d8c3b7d0 0 events 305 replay 1 304 0 216 5 0 0 0 0 0 0 0 0"},
         {"event-loop", 1000, kFwdBwd,
@@ -396,7 +406,7 @@ TEST(ReplayBaseline, PtModesKeepTheirReportsAndCounters)
         {"ptr-dispatch", 16, kFwd,
          "d8c3b7d0 0 events 883 replay 60 823 0 35 60 0 0 5 0 0 6 0 0"},
         {"ptr-dispatch", 16, kFwdBwd,
-         "d8c3b7d0 0 events 921 replay 60 818 43 35 60 4 91 14 12 0 6 8 0"},
+         "d8c3b7d0 0 events 921 replay 60 818 43 35 60 4 87 12 8 0 6 5 0"},
         {"ptr-dispatch", 1000, kFwd,
          "d8c3b7d0 0 events 151 replay 1 150 0 37 5 0 0 0 0 0 0 0 0"},
         {"ptr-dispatch", 1000, kFwdBwd,
@@ -404,7 +414,7 @@ TEST(ReplayBaseline, PtModesKeepTheirReportsAndCounters)
         {"rcu-table", 16, kFwd,
          "d8c3b7d0 0 events 2553 replay 196 2357 0 73 190 0 0 60 0 0 63 0 0"},
         {"rcu-table", 16, kFwdBwd,
-         "d8c3b7d0 0 events 2481 replay 196 2274 11 73 190 60 235 163 123 0 66 119 0"},
+         "d8c3b7d0 0 events 2481 replay 196 2274 11 73 190 60 186 117 68 0 66 66 0"},
         {"rcu-table", 1000, kFwd,
          "d8c3b7d0 0 events 1318 replay 2 1316 0 75 7 0 0 1 0 0 1 0 0"},
         {"rcu-table", 1000, kFwdBwd,
@@ -412,35 +422,35 @@ TEST(ReplayBaseline, PtModesKeepTheirReportsAndCounters)
         {"cherokee-0.9.2", 16, kFwd,
          "39294ad8 2 events 35372 replay 2975 32397 0 265 2813 0 0 722 0 0 1694 0 0"},
         {"cherokee-0.9.2", 16, kFwdBwd,
-         "39294ad8 2 events 38507 replay 2975 30816 4716 265 2813 723 4321 1943 3394 104 1827 1517 0"},
+         "39294ad8 2 events 38507 replay 2975 30816 4716 265 2813 723 2819 1415 1762 52 1779 839 0"},
         {"cherokee-0.9.2", 1000, kFwd,
          "d8c3b7d0 0 events 44565 replay 48 44517 0 269 51 0 0 10 0 0 12 0 0"},
         {"cherokee-0.9.2", 1000, kFwdBwd,
-         "1c90d5d7 2 events 46444 replay 48 44490 1906 269 51 10 61 28 22 0 14 20 0"},
+         "1c90d5d7 2 events 46444 replay 48 44490 1906 269 51 10 52 19 12 0 13 11 0"},
         {"pbzip2-0.9.4", 16, kFwd,
          "2902fb87 2 events 33394 replay 2544 30850 0 248 1962 0 0 405 0 0 1275 0 0"},
         {"pbzip2-0.9.4", 16, kFwdBwd,
-         "2902fb87 2 events 36447 replay 2544 30105 3798 248 1962 395 3007 1078 2326 0 1333 702 0"},
+         "2902fb87 2 events 36447 replay 2544 30105 3798 248 1962 395 1966 804 1242 0 1304 412 0"},
         {"pbzip2-0.9.4", 1000, kFwd,
          "d8c3b7d0 0 events 37320 replay 40 37280 0 249 44 0 0 9 0 0 9 0 0"},
         {"pbzip2-0.9.4", 1000, kFwdBwd,
-         "d8c3b7d0 0 events 39178 replay 40 37256 1882 249 44 9 53 25 18 0 9 18 0"},
+         "d8c3b7d0 0 events 39178 replay 40 37256 1882 249 44 9 45 17 10 0 9 10 0"},
         {"memcached", 16, kFwd,
          "d8c3b7d0 0 events 45400 replay 3946 41454 0 69 3777 0 0 1000 0 0 1773 0 0"},
         {"memcached", 16, kFwdBwd,
-         "e881e739 2 events 48783 replay 3946 40333 4504 69 3777 978 5235 2629 3511 1048 1901 1988 0"},
+         "e881e739 2 events 48783 replay 3946 40333 4504 69 3777 978 3816 1977 1923 525 1901 1238 0"},
         {"memcached", 1000, kFwd,
          "d8c3b7d0 0 events 55529 replay 62 55467 0 70 51 0 0 20 0 0 20 0 0"},
         {"memcached", 1000, kFwdBwd,
-         "d8c3b7d0 0 events 58042 replay 62 55424 2556 70 51 20 64 50 38 0 23 39 0"},
+         "d8c3b7d0 0 events 58042 replay 62 55424 2556 70 51 20 50 37 23 0 23 25 0"},
         {"aget-bug2", 16, kFwd,
          "b7bea230 2 events 36827 replay 2740 34087 0 77 2554 0 0 454 0 0 1203 0 0"},
         {"aget-bug2", 16, kFwdBwd,
-         "b7bea230 2 events 38987 replay 2740 33157 3090 77 2554 452 3510 1238 2166 0 1253 819 0"},
+         "b7bea230 2 events 38987 replay 2740 33157 3090 77 2554 452 2553 905 1165 0 1228 469 0"},
         {"aget-bug2", 1000, kFwd,
          "69eb5c22 2 events 40253 replay 44 40209 0 77 47 0 0 9 0 0 9 0 0"},
         {"aget-bug2", 1000, kFwdBwd,
-         "69eb5c22 2 events 42162 replay 44 40185 1933 77 47 9 54 25 18 0 9 18 0"},
+         "69eb5c22 2 events 42162 replay 44 40185 1933 77 47 9 46 17 10 0 9 10 0"},
         {"mpmc-queue-racy", 10000, kFwd,
          "d8c3b7d0 0 events 80 replay 0 80 0 80 5 0 0 0 0 0 0 0 0 pm 532 80"},
         {"mpmc-queue-racy", 10000, kFwdBwd,
@@ -460,7 +470,7 @@ TEST(ReplayBaseline, PtModesKeepTheirReportsAndCounters)
         {"cherokee-0.9.2", 10000, kFwd,
          "d8c3b7d0 0 events 26907 replay 5 26902 0 269 10 0 0 2 0 0 2 0 0 pm 8528 26783"},
         {"cherokee-0.9.2", 10000, kFwdBwd,
-         "d8c3b7d0 0 events 45543 replay 5 26899 18639 269 10 2 10 4 4 0 2 4 0 pm 8862 86875"},
+         "d8c3b7d0 0 events 45543 replay 5 26899 18639 269 10 2 9 3 3 0 2 3 0 pm 8806 77025"},
         {"pbzip2-0.9.4", 10000, kFwd,
          "d8c3b7d0 0 events 19892 replay 4 19888 0 249 9 0 0 1 0 0 1 0 0 pm 8958 19787"},
         {"pbzip2-0.9.4", 10000, kFwdBwd,
@@ -474,16 +484,12 @@ TEST(ReplayBaseline, PtModesKeepTheirReportsAndCounters)
         {"aget-bug2", 10000, kFwdBwd,
          "2d4f5f7f 2 events 42268 replay 4 23355 18909 77 9 1 8 1 2 0 1 2 0 pm 8122 64045"},
     };
-    static const char *const kSubjects[] = {
-        "mpmc-queue-racy", "event-loop",   "ptr-dispatch", "rcu-table",
-        "cherokee-0.9.2",  "pbzip2-0.9.4", "memcached",    "aget-bug2",
-    };
     constexpr uint64_t kSeed = 5000;
     // Each counter below is nonzero somewhere in the table, so the pin
     // reaches every branch that feeds one.
     replay::ReplayStats any;
     size_t checked = 0;
-    for (const char *subject : kSubjects) {
+    for (const char *subject : kReplaySubjects) {
         const auto w = workload::findWorkload(subject, 0.25);
         ASSERT_TRUE(w) << subject;
         for (const uint64_t period : {16ull, 1000ull, 10000ull}) {
@@ -538,6 +544,145 @@ TEST(ReplayBaseline, PtModesKeepTheirReportsAndCounters)
     EXPECT_GT(any.violations_sample, 0u);
     EXPECT_GT(any.violations_end, 0u);
     EXPECT_GT(any.violations_backward, 0u);
+}
+
+/**
+ * The extended trace pinned as text: the number of accesses
+ * Replayer::replayAll returns and a CRC over every field of every one,
+ * in order.
+ */
+std::string
+extendedTraceDigest(const std::vector<replay::ReconstructedAccess> &accs)
+{
+    std::vector<uint8_t> bytes;
+    auto put = [&bytes](uint64_t v, unsigned width) {
+        for (unsigned i = 0; i < width; ++i)
+            bytes.push_back(static_cast<uint8_t>(v >> (8 * i)));
+    };
+    for (const replay::ReconstructedAccess &a : accs) {
+        put(a.tid, 4);
+        put(a.insn_index, 4);
+        put(a.position, 8);
+        put(a.addr, 8);
+        put(a.tsc, 8);
+        put(a.width, 1);
+        put(a.is_write, 1);
+        put(a.is_atomic, 1);
+        put(static_cast<uint64_t>(a.origin), 1);
+    }
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%08x %zu", crc32(bytes), accs.size());
+    return buf;
+}
+
+TEST(ExtendedTraceBaseline, PtModesKeepEveryAccess)
+{
+    // ReplayBaseline's subjects, periods, seed and modes, pinned one
+    // layer lower: the extended trace itself, before the prefilter and
+    // the detector can hide a moved, retimed or relabelled access.
+    struct Pinned {
+        const char *subject;
+        uint64_t period;
+        replay::ReplayMode mode;
+        const char *digest;
+    };
+    constexpr auto kFwd = replay::ReplayMode::kForwardOnly;
+    constexpr auto kFwdBwd = replay::ReplayMode::kForwardBackward;
+    static const Pinned kPinned[] = {
+        {"mpmc-queue-racy", 16, kFwd, "35996e65 1411"},
+        {"mpmc-queue-racy", 16, kFwdBwd, "e879547c 1453"},
+        {"mpmc-queue-racy", 1000, kFwd, "58864c4b 162"},
+        {"mpmc-queue-racy", 1000, kFwdBwd, "c584f41c 441"},
+        {"mpmc-queue-racy", 10000, kFwd, "f5f21705 80"},
+        {"mpmc-queue-racy", 10000, kFwdBwd, "f5f21705 80"},
+        {"event-loop", 16, kFwd, "127ea667 938"},
+        {"event-loop", 16, kFwdBwd, "368b9f96 1075"},
+        {"event-loop", 1000, kFwd, "0282f64a 305"},
+        {"event-loop", 1000, kFwdBwd, "fe1031df 571"},
+        {"event-loop", 10000, kFwd, "b2ac7a7d 216"},
+        {"event-loop", 10000, kFwdBwd, "b2ac7a7d 216"},
+        {"ptr-dispatch", 16, kFwd, "221e21ec 883"},
+        {"ptr-dispatch", 16, kFwdBwd, "b398f62e 921"},
+        {"ptr-dispatch", 1000, kFwd, "680f9b0d 151"},
+        {"ptr-dispatch", 1000, kFwdBwd, "bf80b820 406"},
+        {"ptr-dispatch", 10000, kFwd, "6d5e6511 145"},
+        {"ptr-dispatch", 10000, kFwdBwd, "6d5e6511 145"},
+        {"rcu-table", 16, kFwd, "d7d7893b 2553"},
+        {"rcu-table", 16, kFwdBwd, "beb31f15 2481"},
+        {"rcu-table", 1000, kFwd, "5e8b8ed7 1318"},
+        {"rcu-table", 1000, kFwdBwd, "35471972 1609"},
+        {"rcu-table", 10000, kFwd, "d17122ca 450"},
+        {"rcu-table", 10000, kFwdBwd, "d17122ca 450"},
+        {"cherokee-0.9.2", 16, kFwd, "e930b445 35372"},
+        {"cherokee-0.9.2", 16, kFwdBwd, "29bda0be 38507"},
+        {"cherokee-0.9.2", 1000, kFwd, "b33823cb 44565"},
+        {"cherokee-0.9.2", 1000, kFwdBwd, "0407b3ae 46444"},
+        {"cherokee-0.9.2", 10000, kFwd, "5a6e42e7 26907"},
+        {"cherokee-0.9.2", 10000, kFwdBwd, "ca2eae37 45543"},
+        {"pbzip2-0.9.4", 16, kFwd, "b5d7e0ff 33394"},
+        {"pbzip2-0.9.4", 16, kFwdBwd, "704b2e2a 36447"},
+        {"pbzip2-0.9.4", 1000, kFwd, "da3be17f 37320"},
+        {"pbzip2-0.9.4", 1000, kFwdBwd, "34601f39 39178"},
+        {"pbzip2-0.9.4", 10000, kFwd, "94de4f63 19892"},
+        {"pbzip2-0.9.4", 10000, kFwdBwd, "f24e3cbb 38303"},
+        {"memcached", 16, kFwd, "bde39582 45400"},
+        {"memcached", 16, kFwdBwd, "110c6fad 48783"},
+        {"memcached", 1000, kFwd, "88ec9cb7 55529"},
+        {"memcached", 1000, kFwdBwd, "eae5ec04 58042"},
+        {"memcached", 10000, kFwd, "9fdcba5b 28593"},
+        {"memcached", 10000, kFwdBwd, "34da7c27 37759"},
+        {"aget-bug2", 16, kFwd, "ef489a45 36827"},
+        {"aget-bug2", 16, kFwdBwd, "190da80b 38987"},
+        {"aget-bug2", 1000, kFwd, "89e542b9 40253"},
+        {"aget-bug2", 1000, kFwdBwd, "eff84991 42162"},
+        {"aget-bug2", 10000, kFwd, "21c214f5 23359"},
+        {"aget-bug2", 10000, kFwdBwd, "99ea889d 42268"},
+    };
+    constexpr uint64_t kSeed = 5000;
+    size_t checked = 0;
+    for (const char *subject : kReplaySubjects) {
+        const auto w = workload::findWorkload(subject, 0.25);
+        ASSERT_TRUE(w) << subject;
+        const analysis::ProgramAnalysis facts(*w->program);
+        for (const uint64_t period : {16ull, 1000ull, 10000ull}) {
+            const core::PipelineConfig cfg =
+                core::proRaceConfig(period, kSeed);
+            const core::RunArtifacts online =
+                core::Session::run(*w->program, w->setup, cfg.session);
+            const trace::RunTrace &run = online.trace;
+            const auto paths =
+                pmu::decodePt(*w->program, run.meta.pt_filter, run);
+            const auto alignments = replay::alignTrace(
+                *w->program, paths, run, nullptr, &facts);
+            for (const replay::ReplayMode mode : {kFwd, kFwdBwd}) {
+                replay::ReplayConfig config = cfg.offline.replay;
+                config.mode = mode;
+                config.analysis = &facts;
+                replay::Replayer replayer(*w->program, config);
+                const std::string digest = extendedTraceDigest(
+                    replayer.replayAll(paths, alignments, run));
+                const Pinned *pin = nullptr;
+                for (const Pinned &p : kPinned) {
+                    if (w->name == p.subject && period == p.period &&
+                        mode == p.mode) {
+                        pin = &p;
+                    }
+                }
+                if (!pin) {
+                    ADD_FAILURE()
+                        << "unpinned: {\"" << w->name << "\", " << period
+                        << ", " << (mode == kFwd ? "kFwd" : "kFwdBwd")
+                        << ", \"" << digest << "\"},";
+                    continue;
+                }
+                EXPECT_EQ(digest, pin->digest)
+                    << w->name << " P=" << period << ' '
+                    << replay::replayModeName(mode);
+                ++checked;
+            }
+        }
+    }
+    EXPECT_EQ(checked, 48u);
 }
 
 } // namespace

@@ -2,13 +2,15 @@
  * @file
  * Property tests for the PR-2 shadow primitives: long random operation
  * sequences against trivially-correct models. FlatMap runs against
- * std::unordered_map with adversarial key distributions; the SSO
+ * std::unordered_map with adversarial key distributions, once with
+ * plain values and once (FlatMapFuzz) with heap-owning ones; the SSO
  * VectorClock runs against a dense vector model with tids crossing the
  * inline-4 spill boundary both ways.
  */
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <unordered_map>
 #include <vector>
 
@@ -87,6 +89,122 @@ TEST(FlatMapProps, RandomOpsMatchUnorderedMap)
             ASSERT_NE(it, visited.end());
             ASSERT_EQ(it->second, v);
         }
+    }
+}
+
+/** Operations per FlatMapFuzz run; PRORACE_FUZZ_ITERS scales it. */
+uint64_t
+flatMapFuzzOps()
+{
+    if (const char *env = std::getenv("PRORACE_FUZZ_ITERS"))
+        return std::strtoull(env, nullptr, 10);
+    return 40'000;
+}
+
+TEST(FlatMapFuzz, HeapOwningValuesMatchUnorderedMap)
+{
+    // The values are vector clocks spilled to the heap past their four
+    // inline components, so a value that is moved, reset or reused
+    // wrongly reads back a stale component, or (under ASan) leaks or
+    // frees twice. The key pool is small, so erased keys come back
+    // often, and a key that comes back must read back VectorClock().
+    constexpr uint64_t kDefaultSeed = 30;
+    const uint64_t seed = testutil::testSeed(kDefaultSeed);
+    PRORACE_SEED_TRACE(seed);
+    const uint64_t ops = flatMapFuzzOps();
+    Rng rng(seed);
+    FlatMap<VectorClock> flat;
+    std::unordered_map<uint64_t, std::vector<uint64_t>> ref;
+
+    auto expect_equal = [](const VectorClock &vc,
+                           const std::vector<uint64_t> &model) {
+        ASSERT_EQ(vc.size(), model.size());
+        for (uint32_t t = 0; t < model.size(); ++t)
+            ASSERT_EQ(vc.get(t), model[t]) << "component " << t;
+    };
+    uint64_t reinserted = 0, spilled = 0, cleared = 0, visits = 0;
+    std::unordered_map<uint64_t, bool> erased; // erased, not yet back
+    for (uint64_t op = 0; op < ops; ++op) {
+        const uint64_t key = rng.below(8) == 0
+            ? adversarialKey(rng)
+            : rng.below(600) * 0x9e370001ull;
+        switch (rng.below(16)) {
+          case 0: case 1: case 2: case 3: case 4: { // insert and set
+            const bool fresh = ref.find(key) == ref.end();
+            VectorClock &vc = flat[key];
+            std::vector<uint64_t> &model = ref[key];
+            if (fresh) {
+                ASSERT_EQ(vc.size(), 0u) << "key " << key;
+                ASSERT_FALSE(vc.usesHeap()) << "key " << key;
+                reinserted += erased.erase(key);
+            }
+            const uint32_t tid = static_cast<uint32_t>(
+                rng.below(rng.below(3) == 0 ? 12 : 4));
+            vc.set(tid, op + 1);
+            model.resize(std::max<size_t>(model.size(), tid + 1));
+            model[tid] = op + 1;
+            spilled += vc.usesHeap();
+            break;
+          }
+          case 5: case 6: case 7: { // erase
+            const bool had = ref.erase(key) > 0;
+            ASSERT_EQ(flat.erase(key), had) << "key " << key;
+            if (had)
+                erased[key] = true;
+            break;
+          }
+          case 8: { // operator[] default-constructs like the model
+            if (ref.find(key) == ref.end())
+                reinserted += erased.erase(key);
+            expect_equal(flat[key], ref[key]);
+            break;
+          }
+          case 9: { // forEach visits exactly the model's entries
+            size_t seen = 0;
+            flat.forEach([&](uint64_t k, const VectorClock &vc) {
+                const auto it = ref.find(k);
+                ASSERT_NE(it, ref.end()) << "key " << k;
+                expect_equal(vc, it->second);
+                ++seen;
+            });
+            ASSERT_EQ(seen, ref.size());
+            ++visits;
+            break;
+          }
+          case 10: // clear, rarely
+            if (rng.below(256) == 0) {
+                flat.clear();
+                ref.clear();
+                erased.clear();
+                ++cleared;
+            }
+            break;
+          default: { // lookup, const and not
+            const auto it = ref.find(key);
+            const VectorClock *v = op % 2
+                ? flat.find(key)
+                : static_cast<const FlatMap<VectorClock> &>(flat).find(key);
+            ASSERT_EQ(v != nullptr, it != ref.end()) << "key " << key;
+            if (v)
+                expect_equal(*v, it->second);
+            break;
+          }
+        }
+        ASSERT_EQ(flat.size(), ref.size());
+    }
+    EXPECT_GT(reinserted, 0u);
+    EXPECT_GT(spilled, 0u);
+    EXPECT_GT(cleared, 0u);
+    EXPECT_GT(visits, 0u);
+
+    // The table's shape is the same however its values are stored:
+    // capacity, probe counts and rehashes of the default run are pinned.
+    if (seed == kDefaultSeed && ops == 40'000) {
+        const FlatMapStats &s = flat.probeStats();
+        EXPECT_EQ(flat.capacity(), 1024u);
+        EXPECT_EQ(s.lookups, 35077u);
+        EXPECT_EQ(s.probe_steps, 130771u);
+        EXPECT_EQ(s.rehashes, 74u);
     }
 }
 
