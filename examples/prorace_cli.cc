@@ -125,10 +125,12 @@ printShadowStats(const core::OfflineResult &result)
 
     const replay::ReplayStats &rs = result.replay_stats;
     std::printf("replay: %llu forward steps (%llu settled unresolved), "
+                "%llu resumed, "
                 "%llu backward steps in %llu backward rounds\n",
                 static_cast<unsigned long long>(rs.forward_steps),
                 static_cast<unsigned long long>(
                     rs.forward_unresolved_steps),
+                static_cast<unsigned long long>(rs.forward_resumed_steps),
                 static_cast<unsigned long long>(rs.backward_steps),
                 static_cast<unsigned long long>(rs.backward_rounds));
 

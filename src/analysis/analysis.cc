@@ -14,10 +14,21 @@ buildFacts(const asmkit::Program &program)
     return facts;
 }
 
+std::vector<uint8_t>
+buildSyncRecords(const asmkit::Program &program)
+{
+    std::vector<uint8_t> records;
+    records.reserve(program.size());
+    for (const isa::Insn &insn : program.code())
+        records.push_back(syncRecordCount(insn));
+    return records;
+}
+
 } // namespace
 
 ProgramAnalysis::ProgramAnalysis(const asmkit::Program &program)
-    : program_(&program), facts_(buildFacts(program)), cfg_(program),
+    : program_(&program), facts_(buildFacts(program)),
+      sync_records_(buildSyncRecords(program)), cfg_(program),
       escape_(cfg_, facts_)
 {
 }

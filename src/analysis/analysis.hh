@@ -61,6 +61,9 @@ class ProgramAnalysis
     /** Precomputed per-instruction facts (indexed by instruction). */
     const InsnFacts &facts(uint32_t index) const { return facts_[index]; }
 
+    /** Sync records instruction @p index retires (syncRecordCount). */
+    uint8_t syncRecords(uint32_t index) const { return sync_records_[index]; }
+
     /** True when @p index's access provably stays on its own stack. */
     bool
     siteThreadLocal(uint32_t index) const
@@ -73,6 +76,7 @@ class ProgramAnalysis
   private:
     const asmkit::Program *program_;
     std::vector<InsnFacts> facts_;
+    std::vector<uint8_t> sync_records_; ///< one byte per instruction
     Cfg cfg_;
     EscapeAnalysis escape_;
 };

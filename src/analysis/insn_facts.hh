@@ -133,6 +133,24 @@ addressUses(const isa::MemOperand &mem)
 }
 
 /**
+ * Synchronization records one retired instruction appends to its
+ * thread's sync trace: two for a condition wait (begin and wake) and a
+ * barrier (enter and exit), one for any other sync op and for halt
+ * (ThreadExit), none for the rest.
+ */
+inline uint8_t
+syncRecordCount(const isa::Insn &insn)
+{
+    using isa::Op;
+    if (insn.op == Op::kHalt)
+        return 1;
+    if (!isa::isSyncOp(insn.op))
+        return 0;
+    return insn.op == Op::kCondWait || insn.op == Op::kBarrier ? uint8_t{2}
+                                                               : uint8_t{1};
+}
+
+/**
  * Static facts of one instruction, precomputed once per program so the
  * replay inner loops index a flat table instead of re-deriving them.
  */

@@ -8,7 +8,6 @@
 
 namespace prorace::replay {
 
-using isa::Op;
 using pmu::kPathGap;
 using pmu::PathAnchor;
 using vm::SyncKind;
@@ -79,19 +78,6 @@ ThreadAlignment::tscAt(uint64_t position, size_t &cursor) const
 }
 
 namespace {
-
-/** How many sync records one retired sync instruction produces. */
-int
-recordsForSyncOp(Op op)
-{
-    switch (op) {
-      case Op::kCondWait: // CondWaitBegin + CondWake
-      case Op::kBarrier:  // BarrierEnter + BarrierExit
-        return 2;
-      default:
-        return 1;
-    }
-}
 
 /** Sort anchors by position and force TSC monotonicity. */
 void
@@ -524,13 +510,10 @@ alignThread(const asmkit::Program &program, uint32_t tid,
         const uint32_t insn_index = path.insns[pos];
         if (insn_index == kPathGap)
             continue;
-        const isa::Insn &insn = program.insnAt(insn_index);
-        int expect = 0;
-        if (isa::isSyncOp(insn.op))
-            expect = recordsForSyncOp(insn.op);
-        else if (insn.op == Op::kHalt)
-            expect = 1; // ThreadExit
-        for (int k = 0; k < expect && cursor < sync_ids.size(); ++k) {
+        const unsigned expect = analysis
+            ? analysis->syncRecords(insn_index)
+            : analysis::syncRecordCount(program.insnAt(insn_index));
+        for (unsigned k = 0; k < expect && cursor < sync_ids.size(); ++k) {
             const trace::SyncRecord &rec = run.sync[sync_ids[cursor]];
             if (rec.insn_index != insn_index) {
                 warn("sync record desync for tid ", tid, ": record at #",

@@ -119,6 +119,24 @@ class ProgramMap
     /** The available registers (bit i = gpr i). */
     uint16_t availMask() const { return avail_mask_; }
 
+    /**
+     * The register values, available or not (entry i = gpr i); with
+     * availMask() the whole register file a replay pass may save.
+     */
+    const std::array<uint64_t, isa::kNumGprs> &regValues() const
+    {
+        return values_;
+    }
+
+    /** Restore a register file saved with regValues() and availMask(). */
+    void
+    restoreRegs(const std::array<uint64_t, isa::kNumGprs> &values,
+                uint16_t avail_mask)
+    {
+        values_ = values;
+        avail_mask_ = avail_mask;
+    }
+
     /** Emulate a store of a known value (marks bytes available). */
     void writeMem(uint64_t addr, uint64_t value, uint8_t width);
 

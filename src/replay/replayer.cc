@@ -44,6 +44,12 @@ constexpr uint64_t kTaskPositions = uint64_t{1} << 14;
 /** Samples a sample task collects before it is closed. */
 constexpr size_t kTaskSamples = size_t{1} << 10;
 
+/** Positions a forward violation erases backwards from itself. */
+constexpr uint64_t kViolationScope = 24;
+
+/** Positions between two resume points of one forward pass, at least. */
+constexpr uint64_t kResumeSpacing = 64;
+
 } // namespace
 
 Replayer::Replayer(const asmkit::Program &program,
@@ -119,20 +125,46 @@ Replayer::publish(const ReconstructedAccess &acc, uint64_t tsc,
 }
 
 void
+Replayer::recordResumePoint(uint64_t pos, isa::Flags flags_value,
+                            bool flags_known, uint16_t flag_src_mask,
+                            unsigned violations, size_t hints,
+                            uint64_t bad_pos)
+{
+    ResumePoint &p = points_.emplace_back();
+    p.pos = pos;
+    p.regs = pm_.regValues();
+    p.avail = pm_.availMask();
+    p.flag_src_mask = flag_src_mask;
+    p.flags_value = flags_value;
+    p.flags_known = flags_known;
+    p.violations = violations;
+    p.violations_branch = stats_.violations_branch - pass_branch_;
+    p.violations_fact = stats_.violations_fact - pass_fact_;
+    p.violations_sample = stats_.violations_sample - pass_sample_;
+    p.bad_pos = bad_pos;
+    p.hints = hints;
+    point_next_ = pos + kResumeSpacing;
+}
+
+const Replayer::ResumePoint *
+Replayer::resumeAtOrBefore(uint64_t pos)
+{
+    auto after = std::upper_bound(points_.begin(), points_.end(), pos,
+                                  [](uint64_t p, const ResumePoint &rp) {
+                                      return p < rp.pos;
+                                  });
+    points_.erase(after, points_.end());
+    return points_.empty() ? nullptr : &points_.back();
+}
+
+void
 Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
                       const FactList &facts, AccessOrigin tag,
                       FactList *hints_out, bool *consistent_out,
-                      uint64_t *bad_pos_out)
+                      uint64_t *bad_pos_out, const ResumePoint *from)
 {
-    size_t fact_cursor = 0;
-    while (fact_cursor < facts.size() &&
-           facts[fact_cursor].pos < win.start) {
-        ++fact_cursor;
-    }
     ProgramMap &pm = pm_;
     pm.reset();
-    if (win.s1)
-        pm.restoreRegs(win.s1->regs);
     // Emulated condition flags, where computable. Every conditional
     // branch whose flags are known is cross-checked against the
     // PT-recorded direction: a contradiction proves the window's
@@ -140,17 +172,48 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
     // discarded.
     isa::Flags flags_value;
     bool flags_known = false;
-
     // A consistency violation proves the replayed state is wrong at
     // this point (usually a sample matched to the wrong loop iteration).
     // Repair locally: discard the reconstructions of the current loop
     // body, invalidate the registers that produced the contradiction,
     // and continue — but give up on the window beyond a violation
     // budget (alignment is then hopeless).
-    constexpr uint64_t kViolationScope = 24; // positions erased backwards
     constexpr unsigned kViolationBudget = 8;
     unsigned violations = 0;
     uint16_t flag_src_mask = 0; // regs feeding the live flags
+
+    // A pass that collects hints records resume points as it goes; a
+    // resumed one takes over the previous pass's state at @p from,
+    // whose counts its skipped prefix would have added (DESIGN §12.4).
+    uint64_t first = win.start;
+    pass_branch_ = stats_.violations_branch;
+    pass_fact_ = stats_.violations_fact;
+    pass_sample_ = stats_.violations_sample;
+    point_next_ = hints_out ? win.start : ~0ull;
+    if (!from) {
+        points_.clear();
+        if (win.s1)
+            pm.restoreRegs(win.s1->regs);
+    } else {
+        first = from->pos;
+        pm.restoreRegs(from->regs, from->avail);
+        flags_value = from->flags_value;
+        flags_known = from->flags_known;
+        flag_src_mask = from->flag_src_mask;
+        violations = from->violations;
+        stats_.violations_branch += from->violations_branch;
+        stats_.violations_fact += from->violations_fact;
+        stats_.violations_sample += from->violations_sample;
+        if (consistent_out && violations > kViolationBudget)
+            *consistent_out = false;
+        if (bad_pos_out)
+            *bad_pos_out = std::min(*bad_pos_out, from->bad_pos);
+        point_next_ = from->pos + kResumeSpacing;
+    }
+    size_t fact_cursor = 0;
+    while (fact_cursor < facts.size() && facts[fact_cursor].pos < first)
+        ++fact_cursor;
+
     auto violation = [&](uint64_t pos) {
         ++violations;
         if (consistent_out && violations > kViolationBudget)
@@ -164,8 +227,23 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
             return acc.origin == AccessOrigin::kForward ||
                 acc.origin == AccessOrigin::kBackward;
         });
+        // A pass resumed at a point past lo would miss the re-adds its
+        // skipped prefix makes into the erased range.
+        while (!points_.empty() &&
+               points_.back().pos + kViolationScope > pos) {
+            points_.pop_back();
+        }
         // Invalidate the registers behind the contradiction.
         pm.invalidateRegs(flag_src_mask);
+    };
+    // After a step that emptied emulated memory, the registers, flags
+    // and counts are the pass's whole state.
+    auto memory_dropped = [&](uint64_t pos) {
+        if (pos + 1 >= point_next_) [[unlikely]] {
+            recordResumePoint(pos + 1, flags_value, flags_known,
+                              flag_src_mask, violations, hints_out->size(),
+                              *bad_pos_out);
+        }
     };
 
     // A register operand that is not in the step's uses mask, and so
@@ -176,9 +254,10 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
         return pm.regValue(r);
     };
 
-    stats_.forward_steps += win.end - win.start;
+    stats_.forward_steps += win.end - first;
+    stats_.forward_resumed_steps += first - win.start;
     uint64_t unresolved_steps = 0;
-    for (uint64_t pos = win.start; pos < win.end; ++pos) {
+    for (uint64_t pos = first; pos < win.end; ++pos) {
         while (fact_cursor < facts.size() &&
                facts[fact_cursor].pos == pos) {
             const ReplayFact &fact = facts[fact_cursor];
@@ -198,6 +277,7 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
             pm.invalidateAllRegs();
             pm.invalidateMemory();
             flags_known = false;
+            memory_dropped(pos);
             continue;
         }
         const bool is_sample = pos == win.start && win.s1;
@@ -231,8 +311,12 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
                 }
                 // A write to an unknown address may clobber any
                 // emulated location.
-                if (f.unresolved == analysis::UnresolvedRule::kWrite)
+                if (f.unresolved == analysis::UnresolvedRule::kWrite) {
                     pm.invalidateMemory();
+                    pm.invalidateRegs(f.kill);
+                    memory_dropped(pos);
+                    continue;
+                }
                 break;
               case analysis::UnresolvedRule::kKill:
               case analysis::UnresolvedRule::kNone:
@@ -264,8 +348,11 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
 
         // The buffer keeps the first access of each (position, slot);
         // publish() counts the survivors by origin as they leave it.
+        // Forced inline: left to itself, GCC makes this per-access step
+        // a call once the pass's cold resume branches grow the loop.
         auto emit_access = [&](unsigned slot, uint64_t addr, uint8_t width,
-                               bool is_write, bool atomic, bool rip_rel) {
+                               bool is_write, bool atomic,
+                               bool rip_rel) __attribute__((always_inline)) {
             ReconstructedAccess acc;
             acc.tid = win.tid;
             acc.position = pos;
@@ -494,6 +581,7 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
           case Op::kSpinLock:
           case Op::kSpinUnlock:
             pm.invalidateMemory();
+            memory_dropped(pos);
             break;
 
           case Op::kSpawn:
@@ -514,12 +602,14 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
             } else {
                 pm.invalidateReg(insn.dst);
             }
+            memory_dropped(pos);
             break;
           }
 
           case Op::kSyscall:
             pm.invalidateMemory();
             pm.invalidateReg(Reg::rax);
+            memory_dropped(pos);
             break;
         }
     }
@@ -541,7 +631,7 @@ Replayer::forwardPass(const Window &win, const pmu::ThreadPath &path,
     }
 }
 
-void
+uint64_t
 Replayer::backwardScan(const Window &win, const pmu::ThreadPath &path,
                        const FactList &hints, FactList &facts_out,
                        bool *consistent_out)
@@ -557,6 +647,16 @@ Replayer::backwardScan(const Window &win, const pmu::ThreadPath &path,
     auto bit = [](Reg r) {
         return static_cast<uint16_t>(1u << gprIndex(r));
     };
+    // Known registers whose value derives from the closing sample; the
+    // others derive from forward hints alone. Facts are recorded at
+    // non-increasing positions, so the last one recorded from a
+    // sampled register is the lowest.
+    uint16_t sampled = 0xffff;
+    uint64_t first_sampled_fact = win.end;
+    auto note_sampled = [&](uint64_t pos, uint16_t mask) {
+        if ((mask & sampled) && pos < win.end)
+            first_sampled_fact = pos;
+    };
 
     facts_out.clear();
     auto record_fact = [&](uint64_t pos, Reg reg, uint64_t value) {
@@ -566,6 +666,7 @@ Replayer::backwardScan(const Window &win, const pmu::ThreadPath &path,
     };
     // Record the registers of @p mask at @p pos, lowest register first.
     auto record_known = [&](uint64_t pos, uint16_t mask) {
+        note_sampled(pos, mask);
         for (; mask; mask &= static_cast<uint16_t>(mask - 1)) {
             const unsigned r = static_cast<unsigned>(std::countr_zero(mask));
             record_fact(pos, isa::gprFromIndex(r), val[r]);
@@ -598,9 +699,14 @@ Replayer::backwardScan(const Window &win, const pmu::ThreadPath &path,
             record_known(pp + 1, known & wmask);
             known &= static_cast<uint16_t>(~wmask);
             auto post_known = [&](Reg r) { return (post & bit(r)) != 0; };
-            auto learn = [&](Reg r, uint64_t value) {
+            // Learn @p r from the post-state of @p from_mask's registers.
+            auto learn = [&](Reg r, uint64_t value, uint16_t from_mask) {
                 known |= bit(r);
                 val[gprIndex(r)] = value;
+                const uint16_t from_sample =
+                    (sampled & from_mask) ? bit(r) : uint16_t{0};
+                sampled = static_cast<uint16_t>((sampled & ~bit(r)) |
+                                                from_sample);
             };
 
             // Reverse execution (§5.2.2): invert what can be inverted
@@ -636,7 +742,8 @@ Replayer::backwardScan(const Window &win, const pmu::ThreadPath &path,
                     !(known & bit(insn.mem.base))) {
                     const uint64_t base_pre = val[gprIndex(insn.dst)] -
                         static_cast<uint64_t>(insn.mem.disp);
-                    learn(insn.mem.base, base_pre);
+                    learn(insn.mem.base, base_pre, bit(insn.dst));
+                    note_sampled(pp, bit(insn.mem.base));
                     record_fact(pp, insn.mem.base, base_pre);
                 }
                 break;
@@ -646,7 +753,7 @@ Replayer::backwardScan(const Window &win, const pmu::ThreadPath &path,
                     if (isa::invertAlu(insn.alu, val[gprIndex(insn.dst)],
                                        static_cast<uint64_t>(insn.imm),
                                        pre)) {
-                        learn(insn.dst, pre);
+                        learn(insn.dst, pre, bit(insn.dst));
                     }
                 }
                 break;
@@ -656,7 +763,7 @@ Replayer::backwardScan(const Window &win, const pmu::ThreadPath &path,
                     uint64_t pre = 0;
                     if (isa::invertAlu(insn.alu, val[gprIndex(insn.dst)],
                                        val[gprIndex(insn.src)], pre)) {
-                        learn(insn.dst, pre);
+                        learn(insn.dst, pre, bit(insn.dst) | bit(insn.src));
                     }
                 }
                 break;
@@ -665,20 +772,25 @@ Replayer::backwardScan(const Window &win, const pmu::ThreadPath &path,
                 if (post_known(insn.dst) && insn.src != insn.dst &&
                     !(known & bit(insn.src))) {
                     const uint64_t v = val[gprIndex(insn.dst)];
-                    learn(insn.src, v);
+                    learn(insn.src, v, bit(insn.dst));
+                    note_sampled(pp, bit(insn.src));
                     record_fact(pp, insn.src, v);
                 }
                 break;
               case Op::kPush:
               case Op::kCall:
               case Op::kCallInd:
-                if (post_known(Reg::rsp))
-                    learn(Reg::rsp, val[gprIndex(Reg::rsp)] + 8);
+                if (post_known(Reg::rsp)) {
+                    learn(Reg::rsp, val[gprIndex(Reg::rsp)] + 8,
+                          bit(Reg::rsp));
+                }
                 break;
               case Op::kPop:
               case Op::kRet:
-                if (post_known(Reg::rsp))
-                    learn(Reg::rsp, val[gprIndex(Reg::rsp)] - 8);
+                if (post_known(Reg::rsp)) {
+                    learn(Reg::rsp, val[gprIndex(Reg::rsp)] - 8,
+                          bit(Reg::rsp));
+                }
                 break;
               default:
                 break;
@@ -695,6 +807,7 @@ Replayer::backwardScan(const Window &win, const pmu::ThreadPath &path,
             const ReplayFact &hint = hints[i - 1];
             if (!(known & bit(hint.reg))) {
                 known |= bit(hint.reg);
+                sampled &= static_cast<uint16_t>(~bit(hint.reg));
                 val[gprIndex(hint.reg)] = hint.val;
             }
         }
@@ -714,6 +827,7 @@ Replayer::backwardScan(const Window &win, const pmu::ThreadPath &path,
         std::reverse(group, next);
         group = next;
     }
+    return first_sampled_fact;
 }
 
 void
@@ -749,22 +863,41 @@ Replayer::replayWindow(const Window &win, const pmu::ThreadPath &path,
         // A round whose inputs repeat the previous round's repeats its
         // pass exactly: same facts, same violations, same emissions
         // into slots the previous pass already settled. It would emit
-        // nothing, so the fixed point stops before it (DESIGN §12.4).
+        // nothing, so the fixed point stops before it. A mixed pass
+        // repeats the previous pass up to its first possibly-new fact,
+        // so it resumes at the previous pass's last resume point at or
+        // before that fact (DESIGN §12.4).
         size_t emitted = emit_.size();
         for (int round = 0; round < config_.max_backward_rounds; ++round) {
             if (round > 0 && hints_ == prev_hints_)
                 break;
             ++stats_.backward_rounds;
-            backwardScan(win, path, hints_, facts_, &bwd_ok);
-            if (facts_.empty() || (round > 0 && facts_ == prev_facts_))
+            const uint64_t first_sampled =
+                backwardScan(win, path, hints_, facts_, &bwd_ok);
+            if (facts_.empty())
                 break;
+            // Round 0 follows the plain pass, whose hints every fact
+            // not derived from the closing sample repeats; a later
+            // round follows a mixed pass with the same tag.
+            uint64_t first_new = first_sampled;
+            if (round > 0) {
+                const auto [a, b] =
+                    std::mismatch(facts_.begin(), facts_.end(),
+                                  prev_facts_.begin(), prev_facts_.end());
+                if (a == facts_.end() && b == prev_facts_.end())
+                    break;
+                first_new = std::min(
+                    a == facts_.end() ? win.end : a->pos,
+                    b == prev_facts_.end() ? win.end : b->pos);
+            }
+            const ResumePoint *from = resumeAtOrBefore(first_new);
             prev_hints_ = hints_;
             prev_facts_ = facts_;
-            hints_.clear();
+            hints_.resize(from ? from->hints : 0);
             bool mixed_ok = true;
             uint64_t mixed_bad_pos = ~0ull;
             forwardPass(win, path, facts_, AccessOrigin::kBackward,
-                        &hints_, &mixed_ok, &mixed_bad_pos);
+                        &hints_, &mixed_ok, &mixed_bad_pos, from);
             if (!mixed_ok && mixed_bad_pos < fwd_bad_pos) {
                 // A violation in a region the plain forward pass had
                 // validated implicates the injected backward facts.

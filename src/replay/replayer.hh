@@ -26,6 +26,7 @@
 #define PRORACE_REPLAY_REPLAYER_HH
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <map>
 #include <unordered_set>
@@ -34,6 +35,7 @@
 #include "analysis/insn_facts.hh"
 #include "asmkit/program.hh"
 #include "detect/report.hh"
+#include "isa/flags.hh"
 #include "pmu/pt_decode.hh"
 #include "replay/align.hh"
 #include "replay/program_map.hh"
@@ -99,6 +101,13 @@ struct ReplayStats {
     uint64_t forward_steps = 0;
     /** Forward steps settled by the unresolved rule (an unknown use). */
     uint64_t forward_unresolved_steps = 0;
+    /**
+     * Path positions a mixed forward pass took over from the previous
+     * pass's resume point instead of emulating them (DESIGN §12.4).
+     * forward_steps + forward_resumed_steps is the work of replaying
+     * every pass in full.
+     */
+    uint64_t forward_resumed_steps = 0;
     /** Path positions visited by backward scans (gaps included). */
     uint64_t backward_steps = 0;
 
@@ -134,6 +143,7 @@ struct ReplayStats {
         samples_out_of_program += o.samples_out_of_program;
         forward_steps += o.forward_steps;
         forward_unresolved_steps += o.forward_unresolved_steps;
+        forward_resumed_steps += o.forward_resumed_steps;
         backward_steps += o.backward_steps;
         program_map.merge(o.program_map);
     }
@@ -381,18 +391,62 @@ class Replayer
         size_t live_ = 0;
     };
 
+    /**
+     * The whole state of a forward pass right after a step that
+     * emptied emulated memory, so a later pass whose input agrees with
+     * this one's before pos can restart there (DESIGN §12.4). Counts
+     * are the pass's own, from its first position to pos.
+     */
+    struct ResumePoint {
+        uint64_t pos = 0; ///< the first position not yet stepped
+        std::array<uint64_t, isa::kNumGprs> regs{};
+        uint16_t avail = 0;
+        uint16_t flag_src_mask = 0;
+        isa::Flags flags_value;
+        bool flags_known = false;
+        unsigned violations = 0;
+        uint64_t violations_branch = 0;
+        uint64_t violations_fact = 0;
+        uint64_t violations_sample = 0;
+        uint64_t bad_pos = ~0ull; ///< first position past the budget
+        size_t hints = 0;
+    };
+
+    /**
+     * One forward pass over @p win. A pass that collects hints (and
+     * then also takes @p bad_pos_out) records resume points into
+     * points_; with @p from it restarts at that point of the previous
+     * pass instead of at win.start.
+     */
     void forwardPass(const Window &win, const pmu::ThreadPath &path,
                      const FactList &facts, detect::AccessOrigin tag,
                      FactList *hints_out, bool *consistent_out,
-                     uint64_t *bad_pos_out);
+                     uint64_t *bad_pos_out,
+                     const ResumePoint *from = nullptr);
+
+    /** Append a resume point at @p pos (cold: after memory drops). */
+    [[gnu::cold, gnu::noinline]] void
+    recordResumePoint(uint64_t pos, isa::Flags flags_value,
+                      bool flags_known, uint16_t flag_src_mask,
+                      unsigned violations, size_t hints,
+                      uint64_t bad_pos);
+
+    /**
+     * The last resume point at or before @p pos, or nullptr; the later
+     * points are dropped, since the pass about to resume replaces them.
+     */
+    const ResumePoint *resumeAtOrBefore(uint64_t pos);
 
     /**
      * Backward sweep from the closing sample; leaves the recovered
-     * facts in @p facts_out in ascending position order.
+     * facts in @p facts_out in ascending position order. Returns the
+     * lowest position of a fact derived from the closing sample's
+     * registers (win.end if none): facts derived from forward hints
+     * alone repeat what the forward pass that made the hints knew.
      */
-    void backwardScan(const Window &win, const pmu::ThreadPath &path,
-                      const FactList &hints, FactList &facts_out,
-                      bool *consistent_out);
+    uint64_t backwardScan(const Window &win, const pmu::ThreadPath &path,
+                          const FactList &hints, FactList &facts_out,
+                          bool *consistent_out);
 
     /**
      * Append @p acc to @p out, timed at @p tsc, and count it by origin.
@@ -423,6 +477,14 @@ class Replayer
     FactList facts_;
     FactList prev_hints_; ///< hints the last backward scan consumed
     FactList prev_facts_; ///< facts the last mixed pass consumed
+    /** The last forward pass's resume points, in position order. */
+    std::vector<ResumePoint> points_;
+    /** Lowest position the next resume point may take. */
+    uint64_t point_next_ = ~0ull;
+    /** stats_ violation counters at the start of the current pass. */
+    uint64_t pass_branch_ = 0;
+    uint64_t pass_fact_ = 0;
+    uint64_t pass_sample_ = 0;
     pmu::ThreadPath bb_path_; ///< basic-block mode's synthetic path
 };
 

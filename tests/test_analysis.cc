@@ -47,7 +47,29 @@ TEST(InsnFacts, TableMatchesPerInsnDerivation)
         const InsnFacts &f = pa.facts(i);
         EXPECT_EQ(f.kill, regWriteMask(insn)) << "insn " << i;
         EXPECT_EQ(f.mem_ops, memOpCount(insn)) << "insn " << i;
+        EXPECT_EQ(pa.syncRecords(i), syncRecordCount(insn)) << "insn " << i;
     }
+}
+
+TEST(InsnFacts, SyncRecordCountPerOp)
+{
+    // What alignThread expects in the sync trace per retired instruction.
+    asmkit::ProgramBuilder b;
+    const MemOperand var = MemOperand::baseDisp(Reg::rdi, 0);
+    const uint32_t wait = b.condWait(var, Reg::rsi);
+    const uint32_t barrier = b.barrier(var, 2);
+    const uint32_t lock = b.lock(var);
+    const uint32_t acquire = b.loadAcq(Reg::rax, var);
+    const uint32_t load = b.load(Reg::rax, var);
+    const uint32_t halt = b.halt();
+    const Program program = b.build();
+    const ProgramAnalysis pa(program);
+    EXPECT_EQ(pa.syncRecords(wait), 2u);
+    EXPECT_EQ(pa.syncRecords(barrier), 2u);
+    EXPECT_EQ(pa.syncRecords(lock), 1u);
+    EXPECT_EQ(pa.syncRecords(acquire), 1u);
+    EXPECT_EQ(pa.syncRecords(load), 0u);
+    EXPECT_EQ(pa.syncRecords(halt), 1u);
 }
 
 TEST(InsnFacts, UnresolvedRuleKillsWhatEachShapeWrites)
@@ -427,6 +449,8 @@ expectIdenticalReplay(const Program &program, const Fixture &fx)
     EXPECT_EQ(plain.stats().forward_steps, fast.stats().forward_steps);
     EXPECT_EQ(plain.stats().forward_unresolved_steps,
               fast.stats().forward_unresolved_steps);
+    EXPECT_EQ(plain.stats().forward_resumed_steps,
+              fast.stats().forward_resumed_steps);
     EXPECT_EQ(plain.stats().backward_steps, fast.stats().backward_steps);
     EXPECT_EQ(plain.stats().program_map.mem_invalidations,
               fast.stats().program_map.mem_invalidations);

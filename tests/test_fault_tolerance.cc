@@ -817,7 +817,8 @@ resultDigest(const core::OfflineResult &r, const asmkit::Program &program)
         << rs.violations_fact << ' ' << rs.violations_sample << ' '
         << rs.violations_end << ' ' << rs.violations_backward << ' '
         << rs.samples_out_of_program << ' ' << rs.forward_steps << ' '
-        << rs.forward_unresolved_steps << ' ' << rs.backward_steps
+        << rs.forward_unresolved_steps << ' ' << rs.forward_resumed_steps
+        << ' ' << rs.backward_steps
         << "\nprefilter "
         << r.prefilter.events_seen << ' ' << r.prefilter.pruned()
         << "\ndetect " << ds.reads << ' ' << ds.writes << ' ' << ds.sync_ops

@@ -546,6 +546,93 @@ TEST(ReplayBaseline, PtModesKeepTheirReportsAndCounters)
     EXPECT_GT(any.violations_backward, 0u);
 }
 
+TEST(ReplayBaseline, SubjectFilterKeepsReportsAndWork)
+{
+    // The rows above trace everything, so the forward/backward fixed
+    // point rarely meets a gap or an untraced call. These rows trace
+    // each subject with its own PT filter (main executable only), at
+    // P=1000 and the deployment period P=10000, in forward+backward
+    // mode, and pin the report, every replay counter and the replay
+    // work: the path positions forward passes cover (emulated or
+    // resumed) and the backward steps.
+    struct Pinned {
+        const char *subject;
+        uint64_t period;
+        const char *digest;
+    };
+    static const Pinned kPinned[] = {
+        {"mpmc-queue-racy", 1000,
+         "d8c3b7d0 0 events 441 replay 1 161 279 80 6 0 2 0 0 0 0 0 0 steps 9062 2506"},
+        {"mpmc-queue-racy", 10000,
+         "d8c3b7d0 0 events 80 replay 0 80 0 80 5 0 0 0 0 0 0 0 0 steps 6556 0"},
+        {"event-loop", 1000,
+         "d8c3b7d0 0 events 571 replay 1 304 266 216 5 0 2 0 0 0 0 0 0 steps 8976 2794"},
+        {"event-loop", 10000,
+         "d8c3b7d0 0 events 216 replay 0 216 0 216 4 0 0 0 0 0 0 0 0 steps 6182 0"},
+        {"ptr-dispatch", 1000,
+         "d8c3b7d0 0 events 406 replay 1 150 255 37 5 0 2 0 0 0 0 0 0 steps 6263 2452"},
+        {"ptr-dispatch", 10000,
+         "d8c3b7d0 0 events 145 replay 0 145 0 37 4 0 0 0 0 0 0 0 0 steps 3811 0"},
+        {"rcu-table", 1000,
+         "d8c3b7d0 0 events 1609 replay 2 1312 295 75 7 1 4 1 2 0 1 2 0 steps 20889 7472"},
+        {"rcu-table", 10000,
+         "d8c3b7d0 0 events 450 replay 0 450 0 75 5 0 0 0 0 0 0 0 0 steps 13417 0"},
+        {"cherokee-0.9.2", 1000,
+         "dfb9bc9c 2 events 4721 replay 48 4265 408 269 48 38 83 102 80 0 52 84 0 steps 558872 368244"},
+        {"cherokee-0.9.2", 10000,
+         "d8c3b7d0 0 events 714 replay 5 709 0 269 10 5 9 6 9 0 7 9 0 steps 403314 208509"},
+        {"pbzip2-0.9.4", 1000,
+         "d8c3b7d0 0 events 4678 replay 40 4073 565 249 44 33 77 89 68 0 41 65 0 steps 471380 317654"},
+        {"pbzip2-0.9.4", 10000,
+         "d8c3b7d0 0 events 804 replay 4 674 126 249 9 3 7 3 5 0 5 5 0 steps 335275 164834"},
+        {"memcached", 1000,
+         "d8c3b7d0 0 events 5743 replay 62 5200 481 70 58 48 104 136 105 0 70 124 0 steps 621094 403008"},
+        {"memcached", 10000,
+         "d8c3b7d0 0 events 928 replay 6 922 0 70 12 6 12 8 14 0 10 18 0 steps 462682 244596"},
+        {"aget-bug2", 1000,
+         "d1edd8d8 2 events 4890 replay 44 4834 12 77 45 37 78 95 73 0 48 72 0 steps 484200 327323"},
+        {"aget-bug2", 10000,
+         "ccde46dd 2 events 667 replay 4 661 2 77 9 2 8 2 4 0 2 4 0 steps 285301 170016"},
+    };
+    constexpr uint64_t kSeed = 5000;
+    size_t checked = 0;
+    uint64_t resumed = 0;
+    for (const char *subject : kReplaySubjects) {
+        const auto w = workload::findWorkload(subject, 0.25);
+        ASSERT_TRUE(w) << subject;
+        for (const uint64_t period : {1000ull, 10000ull}) {
+            const core::PipelineConfig cfg =
+                core::proRaceConfig(period, kSeed, w->pt_filter);
+            const core::RunArtifacts online =
+                core::Session::run(*w->program, w->setup, cfg.session);
+            core::OfflineAnalyzer analyzer(*w->program, cfg.offline);
+            const core::OfflineResult r = analyzer.analyze(online.trace);
+            const replay::ReplayStats &s = r.replay_stats;
+            resumed += s.forward_resumed_steps;
+            const std::string digest = replayDigest(r, *w->program) +
+                " steps " +
+                std::to_string(s.forward_steps + s.forward_resumed_steps) +
+                " " + std::to_string(s.backward_steps);
+            const Pinned *pin = nullptr;
+            for (const Pinned &p : kPinned) {
+                if (w->name == p.subject && period == p.period)
+                    pin = &p;
+            }
+            if (!pin) {
+                ADD_FAILURE() << "unpinned: {\"" << w->name << "\", "
+                              << period << ",\n         \"" << digest
+                              << "\"},";
+                continue;
+            }
+            EXPECT_EQ(digest, pin->digest) << w->name << " P=" << period;
+            ++checked;
+        }
+    }
+    EXPECT_EQ(checked, 16u);
+    // Mixed passes do resume on these traces.
+    EXPECT_GT(resumed, 0u);
+}
+
 /**
  * The extended trace pinned as text: the number of accesses
  * Replayer::replayAll returns and a CRC over every field of every one,
@@ -683,6 +770,71 @@ TEST(ExtendedTraceBaseline, PtModesKeepEveryAccess)
         }
     }
     EXPECT_EQ(checked, 48u);
+}
+
+TEST(ExtendedTraceBaseline, SubjectFilterKeepsEveryAccess)
+{
+    // ReplayBaseline.SubjectFilterKeepsReportsAndWork's runs, pinned at
+    // the extended trace.
+    struct Pinned {
+        const char *subject;
+        uint64_t period;
+        const char *digest;
+    };
+    static const Pinned kPinned[] = {
+        {"mpmc-queue-racy", 1000, "c584f41c 441"},
+        {"mpmc-queue-racy", 10000, "f5f21705 80"},
+        {"event-loop", 1000, "fe1031df 571"},
+        {"event-loop", 10000, "b2ac7a7d 216"},
+        {"ptr-dispatch", 1000, "bf80b820 406"},
+        {"ptr-dispatch", 10000, "6d5e6511 145"},
+        {"rcu-table", 1000, "35471972 1609"},
+        {"rcu-table", 10000, "d17122ca 450"},
+        {"cherokee-0.9.2", 1000, "d5df947d 4721"},
+        {"cherokee-0.9.2", 10000, "06e46061 714"},
+        {"pbzip2-0.9.4", 1000, "605ab884 4678"},
+        {"pbzip2-0.9.4", 10000, "f600cd89 804"},
+        {"memcached", 1000, "0aae581c 5743"},
+        {"memcached", 10000, "c7ce78de 928"},
+        {"aget-bug2", 1000, "5ca55d91 4890"},
+        {"aget-bug2", 10000, "04f00c8c 667"},
+    };
+    constexpr uint64_t kSeed = 5000;
+    size_t checked = 0;
+    for (const char *subject : kReplaySubjects) {
+        const auto w = workload::findWorkload(subject, 0.25);
+        ASSERT_TRUE(w) << subject;
+        const analysis::ProgramAnalysis facts(*w->program);
+        for (const uint64_t period : {1000ull, 10000ull}) {
+            const core::PipelineConfig cfg =
+                core::proRaceConfig(period, kSeed, w->pt_filter);
+            const core::RunArtifacts online =
+                core::Session::run(*w->program, w->setup, cfg.session);
+            const trace::RunTrace &run = online.trace;
+            const auto paths =
+                pmu::decodePt(*w->program, run.meta.pt_filter, run);
+            const auto alignments = replay::alignTrace(
+                *w->program, paths, run, nullptr, &facts);
+            replay::ReplayConfig config = cfg.offline.replay;
+            config.analysis = &facts;
+            replay::Replayer replayer(*w->program, config);
+            const std::string digest = extendedTraceDigest(
+                replayer.replayAll(paths, alignments, run));
+            const Pinned *pin = nullptr;
+            for (const Pinned &p : kPinned) {
+                if (w->name == p.subject && period == p.period)
+                    pin = &p;
+            }
+            if (!pin) {
+                ADD_FAILURE() << "unpinned: {\"" << w->name << "\", "
+                              << period << ", \"" << digest << "\"},";
+                continue;
+            }
+            EXPECT_EQ(digest, pin->digest) << w->name << " P=" << period;
+            ++checked;
+        }
+    }
+    EXPECT_EQ(checked, 16u);
 }
 
 } // namespace

@@ -143,6 +143,8 @@ expectEquivalent(const Program &program, const trace::RunTrace &run,
     EXPECT_EQ(s.replay_stats.forward_steps, p.replay_stats.forward_steps);
     EXPECT_EQ(s.replay_stats.forward_unresolved_steps,
               p.replay_stats.forward_unresolved_steps);
+    EXPECT_EQ(s.replay_stats.forward_resumed_steps,
+              p.replay_stats.forward_resumed_steps);
     EXPECT_EQ(s.replay_stats.backward_steps, p.replay_stats.backward_steps);
 
     // Prefilter and detection stats (pruning runs on the replay lanes;

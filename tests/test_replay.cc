@@ -12,12 +12,16 @@
 
 #include <algorithm>
 #include <map>
+#include <random>
+#include <stdexcept>
+#include <string>
 #include <unordered_set>
 
 #include "core/offline.hh"
 #include "core/session.hh"
 #include "replay/align.hh"
 #include "replay/replayer.hh"
+#include "support/crc32.hh"
 #include "testutil.hh"
 
 namespace prorace::replay {
@@ -664,6 +668,368 @@ TEST(Offline, TimingBreakdownIsPopulated)
     EXPECT_GT(result.extended_trace_events, 0u);
     EXPECT_GT(result.totalSeconds(), 0.0);
     EXPECT_GT(result.detect_stats.reads + result.detect_stats.writes, 0u);
+}
+
+// --- resumable backward rounds (DESIGN §12.4) ---
+//
+// A mixed forward pass restarts at the previous pass's last resume
+// point at or before its first possibly-new fact. The windows below
+// are built by hand; every expected trace and counter was recorded
+// with a replayer that ran every pass in full, and forward_steps +
+// forward_resumed_steps is that replayer's forward_steps.
+
+/** A hand-built window: its program, path and boundary samples. */
+struct HandWindow {
+    asmkit::Program program;
+    pmu::ThreadPath path;
+    trace::PebsRecord s1;
+    trace::PebsRecord s2;
+};
+
+constexpr uint32_t kGap = pmu::kPathGap;
+
+/** Both boundary register files: rbx, rdi and rsi point at memory. */
+void
+setBoundaryRegs(HandWindow &hw)
+{
+    for (trace::PebsRecord *s : {&hw.s1, &hw.s2}) {
+        for (unsigned r = 0; r < isa::kNumGprs; ++r)
+            s->regs.gpr[r] = 0x100 * (r + 1);
+        s->regs.set(Reg::rbx, 0x1000);
+        s->regs.set(Reg::rsp, 0x8000);
+    }
+    hw.s1.addr = 0x1000; // the sampled load at the window start
+    hw.s2.regs.set(Reg::rdi, 0x3000);
+    hw.s2.regs.set(Reg::rsi, 0x4000);
+}
+
+/**
+ * Replay @p hw as one window and describe what it emits, one
+ * "position:origin:address" item per access.
+ */
+std::string
+replayHand(const HandWindow &hw, ReplayStats &stats)
+{
+    Replayer replayer(hw.program, ReplayConfig{});
+    Replayer::Window w;
+    w.end = hw.path.insns.size();
+    w.s1 = &hw.s1;
+    w.s2 = &hw.s2;
+    std::vector<ReconstructedAccess> out;
+    replayer.replayWindow(w, hw.path, ThreadAlignment{}, out);
+    stats = replayer.stats();
+    std::string text;
+    for (const ReconstructedAccess &a : out) {
+        char buf[64];
+        std::snprintf(buf, sizeof buf, "%s%llu:%s:%llx",
+                      text.empty() ? "" : " ",
+                      static_cast<unsigned long long>(a.position),
+                      detect::accessOriginName(a.origin),
+                      static_cast<unsigned long long>(a.addr));
+        text += buf;
+    }
+    return text;
+}
+
+/** Window A: a drop at position 2, a gap at 3, a load at 4. */
+HandWindow
+dropThenGap(bool unresolved_store)
+{
+    asmkit::ProgramBuilder b;
+    b.label("main");
+    b.load(Reg::rax, MemOperand::baseDisp(Reg::rbx, 0));  // #0 sampled
+    b.load(Reg::rcx, MemOperand::baseDisp(Reg::rbx, 16)); // #1 rcx unknown
+    if (unresolved_store)
+        b.store(MemOperand::baseDisp(Reg::rcx, 0), Reg::rax); // #2
+    else
+        b.syscall(isa::SyscallNo::kWrite); // #2
+    b.load(Reg::rsi, MemOperand::baseDisp(Reg::rdi, 0)); // #3
+    b.halt();
+    HandWindow hw{b.build()};
+    hw.path.insns = {0, 1, 2, kGap, 3};
+    setBoundaryRegs(hw);
+    return hw;
+}
+
+/** Window B: a branch contradiction 2 positions after a syscall. */
+HandWindow
+violationAfterDrop()
+{
+    asmkit::ProgramBuilder b;
+    b.label("main");
+    b.load(Reg::rax, MemOperand::baseDisp(Reg::rbx, 0));  // #0 sampled
+    b.syscall(isa::SyscallNo::kWrite);                    // #1
+    b.nop();                                              // #2
+    b.cmpri(Reg::rbx, 1);                                 // #3
+    b.jcc(CondCode::kEq, "main");                         // #4
+    b.load(Reg::rsi, MemOperand::baseDisp(Reg::rdi, 0));  // #5
+    b.halt();
+    HandWindow hw{b.build()};
+    hw.path.insns = {0, 1};
+    hw.path.insns.insert(hw.path.insns.end(), 68, 2);
+    // rbx != 1, yet the path takes the je: a violation at 72.
+    for (uint32_t i : {1u, 3u, 4u, 0u, kGap, 5u})
+        hw.path.insns.push_back(i);
+    setBoundaryRegs(hw);
+    return hw;
+}
+
+/** Window C: a second round whose facts first differ at 72. */
+HandWindow
+secondRoundDifference()
+{
+    asmkit::ProgramBuilder b;
+    b.label("main");
+    b.load(Reg::rax, MemOperand::baseDisp(Reg::rbx, 0));  // #0 sampled
+    b.syscall(isa::SyscallNo::kWrite);                    // #1
+    b.load(Reg::rsi, MemOperand::baseDisp(Reg::rdi, 0));  // #2
+    b.nop();                                              // #3
+    b.movri(Reg::rbp, 0x5000);                            // #4
+    b.load(Reg::rdx, MemOperand::baseDisp(Reg::rsi, 0));  // #5
+    b.movri(Reg::rbp, 0x6000);                            // #6
+    b.halt();
+    HandWindow hw{b.build()};
+    hw.path.insns = {0, 1, kGap, 2};
+    hw.path.insns.insert(hw.path.insns.end(), 66, 3);
+    for (uint32_t i : {1u, 4u, 5u, 6u})
+        hw.path.insns.push_back(i);
+    setBoundaryRegs(hw);
+    hw.s2.regs.set(Reg::rbp, 0x6000);
+    return hw;
+}
+
+/** Window D: hints on both sides of a syscall, and a second round. */
+HandWindow
+hintsAroundDrop()
+{
+    asmkit::ProgramBuilder b;
+    b.label("main");
+    b.load(Reg::rax, MemOperand::baseDisp(Reg::rbx, 0));  // #0 sampled
+    b.load(Reg::rcx, MemOperand::baseDisp(Reg::rbx, 16)); // #1 rcx unknown
+    b.load(Reg::rdx, MemOperand::baseDisp(Reg::rcx, 0));  // #2 hint
+    b.syscall(isa::SyscallNo::kWrite);                    // #3
+    b.load(Reg::r8, MemOperand::baseDisp(Reg::rcx, 8));   // #4 hint
+    b.load(Reg::rsi, MemOperand::baseDisp(Reg::rdi, 0));  // #5
+    b.load(Reg::r9, MemOperand::baseDisp(Reg::r10, 0));   // #6
+    b.movri(Reg::r10, 5);                                 // #7
+    b.halt();
+    HandWindow hw{b.build()};
+    hw.path.insns = {0, 1, 2, 3, 4, kGap, 5, 6, 7};
+    setBoundaryRegs(hw);
+    hw.s2.regs.set(Reg::r10, 5);
+    return hw;
+}
+
+/**
+ * A window generated from @p seed: a random straight-line program over
+ * six registers and a path through it with jumps, gaps, drops and
+ * branch contradictions, boundary registers drawn from a few nearby
+ * addresses so that emulated memory hits. Every draw is sequenced, so
+ * a seed names one window on every compiler.
+ */
+HandWindow
+generatedWindow(uint64_t seed, int &max_rounds, bool &has_s1)
+{
+    std::mt19937_64 rng(seed);
+    auto draw = [&rng](uint64_t n) { return rng() % n; };
+    static const Reg kRegs[] = {Reg::rax, Reg::rbx, Reg::rcx,
+                                Reg::rdx, Reg::rsi, Reg::rdi};
+    auto reg = [&] { return kRegs[draw(6)]; };
+    auto addr = [&] { return static_cast<int64_t>(0x1000 + 8 * draw(6)); };
+    auto mem = [&] {
+        const Reg base = reg();
+        const auto disp = static_cast<int32_t>(8 * draw(3));
+        return MemOperand::baseDisp(base, disp);
+    };
+    asmkit::ProgramBuilder b;
+    b.label("main");
+    const uint64_t n = 12 + draw(20);
+    for (uint64_t i = 0; i < n; ++i) {
+        const Reg r = reg();
+        switch (draw(16)) {
+          case 0: b.movri(r, addr()); break;
+          case 1: b.movrr(r, reg()); break;
+          case 2: b.aluri(AluOp::kAdd, r, static_cast<int64_t>(8 * draw(3)));
+                  break;
+          case 3: b.alurr(AluOp::kXor, r, reg()); break;
+          case 4: b.lea(r, mem()); break;
+          case 5: case 6: b.load(r, mem()); break;
+          case 7: case 8: b.store(mem(), r); break;
+          case 9: b.cmpri(r, addr()); break;
+          case 10: b.jcc(CondCode::kEq, "main"); break;
+          case 11: b.syscall(isa::SyscallNo::kWrite); break;
+          case 12: b.push(r); break;
+          case 13: b.pop(r); break;
+          case 14: b.cmprr(r, reg()); break;
+          default: b.nop(); break;
+        }
+    }
+    b.halt();
+    HandWindow hw{b.build()};
+    const auto body = static_cast<uint32_t>(hw.program.size() - 1);
+    const uint64_t len = 100 + draw(400);
+    auto idx = static_cast<uint32_t>(draw(body));
+    for (uint64_t p = 0; p < len; ++p) {
+        if (draw(200) == 0) {
+            hw.path.insns.push_back(kGap);
+            idx = static_cast<uint32_t>(draw(body));
+            continue;
+        }
+        hw.path.insns.push_back(idx);
+        const isa::Insn &insn = hw.program.insnAt(idx);
+        if (insn.op == isa::Op::kJcc && draw(2))
+            idx = insn.target;
+        else if (draw(8) == 0)
+            idx = static_cast<uint32_t>(draw(body));
+        else
+            idx = (idx + 1) % body;
+    }
+    for (unsigned g = 0; g < isa::kNumGprs; ++g) {
+        hw.s1.regs.gpr[g] = static_cast<uint64_t>(addr());
+        hw.s2.regs.gpr[g] = static_cast<uint64_t>(addr());
+    }
+    hw.s1.regs.set(Reg::rsp, 0x8000);
+    hw.s2.regs.set(Reg::rsp, 0x8000 - 8 * draw(3));
+    hw.s1.addr = static_cast<uint64_t>(addr());
+    max_rounds = 1 + static_cast<int>(draw(4));
+    has_s1 = draw(4) != 0 && hw.path.insns[0] != kGap;
+    return hw;
+}
+
+/**
+ * Replay generated window @p seed; its accesses and every replay
+ * counter but the ProgramMap's, with forward work counted as if every
+ * pass ran in full. Empty when replay rejects the window.
+ */
+std::string
+generatedDigest(uint64_t seed, uint64_t &resumed)
+{
+    int max_rounds = 0;
+    bool has_s1 = false;
+    const HandWindow hw = generatedWindow(seed, max_rounds, has_s1);
+    ReplayConfig cfg;
+    cfg.max_backward_rounds = max_rounds;
+    Replayer replayer(hw.program, cfg);
+    Replayer::Window w;
+    w.end = hw.path.insns.size();
+    w.s1 = has_s1 ? &hw.s1 : nullptr;
+    w.s2 = &hw.s2;
+    std::vector<ReconstructedAccess> out;
+    try {
+        replayer.replayWindow(w, hw.path, ThreadAlignment{}, out);
+    } catch (const std::logic_error &) {
+        return {}; // a stack pointer run below zero, say
+    }
+    const ReplayStats &s = replayer.stats();
+    std::string text;
+    for (const ReconstructedAccess &a : out) {
+        text += std::to_string(a.position) + ':' +
+            std::to_string(a.insn_index) + ':' + std::to_string(a.addr) +
+            ':' + std::to_string(static_cast<int>(a.origin)) +
+            (a.is_write ? "w " : "r ");
+    }
+    for (const uint64_t v :
+         {s.sampled, s.recovered_forward, s.recovered_backward,
+          s.inconsistent_windows, s.backward_rounds, s.violations_branch,
+          s.violations_fact, s.violations_sample, s.violations_end,
+          s.violations_backward, s.forward_steps + s.forward_resumed_steps,
+          s.backward_steps}) {
+        text += ' ' + std::to_string(v);
+    }
+    resumed = s.forward_resumed_steps;
+    return text;
+}
+
+TEST(ReplayResume, FirstRoundResumesAfterAMidWindowDrop)
+{
+    // Position 2 empties emulated memory (a syscall, or a store whose
+    // address is unknown) and the gap at 3 ends what the closing sample
+    // tells backwards, so the first backward round's facts start at 4
+    // and its mixed pass resumes at 3.
+    for (const bool unresolved_store : {false, true}) {
+        ReplayStats s;
+        EXPECT_EQ(replayHand(dropThenGap(unresolved_store), s),
+                  "0:sampled:1000 1:forward-replay:1010 "
+                  "4:backward-replay:3000")
+            << unresolved_store;
+        EXPECT_EQ(s.backward_rounds, 1u);
+        EXPECT_EQ(s.forward_steps + s.forward_resumed_steps, 10u);
+        EXPECT_EQ(s.forward_resumed_steps, 3u);
+    }
+}
+
+TEST(ReplayResume, ViolationDropsTheResumePointsItReaches)
+{
+    // Syscalls at 1 and 70 leave resume points at 2 and 71; the branch
+    // contradiction at 72 erases positions 48..72, so it drops the
+    // point at 71 and the mixed pass resumes at 2.
+    ReplayStats s;
+    EXPECT_EQ(replayHand(violationAfterDrop(), s),
+              "0:sampled:1000 75:backward-replay:3000");
+    EXPECT_EQ(s.backward_rounds, 1u);
+    EXPECT_EQ(s.violations_branch, 2u);
+    EXPECT_EQ(s.forward_steps + s.forward_resumed_steps, 152u);
+    EXPECT_EQ(s.forward_resumed_steps, 2u);
+}
+
+TEST(ReplayResume, SecondRoundResumesAtTheFirstFactDifference)
+{
+    // Round one resumes at 2, after the first syscall. Its mixed pass
+    // resolves the load at 72 and so leaves no hint there; without
+    // that hint the second round's facts lose rbp at 72, their first
+    // difference from the first round's, and the second mixed pass
+    // resumes at the point the first one recorded at 71.
+    ReplayStats s;
+    EXPECT_EQ(replayHand(secondRoundDifference(), s),
+              "0:sampled:1000 3:backward-replay:3000 "
+              "72:backward-replay:4000");
+    EXPECT_EQ(s.backward_rounds, 2u);
+    EXPECT_EQ(s.forward_steps + s.forward_resumed_steps, 222u);
+    EXPECT_EQ(s.forward_resumed_steps, 2u + 71u);
+}
+
+TEST(ReplayResume, HintsBeforeThePointReachTheNextScan)
+{
+    // The hint at 2 precedes the resume point at 4. The resumed pass
+    // keeps it, so the second round's scan derives the same facts as
+    // the first and the fixed point stops before a second mixed pass.
+    ReplayStats s;
+    EXPECT_EQ(replayHand(hintsAroundDrop(), s),
+              "0:sampled:1000 1:forward-replay:1010 "
+              "6:backward-replay:3000");
+    EXPECT_EQ(s.backward_rounds, 2u);
+    EXPECT_EQ(s.forward_steps + s.forward_resumed_steps, 18u);
+    EXPECT_EQ(s.forward_resumed_steps, 4u);
+}
+
+TEST(ReplayResume, GeneratedWindowsKeepTheirDigests)
+{
+    // 2000 generated windows plus two whose trace a resumed pass that
+    // kept a point a later violation reaches would change; one CRC
+    // over every window's trace and counters.
+    std::vector<uint64_t> seeds;
+    for (uint64_t seed = 0; seed < 2000; ++seed)
+        seeds.push_back(seed);
+    seeds.push_back(2300);
+    seeds.push_back(126979);
+    std::string all;
+    uint64_t resumed = 0;
+    size_t rejected = 0;
+    for (const uint64_t seed : seeds) {
+        uint64_t r = 0;
+        const std::string digest = generatedDigest(seed, r);
+        rejected += digest.empty();
+        resumed += r;
+        all += digest + '\n';
+        if (seed == 2300 || seed == 126979) {
+            EXPECT_EQ(crc32(digest.data(), digest.size()),
+                      seed == 2300 ? 0xe5e099c9u : 0x2034cb38u)
+                << seed;
+        }
+    }
+    EXPECT_EQ(crc32(all.data(), all.size()), 0xde7964a4u);
+    EXPECT_EQ(rejected, 1u);
+    EXPECT_GT(resumed, 0u);
 }
 
 } // namespace
